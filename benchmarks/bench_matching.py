@@ -1,20 +1,24 @@
-"""Matching-tier throughput: bitset fast backend vs pure-Python reference.
+"""Matching-tier throughput: the production matcher vs the seed reference.
 
-Two measurements per dataset (MUTAG / ENZYMES / REDDIT):
+Two measurements per dataset (MUTAG / ENZYMES / REDDIT), plus one
+large host:
 
 * **matcher throughput** — full-enumeration ``find_isomorphisms`` over
-  every (view pattern, source graph) pair, matches/sec per backend
-  (fresh contexts for fast, so the context build is priced in);
+  every (view pattern, source graph) pair, matches/sec per matcher
+  (contexts and plans prebuilt for the production matcher);
 * **coverage-heavy pipeline** — the serve-path composition that
   motivated the cross-tier plan cache: per request, Psum re-summarizes
   the label group's subgraphs, ``verify_view`` re-checks C1, and a
-  ``ViewIndex`` rebuild re-scans postings. Under the reference backend
-  each request re-pays full enumeration at all call sites; the fast
-  tier shares one plan-cache entry per (pattern, host) pair across
-  call sites *and* requests.
+  ``ViewIndex`` rebuild re-scans postings. The reference arm runs the
+  same pipeline inside :func:`repro.reference.reference_matcher`, so
+  each request re-pays full enumeration at all call sites; production
+  shares one plan-cache entry per (pattern, host) pair across call
+  sites *and* requests;
+* **large host** — one 1500-node SYNTHETIC-style host (24 words per
+  row), enumeration and near-miss search, cache-free.
 
 The acceptance bar (also enforced in the ``-m slow`` CI lane,
-``tests/test_bench_smoke.py``): the fast tier is >= 5x faster on the
+``tests/test_bench_smoke.py``): production is >= 5x faster on the
 coverage-heavy case, with bit-identical views, coverage, and query
 answers. Results land in ``results/BENCH_matching.json``::
 
@@ -26,18 +30,26 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
+if __package__ in (None, ""):  # direct `python benchmarks/bench_matching.py`
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
 from benchmarks.conftest import SEED, trained
+from repro import reference
 from repro.bench.harness import bench_config
-from repro.config import MATCH_FAST, MATCH_REFERENCE, GvexConfig
 from repro.core.approx import explain_database
 from repro.matching.coverage import CoverageIndex, pmatch
-from repro.matching.context import MatchContext
+from repro.matching.context import MatchContext, MatchPlan
 from repro.matching.isomorphism import find_isomorphisms
 from repro.matching.plan_cache import PLAN_CACHE
 from repro.mining.pgen import mine_patterns
+
+#: the two matchers every case compares
+MATCHERS = ("reference", "production")
 
 #: the datasets of the matching claims (paper names MUT / ENZ / RED)
 DATASETS = ("mutagenicity", "enzymes", "reddit_binary")
@@ -56,42 +68,41 @@ def dataset_workload(name: str, upper: int = 6):
     return setup, config, views
 
 
-def matcher_throughput(views, db, backend: str) -> dict:
+def matcher_throughput(views, db, matcher: str) -> dict:
     """Full-enumeration matches/sec over (pattern, source graph) pairs.
 
-    For the fast backend, host contexts and pattern plans are built
-    once outside the timer — the steady state every cached caller
-    (plan cache, batched ``pmatch``) runs in. The reference backend
-    has no reusable state by construction.
+    For the production matcher, host contexts and pattern plans are
+    built once outside the timer — the steady state every cached caller
+    (plan cache, batched ``pmatch``) runs in. The reference has no
+    reusable state by construction.
     """
-    from repro.matching.context import MatchPlan
-
     patterns = [p for view in views for p in view.patterns]
     hosts = list(db.graphs)
-    contexts = (
-        [MatchContext(g) for g in hosts] if backend == MATCH_FAST else None
-    )
-    plans = (
-        [MatchPlan(p) for p in patterns] if backend == MATCH_FAST else None
-    )
+    if matcher == "production":
+        contexts = [MatchContext(g) for g in hosts]
+        plans = [MatchPlan(p) for p in patterns]
+
+        def stream(i, j):
+            return find_isomorphisms(
+                patterns[i], hosts[j], context=contexts[j], plan=plans[i]
+            )
+
+    else:
+
+        def stream(i, j):
+            return reference.find_isomorphisms(patterns[i], hosts[j])
+
     start = time.perf_counter()
     matches = 0
     pairs = 0
-    for i, p in enumerate(patterns):
-        for j, g in enumerate(hosts):
-            stream = find_isomorphisms(
-                p,
-                g,
-                backend=backend,
-                context=contexts[j] if contexts else None,
-                plan=plans[i] if plans else None,
-            )
-            for _ in stream:
+    for i in range(len(patterns)):
+        for j in range(len(hosts)):
+            for _ in stream(i, j):
                 matches += 1
             pairs += 1
     seconds = time.perf_counter() - start
     return {
-        "backend": backend,
+        "matcher": matcher,
         "patterns": len(patterns),
         "hosts": len(hosts),
         "pairs": pairs,
@@ -137,7 +148,7 @@ def near_miss_variants(patterns) -> list:
     return out
 
 
-def coverage_pipeline(views, db, candidates, config: GvexConfig) -> list:
+def coverage_pipeline(views, db, candidates) -> list:
     """One serve-style request's ``PMatch`` work.
 
     Per label: full coverage of every (pre-mined) candidate over the
@@ -147,14 +158,13 @@ def coverage_pipeline(views, db, candidates, config: GvexConfig) -> list:
     near-miss variants — absent ones force exhaustive scans) against
     every source graph, the scan a ``ViewIndex`` posting build or
     graph-scope query pays. Pure pattern matching: the greedy itself,
-    GNN inference, and mining are backend-independent and benched
-    elsewhere.
+    GNN inference, and mining do not depend on the matcher and are
+    benched elsewhere.
     """
-    backend = config.matching_backend
     out = []
     for view in views:
         subgraphs = [s.subgraph for s in view.subgraphs]
-        cov_index = CoverageIndex(subgraphs, backend=backend)
+        cov_index = CoverageIndex(subgraphs)
         for m in candidates[view.label]:
             cov = cov_index.coverage(m.pattern)
             out.append((view.label, cov.n_nodes, cov.n_edges))
@@ -162,16 +172,16 @@ def coverage_pipeline(views, db, candidates, config: GvexConfig) -> list:
         mined = [m.pattern for m in candidates[view.label][:PROBES_PER_LABEL]]
         probes = list(view.patterns) + mined + near_miss_variants(mined)
         for p in probes:
-            hits = pmatch(p, db.graphs, backend=backend)
+            hits = pmatch(p, db.graphs)
             out.append(tuple(h for h, cov in enumerate(hits) if cov.nodes))
     return out
 
 
 def coverage_heavy_case(name: str) -> dict:
-    """Repeated explain-request tail under both backends."""
+    """Repeated explain-request tail under both matchers."""
     setup, config, views = dataset_workload(name)
-    # the candidate pool is mined once, outside the timer — PGen is
-    # backend-independent work; the timed region is pure PMatch
+    # the candidate pool is mined once, outside the timer — PGen does
+    # not depend on the matcher; the timed region is pure PMatch
     candidates = {
         view.label: mine_patterns(
             [s.subgraph for s in view.subgraphs],
@@ -181,54 +191,52 @@ def coverage_heavy_case(name: str) -> dict:
         for view in views
     }
     runs = {}
-    for backend in (MATCH_REFERENCE, MATCH_FAST):
-        cfg = GvexConfig(
-            theta=config.theta,
-            radius=config.radius,
-            gamma=config.gamma,
-            matching_backend=backend,
-            default_coverage=config.default_coverage,
-        )
+    for matcher in MATCHERS:
         PLAN_CACHE.clear()
-        # one untimed warm-up request per backend: the claim is about
-        # steady-state serve traffic, so the fast tier's one-time
-        # context/plan builds (and the reference's — it has no carry-
-        # over) sit outside the timer
-        warmup = coverage_pipeline(views, setup.db, candidates, cfg)
-        start = time.perf_counter()
-        answers = [
-            coverage_pipeline(views, setup.db, candidates, cfg)
-            for _ in range(REQUESTS)
-        ]
-        seconds = time.perf_counter() - start
-        runs[backend] = (seconds, [warmup] + answers)
+        arm = (
+            reference.reference_matcher()
+            if matcher == "reference"
+            else nullcontext()
+        )
+        with arm:
+            # one untimed warm-up request per matcher: the claim is
+            # about steady-state serve traffic, so production's one-time
+            # context/plan builds (and the reference's — it has no
+            # carry-over) sit outside the timer
+            warmup = coverage_pipeline(views, setup.db, candidates)
+            start = time.perf_counter()
+            answers = [
+                coverage_pipeline(views, setup.db, candidates)
+                for _ in range(REQUESTS)
+            ]
+            seconds = time.perf_counter() - start
+        runs[matcher] = (seconds, [warmup] + answers)
 
-    ref_s, ref_answers = runs[MATCH_REFERENCE]
-    fast_s, fast_answers = runs[MATCH_FAST]
-    assert fast_answers == ref_answers, "backend outputs diverged"
+    ref_s, ref_answers = runs["reference"]
+    prod_s, prod_answers = runs["production"]
+    assert prod_answers == ref_answers, "matcher outputs diverged"
     return {
         "dataset": name,
         "requests": REQUESTS,
         "reference_s": round(ref_s, 4),
-        "fast_s": round(fast_s, 4),
-        "speedup": round(ref_s / fast_s, 2) if fast_s else None,
+        "production_s": round(prod_s, 4),
+        "speedup": round(ref_s / prod_s, 2) if prod_s else None,
         "plan_cache": PLAN_CACHE.stats(),
     }
 
 
 def large_host_case(n_nodes: int = 1500, seed: int = SEED) -> dict:
-    """Bitset VF2 vs reference on one SYNTHETIC-style large host.
+    """Int-row VF2 vs reference on one SYNTHETIC-style large host.
 
-    The §6.2 scaling regime the bitset layout exists for: on a
-    BA-style host with hundreds of nodes the reference matcher's
-    per-pair set probes dominate, while word-wise AND feasibility
-    stays O(n/64) per candidate. Full enumeration of typed seed
-    patterns, context/plan prebuilt (the cached steady state).
+    The §6.2 scaling regime: on a BA-style host with hundreds of nodes
+    the reference matcher's per-pair set probes dominate, while one
+    int AND per constraint filters the whole candidate frontier. Full
+    enumeration of typed seed patterns, context/plan prebuilt (the
+    cached steady state).
     """
     from repro.graphs.generators import barabasi_albert
     from repro.graphs.graph import Graph
     from repro.graphs.pattern import Pattern
-    from repro.matching.context import MatchPlan
     from repro.utils.rng import ensure_rng
 
     rng = ensure_rng(seed)
@@ -238,12 +246,12 @@ def large_host_case(n_nodes: int = 1500, seed: int = SEED) -> dict:
         host.add_edge(u, v, t)
     # two sub-workloads, timed separately:
     # * "enumerate" — hub-anchored star-like patterns with many
-    #   embeddings; emission (dict building) dominates both backends,
-    #   so this bounds how much the bitset layout can lose;
+    #   embeddings; emission (dict building) dominates both matchers,
+    #   so this bounds how much the precomputation can lose;
     # * "search" — near-miss twists of the same neighborhoods (one
     #   leaf type rotated), usually absent: an exhaustive no-match
     #   scan where feasibility checks dominate and degree/signature
-    #   pruning plus word-wise ANDs pay off.
+    #   pruning plus whole-frontier ANDs pay off.
     hubs = sorted(host.nodes(), key=host.degree, reverse=True)
     enumerate_patterns = []
     for hub, size in zip(hubs, (4, 5, 5, 6, 6, 7)):
@@ -274,32 +282,30 @@ def large_host_case(n_nodes: int = 1500, seed: int = SEED) -> dict:
     ):
         timings = {}
         matches = {}
-        for backend in (MATCH_REFERENCE, MATCH_FAST):
+        for matcher in MATCHERS:
             start = time.perf_counter()
             count = 0
             for p in patterns:
-                plan = MatchPlan(p) if backend == MATCH_FAST else None
-                stream = find_isomorphisms(
-                    p,
-                    host,
-                    backend=backend,
-                    context=ctx if backend == MATCH_FAST else None,
-                    plan=plan,
-                )
+                if matcher == "production":
+                    stream = find_isomorphisms(
+                        p, host, context=ctx, plan=MatchPlan(p)
+                    )
+                else:
+                    stream = reference.find_isomorphisms(p, host)
                 for _ in stream:
                     count += 1
-            timings[backend] = time.perf_counter() - start
-            matches[backend] = count
-        assert matches[MATCH_FAST] == matches[MATCH_REFERENCE]
+            timings[matcher] = time.perf_counter() - start
+            matches[matcher] = count
+        assert matches["production"] == matches["reference"]
         out[mode] = {
             "patterns": len(patterns),
-            "matches": matches[MATCH_FAST],
-            "reference_s": round(timings[MATCH_REFERENCE], 4),
-            "fast_s": round(timings[MATCH_FAST], 4),
+            "matches": matches["production"],
+            "reference_s": round(timings["reference"], 4),
+            "production_s": round(timings["production"], 4),
             "speedup": round(
-                timings[MATCH_REFERENCE] / timings[MATCH_FAST], 2
+                timings["reference"] / timings["production"], 2
             )
-            if timings[MATCH_FAST]
+            if timings["production"]
             else None,
         }
     return out
@@ -315,8 +321,8 @@ def run(out_path: Path) -> dict:
     }
     for name in DATASETS:
         setup, _, views = dataset_workload(name)
-        for backend in (MATCH_REFERENCE, MATCH_FAST):
-            row = matcher_throughput(views, setup.db, backend)
+        for matcher in MATCHERS:
+            row = matcher_throughput(views, setup.db, matcher)
             row["dataset"] = name
             result["matcher_throughput"].append(row)
         result["coverage_heavy"].append(coverage_heavy_case(name))
@@ -339,7 +345,7 @@ def main() -> int:
     if best < MIN_SPEEDUP:
         print(f"FAIL: coverage-heavy speedup {best:.2f}x < {MIN_SPEEDUP}x")
         return 1
-    print(f"OK: coverage-heavy fast-vs-reference speedup {best:.2f}x")
+    print(f"OK: coverage-heavy production-vs-reference speedup {best:.2f}x")
     return 0
 
 

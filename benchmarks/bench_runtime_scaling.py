@@ -103,16 +103,16 @@ def bench_warm_index(db, model, config: GvexConfig, repeats: int = 10) -> Dict:
     identity cannot short-circuit either arm — and the paper's pattern
     queries run against it.
 
-    Both arms run the *reference* matching backend: the fast tier's
-    process-wide plan cache (docs/matching.md) keys by graph content,
-    so a rebuilt index over deep-copied views answers its posting
-    builds from the shared memo and the rebuild arm collapses toward
-    the warm arm — that cross-request caching is benched by
-    ``bench_matching.py``; this experiment isolates incremental
-    posting maintenance vs rebuild.
+    The process-wide plan cache (docs/matching.md) keys by graph
+    content, so a rebuilt index over deep-copied views would answer its
+    posting builds from the shared memo and the rebuild arm would
+    collapse toward the warm arm. Each rebuild therefore starts from a
+    cleared ``PLAN_CACHE`` — that cross-request caching is benched by
+    ``bench_matching.py``; this experiment isolates incremental posting
+    maintenance vs rebuild.
     """
-    from repro.config import MATCH_REFERENCE
     from repro.graphs.pattern import Pattern
+    from repro.matching.plan_cache import PLAN_CACHE
 
     views = run_plan(build_plan(db, model, config))
     # the serve mix: view patterns (eagerly indexed at build) plus
@@ -138,10 +138,11 @@ def bench_warm_index(db, model, config: GvexConfig, repeats: int = 10) -> Dict:
     start = time.perf_counter()
     rebuild_hits = 0
     for vs in fresh_sets:
-        rebuild_hits += query_all(ViewIndex(vs, db=db, backend=MATCH_REFERENCE))
+        PLAN_CACHE.clear()
+        rebuild_hits += query_all(ViewIndex(vs, db=db))
     rebuild_s = time.perf_counter() - start
 
-    warm = ViewIndex(views, db=db, backend=MATCH_REFERENCE)
+    warm = ViewIndex(views, db=db)
     query_all(warm)  # build the posting lists once
     fresh_sets = [copy.deepcopy(views) for _ in range(repeats)]
     start = time.perf_counter()

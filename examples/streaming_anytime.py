@@ -2,24 +2,25 @@
 
 StreamGVEX processes each graph as a stream of nodes, maintaining an
 explanation view a user can interrupt and inspect at any point. This
-example streams one molecule under both ``IncEVerify`` schedules —
-``stream_inc="incremental"`` (persistent influence/diversity
-accumulators, the default) and ``stream_inc="rebuild"`` (per-chunk
-oracle re-derivation, the parity reference) — printing the view state
-and per-chunk latency at every batch, then compares the final result
-with the batch algorithm's.
+example streams one molecule through the incremental ``IncEVerify``
+engine (persistent influence/diversity accumulators), printing the
+view state and per-chunk latency at every batch. It then replays the
+stream on the per-chunk rebuild reference (substituted through
+:func:`repro.reference.rebuild_everify`) to show both select the same
+view, and compares the final result with the batch algorithm's.
 
     python examples/streaming_anytime.py
 """
 
 from dataclasses import replace
 
-from repro.config import STREAM_INCREMENTAL, STREAM_REBUILD, GvexConfig
+from repro.config import GvexConfig
 from repro.core.approx import explain_graph
 from repro.core.streaming import StreamGvex
 from repro.datasets import pcqm4m
 from repro.gnn.model import GnnClassifier
 from repro.gnn.training import train_classifier
+from repro.reference import rebuild_everify
 
 
 def main() -> None:
@@ -43,12 +44,16 @@ def main() -> None:
     print(f"\nstreaming graph {target} ({graph.n_nodes} nodes, label {label})")
 
     results = {}
-    for inc in (STREAM_INCREMENTAL, STREAM_REBUILD):
-        algo = StreamGvex(model, replace(config, stream_inc=inc))
-        results[inc] = algo.explain_graph_stream(graph, label, graph_index=target)
+    results["incremental"] = StreamGvex(model, config).explain_graph_stream(
+        graph, label, graph_index=target
+    )
+    with rebuild_everify():
+        results["rebuild"] = StreamGvex(model, config).explain_graph_stream(
+            graph, label, graph_index=target
+        )
 
-    result = results[STREAM_INCREMENTAL]
-    print("\nanytime snapshots (stream_inc=incremental, one per batch):")
+    result = results["incremental"]
+    print("\nanytime snapshots (incremental IncEVerify, one per batch):")
     print("  seen%   |V_S|  patterns  objective   chunk_ms   elapsed")
     prev_elapsed = 0.0
     for s in result.snapshots:
@@ -62,14 +67,14 @@ def main() -> None:
 
     # both IncEVerify schedules select the same view; the incremental
     # engine pays one full oracle build per stream instead of per chunk
-    rebuild = results[STREAM_REBUILD]
+    rebuild = results["rebuild"]
     assert result.subgraph is not None and rebuild.subgraph is not None
     assert result.subgraph.nodes == rebuild.subgraph.nodes
     print("\nIncEVerify accounting (full oracle builds per stream):")
-    for inc, res in results.items():
+    for schedule, res in results.items():
         st = res.oracle_stats
         print(
-            f"  {inc:11s}: {st.oracle_forwards} full refresh(es), "
+            f"  {schedule:11s}: {st.oracle_forwards} full refresh(es), "
             f"{st.incremental_updates} incremental update(s), "
             f"{res.snapshots[-1].elapsed_seconds * 1e3:.1f} ms total"
         )

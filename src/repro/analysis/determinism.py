@@ -1,9 +1,9 @@
 """Determinism checker (``REPRO3xx``).
 
 The system's headline guarantee is bit-identical ``ViewSet``s across
-Serial/ForkPool/Sharded/Distributed executors and across the
-reference/fast matching backends. Three syntactic patterns break that
-guarantee silently:
+Serial/ForkPool/Sharded/Distributed executors and against the parity
+references of ``repro.reference``. Three syntactic patterns break
+that guarantee silently:
 
 ``REPRO301`` — iterating an unordered ``set``/``frozenset`` expression
 while appending to (or yielding into) an ordered accumulator, in a

@@ -293,9 +293,7 @@ class ExplanationService:
             return index
         with self._index_lock:
             if self._index is None:
-                self._index = ViewIndex(
-                    self.views, db=self.db, backend=self.config.matching_backend
-                )
+                self._index = ViewIndex(self.views, db=self.db)
             return self._index
 
     def query(self, query: Query) -> List[PatternOccurrence]:

@@ -38,15 +38,7 @@ from repro.api import (
     pattern_from_spec,
 )
 from repro.api.server import DEFAULT_HOST, DEFAULT_PORT
-from repro.config import (
-    BACKEND_BATCHED,
-    MATCH_FAST,
-    MATCHING_BACKENDS,
-    STREAM_INC_MODES,
-    STREAM_INCREMENTAL,
-    VERIFIER_BACKENDS,
-    GvexConfig,
-)
+from repro.config import GvexConfig
 from repro.datasets.registry import DATASETS
 from repro.datasets.statistics import statistics_table
 from repro.graphs.pattern import Pattern
@@ -92,30 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_explain.add_argument("--gamma", type=float, default=0.5)
     p_explain.add_argument("--lower", type=int, default=0)
     p_explain.add_argument("--upper", type=int, default=6)
-    p_explain.add_argument(
-        "--backend",
-        choices=list(VERIFIER_BACKENDS),
-        default=BACKEND_BATCHED,
-        help="EVerify scheduling: batched (default) or the serial reference; "
-        "both produce identical views (see docs/verification.md)",
-    )
-    p_explain.add_argument(
-        "--matching-backend",
-        choices=list(MATCHING_BACKENDS),
-        default=MATCH_FAST,
-        help="PMatch backend: fast (default; bitset contexts + plan "
-        "cache) or the pure-Python reference; both produce identical "
-        "views (see docs/matching.md)",
-    )
-    p_explain.add_argument(
-        "--stream-inc",
-        choices=list(STREAM_INC_MODES),
-        default=STREAM_INCREMENTAL,
-        help="IncEVerify schedule for --method stream: extend persistent "
-        "influence/diversity accumulators per chunk (incremental, default) "
-        "or re-derive the oracle on the seen prefix (rebuild); both select "
-        "identical views (see docs/streaming.md)",
-    )
     p_explain.add_argument(
         "--labels", type=int, nargs="*", help="labels of interest (default: all)"
     )
@@ -505,12 +473,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.command == "explain":
         config = GvexConfig(
-            theta=args.theta,
-            radius=args.radius,
-            gamma=args.gamma,
-            verifier_backend=args.backend,
-            matching_backend=args.matching_backend,
-            stream_inc=args.stream_inc,
+            theta=args.theta, radius=args.radius, gamma=args.gamma
         ).with_bounds(args.lower, args.upper)
         shard_stats = None
         if args.shard_stats:

@@ -9,8 +9,10 @@ mode of Procedure ``VpExtend`` (DESIGN.md §3).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, Hashable, Mapping, Optional, Tuple
+from numbers import Integral
+from typing import Any, Dict, Hashable, Tuple
 
 from repro.exceptions import ConfigurationError
 
@@ -40,33 +42,13 @@ JACOBIAN_EXPECTED = "expected"
 
 JACOBIAN_MODES = (JACOBIAN_EXACT, JACOBIAN_EXPECTED)
 
-#: Reference ``EVerify``: one dense forward per memo-cache miss.
-BACKEND_SERIAL = "serial"
-#: Frontier-at-a-time ``EVerify``: cache misses are filled in bulk with
-#: stacked forward passes (default; decision-identical to serial).
-BACKEND_BATCHED = "batched"
-
-VERIFIER_BACKENDS = (BACKEND_SERIAL, BACKEND_BATCHED)
-
-#: StreamGVEX ``IncEVerify``: rebuild the explainability oracle on the
-#: seen prefix once per chunk (the reference schedule).
-STREAM_REBUILD = "rebuild"
-#: StreamGVEX ``IncEVerify``: extend persistent influence/diversity
-#: accumulators when a chunk arrives (default; decision-identical to
-#: rebuild — see docs/streaming.md).
-STREAM_INCREMENTAL = "incremental"
-
-STREAM_INC_MODES = (STREAM_REBUILD, STREAM_INCREMENTAL)
-
-#: Reference ``PMatch``: pure-Python VF2 backtracking with per-pair
-#: set probes and no cross-call caching (the seed implementation).
-MATCH_REFERENCE = "reference"
-#: Bitset ``PMatch``: precomputed per-host match contexts, packed-
-#: bitset VF2 feasibility, and the process-wide match-plan cache
-#: (default; enumeration-order identical to reference).
-MATCH_FAST = "fast"
-
-MATCHING_BACKENDS = (MATCH_REFERENCE, MATCH_FAST)
+#: ``GvexConfig`` keys retired when production lost its reference-tier
+#: switches (the matcher, the ``EVerify`` schedule, and the
+#: ``IncEVerify`` schedule now each have one implementation).
+#: :meth:`GvexConfig.from_dict` accepts and ignores them for one
+#: deprecation cycle, so ``/explain`` payloads and cluster dispatches
+#: written with them still load (docs/api.md).
+RETIRED_KEYS = ("verifier_backend", "matching_backend", "stream_inc")
 
 
 @dataclass(frozen=True)
@@ -115,20 +97,6 @@ class GvexConfig:
         Constraint applied to labels not listed in ``coverage``.
     verification:
         One of :data:`VERIFICATION_MODES`; see DESIGN.md §3.
-    verifier_backend:
-        One of :data:`VERIFIER_BACKENDS` — how ``EVerify`` schedules
-        GNN inference. ``"batched"`` fills the memo cache one candidate
-        frontier at a time with stacked forward passes; ``"serial"`` is
-        the one-subset-per-forward reference. Both backends return
-        bit-identical probabilities, so selections never differ.
-    matching_backend:
-        One of :data:`MATCHING_BACKENDS` — how ``PMatch`` runs pattern
-        matching. ``"fast"`` (default) uses per-host bitset match
-        contexts plus the process-wide match-plan cache; ``"reference"``
-        is the pure-Python VF2 seed implementation. Both enumerate
-        matchings in the same deterministic order, so coverage sets,
-        mined patterns, and views are bit-identical
-        (see docs/matching.md).
     jacobian:
         One of :data:`JACOBIAN_MODES` for feature-influence computation.
     max_pattern_size:
@@ -145,12 +113,6 @@ class GvexConfig:
     coverage: Mapping[Hashable, CoverageConstraint] = field(default_factory=dict)
     default_coverage: CoverageConstraint = CoverageConstraint(0, 15)
     verification: str = VERIFY_SOFT
-    #: EVerify backend: ``"batched"`` (default) or the ``"serial"``
-    #: reference implementation (see docs/verification.md)
-    verifier_backend: str = BACKEND_BATCHED
-    #: PMatch backend: ``"fast"`` (default) or the ``"reference"``
-    #: pure-Python VF2 (see docs/matching.md)
-    matching_backend: str = MATCH_FAST
     jacobian: str = JACOBIAN_EXPECTED
     max_pattern_size: int = 5
     min_pattern_support: int = 1
@@ -159,12 +121,6 @@ class GvexConfig:
     stream_batch_size: int = 8
     #: StreamGVEX: neighborhood radius handed to IncPGen
     stream_radius: int = 1
-    #: StreamGVEX ``IncEVerify`` schedule: ``"incremental"`` (default)
-    #: extends persistent influence/diversity accumulators chunk by
-    #: chunk; ``"rebuild"`` re-derives the oracle on the seen prefix
-    #: every chunk and stays as the parity reference
-    #: (see docs/streaming.md)
-    stream_inc: str = STREAM_INCREMENTAL
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.theta <= 1.0:
@@ -177,16 +133,6 @@ class GvexConfig:
             raise ConfigurationError(
                 f"verification must be one of {VERIFICATION_MODES}, "
                 f"got {self.verification!r}"
-            )
-        if self.verifier_backend not in VERIFIER_BACKENDS:
-            raise ConfigurationError(
-                f"verifier_backend must be one of {VERIFIER_BACKENDS}, "
-                f"got {self.verifier_backend!r}"
-            )
-        if self.matching_backend not in MATCHING_BACKENDS:
-            raise ConfigurationError(
-                f"matching_backend must be one of {MATCHING_BACKENDS}, "
-                f"got {self.matching_backend!r}"
             )
         if self.jacobian not in JACOBIAN_MODES:
             raise ConfigurationError(
@@ -212,11 +158,6 @@ class GvexConfig:
         if self.stream_radius < 0:
             raise ConfigurationError(
                 f"stream_radius must be >= 0, got {self.stream_radius}"
-            )
-        if self.stream_inc not in STREAM_INC_MODES:
-            raise ConfigurationError(
-                f"stream_inc must be one of {STREAM_INC_MODES}, "
-                f"got {self.stream_inc!r}"
             )
 
     def coverage_for(self, label: Hashable) -> CoverageConstraint:
@@ -256,28 +197,58 @@ class GvexConfig:
         """Build a config from a plain-JSON dict (unknown keys rejected).
 
         Coverage labels arrive as JSON object keys (strings); integer
-        labels are converted back so lookups keep working.
+        labels are converted back so lookups keep working. The
+        :data:`RETIRED_KEYS` are accepted and ignored. Malformed input
+        raises :class:`ConfigurationError`.
         """
+        if not isinstance(data, Mapping):
+            raise ConfigurationError(
+                f"GvexConfig must be a JSON object, got {type(data).__name__}"
+            )
         known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        kwargs: Dict[str, Any] = {
+            k: v for k, v in data.items() if k not in RETIRED_KEYS
+        }
+        unknown = set(kwargs) - known
         if unknown:
             raise ConfigurationError(
-                f"unknown GvexConfig fields: {sorted(unknown)}"
+                f"unknown GvexConfig fields: {sorted(map(str, unknown))}"
             )
-        kwargs: Dict[str, Any] = dict(data)
         if "coverage" in kwargs:
+            raw = kwargs["coverage"] or {}
+            if not isinstance(raw, Mapping):
+                raise ConfigurationError(
+                    "coverage must map labels to [lower, upper], got "
+                    f"{type(raw).__name__}"
+                )
             coverage: Dict[Hashable, CoverageConstraint] = {}
-            for label, bounds in (kwargs["coverage"] or {}).items():
+            for label, bounds in raw.items():
                 if isinstance(label, str) and label.lstrip("-").isdigit():
                     label = int(label)
-                coverage[label] = CoverageConstraint(int(bounds[0]), int(bounds[1]))
+                coverage[label] = _constraint(bounds, f"coverage[{label!r}]")
             kwargs["coverage"] = coverage
-        if "default_coverage" in kwargs and not isinstance(
-            kwargs["default_coverage"], CoverageConstraint
-        ):
-            lower, upper = kwargs["default_coverage"]
-            kwargs["default_coverage"] = CoverageConstraint(int(lower), int(upper))
+        if "default_coverage" in kwargs:
+            kwargs["default_coverage"] = _constraint(
+                kwargs["default_coverage"], "default_coverage"
+            )
         return cls(**kwargs)
+
+
+def _constraint(bounds: Any, what: str) -> CoverageConstraint:
+    """A wire ``[lower, upper]`` pair as a constraint, or a typed error."""
+    if isinstance(bounds, CoverageConstraint):
+        return bounds
+    if (
+        isinstance(bounds, (list, tuple))
+        and len(bounds) == 2
+        and all(
+            isinstance(b, Integral) and not isinstance(b, bool) for b in bounds
+        )
+    ):
+        return CoverageConstraint(int(bounds[0]), int(bounds[1]))
+    raise ConfigurationError(
+        f"{what} must be two integers [lower, upper], got {bounds!r}"
+    )
 
 
 DEFAULT_CONFIG = GvexConfig()
@@ -286,6 +257,7 @@ __all__ = [
     "CoverageConstraint",
     "GvexConfig",
     "DEFAULT_CONFIG",
+    "RETIRED_KEYS",
     "VERIFY_PAPER",
     "VERIFY_SOFT",
     "VERIFY_NONE",
@@ -293,15 +265,6 @@ __all__ = [
     "JACOBIAN_EXACT",
     "JACOBIAN_EXPECTED",
     "JACOBIAN_MODES",
-    "BACKEND_SERIAL",
-    "BACKEND_BATCHED",
-    "VERIFIER_BACKENDS",
-    "MATCH_REFERENCE",
-    "MATCH_FAST",
-    "MATCHING_BACKENDS",
-    "STREAM_REBUILD",
-    "STREAM_INCREMENTAL",
-    "STREAM_INC_MODES",
     "SCOPE_PER_GRAPH",
     "SCOPE_PER_GROUP",
     "COVERAGE_SCOPES",

@@ -15,7 +15,6 @@ from repro.core.verifiers import (
     BatchedGnnVerifier,
     GnnVerifier,
     ViewVerification,
-    make_verifier,
     uniform_prior,
     verify_view,
     vp_extend,
@@ -40,7 +39,6 @@ __all__ = [
     "PsumResult",
     "GnnVerifier",
     "BatchedGnnVerifier",
-    "make_verifier",
     "uniform_prior",
     "vp_extend",
     "vp_extend_frontier",

@@ -27,8 +27,8 @@ from repro.core.explainability import ExplainabilityOracle, SelectionState
 from repro.core.psum import summarize
 from repro.core.verifiers import (
     _AUTO,
+    BatchedGnnVerifier,
     GnnVerifier,
-    make_verifier,
     vp_extend_frontier,
 )
 from repro.gnn.model import GnnClassifier
@@ -107,7 +107,7 @@ def explain_graph(
 
     if oracle is None:
         oracle = ExplainabilityOracle(model, graph, config)
-    verifier = make_verifier(model, graph, config, original_label=predicted)
+    verifier = BatchedGnnVerifier(model, graph, original_label=predicted)
     state = oracle.new_state()
     for v in seed_nodes:
         if len(state.selected) < upper:
@@ -118,10 +118,7 @@ def explain_graph(
     if mode == VERIFY_PAPER:
         _grow_paper_mode(graph, verifier, oracle, state, backup, label, lower, upper)
     else:
-        _grow_lazy(
-            graph, verifier, oracle, state, backup, label, lower, upper, mode,
-            matching_backend=config.matching_backend,
-        )
+        _grow_lazy(graph, verifier, oracle, state, backup, label, lower, upper, mode)
 
     # lower-bound phase: keep growing from the backup pool (lines 10-15),
     # verifying the whole pool as one frontier per round
@@ -171,7 +168,6 @@ def _grow_lazy(
     lower: int,
     upper: int,
     mode: str,
-    matching_backend: Optional[str] = None,
 ) -> None:
     """Lazy-greedy growth for the soft/none modes.
 
@@ -269,10 +265,7 @@ def _grow_lazy(
                 )
                 novelty = (
                     _pattern_novelty(
-                        graph,
-                        state.selected,
-                        {v: pool[v] for v in top},
-                        backend=matching_backend,
+                        graph, state.selected, {v: pool[v] for v in top}
                     )
                     if len(top) > 1
                     else {v: True for v in top}
@@ -303,10 +296,7 @@ def _grow_lazy(
 
 
 def _pattern_novelty(
-    graph: Graph,
-    selected: Set[int],
-    pool: Dict[int, float],
-    backend: Optional[str] = None,
+    graph: Graph, selected: Set[int], pool: Dict[int, float]
 ) -> Dict[int, bool]:
     """Whether each candidate contributes a new (>=2-node) pattern.
 
@@ -321,10 +311,7 @@ def _pattern_novelty(
     if not selected:
         return {v: True for v in pool}
     sel_sub, _ = graph.induced_subgraph(selected)
-    known = [
-        m.pattern
-        for m in mine_patterns([sel_sub], max_size=3, backend=backend)
-    ]
+    known = [m.pattern for m in mine_patterns([sel_sub], max_size=3)]
     known.extend(
         Pattern.singleton(int(t))
         for t in sorted(set(graph.node_types.tolist()))
@@ -339,7 +326,6 @@ def _pattern_novelty(
             radius=2,
             known=known,
             max_size=3,
-            backend=backend,
         )
         out[v] = any(p.n_nodes >= 2 for p in delta)
     return out
@@ -358,8 +344,8 @@ def _grow_paper_mode(
     """Literal Algorithm 1 loop: re-verify every candidate each round.
 
     Each round verifies the entire remaining-node frontier in one
-    ``vp_extend_frontier`` call — two stacked forward passes under the
-    batched backend instead of two per candidate.
+    ``vp_extend_frontier`` call — two stacked forward passes instead
+    of two per candidate.
     """
     while len(state.selected) < upper:
         candidates = [v for v in graph.nodes() if v not in state.selected]

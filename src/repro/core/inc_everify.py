@@ -27,13 +27,13 @@ into the new index space (a pure permutation — values are untouched)
 before the extension is applied.
 
 The engine's oracles are *mathematically equal* to the per-chunk
-rebuild (``GvexConfig.stream_inc = "rebuild"``); floating-point
-round-off may differ in the last ulps, which the thresholded relations
-``I2 ≥ θ`` and ``d ≤ r`` absorb. ``tests/test_stream_incremental.py``
-enforces selection parity over the dataset zoo; docs/streaming.md
-documents the contract and when rebuild mode is required (exact
-Jacobians re-derive per chunk via the fallback counted in
-:class:`OracleStats`).
+rebuild (the reference :class:`repro.reference.RebuildEVerify`);
+floating-point round-off may differ in the last ulps, which the
+thresholded relations ``I2 ≥ θ`` and ``d ≤ r`` absorb.
+``tests/test_stream_incremental.py`` enforces selection parity over
+the dataset zoo; docs/streaming.md documents the contract and the
+case that re-derives anyway (exact Jacobians re-derive per chunk via
+the fallback counted in :class:`OracleStats`).
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ class IncrementalEVerify:
         ids = np.asarray(seen_ids, dtype=np.intp)
         if self.config.jacobian != JACOBIAN_EXPECTED:
             # exact Jacobians have no incremental structure: re-derive,
-            # exactly as rebuild mode would
+            # exactly as the rebuild reference does
             if self._ids is None:
                 self.stats.full_refreshes += 1
             else:
@@ -130,7 +130,7 @@ class IncrementalEVerify:
         return ExplainabilityOracle.from_relations(seen_sub, self.config, B, R)
 
     def _sparse_influence(self, n: int) -> bool:
-        """Whether rebuild mode would take the sparse big-graph path.
+        """Whether a from-scratch build would take the sparse big-graph path.
 
         Past ``SPARSE_THRESHOLD`` a dense ``O(k·m³)`` power sequence is
         the wrong program (and caching ``k`` dense ``(m, m)`` powers

@@ -69,10 +69,9 @@ def summarize(
             hosts,
             max_size=config.max_pattern_size,
             min_support=config.min_pattern_support,
-            backend=config.matching_backend,
         )
 
-    index = CoverageIndex(hosts, backend=config.matching_backend)
+    index = CoverageIndex(hosts)
     total_edges = index.n_edges
     universe = set(index.all_nodes)
     total_nodes = len(universe)

@@ -10,18 +10,14 @@ pattern set covering ``V_S``, mining new candidates only from the
 arriving node's ``r``-hop neighborhood (``IncPGen``).
 
 ``IncEVerify`` — the per-chunk refresh of the influence/diversity
-oracle on the seen prefix — has two schedules, selected by
-``GvexConfig.stream_inc``:
-
-* ``"incremental"`` (default): :class:`~repro.core.inc_everify.
-  IncrementalEVerify` carries the propagation-power sequence, the
-  per-layer hidden states, and the embedding-distance matrix across
-  chunks as persistent accumulators, extending them with rank-bounded
-  updates when nodes arrive — the paper's genuinely incremental
-  reading of §5 (see docs/streaming.md).
-* ``"rebuild"``: re-derive the oracle on the seen induced subgraph
-  once per chunk. Semantically identical, pays a full forward pass
-  and power build per chunk; kept as the parity reference.
+oracle on the seen prefix — is :class:`~repro.core.inc_everify.
+IncrementalEVerify`: it carries the propagation-power sequence, the
+per-layer hidden states, and the embedding-distance matrix across
+chunks as persistent accumulators, extending them with rank-bounded
+updates when nodes arrive — the paper's genuinely incremental reading
+of §5 (see docs/streaming.md). Re-deriving the oracle on the seen
+prefix every chunk selects identical views; that schedule survives as
+the parity reference :class:`repro.reference.RebuildEVerify`.
 
 Every batch boundary records an :class:`AnytimeSnapshot`, giving the
 "anytime" view quality/runtime curves of Figures 9(f) and 12;
@@ -37,11 +33,11 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tupl
 
 import numpy as np
 
-from repro.config import GvexConfig, STREAM_INCREMENTAL, VERIFY_PAPER
+from repro.config import GvexConfig, VERIFY_PAPER
 from repro.core.explainability import ExplainabilityOracle, SelectionState
 from repro.core.inc_everify import IncrementalEVerify, OracleStats
 from repro.core.psum import summarize
-from repro.core.verifiers import GnnVerifier, make_verifier, vp_extend
+from repro.core.verifiers import BatchedGnnVerifier, vp_extend
 from repro.gnn.model import GnnClassifier
 from repro.graphs.database import GraphDatabase
 from repro.graphs.graph import Graph
@@ -69,9 +65,10 @@ class StreamResult:
     """Per-graph streaming outcome.
 
     ``oracle_stats`` accounts the ``IncEVerify`` maintenance work: the
-    rebuild schedule pays one full refresh per chunk, the incremental
-    engine one per stream plus cheap extensions — the per-chunk launch
-    contrast the parity suite and ``bench_fig12_node_order.py`` assert.
+    incremental engine pays one full refresh per stream plus cheap
+    extensions, the rebuild reference one full refresh per chunk — the
+    per-chunk launch contrast the parity suite and
+    ``bench_fig12_node_order.py`` assert.
     """
 
     subgraph: Optional[ExplanationSubgraph]
@@ -86,10 +83,7 @@ class StreamGvex:
     Maintains an explanation view over a single pass of each graph's
     node stream; any prefix of the stream yields a valid (1/4-
     approximate, Theorem 5.1) view, which is what makes the algorithm
-    "anytime". ``GvexConfig.stream_inc`` selects the ``IncEVerify``
-    schedule (incremental accumulators vs. per-chunk rebuild) and
-    ``GvexConfig.verifier_backend`` the ``EVerify`` scheduling — all
-    four combinations select identical views.
+    "anytime".
     """
 
     def __init__(
@@ -135,13 +129,9 @@ class StreamGvex:
         start = time.perf_counter()
         config = self.config
         batch = config.stream_batch_size
-        verifier = make_verifier(self.model, graph, config)
+        verifier = BatchedGnnVerifier(self.model, graph)
         mode = config.verification
-        engine: Optional[IncrementalEVerify] = None
-        stats = OracleStats()
-        if config.stream_inc == STREAM_INCREMENTAL:
-            engine = IncrementalEVerify(self.model, config)
-            stats = engine.stats
+        engine = IncrementalEVerify(self.model, config)
 
         seen: List[int] = []
         selected: Set[int] = set()  # global node ids
@@ -161,24 +151,19 @@ class StreamGvex:
         for batch_start in range(0, len(stream), batch):
             chunk = stream[batch_start : batch_start + batch]
             seen.extend(chunk)
-            # IncEVerify: refresh influence/diversity on the seen prefix
-            # — extending persistent accumulators (incremental) or
-            # re-deriving the oracle (rebuild), per config.stream_inc
+            # IncEVerify: extend the persistent influence/diversity
+            # accumulators to the seen prefix
             seen_sub, seen_ids = graph.induced_subgraph(seen)
             to_local = {g: l for l, g in enumerate(seen_ids)}
-            if engine is not None:
-                oracle = engine.refresh(seen_sub, seen_ids)
-            else:
-                oracle = ExplainabilityOracle(self.model, seen_sub, config)
-                stats.full_refreshes += 1
+            oracle = engine.refresh(seen_sub, seen_ids)
             state = oracle.state_for([to_local[v] for v in selected])
 
             if mode == VERIFY_PAPER and verifier.is_batched:
                 # speculative frontier fill for the arriving chunk: the
                 # selected set rarely changes mid-chunk once the cache
-                # is warm, so most per-node vp_extend probes hit. Only
-                # the batched backend prefetches — the serial reference
-                # must keep its lazy one-forward-per-probe schedule.
+                # is warm, so most per-node vp_extend probes hit. The
+                # serial reference verifier skips it to keep its lazy
+                # one-forward-per-probe schedule.
                 fresh = [v for v in chunk if v not in selected]
                 verifier.prefetch_extensions(selected, fresh)
                 verifier.prefetch_remainders(
@@ -230,7 +215,7 @@ class StreamGvex:
                 subgraph=None,
                 patterns=patterns,
                 snapshots=snapshots,
-                oracle_stats=stats,
+                oracle_stats=engine.stats,
             )
 
         # consistency repair: the stream admits nodes in arrival order, so
@@ -281,7 +266,7 @@ class StreamGvex:
             ),
             patterns=patterns,
             snapshots=snapshots,
-            oracle_stats=stats,
+            oracle_stats=engine.stats,
         )
 
     # ------------------------------------------------------------------
@@ -322,7 +307,6 @@ class StreamGvex:
             radius=self.config.stream_radius,
             known=patterns,
             max_size=self.config.max_pattern_size,
-            backend=self.config.matching_backend,
         )
         if not delta:
             return False
@@ -379,7 +363,6 @@ class StreamGvex:
                 max_size=config.max_pattern_size,
                 min_support=1,
                 max_candidates=50,
-                backend=config.matching_backend,
                 subset_keys=[vs_ids] if memo is not None else None,
                 pattern_memo=memo,
             )

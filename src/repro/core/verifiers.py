@@ -17,13 +17,7 @@ from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.config import (
-    BACKEND_SERIAL,
-    GvexConfig,
-    VERIFY_NONE,
-    VERIFY_PAPER,
-    VERIFY_SOFT,
-)
+from repro.config import GvexConfig, VERIFY_NONE, VERIFY_PAPER, VERIFY_SOFT
 from repro.gnn.model import GnnClassifier
 from repro.graphs.graph import Graph
 from repro.graphs.view import ExplanationView
@@ -52,12 +46,16 @@ _AUTO = object()
 class GnnVerifier:
     """Cached GNN inference on node subsets of one graph (``EVerify``).
 
-    ``inference_calls`` counts forward-pass launches (one per memo-cache
-    miss for this serial reference backend); ``subsets_evaluated``
-    counts the node subsets those launches covered. For the serial
-    backend the two are equal — :class:`BatchedGnnVerifier` launches
-    one stacked pass per frontier, so its ``inference_calls`` is much
-    smaller for the same ``subsets_evaluated``.
+    This class is the serial schedule: one forward pass per memo-cache
+    miss. Production runs :class:`BatchedGnnVerifier`; this base class
+    stays as ``verify_view``'s C2 checker and as the serial reference
+    the parity suites compare the batched schedule against.
+
+    ``inference_calls`` counts forward-pass launches; ``subsets_evaluated``
+    counts the node subsets those launches covered. Here the two are
+    equal — :class:`BatchedGnnVerifier` launches one stacked pass per
+    frontier, so its ``inference_calls`` is much smaller for the same
+    ``subsets_evaluated``.
     """
 
     #: whether prefetches are filled with stacked batch passes
@@ -153,11 +151,11 @@ class GnnVerifier:
         """Cache ``P(M(G_s))`` for ``base ∪ {v}`` per candidate ``v``.
 
         The shape every greedy frontier takes: consecutive rounds grow
-        ``base`` by one node, so the batched backend can splice the new
-        column into the previous round's stacked index arrangement
+        ``base`` by one node, so :class:`BatchedGnnVerifier` splices the
+        new column into the previous round's stacked index arrangement
         instead of re-sorting every subset (frontier tensor reuse).
-        This serial reference keeps the lazy one-forward-per-miss
-        schedule; decisions are identical either way.
+        This serial schedule keeps the lazy one-forward-per-miss fill;
+        decisions are identical either way.
         """
         base_key = frozenset(int(v) for v in base)
         return self.prefetch_subsets(
@@ -219,8 +217,9 @@ class BatchedGnnVerifier(GnnVerifier):
     counts one launch per frontier instead of one per subset. Lazy
     misses outside a prefetch fall back to the inherited serial path.
 
-    Models without a ``predict_proba_batch`` method degrade gracefully
-    to the serial schedule.
+    Models without a ``predict_proba_batch`` method (the relational
+    classifier) degrade gracefully to the serial schedule; batch-capable
+    models take the ``cache`` and ``presorted`` arguments.
     """
 
     is_batched = True
@@ -240,13 +239,6 @@ class BatchedGnnVerifier(GnnVerifier):
         #: immutable per graph; reusing them across launches avoids an
         #: O(n²) rebuild every prefetch
         self._gather_cache: dict = {}
-        self._pass_presorted = False
-        if self._can_batch:
-            import inspect
-
-            params = inspect.signature(model.predict_proba_batch).parameters
-            self._pass_cache = "cache" in params
-            self._pass_presorted = "presorted" in params
 
     def _launch(self, subsets: "list[list[int]]") -> "list[np.ndarray]":
         """Stacked forwards over ``subsets``, chunked to the memory cap."""
@@ -258,12 +250,9 @@ class BatchedGnnVerifier(GnnVerifier):
             )
             chunk = max(1, self.BATCH_ELEMENT_BUDGET // max(1, widest * widest))
             batch = subsets[start : start + chunk]
-            if self._pass_cache:
-                probas = self.model.predict_proba_batch(
-                    self.graph, batch, cache=self._gather_cache
-                )
-            else:
-                probas = self.model.predict_proba_batch(self.graph, batch)
+            probas = self.model.predict_proba_batch(
+                self.graph, batch, cache=self._gather_cache
+            )
             rows.extend(probas)
             self.inference_calls += 1
             self.subsets_evaluated += len(batch)
@@ -323,7 +312,7 @@ class BatchedGnnVerifier(GnnVerifier):
         misses = [v for v in fresh if base_key | {v} not in self._subset_probas]
         if not misses:
             return 0
-        if not (self._can_batch and self._pass_presorted):
+        if not self._can_batch:
             return super().prefetch_extensions(base_key, misses)
         from repro.gnn.batch import extension_index_matrix
 
@@ -333,38 +322,15 @@ class BatchedGnnVerifier(GnnVerifier):
         start = 0
         while start < len(misses):
             part = idx[start : start + chunk]
-            if self._pass_cache:
-                probas = self.model.predict_proba_batch(
-                    self.graph, part, cache=self._gather_cache, presorted=True
-                )
-            else:
-                probas = self.model.predict_proba_batch(
-                    self.graph, part, presorted=True
-                )
+            probas = self.model.predict_proba_batch(
+                self.graph, part, cache=self._gather_cache, presorted=True
+            )
             for v, row in zip(misses[start : start + chunk], probas):
                 self._subset_probas[base_key | {v}] = row
             self.inference_calls += 1
             self.subsets_evaluated += len(part)
             start += chunk
         return len(misses)
-
-
-def make_verifier(
-    model: GnnClassifier,
-    graph: Graph,
-    config: Optional[GvexConfig] = None,
-    original_label: object = _AUTO,
-) -> GnnVerifier:
-    """``EVerify`` instance for ``config.verifier_backend``.
-
-    Defaults to the batched backend when no config is given.
-    ``original_label`` seeds ``M(G)`` when the caller already computed
-    it (e.g. from a stacked :meth:`GnnClassifier.predict_db` pass over
-    the shard), skipping the per-graph forward.
-    """
-    if config is not None and config.verifier_backend == BACKEND_SERIAL:
-        return GnnVerifier(model, graph, original_label=original_label)
-    return BatchedGnnVerifier(model, graph, original_label=original_label)
 
 
 def vp_extend(
@@ -475,7 +441,7 @@ def verify_view(
     # C1: patterns cover all subgraph nodes
     hosts = [s.subgraph for s in view.subgraphs]
     if hosts:
-        index = CoverageIndex(hosts, backend=config.matching_backend)
+        index = CoverageIndex(hosts)
         c1 = index.covers_all_nodes(view.patterns)
     else:
         c1 = not view.patterns  # empty view is vacuously a graph view
@@ -494,7 +460,6 @@ def verify_view(
 __all__ = [
     "GnnVerifier",
     "BatchedGnnVerifier",
-    "make_verifier",
     "uniform_prior",
     "vp_extend",
     "vp_extend_frontier",

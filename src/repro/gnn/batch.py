@@ -12,8 +12,8 @@ the *parent* graph's adjacency/feature matrices and runs the
 message-passing layers as stacked matmuls.
 
 Bitwise parity with the serial path is load-bearing: the greedy makes
-near-tie comparisons on the returned probabilities, and both verifier
-backends must make identical decisions. Two facts make exact parity
+near-tie comparisons on the returned probabilities, and the batched
+verifier must make the serial reference's decisions. Two facts make exact parity
 possible:
 
 * numpy dispatches a stacked ``(B, k, k) @ (B, k, d)`` matmul to the

@@ -1,4 +1,4 @@
-"""Columnar CSR storage for graph databases (the fast-tier host layout).
+"""Columnar CSR storage for graph databases (the matcher's host layout).
 
 A :class:`ColumnarDatabase` re-materializes a
 :class:`~repro.graphs.database.GraphDatabase` as one contiguous CSR per

@@ -1,11 +1,10 @@
 """Matching substrate: induced subgraph isomorphism and pattern coverage.
 
-Two backends (``GvexConfig.matching_backend``, process default
-:func:`set_default_backend`): the ``"reference"`` pure-Python VF2 and
-the ``"fast"`` bitset tier — per-host :class:`MatchContext`\\ s, a
-process-wide :data:`PLAN_CACHE`, and database-batched :func:`pmatch`.
-Both enumerate matchings in the same deterministic order; see
-``docs/matching.md`` for the contract.
+One matcher: per-host :class:`MatchContext`\\ s with int adjacency
+rows, a process-wide :data:`PLAN_CACHE`, and database-batched
+:func:`pmatch`. It enumerates matchings in the seed VF2's deterministic
+order; see ``docs/matching.md`` for the contract and
+:mod:`repro.reference` for the parity reference.
 """
 
 from repro.matching.canonical import deduplicate_patterns, pattern_identity
@@ -27,10 +26,7 @@ from repro.matching.isomorphism import (
     are_isomorphic,
     find_isomorphisms,
     first_isomorphism,
-    get_default_backend,
     is_subgraph_isomorphic,
-    resolve_backend,
-    set_default_backend,
 )
 from repro.matching.plan_cache import PLAN_CACHE, MatchPlanCache
 
@@ -53,7 +49,4 @@ __all__ = [
     "PLAN_CACHE",
     "graph_content_key",
     "matching_order",
-    "get_default_backend",
-    "set_default_backend",
-    "resolve_backend",
 ]

@@ -3,38 +3,30 @@
 Pattern WL keys (:meth:`repro.graphs.Pattern.key`) are cheap but only
 *necessary* for isomorphism; this module buckets candidates by key and
 resolves collisions with the exact matcher, giving a correct canonical
-set of unique patterns. The ``backend`` parameters select the matcher
-backend for collision resolution (see ``docs/matching.md``); both
-backends agree on every pair, so canonical sets are backend-invariant.
+set of unique patterns.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from repro.graphs.pattern import Pattern
 from repro.matching.isomorphism import are_isomorphic
 
 
-def deduplicate_patterns(
-    patterns: Iterable[Pattern], backend: Optional[str] = None
-) -> List[Pattern]:
+def deduplicate_patterns(patterns: Iterable[Pattern]) -> List[Pattern]:
     """Unique patterns up to isomorphism, preserving first-seen order."""
     buckets: Dict[str, List[Pattern]] = {}
     unique: List[Pattern] = []
     for p in patterns:
         bucket = buckets.setdefault(p.key(), [])
-        if not any(are_isomorphic(p, q, backend=backend) for q in bucket):
+        if not any(are_isomorphic(p, q) for q in bucket):
             bucket.append(p)
             unique.append(p)
     return unique
 
 
-def pattern_identity(
-    pattern: Pattern,
-    known: Dict[str, List[Pattern]],
-    backend: Optional[str] = None,
-) -> Pattern:
+def pattern_identity(pattern: Pattern, known: Dict[str, List[Pattern]]) -> Pattern:
     """Return the canonical representative of ``pattern`` in ``known``.
 
     Registers the pattern if unseen. ``known`` maps WL key -> the
@@ -49,7 +41,7 @@ def pattern_identity(
         if (
             q is pattern
             or q.graph.content_key() == pattern.graph.content_key()
-            or are_isomorphic(pattern, q, backend=backend)
+            or are_isomorphic(pattern, q)
         ):
             return q
     bucket.append(pattern)

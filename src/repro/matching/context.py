@@ -1,45 +1,44 @@
-"""Host match-contexts and pattern match-plans (fast ``PMatch`` tier).
+"""Host match-contexts and pattern match-plans (``PMatch``).
 
-The reference matcher re-derives everything per call: candidate sets
-from Python neighbor sets, feasibility from per-pair dict probes. The
-fast backend splits that work into two reusable halves:
+The seed matcher re-derived everything per call: candidate sets from
+Python neighbor sets, feasibility from per-pair dict probes. The
+production matcher splits that work into two reusable halves:
 
 * :class:`MatchContext` — per-*host* state: node-type and degree
-  arrays, packed-bitset adjacency rows (out/in rows for directed
-  hosts), per-edge-type row tables for typed candidate expansion, and
-  neighborhood type-signature count arrays. Built once per host and
-  shared by every pattern matched against it.
-* :class:`MatchPlan` — per-*pattern* state: the reference matching
-  order, and for each position the edge/non-edge constraints against
-  previously mapped positions plus the degree and neighborhood
-  type-signature requirements used for pruning. Built once per
-  canonical pattern and shared across a whole host database
-  (database-batched ``PMatch``).
+  arrays, adjacency rows as Python ints (out/in rows for directed
+  hosts, plus per-edge-type row tables for typed candidate expansion),
+  and neighborhood type-signature count arrays. Built once per host
+  and shared by every pattern matched against it.
+* :class:`MatchPlan` — per-*pattern* state: the matching order, and
+  for each position the edge/non-edge constraints against previously
+  mapped positions plus the degree and neighborhood type-signature
+  requirements used for pruning. Built once per canonical pattern and
+  shared across a whole host database (database-batched ``PMatch``).
 
 Context construction runs on the columnar CSR layout
 (``repro.graphs.columnar``, docs/columnar.md): type and degree arrays
-are zero-copy slices of the group arrays, packed rows come from the
-group's shared row table (or one ``bitwise_or.at`` scatter over the
-slice), and signature counts are a masked ``bincount`` — single
-vectorized passes instead of per-host Python packing loops. Hosts that
-never joined a database go through the same code path via an on-the-fly
-single-graph slice, so the per-edge Python loops only remain as the
-fallback for stale slices and for cross-directedness signature keys.
+are zero-copy slices of the group arrays, rows come from the group's
+shared packed-row table (or one ``bitwise_or.at`` scatter over the
+slice) converted to ints on first use, and signature counts are a
+masked ``bincount`` — single vectorized passes instead of per-host
+Python loops. Hosts that never joined a database go through the same
+code path via an on-the-fly single-graph slice.
 
-Hosts above :data:`MatchContext.LAZY_ROW_THRESHOLD` nodes build
-adjacency rows on demand (only nodes actually mapped during search pay
-for a row), so contexts stay usable on SYNTHETIC-scale hosts where a
-dense ``n x n/64`` row table would not fit.
+Hosts above :data:`MatchContext.LAZY_ROW_THRESHOLD` nodes build each
+row on demand from the graph's neighbor sets (only nodes actually
+mapped during search pay for a row), so contexts stay usable on
+SYNTHETIC-scale hosts where a dense ``n x n/64`` row table would not
+fit.
 
 Both halves only *prune* subtrees that can never produce a match, so
-the fast matcher emits exactly the reference enumeration sequence —
-the backend contract ``docs/matching.md`` documents and
-``tests/test_matching_parity.py`` enforces.
+the matcher emits exactly the seed enumeration sequence — the contract
+``docs/matching.md`` documents and ``tests/test_matching_parity.py``
+checks against the reference in :mod:`repro.reference`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -53,11 +52,14 @@ from repro.graphs.columnar import (
 )
 from repro.graphs.graph import Graph
 from repro.graphs.pattern import Pattern
-from repro.matching import bitset
 
 #: a neighborhood-signature key: ``(direction, edge_type, neighbor
 #: type)`` with direction "" for undirected, "o"/"i" for directed
 SigKey = Tuple[str, int, int]
+
+#: adjacency rows indexed by host node: a list on eager contexts, a
+#: build-on-lookup dict on lazy ones
+Rows = Union[List[int], Dict[int, int]]
 
 
 def graph_content_key(graph: Graph) -> str:
@@ -78,9 +80,9 @@ def graph_content_key(graph: Graph) -> str:
 def matching_order(p: Graph) -> List[int]:
     """Visit order where each node (after the first) touches a prior one.
 
-    This is the reference matcher's order (root at the highest-degree
-    node, then maximize mapped-degree ties broken by total degree);
-    both backends share it so candidate trees are identical.
+    This is the seed matcher's order (root at the highest-degree node,
+    then maximize mapped-degree ties broken by total degree); the
+    reference VF2 shares it so candidate trees are identical.
     """
     if p.n_nodes == 0:
         return []
@@ -108,13 +110,42 @@ def matching_order(p: Graph) -> List[int]:
     return order
 
 
+class _LazyRows(dict):
+    """Node -> row int, each row built by ``build(v)`` on first lookup."""
+
+    __slots__ = ("_build",)
+
+    def __init__(self, build: Callable[[int], int]) -> None:
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, v: int) -> int:
+        row = self[v] = self._build(v)
+        return row
+
+
+def _row_ints(table: np.ndarray) -> List[int]:
+    """Packed ``(n, words)`` uint64 rows as Python ints (bit ``w`` is
+    node ``w``, the little-endian word order of the packed layout)."""
+    if table.shape[1] == 1:
+        return table[:, 0].tolist()
+    raw = table.astype("<u8").tobytes()
+    step = 8 * table.shape[1]
+    return [
+        int.from_bytes(raw[i : i + step], "little")
+        for i in range(0, len(raw), step)
+    ]
+
+
 class MatchContext:
     """Precomputed matching state for one host graph.
 
-    Everything a bitset VF2 run needs that depends only on the host:
-    adjacency rows as packed uint64 words (``all``/``out``/``in``
-    flavors), per-type candidate masks, degree arrays, and the
-    neighborhood type-signature count arrays the pruning rules consume.
+    Everything a VF2 run needs that depends only on the host: adjacency
+    rows as Python ints (``all``/``out``/``in`` flavors, optionally
+    restricted to one edge type), per-plan candidate masks, degree
+    arrays, and the neighborhood type-signature count arrays the
+    pruning rules consume. Bit ``w`` of a row or mask stands for host
+    node ``w``.
     """
 
     #: hosts with more nodes than this build adjacency rows lazily
@@ -123,24 +154,17 @@ class MatchContext:
     __slots__ = (
         "graph",
         "n",
-        "words",
         "directed",
         "node_types",
         "degrees",
         "_slice",
-        "_all_rows",
-        "_out_rows",
-        "_in_rows",
-        "_lazy_all",
-        "_lazy_out",
-        "_lazy_in",
+        "_lazy",
         "_row_ids",
-        "_typed_rows",
-        "_type_masks",
+        "_rows",
         "_sig_counts",
         "_type_counts",
         "_compat_cache",
-        "_int_cache",
+        "_states",
     )
 
     def __init__(
@@ -149,19 +173,18 @@ class MatchContext:
         self.graph = graph
         n = graph.n_nodes
         self.n = n
-        self.words = bitset.n_words(n)
         self.directed = graph.directed
-        self._type_masks: Dict[int, np.ndarray] = {}
+        self._lazy = n > self.LAZY_ROW_THRESHOLD
         self._sig_counts: Dict[SigKey, np.ndarray] = {}
         self._type_counts: Optional[Dict[int, int]] = None
         self._row_ids: Dict[str, np.ndarray] = {}
-        self._typed_rows: Dict[Tuple[str, int], np.ndarray] = {}
-        self._compat_cache: Dict[str, List[np.ndarray]] = {}
-        self._int_cache: Dict[object, object] = {}
-        eager = n <= self.LAZY_ROW_THRESHOLD
+        self._rows: Dict[Tuple[str, Optional[int]], Rows] = {}
+        self._compat_cache: Dict[str, List[int]] = {}
+        #: per-plan search tables, memoized by ``isomorphism``
+        self._states: Dict[str, object] = {}
         if columnar is not None and columnar.content_key != graph.content_key():
             columnar = None  # stale slice: the graph mutated since the build
-        if columnar is None and eager:
+        if columnar is None and not self._lazy:
             columnar = columnar_slice_of(graph)
         self._slice = columnar
         if columnar is not None:
@@ -173,14 +196,6 @@ class MatchContext:
             self.degrees = np.fromiter(
                 (graph.degree(v) for v in range(n)), dtype=np.int64, count=n
             )
-        self._all_rows: Optional[np.ndarray] = None
-        self._out_rows: Optional[np.ndarray] = None
-        self._in_rows: Optional[np.ndarray] = None
-        self._lazy_all: Dict[int, np.ndarray] = {}
-        self._lazy_out: Dict[int, np.ndarray] = {}
-        self._lazy_in: Dict[int, np.ndarray] = {}
-        if eager and n:
-            self._build_rows()
 
     # ------------------------------------------------------------------
     # adjacency rows
@@ -194,82 +209,77 @@ class MatchContext:
             self._row_ids[kind] = rid
         return rid
 
-    def _scatter_rows(self, kind: str) -> np.ndarray:
-        """Packed ``(n, words)`` rows from one CSR flavor.
+    def _scatter(self, kind: str, etype: Optional[int]) -> np.ndarray:
+        """Packed ``(n, words)`` rows from one CSR flavor of the slice.
 
-        Reuses the columnar group's shared row table when it exists
-        (zero-copy view); otherwise one ``bitwise_or.at`` scatter over
-        the slice arrays.
+        Untyped rows reuse the columnar group's shared row table when
+        it exists (zero-copy view); otherwise one ``bitwise_or.at``
+        scatter over the slice arrays.
         """
         sl = self._slice
         assert sl is not None
-        rows = sl.rows(kind)
-        if rows is not None and rows.shape[1] == self.words:
-            return rows
-        table = np.zeros((self.n, self.words), dtype=np.uint64)
+        words = max((self.n + 63) >> 6, 1)
+        if etype is None:
+            rows = sl.rows(kind)
+            if rows is not None and rows.shape[1] == words:
+                return rows
         cols = sl.indices(kind)
+        row_ids = self._slice_row_ids(kind)
+        if etype is not None:
+            sel = sl.etypes(kind) == etype
+            cols = cols[sel]
+            row_ids = row_ids[sel]
+        table = np.zeros((self.n, words), dtype=np.uint64)
         np.bitwise_or.at(
             table,
-            (self._slice_row_ids(kind), cols >> np.int64(6)),
+            (row_ids, cols >> np.int64(6)),
             np.uint64(1) << (cols & np.int64(63)).astype(np.uint64),
         )
         return table
 
-    def _build_rows(self) -> None:
-        if self._slice is not None:
-            self._all_rows = self._scatter_rows(KIND_ALL)
-            if self.directed:
-                self._out_rows = self._scatter_rows(KIND_OUT)
-                self._in_rows = self._scatter_rows(KIND_IN)
-            return
+    def _lazy_rows(self, kind: str, etype: Optional[int]) -> Rows:
+        """Rows built per node from the graph's neighbor sets."""
         g = self.graph
-        W = self.words
-        all_rows = np.zeros((self.n, W), dtype=np.uint64)
-        if self.directed:
-            out_rows = np.zeros((self.n, W), dtype=np.uint64)
-            in_rows = np.zeros((self.n, W), dtype=np.uint64)
-            for (u, v) in g.edge_types:
-                out_rows[u, v >> 6] |= np.uint64(1 << (v & 63))
-                in_rows[v, u >> 6] |= np.uint64(1 << (u & 63))
-                all_rows[u, v >> 6] |= np.uint64(1 << (v & 63))
-                all_rows[v, u >> 6] |= np.uint64(1 << (u & 63))
-            self._out_rows = out_rows
-            self._in_rows = in_rows
-        else:
-            for (u, v) in g.edge_types:
-                all_rows[u, v >> 6] |= np.uint64(1 << (v & 63))
-                all_rows[v, u >> 6] |= np.uint64(1 << (u & 63))
-        self._all_rows = all_rows
+        neighbors = {
+            KIND_ALL: g.all_neighbors,
+            KIND_OUT: g.neighbors,
+            KIND_IN: g.in_neighbors,
+        }[kind]
+        if etype is None:
+            return _LazyRows(lambda v: sum(1 << w for w in neighbors(v)))
+        if kind == KIND_IN:  # w -> v edges
+            return _LazyRows(
+                lambda v: sum(
+                    1 << w for w in neighbors(v) if g.edge_type(w, v) == etype
+                )
+            )
+        return _LazyRows(
+            lambda v: sum(
+                1 << w for w in neighbors(v) if g.edge_type(v, w) == etype
+            )
+        )
 
-    def all_row(self, v: int) -> np.ndarray:
-        """Bitset of ``v``'s neighbors ignoring direction."""
-        if self._all_rows is not None:
-            return self._all_rows[v]
-        row = self._lazy_all.get(v)
-        if row is None:
-            row = bitset.from_indices(self.graph.all_neighbors(v), self.n)
-            self._lazy_all[v] = row
-        return row
+    def rows(self, kind: str, etype: Optional[int] = None) -> Rows:
+        """Adjacency rows as ints, indexed by host node.
 
-    def out_row(self, v: int) -> np.ndarray:
-        """Bitset of ``{w : v -> w}`` (directed hosts only)."""
-        if self._out_rows is not None:
-            return self._out_rows[v]
-        row = self._lazy_out.get(v)
-        if row is None:
-            row = bitset.from_indices(self.graph.neighbors(v), self.n)
-            self._lazy_out[v] = row
-        return row
-
-    def in_row(self, v: int) -> np.ndarray:
-        """Bitset of ``{w : w -> v}`` (directed hosts only)."""
-        if self._in_rows is not None:
-            return self._in_rows[v]
-        row = self._lazy_in.get(v)
-        if row is None:
-            row = bitset.from_indices(self.graph.in_neighbors(v), self.n)
-            self._lazy_in[v] = row
-        return row
+        Row ``v`` of ``kind`` ``"all"`` holds ``v``'s neighbors ignoring
+        direction, ``"out"`` holds ``{w : v -> w}`` and ``"in"`` holds
+        ``{w : w -> v}``. With ``etype`` only edges of that type count,
+        so ANDing one row into a candidate mask applies an edge *and*
+        its type to the whole frontier at once. Memoized per ``(kind,
+        etype)``; hosts above :data:`LAZY_ROW_THRESHOLD` nodes build
+        each row on first use, so no dense table is ever materialized
+        on SYNTHETIC-scale hosts.
+        """
+        key = (kind, etype)
+        table = self._rows.get(key)
+        if table is None:
+            if self._lazy:
+                table = self._lazy_rows(kind, etype)
+            else:
+                table = _row_ints(self._scatter(kind, etype))
+            self._rows[key] = table
+        return table
 
     # ------------------------------------------------------------------
     # pruning tables
@@ -325,8 +335,8 @@ class MatchContext:
         ``None`` when the slice cannot answer the key bit-identically:
         the undirected key on a directed host (the deduplicated union
         drops types) and directional keys on an undirected host (the
-        reference counts canonical orientations only there) both fall
-        back to the per-edge loop.
+        per-edge loop counts canonical orientations only there) both
+        fall back to that loop.
         """
         if direction == "":
             return KIND_ALL if not self.directed else None
@@ -334,131 +344,46 @@ class MatchContext:
             return None
         return KIND_OUT if direction == "o" else KIND_IN
 
-    def typed_row_table(
-        self, direction: str, etype: int
-    ) -> Optional[np.ndarray]:
-        """Packed rows restricted to edges of one type, or ``None``.
-
-        Row ``v`` holds the neighbors of ``v`` (in ``direction``)
-        joined by an edge of type ``etype`` — ANDing a candidate mask
-        with one such row applies the edge-type constraint to the whole
-        candidate frontier at once. Only available on eager contexts
-        built from a fresh columnar slice whose flavor carries types
-        (see :meth:`_typed_kind`); memoized per ``(direction, etype)``.
-        """
-        key = (direction, etype)
-        table = self._typed_rows.get(key)
-        if table is not None:
-            return table
-        kind = self._typed_kind(direction)
-        if kind is None or self._slice is None or self._all_rows is None:
-            return None
-        sel = self._slice.etypes(kind) == etype
-        cols = self._slice.indices(kind)[sel]
-        table = np.zeros((self.n, self.words), dtype=np.uint64)
-        np.bitwise_or.at(
-            table,
-            (self._slice_row_ids(kind)[sel], cols >> np.int64(6)),
-            np.uint64(1) << (cols & np.int64(63)).astype(np.uint64),
-        )
-        self._typed_rows[key] = table
-        return table
-
-    def compat_mask(self, plan: "MatchPlan", pos: int) -> np.ndarray:
-        """Packed candidate mask for one plan position.
+    def compat(self, plan: "MatchPlan") -> List[int]:
+        """Per-position candidate masks (ints) for one plan, memoized.
 
         Type equality, degree lower bound, and neighborhood-signature
         domination — all the host-only pruning rules, vectorized over
-        the whole host then packed to words.
-        """
-        ok = self.node_types == plan.types[pos]
-        if ok.any():
-            ok &= self.degrees >= plan.degrees[pos]
-        for key, need in plan.sigs[pos]:
-            if not ok.any():
-                break
-            ok &= self.sig_counts(key) >= need
-        return bitset.from_bool(ok)
-
-    def compat_masks(self, plan: "MatchPlan") -> List[np.ndarray]:
-        """All per-position candidate masks for one plan, memoized.
-
-        Keyed by the plan's pattern content digest — the masks depend
-        only on host content (this context) and pattern content, so
-        repeated matches of the same pattern against this host skip
-        the whole mask derivation. Callers must treat the returned
-        arrays as read-only.
+        the whole host then packed to one int per position. Keyed by
+        the plan's pattern content digest: the masks depend only on
+        host content (this context) and pattern content, so repeated
+        matches of the same pattern against this host skip the whole
+        derivation.
         """
         key = plan.plan_key()
         masks = self._compat_cache.get(key)
         if masks is None:
-            masks = [
-                self.compat_mask(plan, i) for i in range(len(plan.order))
-            ]
+            masks = []
+            for pos in range(len(plan.order)):
+                ok = self.node_types == plan.types[pos]
+                if ok.any():
+                    ok &= self.degrees >= plan.degrees[pos]
+                for sig, need in plan.sigs[pos]:
+                    if not ok.any():
+                        break
+                    ok &= self.sig_counts(sig) >= need
+                masks.append(
+                    int.from_bytes(
+                        np.packbits(ok, bitorder="little").tobytes(), "little"
+                    )
+                )
             self._compat_cache[key] = masks
         return masks
-
-    # ------------------------------------------------------------------
-    # single-word tables (hosts of <= 64 nodes)
-    # ------------------------------------------------------------------
-    def int_rows(self, kind: str) -> Optional[List[int]]:
-        """Adjacency rows as plain Python ints, or ``None``.
-
-        Only single-word eager hosts qualify; the int form lets the
-        matcher's inner loop run on machine-word ``&``/``~`` instead
-        of per-candidate numpy calls, which is what makes the fast
-        backend win on the small hosts the old ``SMALL_HOST_NODES``
-        threshold used to delegate to the reference matcher.
-        """
-        if self.words != 1:
-            return None
-        out = self._int_cache.get(kind)
-        if out is None:
-            rows = {
-                "all": self._all_rows,
-                "out": self._out_rows,
-                "in": self._in_rows,
-            }[kind]
-            if rows is None:
-                return None
-            out = rows[:, 0].tolist()
-            self._int_cache[kind] = out
-        return out
-
-    def int_typed_rows(self, direction: str, etype: int) -> Optional[List[int]]:
-        """One typed row table as Python ints (single-word hosts)."""
-        if self.words != 1:
-            return None
-        key = ("typed", direction, etype)
-        out = self._int_cache.get(key)
-        if out is None:
-            table = self.typed_row_table(direction, etype)
-            if table is None:
-                return None
-            out = table[:, 0].tolist()
-            self._int_cache[key] = out
-        return out
-
-    def int_compat(self, plan: "MatchPlan") -> Optional[List[int]]:
-        """Per-position candidate masks as Python ints, memoized."""
-        if self.words != 1:
-            return None
-        key = ("compat", plan.plan_key())
-        out = self._int_cache.get(key)
-        if out is None:
-            out = [int(m[0]) for m in self.compat_masks(plan)]
-            self._int_cache[key] = out
-        return out
 
 
 class MatchPlan:
     """Precomputed matching schedule for one pattern.
 
-    Mirrors exactly what the reference backtracking derives on the fly:
+    Mirrors exactly what the seed backtracking derives on the fly:
     the matching order, and per position the (non-)adjacency and
     edge-type constraints against previously mapped positions. Adds the
     pruning tables (degree bounds, neighborhood type signatures) the
-    fast backend applies host-side.
+    matcher applies host-side.
     """
 
     __slots__ = (

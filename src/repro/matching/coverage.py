@@ -15,9 +15,9 @@ subgraphs GVEX produces.
 against a whole host group in a single call, sharing the pattern's
 matching order / signature tables across hosts and skipping hosts that
 fail the type-count prefilter, with results drawn from (and fed into)
-the process-wide :data:`~repro.matching.plan_cache.PLAN_CACHE` under
-the fast backend. The ``"reference"`` backend reproduces the seed
-implementation — per-host VF2, no cross-call caching.
+the process-wide :data:`~repro.matching.plan_cache.PLAN_CACHE`. The
+seed implementation — per-host VF2, no cross-call caching — lives on
+as the parity reference in :mod:`repro.reference`.
 """
 
 from __future__ import annotations
@@ -25,12 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.config import MATCH_REFERENCE
 from repro.graphs.graph import Graph
 from repro.graphs.pattern import Pattern
 from repro.matching.canonical import pattern_identity
 from repro.matching.context import graph_content_key
-from repro.matching.isomorphism import find_isomorphisms, resolve_backend
 from repro.matching.plan_cache import PLAN_CACHE
 
 #: (host index, node id)
@@ -60,68 +58,39 @@ def match_coverage(
     host: Graph,
     host_index: int = 0,
     match_cap: int = 10_000,
-    backend: Optional[str] = None,
     host_key: Optional[str] = None,
 ) -> PatternCoverage:
     """Coverage of a single pattern over a single host graph."""
-    if resolve_backend(backend) != MATCH_REFERENCE:
-        nodes, edges = PLAN_CACHE.coverage(
-            pattern, host, match_cap, host_key=host_key
-        )
-        return PatternCoverage(
-            frozenset((host_index, v) for v in nodes),
-            frozenset((host_index, e) for e in edges),
-        )
-    covered_nodes: Set[NodeRef] = set()
-    covered_edges: Set[EdgeRef] = set()
-    p = pattern.graph
-    n_host = host.n_nodes
-    count = 0
-    for mapping in find_isomorphisms(pattern, host, backend=MATCH_REFERENCE):
-        count += 1
-        for hv in mapping.values():
-            covered_nodes.add((host_index, hv))
-        for (pu, pv) in p.edge_types:
-            hu, hv = mapping[pu], mapping[pv]
-            if not host.directed and hu > hv:
-                hu, hv = hv, hu
-            covered_edges.add((host_index, (hu, hv)))
-        if count >= match_cap:
-            break
-        if len(covered_nodes) == n_host and len(covered_edges) == host.n_edges:
-            break
-    return PatternCoverage(frozenset(covered_nodes), frozenset(covered_edges))
+    nodes, edges = PLAN_CACHE.coverage(
+        pattern, host, match_cap, host_key=host_key
+    )
+    return PatternCoverage(
+        frozenset((host_index, v) for v in nodes),
+        frozenset((host_index, e) for e in edges),
+    )
 
 
 def pmatch(
     pattern: Pattern,
     hosts: Sequence[Graph],
     match_cap: int = 10_000,
-    backend: Optional[str] = None,
     host_keys: Optional[Sequence[Optional[str]]] = None,
     columnar=None,
     indices: Optional[Sequence[int]] = None,
 ) -> List[PatternCoverage]:
     """Database-batched ``PMatch``: one pattern vs a whole host group.
 
-    Under the fast backend the pattern's canonical identity, matching
-    order, and signature tables resolve once and are shared across all
-    hosts; each host's coverage comes from (or lands in) the
-    process-wide plan cache, and hosts failing the type-count
-    prefilter skip VF2 entirely. ``host_keys`` lets callers that
-    already computed content keys (e.g. :class:`CoverageIndex`) avoid
-    re-hashing; ``columnar`` (a ``ColumnarDatabase`` or lazy factory,
-    with ``indices`` locating each host in it) routes cache-miss
-    context builds through the group's shared CSR arrays. Results are
-    per host, in host order, identical to per-host
-    :func:`match_coverage` calls.
+    The pattern's canonical identity, matching order, and signature
+    tables resolve once and are shared across all hosts; each host's
+    coverage comes from (or lands in) the process-wide plan cache, and
+    hosts failing the type-count prefilter skip VF2 entirely.
+    ``host_keys`` lets callers that already computed content keys (e.g.
+    :class:`CoverageIndex`) avoid re-hashing; ``columnar`` (a
+    ``ColumnarDatabase`` or lazy factory, with ``indices`` locating
+    each host in it) routes cache-miss context builds through the
+    group's shared CSR arrays. Results are per host, in host order,
+    identical to per-host :func:`match_coverage` calls.
     """
-    resolved = resolve_backend(backend)
-    if resolved == MATCH_REFERENCE:
-        return [
-            match_coverage(pattern, host, h, match_cap, backend=resolved)
-            for h, host in enumerate(hosts)
-        ]
     local = PLAN_CACHE.coverage_many(
         pattern,
         hosts,
@@ -145,27 +114,17 @@ class CoverageIndex:
     The Psum greedy queries the same patterns repeatedly; this index
     computes each pattern's coverage once (patterns are identified up to
     isomorphism, so structurally equal patterns share a cache entry).
-    Under the fast backend the per-(pattern, host) work additionally
-    flows through the process-wide plan cache, so a later index over
-    the same hosts (``verify_view``, the query index) re-pays nothing.
+    The per-(pattern, host) work additionally flows through the
+    process-wide plan cache, so a later index over the same hosts
+    (``verify_view``, the query index) re-pays nothing.
     """
 
-    def __init__(
-        self,
-        hosts: Sequence[Graph],
-        match_cap: int = 10_000,
-        backend: Optional[str] = None,
-    ) -> None:
+    def __init__(self, hosts: Sequence[Graph], match_cap: int = 10_000) -> None:
         self.hosts: List[Graph] = list(hosts)
         self.match_cap = match_cap
-        self.backend = resolve_backend(backend)
         self._cache: Dict[Pattern, PatternCoverage] = {}
         self._identity: Dict[str, List[Pattern]] = {}
-        self._host_keys: Optional[List[str]] = (
-            None
-            if self.backend == MATCH_REFERENCE
-            else [graph_content_key(g) for g in self.hosts]
-        )
+        self._host_keys = [graph_content_key(g) for g in self.hosts]
         self._columnar = None
 
     def _host_columnar(self):
@@ -207,14 +166,13 @@ class CoverageIndex:
     # ------------------------------------------------------------------
     def coverage(self, pattern: Pattern) -> PatternCoverage:
         """Coverage of ``pattern`` across all hosts (cached, batched)."""
-        canon = pattern_identity(pattern, self._identity, backend=self.backend)
+        canon = pattern_identity(pattern, self._identity)
         key = canon
         if key not in self._cache:
             per_host = pmatch(
                 canon,
                 self.hosts,
                 self.match_cap,
-                backend=self.backend,
                 host_keys=self._host_keys,
                 columnar=self._host_columnar,
             )
@@ -237,13 +195,9 @@ class CoverageIndex:
         return covered >= target
 
 
-def covered_node_count(
-    patterns: Iterable[Pattern],
-    hosts: Sequence[Graph],
-    backend: Optional[str] = None,
-) -> int:
+def covered_node_count(patterns: Iterable[Pattern], hosts: Sequence[Graph]) -> int:
     """Total host nodes covered by a pattern set (for C3 checks)."""
-    index = CoverageIndex(hosts, backend=backend)
+    index = CoverageIndex(hosts)
     covered: Set[NodeRef] = set()
     for p in patterns:
         covered |= index.coverage(p).nodes

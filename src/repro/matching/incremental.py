@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.graphs.graph import Graph
 from repro.graphs.pattern import Pattern
 from repro.matching.canonical import pattern_identity
-from repro.matching.isomorphism import find_isomorphisms, resolve_backend
+from repro.matching.isomorphism import find_isomorphisms
 from repro.exceptions import ValidationError
 
 
@@ -29,15 +29,9 @@ class IncrementalMatcher:
     neighborhood.
     """
 
-    def __init__(
-        self,
-        directed: bool = False,
-        match_cap: int = 10_000,
-        backend: Optional[str] = None,
-    ) -> None:
+    def __init__(self, directed: bool = False, match_cap: int = 10_000) -> None:
         self.directed = directed
         self.match_cap = match_cap
-        self.backend = resolve_backend(backend)
         self._types: List[int] = []
         self._edges: Dict[Tuple[int, int], int] = {}
         self._adj: List[Set[int]] = []
@@ -65,7 +59,7 @@ class IncrementalMatcher:
         Coverage for the already-seen host is computed immediately so
         registration order does not affect results.
         """
-        canon = pattern_identity(pattern, self._identity, backend=self.backend)
+        canon = pattern_identity(pattern, self._identity)
         if canon not in self._covered_nodes:
             self._patterns.append(canon)
             self._covered_nodes[canon] = set()
@@ -98,11 +92,11 @@ class IncrementalMatcher:
 
     # ------------------------------------------------------------------
     def covered_nodes(self, pattern: Pattern) -> Set[int]:
-        canon = pattern_identity(pattern, self._identity, backend=self.backend)
+        canon = pattern_identity(pattern, self._identity)
         return set(self._covered_nodes.get(canon, set()))
 
     def covered_edges(self, pattern: Pattern) -> Set[Tuple[int, int]]:
-        canon = pattern_identity(pattern, self._identity, backend=self.backend)
+        canon = pattern_identity(pattern, self._identity)
         return set(self._covered_edges.get(canon, set()))
 
     def union_covered_nodes(self) -> Set[int]:
@@ -134,7 +128,7 @@ class IncrementalMatcher:
         nodes = self._covered_nodes[pattern]
         edges = self._covered_edges[pattern]
         count = 0
-        for mapping in find_isomorphisms(pattern, host, backend=self.backend):
+        for mapping in find_isomorphisms(pattern, host):
             count += 1
             if must_include is not None and must_include not in mapping.values():
                 if count >= self.match_cap:

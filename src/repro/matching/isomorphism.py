@@ -7,67 +7,37 @@ edge between mapped nodes corresponds to a pattern edge. This is the
 matching relation the paper fixes for pattern coverage, so a pattern
 like a bare ring will not match a ring-with-chord.
 
-Two backends implement the search, selected per call or by the process
-default (:func:`set_default_backend`, mirrored by
-``GvexConfig.matching_backend``):
+The search is VF2-style backtracking over a precomputed
+:class:`~repro.matching.context.MatchContext`. Candidate sets are
+Python ints with one bit per host node, so feasibility against every
+mapped node is one ``&`` (or ``& ~``) of an adjacency row per
+constraint, with degree and neighborhood type-signature pruning
+cutting the candidate tree. Python ints have arbitrary width, so one
+loop serves every host size.
 
-* ``"reference"`` — the seed VF2-style backtracking: candidates from
-  the neighborhood of a mapped image, feasibility via per-pair
-  dict/set probes. Kept verbatim as the parity oracle.
-* ``"fast"`` (default) — bitset VF2 over a precomputed
-  :class:`~repro.matching.context.MatchContext`: feasibility is a few
-  word-wise ANDs over packed adjacency rows, with degree and
-  neighborhood-type-signature pruning cutting the candidate tree.
-
-Both backends emit matchings in the **same deterministic order** (host
-candidates ascending at every depth), so callers that consume mapping
-streams, truncate at ``limit``, or cap coverage enumeration get
-bit-identical results either way (``tests/test_matching_parity.py``).
+Matchings come out in a **deterministic order** — host candidates
+ascending at every depth of
+:func:`~repro.matching.context.matching_order` — which is exactly the
+seed VF2's sequence, so callers that consume mapping streams, truncate
+at ``limit``, or cap coverage enumeration get the same results as the
+reference in :mod:`repro.reference` (``tests/test_matching_parity.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-import numpy as np
-
-from repro.config import MATCH_FAST, MATCH_REFERENCE, MATCHING_BACKENDS
-from repro.exceptions import MatchingError
+from repro.graphs.columnar import KIND_ALL, KIND_IN, KIND_OUT
 from repro.graphs.graph import Graph
 from repro.graphs.pattern import Pattern
-from repro.matching import bitset
-from repro.matching.context import MatchContext, MatchPlan, matching_order
+from repro.matching.context import MatchContext, MatchPlan, Rows
 
 Mapping = Dict[int, int]
 
-#: process-wide default backend; ``GvexConfig.matching_backend``
-#: overrides it per algorithm run
-_DEFAULT_BACKEND = MATCH_FAST
-
-
-def get_default_backend() -> str:
-    """The process-wide matching backend name."""
-    return _DEFAULT_BACKEND
-
-
-def set_default_backend(backend: str) -> str:
-    """Set the process-wide backend; returns the previous one."""
-    global _DEFAULT_BACKEND
-    previous = _DEFAULT_BACKEND
-    _DEFAULT_BACKEND = resolve_backend(backend)
-    return previous
-
-
-def resolve_backend(backend: Optional[str]) -> str:
-    """Validate ``backend``, falling back to the process default."""
-    if backend is None:
-        return _DEFAULT_BACKEND
-    if backend not in MATCHING_BACKENDS:
-        raise MatchingError(
-            f"matching backend must be one of {MATCHING_BACKENDS}, "
-            f"got {backend!r}"
-        )
-    return backend
+#: one search step ``(prev_pos, rows, invert)``: ``mask &= rows[image]``
+#: (or its complement) applies one edge / non-edge / edge-type
+#: constraint to the whole candidate frontier
+Op = Tuple[int, Rows, bool]
 
 
 def find_isomorphisms(
@@ -75,183 +45,79 @@ def find_isomorphisms(
     graph: Graph,
     limit: Optional[int] = None,
     *,
-    backend: Optional[str] = None,
     context: Optional[MatchContext] = None,
     plan: Optional[MatchPlan] = None,
 ) -> Iterator[Mapping]:
     """Yield matchings ``{pattern node -> host node}`` up to ``limit``.
 
     Matches are enumerated deterministically (ascending host candidate
-    order at every depth), identically for both backends. ``context``
-    and ``plan`` let batched callers (``pmatch``, the plan cache) share
-    host/pattern precomputation; they are fast-backend carriers and are
-    ignored by the reference backend.
+    order at every depth). ``context`` and ``plan`` let batched callers
+    (``pmatch``, the plan cache) share host/pattern precomputation;
+    calls without them draw both from the process-wide plan cache.
     """
-    if resolve_backend(backend) == MATCH_REFERENCE:
-        return _find_isomorphisms_reference(pattern, graph, limit)
-    return _find_isomorphisms_fast(
-        pattern, graph, limit, context=context, plan=plan
-    )
-
-
-# ----------------------------------------------------------------------
-# reference backend (the seed implementation, kept as the parity oracle)
-# ----------------------------------------------------------------------
-def _find_isomorphisms_reference(
-    pattern: Pattern,
-    graph: Graph,
-    limit: Optional[int] = None,
-) -> Iterator[Mapping]:
     if pattern.graph.directed != graph.directed:
         return
     if limit is not None and limit <= 0:
         return
-    p = pattern.graph
-    if p.n_nodes > graph.n_nodes:
+    if pattern.graph.n_nodes > graph.n_nodes:
         return
+    if context is None or plan is None:
+        # ad-hoc call: share host contexts and per-content plans through
+        # the process-wide cache (deferred import; plan_cache imports
+        # this module). exact_plan never canonicalizes, so the calls
+        # canonicalization itself makes land here without recursing.
+        from repro.matching.plan_cache import PLAN_CACHE
 
-    order = _matching_order(p)
-    # pre-bucket host nodes by type for the root
-    count = 0
-    mapping: Mapping = {}
-    used: Set[int] = set()
-
-    def candidates(pos: int) -> Iterator[int]:
-        pv = order[pos]
-        anchor = _mapped_neighbor(p, pv, mapping)
-        if anchor is None:
-            for hv in graph.nodes():
-                yield hv
-        else:
-            for hv in sorted(graph.all_neighbors(mapping[anchor])):
-                yield hv
-
-    def feasible(pv: int, hv: int) -> bool:
-        if hv in used:
-            return False
-        if graph.node_type(hv) != p.node_type(pv):
-            return False
-        # check edges against every already mapped pattern node
-        for qv, hq in mapping.items():
-            p_fwd = p.has_edge(pv, qv) if not p.directed else (qv in p.neighbors(pv))
-            g_fwd = (
-                graph.has_edge(hv, hq)
-                if not graph.directed
-                else (hq in graph.neighbors(hv))
-            )
-            if p.directed:
-                p_bwd = pv in p.neighbors(qv)
-                g_bwd = hv in graph.neighbors(hq)
-                if p_fwd != g_fwd or p_bwd != g_bwd:
-                    return False
-                if p_fwd and p.edge_type(pv, qv) != graph.edge_type(hv, hq):
-                    return False
-                if p_bwd and p.edge_type(qv, pv) != graph.edge_type(hq, hv):
-                    return False
-            else:
-                if p_fwd != g_fwd:
-                    return False
-                if p_fwd and p.edge_type(pv, qv) != graph.edge_type(hv, hq):
-                    return False
-        return True
-
-    def backtrack(pos: int) -> Iterator[Mapping]:
-        nonlocal count
-        if pos == len(order):
-            count += 1
-            yield dict(mapping)
-            return
-        pv = order[pos]
-        for hv in candidates(pos):
-            if limit is not None and count >= limit:
-                return
-            if feasible(pv, hv):
-                mapping[pv] = hv
-                used.add(hv)
-                yield from backtrack(pos + 1)
-                del mapping[pv]
-                used.discard(hv)
-
-    yield from backtrack(0)
+        if context is None:
+            context = PLAN_CACHE.context(graph)[0]
+        if plan is None:
+            plan = PLAN_CACHE.exact_plan(pattern)
+    if not plan.host_can_match(context):
+        return
+    yield from _search(plan, _search_state(context, plan), limit)
 
 
-# ----------------------------------------------------------------------
-# fast backend: bitset VF2 over a host MatchContext
-# ----------------------------------------------------------------------
-def _single_word_state(ctx: MatchContext, mp: MatchPlan):
-    """Int tables for the single-word search, memoized on the context.
-
-    Per position a list of ``(prev_pos, row_table, invert)`` ops:
-    ``mask &= table[image]`` (or its complement) applies one edge /
-    non-edge / edge-type constraint to the whole candidate frontier.
-    ``None`` when the context cannot serve typed int rows (lazy
-    contexts) — the caller falls back to the generic word-array path.
-    """
-    key = ("sw", mp.plan_key())
-    state = ctx._int_cache.get(key)
+def _search_state(
+    ctx: MatchContext, mp: MatchPlan
+) -> Tuple[List[int], List[List[Op]]]:
+    """Candidate masks and per-position row ops, memoized on the context."""
+    key = mp.plan_key()
+    state = ctx._states.get(key)
     if state is not None:
-        return None if state == "n/a" else state
-    compat = ctx.int_compat(mp)
-    ops: List[List[Tuple[int, List[int], bool]]] = []
-    ok = compat is not None
-    if ok and ctx.directed:
-        in_rows = ctx.int_rows("in")
-        out_rows = ctx.int_rows("out")
-        ok = in_rows is not None and out_rows is not None
-        for cons in mp.dir_cons if ok else ():
-            pos_ops: List[Tuple[int, List[int], bool]] = []
+        return state  # type: ignore[return-value]
+    ops: List[List[Op]] = []
+    if ctx.directed:
+        for cons in mp.dir_cons:
+            pos_ops: List[Op] = []
             for j, fwd, bwd in cons:
                 # hv -> hq of the pattern's type iff pv -> qv
                 if fwd is not None:
-                    ftbl = ctx.int_typed_rows("i", fwd)
-                    ok = ftbl is not None
-                    if not ok:
-                        break
-                    pos_ops.append((j, ftbl, False))
+                    pos_ops.append((j, ctx.rows(KIND_IN, fwd), False))
                 else:
-                    pos_ops.append((j, in_rows, True))
+                    pos_ops.append((j, ctx.rows(KIND_IN), True))
                 # hq -> hv of the pattern's type iff qv -> pv
                 if bwd is not None:
-                    btbl = ctx.int_typed_rows("o", bwd)
-                    ok = btbl is not None
-                    if not ok:
-                        break
-                    pos_ops.append((j, btbl, False))
+                    pos_ops.append((j, ctx.rows(KIND_OUT, bwd), False))
                 else:
-                    pos_ops.append((j, out_rows, True))
-            if not ok:
-                break
+                    pos_ops.append((j, ctx.rows(KIND_OUT), True))
             ops.append(pos_ops)
-    elif ok:
-        all_rows = ctx.int_rows("all")
-        ok = all_rows is not None
-        for adj, nonadj in zip(mp.adj, mp.nonadj) if ok else ():
-            pos_ops = []
-            for j, etype in adj:
-                tbl = ctx.int_typed_rows("", etype)
-                ok = tbl is not None
-                if not ok:
-                    break
-                pos_ops.append((j, tbl, False))
-            if not ok:
-                break
-            pos_ops.extend((j, all_rows, True) for j in nonadj)
+    else:
+        for adj, nonadj in zip(mp.adj, mp.nonadj):
+            pos_ops = [(j, ctx.rows(KIND_ALL, etype), False) for j, etype in adj]
+            pos_ops.extend((j, ctx.rows(KIND_ALL), True) for j in nonadj)
             ops.append(pos_ops)
-    if not ok:
-        ctx._int_cache[key] = "n/a"
-        return None
-    state = (compat, ops)
-    ctx._int_cache[key] = state
+    state = (ctx.compat(mp), ops)
+    ctx._states[key] = state
     return state
 
 
-def _single_word_search(
-    mp: MatchPlan, state, limit: Optional[int]
+def _search(
+    mp: MatchPlan, state: Tuple[List[int], List[List[Op]]], limit: Optional[int]
 ) -> Iterator[Mapping]:
-    """Backtracking over Python machine-word ints (<= 64-node hosts).
+    """Backtracking over int candidate masks.
 
-    Bit extraction ascends, so the emitted matchings are exactly the
-    reference (and generic fast) enumeration sequence.
+    Bits are extracted in ascending order (``mask & -mask``), so the
+    emitted matchings are exactly the seed enumeration sequence.
     """
     compat, ops = state
     order = mp.order
@@ -283,220 +149,19 @@ def _single_word_search(
     yield from backtrack(0)
 
 
-def _find_isomorphisms_fast(
-    pattern: Pattern,
-    graph: Graph,
-    limit: Optional[int] = None,
-    context: Optional[MatchContext] = None,
-    plan: Optional[MatchPlan] = None,
-) -> Iterator[Mapping]:
-    if pattern.graph.directed != graph.directed:
-        return
-    if limit is not None and limit <= 0:
-        return
-    if pattern.graph.n_nodes > graph.n_nodes:
-        return
-    if context is None or plan is None:
-        # ad-hoc call: share host contexts and per-content plans through
-        # the process-wide cache (deferred import; plan_cache imports
-        # this module). exact_plan never canonicalizes, so the calls
-        # canonicalization itself makes land here without recursing.
-        from repro.matching.plan_cache import PLAN_CACHE
-
-        if context is None:
-            context = PLAN_CACHE.context(graph)[0]
-        if plan is None:
-            plan = PLAN_CACHE.exact_plan(pattern)
-
-    ctx = context
-    mp = plan
-    if not mp.host_can_match(ctx):
-        return
-    if ctx.words == 1:
-        # single-word host (<= 64 nodes): machine-word ints beat numpy
-        # call overhead by an order of magnitude at this size
-        state = _single_word_state(ctx, mp)
-        if state is not None:
-            yield from _single_word_search(mp, state, limit)
-            return
-    k = len(mp.order)
-    compat = ctx.compat_masks(mp)
-    edge_types = graph.edge_types
-    directed = graph.directed
-    used = bitset.zeros(ctx.n)
-    images: List[int] = [0] * k
-    count = 0
-    scratch = np.empty_like(used)
-
-    # Per-position typed constraint rows: ANDing the typed row of a
-    # mapped image applies the edge-existence *and* edge-type
-    # constraint to the whole candidate frontier in one word op. The
-    # typed tables drop exactly the candidates the per-candidate
-    # `edge_types_ok` probe would reject, so the enumeration sequence
-    # is unchanged. Lazy-row contexts (hosts above the row-table
-    # threshold) have no typed tables and keep the dict-probe path.
-    typed_ok = True
-    typed_adj: List[List[Tuple[int, np.ndarray]]] = []
-    typed_dir: List[
-        List[Tuple[int, Optional[np.ndarray], Optional[np.ndarray]]]
-    ] = []
-    if directed:
-        for cons in mp.dir_cons:
-            rows_d: List[
-                Tuple[int, Optional[np.ndarray], Optional[np.ndarray]]
-            ] = []
-            for j, fwd, bwd in cons:
-                ftbl = (
-                    ctx.typed_row_table("i", fwd) if fwd is not None else None
-                )
-                btbl = (
-                    ctx.typed_row_table("o", bwd) if bwd is not None else None
-                )
-                if (fwd is not None and ftbl is None) or (
-                    bwd is not None and btbl is None
-                ):
-                    typed_ok = False
-                    break
-                rows_d.append((j, ftbl, btbl))
-            if not typed_ok:
-                break
-            typed_dir.append(rows_d)
-    else:
-        for cons in mp.adj:
-            rows_u: List[Tuple[int, np.ndarray]] = []
-            for j, etype in cons:
-                tbl = ctx.typed_row_table("", etype)
-                if tbl is None:
-                    typed_ok = False
-                    break
-                rows_u.append((j, tbl))
-            if not typed_ok:
-                break
-            typed_adj.append(rows_u)
-
-    def candidate_mask(pos: int) -> np.ndarray:
-        mask = compat[pos].copy()
-        if directed:
-            if typed_ok:
-                for j, ftbl, btbl in typed_dir[pos]:
-                    hq = images[j]
-                    # hv -> hq of the pattern's type iff pv -> qv
-                    if ftbl is not None:
-                        np.bitwise_and(mask, ftbl[hq], out=mask)
-                    else:
-                        np.bitwise_and(
-                            mask,
-                            np.bitwise_not(ctx.in_row(hq), out=scratch),
-                            out=mask,
-                        )
-                    # hq -> hv of the pattern's type iff qv -> pv
-                    if btbl is not None:
-                        np.bitwise_and(mask, btbl[hq], out=mask)
-                    else:
-                        np.bitwise_and(
-                            mask,
-                            np.bitwise_not(ctx.out_row(hq), out=scratch),
-                            out=mask,
-                        )
-            else:
-                for j, fwd, bwd in mp.dir_cons[pos]:
-                    hq = images[j]
-                    # hv -> hq required iff the pattern has pv -> qv
-                    row = ctx.in_row(hq)
-                    if fwd is not None:
-                        np.bitwise_and(mask, row, out=mask)
-                    else:
-                        np.bitwise_and(
-                            mask, np.bitwise_not(row, out=scratch), out=mask
-                        )
-                    # hq -> hv required iff the pattern has qv -> pv
-                    row = ctx.out_row(hq)
-                    if bwd is not None:
-                        np.bitwise_and(mask, row, out=mask)
-                    else:
-                        np.bitwise_and(
-                            mask, np.bitwise_not(row, out=scratch), out=mask
-                        )
-        else:
-            if typed_ok:
-                for j, tbl in typed_adj[pos]:
-                    np.bitwise_and(mask, tbl[images[j]], out=mask)
-            else:
-                for j, _ in mp.adj[pos]:
-                    np.bitwise_and(mask, ctx.all_row(images[j]), out=mask)
-            for j in mp.nonadj[pos]:
-                np.bitwise_and(
-                    mask,
-                    np.bitwise_not(ctx.all_row(images[j]), out=scratch),
-                    out=mask,
-                )
-        np.bitwise_and(mask, np.bitwise_not(used, out=scratch), out=mask)
-        return mask
-
-    def edge_types_ok(pos: int, hv: int) -> bool:
-        if directed:
-            for j, fwd, bwd in mp.dir_cons[pos]:
-                hq = images[j]
-                if fwd is not None and edge_types[(hv, hq)] != fwd:
-                    return False
-                if bwd is not None and edge_types[(hq, hv)] != bwd:
-                    return False
-        else:
-            for j, etype in mp.adj[pos]:
-                hq = images[j]
-                key = (hv, hq) if hv <= hq else (hq, hv)
-                if edge_types[key] != etype:
-                    return False
-        return True
-
-    def backtrack(pos: int) -> Iterator[Mapping]:
-        nonlocal count
-        if pos == k:
-            count += 1
-            yield {mp.order[i]: images[i] for i in range(k)}
-            return
-        # one vectorized extraction of the whole (ascending) frontier
-        for hv in bitset.bits_of(candidate_mask(pos)).tolist():
-            if limit is not None and count >= limit:
-                return
-            if not typed_ok and not edge_types_ok(pos, hv):
-                continue
-            images[pos] = hv
-            bitset.set_bit(used, hv)
-            yield from backtrack(pos + 1)
-            bitset.clear_bit(used, hv)
-
-    yield from backtrack(0)
-
-
-#: reference order derivation, shared with the fast plan builder
-_matching_order = matching_order
-
-
-def _mapped_neighbor(p: Graph, pv: int, mapping: Mapping) -> Optional[int]:
-    for w in p.all_neighbors(pv):
-        if w in mapping:
-            return w
-    return None
-
-
-def first_isomorphism(
-    pattern: Pattern, graph: Graph, backend: Optional[str] = None
-) -> Optional[Mapping]:
+def first_isomorphism(pattern: Pattern, graph: Graph) -> Optional[Mapping]:
     """First matching or ``None``."""
-    for m in find_isomorphisms(pattern, graph, limit=1, backend=backend):
+    for m in find_isomorphisms(pattern, graph, limit=1):
         return m
     return None
 
 
-def is_subgraph_isomorphic(
-    pattern: Pattern, graph: Graph, backend: Optional[str] = None
-) -> bool:
+def is_subgraph_isomorphic(pattern: Pattern, graph: Graph) -> bool:
     """Whether the pattern occurs in the host graph (induced semantics)."""
-    return first_isomorphism(pattern, graph, backend=backend) is not None
+    return first_isomorphism(pattern, graph) is not None
 
 
-def are_isomorphic(a: Pattern, b: Pattern, backend: Optional[str] = None) -> bool:
+def are_isomorphic(a: Pattern, b: Pattern) -> bool:
     """Exact isomorphism between two patterns.
 
     Same node/edge counts plus an induced-subgraph matching of equal
@@ -504,7 +169,7 @@ def are_isomorphic(a: Pattern, b: Pattern, backend: Optional[str] = None) -> boo
     """
     if a.n_nodes != b.n_nodes or a.n_edges != b.n_edges:
         return False
-    return first_isomorphism(a, b.graph, backend=backend) is not None
+    return first_isomorphism(a, b.graph) is not None
 
 
 __all__ = [
@@ -512,7 +177,4 @@ __all__ = [
     "first_isomorphism",
     "is_subgraph_isomorphic",
     "are_isomorphic",
-    "get_default_backend",
-    "set_default_backend",
-    "resolve_backend",
 ]

@@ -25,8 +25,6 @@ bounded — FIFO eviction for contexts and match results, a wholesale
 generation-bumping reset for the pattern registry past
 ``max_patterns`` — and thread-safe (the HTTP serve path matches from
 reader threads); forked workers reinitialize it via an at-fork hook.
-Only the fast backend consults it — the reference backend reproduces
-the seed behavior exactly, cache and all.
 """
 
 from __future__ import annotations
@@ -80,7 +78,7 @@ class MatchPlanCache:
         self._plans: Dict[CanonKey, MatchPlan] = {}
         self._contexts: "OrderedDict[str, MatchContext]" = OrderedDict()
         #: ad-hoc plans keyed by exact pattern *content* — the un-
-        #: canonicalized fast path (``find_isomorphisms`` without a
+        #: canonicalized path (``find_isomorphisms`` without a
         #: carried plan) must plan the caller's own node ids, and
         #: resolving through ``canon`` could return an isomorphic
         #: representative with different ids
@@ -128,9 +126,7 @@ class MatchPlanCache:
                 bucket = list(self._identity.get(wl_key, ()))
             match_pos = None
             for pos, candidate in enumerate(bucket):
-                if candidate is pattern or are_isomorphic(
-                    pattern, candidate, backend="fast"
-                ):
+                if candidate is pattern or are_isomorphic(pattern, candidate):
                     match_pos = pos
                     break
             with self._lock:
@@ -196,7 +192,7 @@ class MatchPlanCache:
         is keyed by the pattern graph's content key and always maps the
         caller's own node ids, which is what un-batched
         ``find_isomorphisms`` calls need. Never recurses into
-        ``canon``/``are_isomorphic``, so the ad-hoc fast path can call
+        ``canon``/``are_isomorphic``, so the ad-hoc path can call
         it from inside canonicalization itself.
         """
         content = graph_content_key(pattern.graph)
@@ -357,9 +353,7 @@ class MatchPlanCache:
             self.misses += 1
         ctx, _ = self.context(host, host_key)
         found = False
-        for _ in find_isomorphisms(
-            canon, host, limit=1, backend="fast", context=ctx, plan=plan
-        ):
+        for _ in find_isomorphisms(canon, host, limit=1, context=ctx, plan=plan):
             found = True
         with self._lock:
             self._contains[cache_key] = found
@@ -473,7 +467,7 @@ class MatchPlanCache:
                 continue
             found = False
             for _ in find_isomorphisms(
-                canon, hosts[i], limit=1, backend="fast", context=ctx, plan=plan
+                canon, hosts[i], limit=1, context=ctx, plan=plan
             ):
                 found = True
             out[i] = found
@@ -690,9 +684,7 @@ def _coverage_local(
     covered_edges: set = set()
     n_host = host.n_nodes
     count = 0
-    for mapping in find_isomorphisms(
-        canon, host, backend="fast", context=ctx, plan=plan
-    ):
+    for mapping in find_isomorphisms(canon, host, context=ctx, plan=plan):
         count += 1
         for hv in mapping.values():
             covered_nodes.add(hv)
@@ -708,7 +700,7 @@ def _coverage_local(
     return frozenset(covered_nodes), frozenset(covered_edges)
 
 
-#: the process-wide cache instance every fast-tier call site shares
+#: the process-wide cache instance every matching call site shares
 PLAN_CACHE = MatchPlanCache()
 
 if hasattr(os, "register_at_fork"):  # POSIX: fork-pool workers

@@ -36,7 +36,6 @@ def mine_patterns(
     min_support: int = 1,
     max_candidates: Optional[int] = 200,
     enumeration_cap: int = 100_000,
-    backend: Optional[str] = None,
     subset_keys: Optional[Sequence[Sequence[int]]] = None,
     pattern_memo: Optional[MutableMapping[Tuple[int, ...], Pattern]] = None,
 ) -> List[MinedPattern]:
@@ -56,9 +55,6 @@ def mine_patterns(
         appended afterwards and never dropped).
     enumeration_cap:
         Per-host cap on enumerated subsets (safety bound).
-    backend:
-        Matching backend for isomorphism-collision resolution (process
-        default when ``None``).
     subset_keys / pattern_memo:
         Cross-call canonization memo. ``subset_keys[h][v]`` names host
         ``h``'s node ``v`` in a caller-stable id space (e.g. the
@@ -97,7 +93,7 @@ def mine_patterns(
                     pattern_memo[memo_key] = candidate
             else:
                 candidate = Pattern.from_induced(host, subset)
-            canon = pattern_identity(candidate, identity, backend=backend)
+            canon = pattern_identity(candidate, identity)
             key = canon
             support.setdefault(key, set()).add(h)
             embeddings[key] = embeddings.get(key, 0) + 1
@@ -139,7 +135,6 @@ def mine_incremental(
     known: Iterable[Pattern],
     max_size: int = 5,
     enumeration_cap: int = 20_000,
-    backend: Optional[str] = None,
 ) -> List[Pattern]:
     """The ``IncPGen`` operator (§5): new patterns around a new node.
 
@@ -149,7 +144,7 @@ def mine_incremental(
     """
     identity: Dict[str, List[Pattern]] = {}
     for p in known:
-        pattern_identity(p, identity, backend=backend)
+        pattern_identity(p, identity)
     known_ids = {id(p) for bucket in identity.values() for p in bucket}
 
     hood = sorted(host.k_hop_nodes(new_node, radius))
@@ -161,7 +156,7 @@ def mine_incremental(
         if local_new not in subset:
             continue
         candidate = Pattern.from_induced(sub, subset)
-        canon = pattern_identity(candidate, identity, backend=backend)
+        canon = pattern_identity(candidate, identity)
         if id(canon) not in known_ids:
             known_ids.add(id(canon))
             fresh.append(canon)

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
-from repro.config import MATCH_REFERENCE
 from repro.exceptions import QueryError, ValidationError
 from repro.graphs.database import GraphDatabase
 from repro.graphs.graph import Graph
@@ -44,7 +43,6 @@ from repro.graphs.pattern import Pattern
 from repro.graphs.view import ExplanationView, ViewSet
 from repro.matching.canonical import pattern_identity
 from repro.matching.context import graph_content_key
-from repro.matching.isomorphism import is_subgraph_isomorphic, resolve_backend
 from repro.matching.plan_cache import PLAN_CACHE
 from repro.query.dsl import (
     SCOPE_EXPLANATIONS,
@@ -101,24 +99,21 @@ class ViewIndex:
         Optional source database; enables queries against the *full*
         graphs (e.g. "which nonmutagens contain pattern P?"), not just
         the explanation tier.
-    backend:
-        Matching backend for posting builds (process default when
-        ``None``). Under ``"fast"``, first-time (pattern, host) probes
-        additionally consult the process-wide match-plan cache, so an
-        index built after a Psum run re-pays nothing for the pairs
-        Psum already matched.
+    snapshot:
+        Optional :meth:`export_snapshot` output that pre-fills the match
+        cache. First-time (pattern, host) probes also consult the
+        process-wide match-plan cache, so an index built after a Psum
+        run re-pays nothing for the pairs Psum already matched.
     """
 
     def __init__(
         self,
         views: ViewSet,
         db: Optional[GraphDatabase] = None,
-        backend: Optional[str] = None,
         snapshot: Optional[Dict] = None,
     ) -> None:
         self.views = views
         self.db = db
-        self.backend = resolve_backend(backend)
         self._identity: Dict[str, List[Pattern]] = {}
         self._match_cache: Dict[Tuple[CanonKey, HostKey], bool] = {}
         #: canonical key -> labels whose *pattern tier* contains it
@@ -269,7 +264,7 @@ class ViewIndex:
     # ------------------------------------------------------------------
     def _canon(self, pattern: Pattern) -> Tuple[Pattern, CanonKey]:
         """Canonical representative + stable canonical key."""
-        canon = pattern_identity(pattern, self._identity, backend=self.backend)
+        canon = pattern_identity(pattern, self._identity)
         wl_key = canon.key()
         bucket = self._identity[wl_key]
         for pos, candidate in enumerate(bucket):
@@ -283,12 +278,9 @@ class ViewIndex:
         cache_key = (key, host_key)
         cached = self._match_cache.get(cache_key)
         if cached is None:
-            if self.backend == MATCH_REFERENCE:
-                cached = is_subgraph_isomorphic(canon, host, backend=self.backend)
-            else:
-                # the process-wide plan cache keys by graph *content*,
-                # so pairs Psum / verify_view already matched hit here
-                cached = PLAN_CACHE.contains(canon, host)
+            # the process-wide plan cache keys by graph *content*, so
+            # pairs Psum / verify_view already matched hit here
+            cached = PLAN_CACHE.contains(canon, host)
             self._match_cache[cache_key] = cached
         return cached
 
@@ -300,28 +292,22 @@ class ViewIndex:
 
         Locally-cached answers are reused; the rest go through the plan
         cache's database-batched probe (one identity/plan resolution,
-        one lock round for the whole group) under the fast backend —
-        with ``columnar`` (the source database's columnar mirror, whose
-        graph indices are the positions in ``hosts``) routing cache-miss
-        context builds through the shared CSR arrays.
+        one lock round for the whole group) — with ``columnar`` (the
+        source database's columnar mirror, whose graph indices are the
+        positions in ``hosts``) routing cache-miss context builds
+        through the shared CSR arrays.
         """
         out: List[Optional[bool]] = [
             self._match_cache.get((key, hk)) for hk in host_keys
         ]
         todo = [i for i, flag in enumerate(out) if flag is None]
         if todo:
-            if self.backend == MATCH_REFERENCE:
-                fresh = [
-                    is_subgraph_isomorphic(canon, hosts[i], backend=self.backend)
-                    for i in todo
-                ]
-            else:
-                fresh = PLAN_CACHE.contains_many(
-                    canon,
-                    [hosts[i] for i in todo],
-                    columnar=columnar,
-                    indices=todo,
-                )
+            fresh = PLAN_CACHE.contains_many(
+                canon,
+                [hosts[i] for i in todo],
+                columnar=columnar,
+                indices=todo,
+            )
             for i, flag in zip(todo, fresh):
                 self._match_cache[(key, host_keys[i])] = flag
                 out[i] = flag
@@ -494,7 +480,6 @@ class ViewIndex:
         clone = object.__new__(ViewIndex)
         clone.views = self.views
         clone.db = self.db
-        clone.backend = self.backend
         clone._identity = {k: list(v) for k, v in self._identity.items()}
         clone._match_cache = dict(self._match_cache)
         clone._pattern_labels = {

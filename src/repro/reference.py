@@ -1,0 +1,268 @@
+"""Reference implementations of GVEX's operators: parity oracles only.
+
+Production runs one implementation per operator — the plan-cached
+``PMatch`` matcher, :class:`~repro.core.verifiers.BatchedGnnVerifier`
+and :class:`~repro.core.inc_everify.IncrementalEVerify`. This module
+keeps the slow, obviously correct counterparts the parity suites and
+benches compare them against:
+
+* :func:`find_isomorphisms` — the seed VF2 backtracking matcher:
+  candidates from a mapped neighbor's neighborhood, feasibility from
+  per-pair set probes, no precomputation and no caching;
+* :func:`match_coverage` — one pattern's coverage of one host over that
+  matcher, with the production ``match_cap`` and stop-early rules;
+* :class:`RebuildEVerify` — StreamGVEX's ``IncEVerify`` by rebuilding
+  the explainability oracle on the seen prefix every chunk.
+
+The serial ``EVerify`` reference is
+:class:`~repro.core.verifiers.GnnVerifier` itself, the batched
+verifier's base class.
+
+No production module imports this one (``tests/test_reference_isolation.py``
+parses the package to check), and nothing here is in any ``__all__``.
+Tests and benches reach production through substitution: each of
+:func:`reference_matcher`, :func:`serial_verifier` and
+:func:`rebuild_everify` patches the production entry points with a
+reference for the duration of a ``with`` block.
+"""
+
+from __future__ import annotations
+
+from contextlib import ExitStack, contextmanager
+from typing import Dict, Iterator, List, Optional, Set, Tuple
+from unittest import mock
+
+from repro.config import GvexConfig
+from repro.core.explainability import ExplainabilityOracle
+from repro.core.inc_everify import OracleStats
+from repro.core.verifiers import GnnVerifier
+from repro.gnn.model import GnnClassifier
+from repro.graphs.graph import Graph
+from repro.graphs.pattern import Pattern
+from repro.matching.context import matching_order
+from repro.matching.coverage import PatternCoverage
+from repro.matching.isomorphism import Mapping
+from repro.matching.plan_cache import LocalCoverage
+
+
+# ----------------------------------------------------------------------
+# PMatch: the seed VF2 and per-host coverage
+# ----------------------------------------------------------------------
+def find_isomorphisms(
+    pattern: Pattern,
+    graph: Graph,
+    limit: Optional[int] = None,
+    **_carriers: object,
+) -> Iterator[Mapping]:
+    """The seed VF2: matchings ``{pattern node -> host node}``.
+
+    Same signature and enumeration order as the production matcher
+    (host candidates ascending at every depth of
+    :func:`~repro.matching.context.matching_order`); the production
+    ``context``/``plan`` carriers are accepted and ignored.
+    """
+    if pattern.graph.directed != graph.directed:
+        return
+    if limit is not None and limit <= 0:
+        return
+    p = pattern.graph
+    if p.n_nodes > graph.n_nodes:
+        return
+
+    order = matching_order(p)
+    count = 0
+    mapping: Mapping = {}
+    used: Set[int] = set()
+
+    def candidates(pos: int) -> Iterator[int]:
+        pv = order[pos]
+        anchor = _mapped_neighbor(p, pv, mapping)
+        if anchor is None:
+            yield from graph.nodes()
+        else:
+            yield from sorted(graph.all_neighbors(mapping[anchor]))
+
+    def feasible(pv: int, hv: int) -> bool:
+        if hv in used:
+            return False
+        if graph.node_type(hv) != p.node_type(pv):
+            return False
+        # check edges against every already mapped pattern node
+        for qv, hq in mapping.items():
+            p_fwd = p.has_edge(pv, qv) if not p.directed else (qv in p.neighbors(pv))
+            g_fwd = (
+                graph.has_edge(hv, hq)
+                if not graph.directed
+                else (hq in graph.neighbors(hv))
+            )
+            if p.directed:
+                p_bwd = pv in p.neighbors(qv)
+                g_bwd = hv in graph.neighbors(hq)
+                if p_fwd != g_fwd or p_bwd != g_bwd:
+                    return False
+                if p_fwd and p.edge_type(pv, qv) != graph.edge_type(hv, hq):
+                    return False
+                if p_bwd and p.edge_type(qv, pv) != graph.edge_type(hq, hv):
+                    return False
+            else:
+                if p_fwd != g_fwd:
+                    return False
+                if p_fwd and p.edge_type(pv, qv) != graph.edge_type(hv, hq):
+                    return False
+        return True
+
+    def backtrack(pos: int) -> Iterator[Mapping]:
+        nonlocal count
+        if pos == len(order):
+            count += 1
+            yield dict(mapping)
+            return
+        pv = order[pos]
+        for hv in candidates(pos):
+            if limit is not None and count >= limit:
+                return
+            if feasible(pv, hv):
+                mapping[pv] = hv
+                used.add(hv)
+                yield from backtrack(pos + 1)
+                del mapping[pv]
+                used.discard(hv)
+
+    yield from backtrack(0)
+
+
+def _mapped_neighbor(p: Graph, pv: int, mapping: Mapping) -> Optional[int]:
+    for w in p.all_neighbors(pv):
+        if w in mapping:
+            return w
+    return None
+
+
+def _local_coverage(pattern: Pattern, host: Graph, match_cap: int) -> LocalCoverage:
+    """Covered host nodes/edges in host-local ids, uncached."""
+    covered_nodes: Set[int] = set()
+    covered_edges: Set[Tuple[int, int]] = set()
+    count = 0
+    for mapping in find_isomorphisms(pattern, host):
+        count += 1
+        covered_nodes.update(mapping.values())
+        for (pu, pv) in pattern.graph.edge_types:
+            hu, hv = mapping[pu], mapping[pv]
+            if not host.directed and hu > hv:
+                hu, hv = hv, hu
+            covered_edges.add((hu, hv))
+        if count >= match_cap:
+            break
+        if (
+            len(covered_nodes) == host.n_nodes
+            and len(covered_edges) == host.n_edges
+        ):
+            break
+    return frozenset(covered_nodes), frozenset(covered_edges)
+
+
+def match_coverage(
+    pattern: Pattern,
+    host: Graph,
+    host_index: int = 0,
+    match_cap: int = 10_000,
+) -> PatternCoverage:
+    """Coverage of one pattern over one host, by the seed VF2."""
+    nodes, edges = _local_coverage(pattern, host, match_cap)
+    return PatternCoverage(
+        frozenset((host_index, v) for v in nodes),
+        frozenset((host_index, e) for e in edges),
+    )
+
+
+class _UncachedMatches:
+    """Stand-in for ``PLAN_CACHE``: every answer recomputed by the seed
+    VF2 on the caller's own pattern, nothing memoized."""
+
+    def coverage(
+        self, pattern: Pattern, host: Graph, match_cap: int = 10_000, **_: object
+    ) -> LocalCoverage:
+        return _local_coverage(pattern, host, match_cap)
+
+    def contains(self, pattern: Pattern, host: Graph, **_: object) -> bool:
+        return any(True for _ in find_isomorphisms(pattern, host, limit=1))
+
+    def coverage_many(
+        self, pattern: Pattern, hosts, match_cap: int = 10_000, **_: object
+    ) -> List[LocalCoverage]:
+        return [_local_coverage(pattern, h, match_cap) for h in hosts]
+
+    def contains_many(self, pattern: Pattern, hosts, **_: object) -> List[bool]:
+        return [self.contains(pattern, h) for h in hosts]
+
+
+# ----------------------------------------------------------------------
+# IncEVerify: rebuild the oracle every chunk
+# ----------------------------------------------------------------------
+class RebuildEVerify:
+    """``IncEVerify`` by rebuilding: a from-scratch oracle per chunk.
+
+    Drop-in for :class:`~repro.core.inc_everify.IncrementalEVerify`
+    (same constructor, :meth:`refresh` and ``stats``). Every chunk
+    re-derives the explainability oracle on the seen prefix and counts
+    one full refresh, so it selects what the incremental engine selects
+    at one full forward and power build per chunk.
+    """
+
+    def __init__(self, model: GnnClassifier, config: GvexConfig) -> None:
+        self.model = model
+        self.config = config
+        self.stats = OracleStats()
+
+    def refresh(self, seen_sub: Graph, seen_ids: List[int]) -> ExplainabilityOracle:
+        self.stats.full_refreshes += 1
+        return ExplainabilityOracle(self.model, seen_sub, self.config)
+
+
+# ----------------------------------------------------------------------
+# substitution
+# ----------------------------------------------------------------------
+@contextmanager
+def _patched(targets: Dict[str, object]) -> Iterator[None]:
+    with ExitStack() as stack:
+        for target, value in targets.items():
+            stack.enter_context(mock.patch(target, value))
+        yield
+
+
+def reference_matcher():
+    """Run the block's ``PMatch`` work on the seed VF2.
+
+    Every search goes through :func:`find_isomorphisms`, and coverage
+    and containment bypass the process-wide plan cache: nothing in the
+    block reads or fills it.
+    """
+    uncached = _UncachedMatches()
+    return _patched(
+        {
+            "repro.matching.isomorphism.find_isomorphisms": find_isomorphisms,
+            "repro.matching.incremental.find_isomorphisms": find_isomorphisms,
+            "repro.matching.coverage.PLAN_CACHE": uncached,
+            "repro.query.index.PLAN_CACHE": uncached,
+        }
+    )
+
+
+def serial_verifier():
+    """Run the block's ``EVerify`` work on the serial schedule.
+
+    The explainers construct :class:`~repro.core.verifiers.GnnVerifier`
+    (one forward per memo-cache miss, lazy probes) where production
+    constructs the batched verifier.
+    """
+    return _patched(
+        {
+            "repro.core.approx.BatchedGnnVerifier": GnnVerifier,
+            "repro.core.streaming.BatchedGnnVerifier": GnnVerifier,
+        }
+    )
+
+
+def rebuild_everify():
+    """Run the block's StreamGVEX chunks on :class:`RebuildEVerify`."""
+    return _patched({"repro.core.streaming.IncrementalEVerify": RebuildEVerify})

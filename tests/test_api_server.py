@@ -158,6 +158,37 @@ class TestRoutes:
             _post(base, "/query", {"no_pattern": True})
         assert err.value.code == 400
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"coverage": {"1": []}},
+            {"coverage": [1, 2]},
+            {"coverage": {"1": [0, "6"]}},
+            {"default_coverage": [0]},
+            ["theta"],
+        ],
+    )
+    def test_malformed_config_is_client_error(self, live, config):
+        base, _ = live
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(base, "/explain", {"method": "gvex-approx", "config": config})
+        assert err.value.code == 400
+        assert "ConfigurationError" in json.loads(err.value.read())["error"]
+
+    def test_explain_accepts_retired_config_keys(self, live):
+        base, svc = live
+        config = GvexConfig(theta=0.08, radius=0.3).with_bounds(0, 3).to_dict()
+        config.update(
+            verifier_backend="serial",
+            matching_backend="reference",
+            stream_inc="rebuild",
+        )
+        _, summary = _post(base, "/explain", {
+            "method": "gvex-approx", "labels": [1], "config": config,
+        })
+        assert [v["label"] for v in summary["views"]] == [1]
+        _post(base, "/explain", {"method": "gvex-approx"})
+
     def test_query_without_views_is_client_error(
         self, trained_model, mutagen_db
     ):

@@ -15,7 +15,7 @@ from repro.api import (
     pattern_from_spec,
     register_explainer,
 )
-from repro.config import CoverageConstraint, GvexConfig
+from repro.config import RETIRED_KEYS, CoverageConstraint, GvexConfig
 from repro.exceptions import (
     ConfigurationError,
     ExplanationError,
@@ -267,6 +267,39 @@ class TestConfigWire:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError):
             GvexConfig.from_dict({"not_a_field": 1})
+
+    def test_retired_keys_accepted_and_ignored(self):
+        config = GvexConfig(theta=0.2).with_coverage(1, 2, 9)
+        wire = json.loads(json.dumps(config.to_dict()))
+        assert not set(RETIRED_KEYS) & set(wire)
+        wire.update(
+            verifier_backend="serial",
+            matching_backend="reference",
+            stream_inc="rebuild",
+        )
+        assert GvexConfig.from_dict(wire) == config
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            ["theta", 0.1],
+            "theta",
+            7,
+            {"coverage": [1, 2]},
+            {"coverage": "1:2"},
+            {"coverage": {"1": []}},
+            {"coverage": {"1": [1]}},
+            {"coverage": {"1": [1, 2, 3]}},
+            {"coverage": {"1": [0.5, 2]}},
+            {"coverage": {"1": [True, 2]}},
+            {"coverage": {"1": None}},
+            {"default_coverage": "0,6"},
+            {"default_coverage": [0, "6"]},
+        ],
+    )
+    def test_malformed_payload_is_configuration_error(self, payload):
+        with pytest.raises(ConfigurationError):
+            GvexConfig.from_dict(payload)
 
     def test_integer_coverage_labels_survive_json(self):
         config = GvexConfig().with_coverage(3, 1, 4)

@@ -1,20 +1,22 @@
 """Bench smoke tests (``-m slow`` CI lane).
 
 Scaled-down versions of the Figure 9 efficiency claims that run inside
-the regular test harness: the batched verification backend must beat
-the serial reference on forward-pass launches on a real explain
-workload, end-to-end, without changing any output. The full sweeps
-live in ``benchmarks/``; this lane exists so CI notices a perf-contract
-regression without paying for the figure reproductions.
+the regular test harness: the batched verifier must beat the serial
+reference (substituted through :func:`repro.reference.serial_verifier`)
+on forward-pass launches on a real explain workload, end-to-end,
+without changing any output. The full sweeps live in ``benchmarks/``;
+this lane exists so CI notices a perf-contract regression without
+paying for the figure reproductions.
 """
 
 import time
-from dataclasses import replace
+from contextlib import nullcontext
 
 import pytest
 
-from repro.config import BACKEND_BATCHED, BACKEND_SERIAL, GvexConfig
+from repro.config import GvexConfig
 from repro.core.approx import ApproxGvex
+from repro.reference import serial_verifier
 from tests.conftest import explain_database_parallel
 from tests.test_golden_views import view_set_fingerprint
 
@@ -23,17 +25,16 @@ from tests.test_golden_views import view_set_fingerprint
 def test_batched_backend_fewer_calls_same_views(trained_model, mutagen_db):
     config = GvexConfig(theta=0.08, radius=0.3, gamma=0.5).with_bounds(0, 6)
     runs = {}
-    for backend in (BACKEND_SERIAL, BACKEND_BATCHED):
-        algo = ApproxGvex(
-            trained_model, replace(config, verifier_backend=backend)
-        )
-        start = time.perf_counter()
-        views = algo.explain(mutagen_db)
-        seconds = time.perf_counter() - start
-        runs[backend] = (views, algo.total_inference_calls, seconds)
+    for serial in (True, False):
+        algo = ApproxGvex(trained_model, config)
+        with serial_verifier() if serial else nullcontext():
+            start = time.perf_counter()
+            views = algo.explain(mutagen_db)
+            seconds = time.perf_counter() - start
+        runs[serial] = (views, algo.total_inference_calls, seconds)
 
-    serial_views, serial_calls, serial_s = runs[BACKEND_SERIAL]
-    batched_views, batched_calls, batched_s = runs[BACKEND_BATCHED]
+    serial_views, serial_calls, serial_s = runs[True]
+    batched_views, batched_calls, batched_s = runs[False]
     # identical explanations...
     assert view_set_fingerprint(batched_views) == view_set_fingerprint(serial_views)
     # ...from strictly fewer forward-pass launches
@@ -110,15 +111,10 @@ def test_warm_index_beats_rebuild_5x(trained_model):
 @pytest.mark.slow
 def test_parallel_composes_with_batched_backend(trained_model, mutagen_db):
     config = GvexConfig(theta=0.08, radius=0.3, gamma=0.5).with_bounds(0, 6)
-    serial_views = ApproxGvex(
-        trained_model, replace(config, verifier_backend=BACKEND_SERIAL)
-    ).explain(mutagen_db)
+    with serial_verifier():
+        serial_views = ApproxGvex(trained_model, config).explain(mutagen_db)
     views, stats = explain_database_parallel(
-        mutagen_db,
-        trained_model,
-        replace(config, verifier_backend=BACKEND_BATCHED),
-        processes=2,
-        return_stats=True,
+        mutagen_db, trained_model, config, processes=2, return_stats=True
     )
     assert view_set_fingerprint(views) == view_set_fingerprint(serial_views)
     assert stats["inference_calls"] > 0
@@ -140,10 +136,10 @@ def _load_matching_bench():
 def test_matching_fast_tier_5x_on_coverage_heavy():
     """The matching-tier claim (docs/matching.md): on the coverage-
     heavy serve case — Psum candidate coverage + C1 checks + db-tier
-    containment probes, repeated per request — the fast backend
-    (bitset VF2 + plan cache) is >= 5x the pure-Python reference at
-    steady state, with bit-identical answers (the pipeline asserts
-    equality internally)."""
+    containment probes, repeated per request — the production matcher
+    (int-row VF2 + plan cache) is >= 5x the seed reference at steady
+    state, with bit-identical answers (the pipeline asserts equality
+    internally)."""
     bench = _load_matching_bench()
     case = bench.coverage_heavy_case("reddit_binary")
     assert case["speedup"] >= bench.MIN_SPEEDUP, case
@@ -242,13 +238,14 @@ def test_matching_bench_smoke(tmp_path):
     assert {row["dataset"] for row in result["coverage_heavy"]} == set(
         bench.DATASETS
     )
-    per_backend = {
-        (row["dataset"], row["backend"]): row["matches"]
+    per_matcher = {
+        (row["dataset"], row["matcher"]): row["matches"]
         for row in result["matcher_throughput"]
     }
     for name in bench.DATASETS:  # identical enumeration either way
         assert (
-            per_backend[(name, "fast")] == per_backend[(name, "reference")]
+            per_matcher[(name, "production")]
+            == per_matcher[(name, "reference")]
         )
 
 
@@ -269,7 +266,7 @@ def test_columnar_bench_smoke(tmp_path):
     """The columnar bench's perf contracts hold at smoke scale.
 
     The two acceptance bars from results/BENCH_columnar.json, re-run
-    inside CI: the ad-hoc fast matcher (plan-cache mediated, the path
+    inside CI: the ad-hoc matcher (plan-cache mediated, the path
     ``find_isomorphisms`` actually takes) must be >= 1.0x the
     reference on every host <= 24 nodes, and the columnar context
     build must be >= 3x the legacy per-graph build on a full-scale

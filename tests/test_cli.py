@@ -122,13 +122,15 @@ class TestPipeline:
         views = load_views(out)
         assert views.labels == [0]
 
-    def test_explain_matching_backend_and_shard_stats(
+    def test_explain_reference_matcher_and_shard_stats(
         self, artifacts, tmp_path, capsys
     ):
-        """--matching-backend reference + --shard-stats produce the
-        same views as the default fast run (the backend contract), and
-        a missing stats file is a clean error."""
+        """The seed matcher (substituted through ``reference_matcher``)
+        plus --shard-stats produce the same views as the default run,
+        and a missing stats file is a clean error."""
         import json
+
+        from repro.reference import reference_matcher
 
         model_path, views_path = artifacts
         stats_path = tmp_path / "stats.json"
@@ -138,21 +140,19 @@ class TestPipeline:
             )
         )
         out = tmp_path / "ref_views.json"
-        assert (
-            main(
+        with reference_matcher():
+            code = main(
                 [
                     "explain",
                     "--dataset", "pcqm4m",
                     "--scale", "test",
                     "--model", str(model_path),
-                    "--matching-backend", "reference",
                     "--shard-stats", str(stats_path),
                     "--upper", "5",
                     "--out", str(out),
                 ]
             )
-            == 0
-        )
+        assert code == 0
         reference = load_views(out)
         default = load_views(views_path)
         assert reference.labels == default.labels
@@ -173,6 +173,27 @@ class TestPipeline:
                     "--shard-stats", str(tmp_path / "missing.json"),
                     "--upper", "5",
                     "--out", str(out),
+                ]
+            )
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--backend", "serial"),
+            ("--matching-backend", "reference"),
+            ("--stream-inc", "rebuild"),
+        ],
+    )
+    def test_retired_reference_flags_rejected(self, artifacts, flag, value):
+        model_path, _ = artifacts
+        with pytest.raises(SystemExit):
+            main(
+                [
+                    "explain",
+                    "--dataset", "pcqm4m",
+                    "--scale", "test",
+                    "--model", str(model_path),
+                    flag, value,
                 ]
             )
 

@@ -181,6 +181,19 @@ def test_goldens_decode():
         wire.DECODERS[msg_type](payload)
 
 
+def test_dispatch_with_retired_config_keys_decodes():
+    """Dispatches written before the reference-tier config keys were
+    retired still decode, to the same config (deprecation shim)."""
+    payload = json.loads((GOLDEN_DIR / "dispatch.json").read_bytes())
+    current = wire.decode_dispatch(payload).config
+    payload["config"].update(
+        matching_backend="fast",
+        stream_inc="incremental",
+        verifier_backend="batched",
+    )
+    assert wire.decode_dispatch(payload).config == current
+
+
 # ----------------------------------------------------------------------
 # strict validation
 # ----------------------------------------------------------------------

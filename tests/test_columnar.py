@@ -180,11 +180,9 @@ def test_context_from_group_slice_equals_standalone(graphs):
                     assert np.array_equal(
                         a.sig_counts(key), b.sig_counts(key)
                     ), key
-        for v in g.nodes():
-            assert np.array_equal(a.all_row(v), b.all_row(v))
-            if g.directed:
-                assert np.array_equal(a.out_row(v), b.out_row(v))
-                assert np.array_equal(a.in_row(v), b.in_row(v))
+        kinds = ("all", "out", "in") if g.directed else ("all",)
+        for kind in kinds:
+            assert list(a.rows(kind)) == list(b.rows(kind)), kind
 
 
 def test_stale_slice_detected_and_fallback_correct():

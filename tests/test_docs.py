@@ -6,10 +6,14 @@ locally before it fails in CI.
 """
 
 import compileall
+import re
 import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+
+#: a results file cited in prose or code
+RESULT_CITATION = re.compile(r"results/([A-Za-z0-9_.-]+\.json)")
 
 
 def _checker():
@@ -54,6 +58,29 @@ def test_no_broken_intra_repo_links():
         if (links := checker.broken_links(path))
     }
     assert not bad, f"broken doc links: {bad}"
+
+
+def test_cited_result_files_exist():
+    """Every ``results/*.json`` cited by a doc, a bench, the README or
+    the changelog is present, so a perf claim never points at nothing."""
+    sources = [
+        REPO / "README.md",
+        REPO / "CHANGES.md",
+        *sorted((REPO / "docs").glob("*.md")),
+        *sorted((REPO / "benchmarks").glob("*.py")),
+    ]
+    missing = {
+        str(path.relative_to(REPO)): sorted(set(names))
+        for path in sources
+        if (
+            names := [
+                name
+                for name in RESULT_CITATION.findall(path.read_text())
+                if not (REPO / "results" / name).exists()
+            ]
+        )
+    }
+    assert not missing, f"cited result files missing: {missing}"
 
 
 def test_link_checker_flags_missing_target(tmp_path):

@@ -1,9 +1,9 @@
-"""Reference-vs-fast matcher parity (the ``matching_backend`` contract).
+"""Production-vs-reference matcher parity.
 
-The fast backend (bitset VF2 over per-host :class:`MatchContext`\\ s,
-process-wide plan cache, database-batched ``pmatch``) must be *bit-
-identical* to the pure-Python reference everywhere its results are
-observable:
+The production matcher (int-row VF2 over per-host
+:class:`MatchContext`\\ s, process-wide plan cache, database-batched
+``pmatch``) must be *bit-identical* to the seed VF2 kept in
+:mod:`repro.reference` everywhere its results are observable:
 
 * mapping streams — identical sequences (same matchings, same order,
   same truncation under ``limit``);
@@ -14,11 +14,14 @@ observable:
 * end-to-end views and query DSL answers — identical across the whole
   dataset zoo.
 
-A hypothesis property drives the mapping-stream check over random
-typed patterns and hosts (directed and undirected, typed edges); zoo
-tests pin the end-to-end pipeline. Pruning (degree bounds, type
-signatures) may only ever *skip doomed subtrees*, so any divergence is
-a soundness bug, not a tolerance issue.
+Hypothesis properties drive the mapping-stream check over random
+typed patterns and hosts (directed and undirected, typed edges), from
+one-word hosts up to 200 nodes; fixed hosts above the 4096-node
+lazy-row threshold cover the build-on-first-use rows; zoo tests pin
+the end-to-end pipeline, with the reference substituted through
+:func:`repro.reference.reference_matcher`. Pruning (degree bounds,
+type signatures) may only ever *skip doomed subtrees*, so any
+divergence is a soundness bug, not a tolerance issue.
 """
 
 import random
@@ -29,20 +32,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import MATCH_FAST, MATCH_REFERENCE, GvexConfig
+from repro import reference
+from repro.config import GvexConfig
 from repro.core.approx import explain_database
-from repro.exceptions import ConfigurationError, MatchingError
 from repro.graphs.graph import Graph
 from repro.graphs.pattern import Pattern
-from repro.matching import bitset
 from repro.matching.context import MatchContext, MatchPlan, graph_content_key
-from repro.matching.coverage import CoverageIndex, match_coverage, pmatch
+from repro.matching.coverage import CoverageIndex, pmatch
 from repro.matching.incremental import IncrementalMatcher
-from repro.matching.isomorphism import (
-    find_isomorphisms,
-    get_default_backend,
-    set_default_backend,
-)
+from repro.matching.isomorphism import find_isomorphisms
 from repro.matching.plan_cache import PLAN_CACHE, MatchPlanCache
 from repro.mining.pgen import mine_patterns
 from repro.query import Q, ViewIndex
@@ -50,14 +48,6 @@ from repro.datasets.registry import DATASETS, dataset_info, load_dataset
 from repro.gnn.model import GnnClassifier
 
 ZOO = sorted(DATASETS)
-
-
-@pytest.fixture()
-def forced_backend():
-    """Restore the process default backend after a test flips it."""
-    previous = get_default_backend()
-    yield set_default_backend
-    set_default_backend(previous)
 
 
 # ----------------------------------------------------------------------
@@ -125,40 +115,105 @@ def pattern_host_pairs(draw):
 # ----------------------------------------------------------------------
 # hypothesis property: equal match streams on random inputs
 # ----------------------------------------------------------------------
-@settings(max_examples=120, deadline=None)
-@given(pair=pattern_host_pairs(), limit=st.sampled_from([None, 1, 2, 7]))
+def random_host(n, directed, rng, avg_degree, n_types=3):
+    """A seeded sparse typed host of ``n`` nodes."""
+    g = Graph([rng.randrange(n_types) for _ in range(n)], directed=directed)
+    for _ in range(avg_degree * n // 2):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v and not g.has_edge(u, v):
+            g.add_edge(u, v, rng.randrange(2))
+    return g
+
+
+def cut_pattern(host, rng, size, twist=False):
+    """A connected induced subgraph of ``host`` as a pattern.
+
+    ``twist`` rotates one node type, usually turning the pattern into
+    a near miss whose search scans the host without matching.
+    """
+    nodes = [rng.randrange(host.n_nodes)]
+    frontier = set(host.all_neighbors(nodes[0]))
+    while len(nodes) < size and frontier:
+        v = rng.choice(sorted(frontier))
+        nodes.append(v)
+        frontier |= set(host.all_neighbors(v))
+        frontier -= set(nodes)
+    sub, _ = host.induced_subgraph(sorted(nodes))
+    types = [int(t) for t in sub.node_types]
+    if twist:
+        types[-1] = (types[-1] + 1) % 3
+    g = Graph(types, directed=host.directed)
+    for u, v, t in sub.edges():
+        g.add_edge(u, v, t)
+    return Pattern(g)
+
+
+@st.composite
+def multi_word_pairs(draw):
+    """Hosts of 60-200 nodes (one to four 64-bit words) with patterns cut
+    from them, so candidate masks and mapped images cross word
+    boundaries."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    host = random_host(
+        draw(st.integers(min_value=60, max_value=200)),
+        draw(st.booleans()),
+        rng,
+        avg_degree=draw(st.sampled_from([2, 3, 5])),
+    )
+    pattern = cut_pattern(
+        host, rng, draw(st.integers(min_value=1, max_value=4)), draw(st.booleans())
+    )
+    return pattern, host
+
+
+def assert_streams_match_reference(pattern, host, limit):
+    ref = list(reference.find_isomorphisms(pattern, host, limit=limit))
+    # ad-hoc (plan-cache mediated) and with explicit carriers
+    assert list(find_isomorphisms(pattern, host, limit=limit)) == ref
+    carried = find_isomorphisms(
+        pattern,
+        host,
+        limit=limit,
+        context=MatchContext(host),
+        plan=MatchPlan(pattern),
+    )
+    assert list(carried) == ref  # same matchings, order, dict layout
+
+
+@settings(max_examples=180, deadline=None)
+@given(
+    pair=st.one_of(pattern_host_pairs(), multi_word_pairs()),
+    limit=st.sampled_from([None, 1, 2, 7]),
+)
 def test_match_streams_bit_identical(pair, limit):
-    pattern, host = pair
-    ref = list(
-        find_isomorphisms(pattern, host, limit=limit, backend=MATCH_REFERENCE)
-    )
-    fast = list(
-        find_isomorphisms(pattern, host, limit=limit, backend=MATCH_FAST)
-    )
-    assert fast == ref  # same matchings, same order, same dict layout
-    # force the bitset path too (plain small-host calls delegate to the
-    # reference search; a supplied context/plan must not change output)
-    bitset_path = list(
-        find_isomorphisms(
-            pattern,
-            host,
-            limit=limit,
-            backend=MATCH_FAST,
-            context=MatchContext(host),
-            plan=MatchPlan(pattern),
-        )
-    )
-    assert bitset_path == ref
+    assert_streams_match_reference(*pair, limit)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_lazy_host_streams_bit_identical(directed):
+    """Hosts above the lazy-row threshold build rows per node on first
+    use; their streams must still equal the reference's."""
+    rng = random.Random(11 + directed)
+    host = random_host(MatchContext.LAZY_ROW_THRESHOLD + 404, directed, rng, 3)
+    assert MatchContext(host)._lazy
+    patterns = [
+        cut_pattern(host, rng, size, twist)
+        for size in (1, 2, 3, 4)
+        for twist in (False, True)
+    ]
+    for pattern in patterns:
+        for limit in (None, 1, 7):
+            assert_streams_match_reference(pattern, host, limit)
 
 
 @settings(max_examples=60, deadline=None)
 @given(pair=pattern_host_pairs(), cap=st.sampled_from([1, 3, 10_000]))
 def test_coverage_bit_identical(pair, cap):
     pattern, host = pair
-    ref = match_coverage(pattern, host, 4, cap, backend=MATCH_REFERENCE)
+    ref = reference.match_coverage(pattern, host, 4, cap)
     # bypass the shared canonical registry: coverage under a truncating
-    # cap is defined over the *exact* pattern labelling, so the fast
-    # path is checked through a private cache seeded with this pattern
+    # cap is defined over the *exact* pattern labelling, so production
+    # is checked through a private cache seeded with this pattern
     cache = MatchPlanCache()
     nodes, edges = cache.coverage(pattern, host, cap)
     assert frozenset((4, v) for v in nodes) == ref.nodes
@@ -166,38 +221,8 @@ def test_coverage_bit_identical(pair, cap):
 
 
 # ----------------------------------------------------------------------
-# bitset / context units
+# context units
 # ----------------------------------------------------------------------
-class TestBitset:
-    def test_pack_roundtrip(self):
-        import numpy as np
-
-        mask = np.zeros(130, dtype=bool)
-        idx = [0, 1, 63, 64, 65, 127, 128, 129]
-        mask[idx] = True
-        words = bitset.from_bool(mask)
-        assert list(bitset.iter_bits(words)) == idx
-        assert bitset.popcount(words) == len(idx)
-        assert words.shape == (bitset.n_words(130),)
-
-    def test_set_clear_test(self):
-        words = bitset.zeros(100)
-        bitset.set_bit(words, 77)
-        assert bitset.test_bit(words, 77)
-        assert not bitset.test_bit(words, 76)
-        bitset.clear_bit(words, 77)
-        assert bitset.popcount(words) == 0
-
-    def test_from_indices_matches_from_bool(self):
-        import numpy as np
-
-        mask = np.zeros(70, dtype=bool)
-        mask[[3, 64, 69]] = True
-        assert list(bitset.from_indices([3, 64, 69], 70)) == list(
-            bitset.from_bool(mask)
-        )
-
-
 class TestContext:
     def test_content_key_is_content_defined(self):
         a = Graph([0, 1])
@@ -212,18 +237,19 @@ class TestContext:
             Graph([0, 1], directed=True)
         )
 
-    def test_lazy_rows_equal_eager(self):
-        g = Graph([0] * 5, directed=True)
-        g.add_edge(0, 1)
-        g.add_edge(1, 2)
-        g.add_edge(3, 1)
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_lazy_rows_equal_eager(self, directed, monkeypatch):
+        g = random_host(150, directed, random.Random(3), avg_degree=4)
         eager = MatchContext(g)
+        monkeypatch.setattr(MatchContext, "LAZY_ROW_THRESHOLD", 2)
         lazy = MatchContext(g)
-        lazy._all_rows = lazy._out_rows = lazy._in_rows = None  # force lazy
-        for v in range(5):
-            assert list(eager.all_row(v)) == list(lazy.all_row(v))
-            assert list(eager.out_row(v)) == list(lazy.out_row(v))
-            assert list(eager.in_row(v)) == list(lazy.in_row(v))
+        assert lazy._lazy and not eager._lazy
+        kinds = ("out", "in") if directed else ("all",)
+        for kind in kinds:
+            for etype in (None, 0, 1):
+                rows = eager.rows(kind, etype)
+                lazy_rows = lazy.rows(kind, etype)
+                assert [lazy_rows[v] for v in g.nodes()] == list(rows)
 
     def test_prefilter_rejects_impossible_types(self):
         host = Graph([0, 0, 1])
@@ -297,10 +323,9 @@ class TestPlanCache:
         lookups); every answer must equal the single-threaded reference
         and no thread may observe an exception or a torn entry.
         """
-        reference = MatchPlanCache()
+        single = MatchPlanCache()
         expected = [
-            (reference.coverage(p, h), reference.contains(p, h))
-            for p, h in pairs
+            (single.coverage(p, h), single.contains(p, h)) for p, h in pairs
         ]
         shared = MatchPlanCache(max_contexts=2, max_results=8)
         barrier = threading.Barrier(4)
@@ -360,9 +385,9 @@ def test_pmatch_equals_per_host(hosts, pair):
     if pattern.graph.directed:
         pattern = Pattern.singleton(0)
     group = hosts + [extra]
-    batched = pmatch(pattern, group, backend=MATCH_FAST)
+    batched = pmatch(pattern, group)
     for h, host in enumerate(group):
-        single = match_coverage(pattern, host, h, backend=MATCH_REFERENCE)
+        single = reference.match_coverage(pattern, host, h)
         assert batched[h].nodes == single.nodes
         assert batched[h].edges == single.edges
 
@@ -374,8 +399,9 @@ def test_pmatch_equals_per_host(hosts, pair):
 @given(hosts=st.lists(typed_graphs(max_nodes=6), min_size=1, max_size=3))
 def test_mined_patterns_bit_identical(hosts):
     hosts = [h for h in hosts if not h.directed] or [Graph([0, 0])]
-    ref = mine_patterns(hosts, max_size=3, backend=MATCH_REFERENCE)
-    fast = mine_patterns(hosts, max_size=3, backend=MATCH_FAST)
+    with reference.reference_matcher():
+        ref = mine_patterns(hosts, max_size=3)
+    fast = mine_patterns(hosts, max_size=3)
     assert [
         (m.pattern.graph.node_types.tolist(), m.pattern.graph.edge_types,
          m.support, m.embeddings)
@@ -387,22 +413,25 @@ def test_mined_patterns_bit_identical(hosts):
     ]
 
 
-def test_incremental_matcher_backends_agree():
+def test_incremental_matcher_agrees_with_reference():
     tri = Pattern.from_parts([0, 0, 0], [(0, 1), (1, 2), (0, 2)])
-    streams = {}
-    for backend in (MATCH_REFERENCE, MATCH_FAST):
-        inc = IncrementalMatcher(backend=backend)
+
+    def stream():
+        inc = IncrementalMatcher()
         inc.register(tri)
         inc.add_node(0)
         inc.add_node(0, edges=[(0, 0)])
         inc.add_node(0, edges=[(0, 0), (1, 0)])
         inc.add_node(1, edges=[(2, 0)])
-        streams[backend] = (
+        return (
             inc.covered_nodes(tri),
             inc.covered_edges(tri),
             inc.union_covered_nodes(),
         )
-    assert streams[MATCH_REFERENCE] == streams[MATCH_FAST]
+
+    with reference.reference_matcher():
+        expected = stream()
+    assert stream() == expected
 
 
 # ----------------------------------------------------------------------
@@ -428,21 +457,13 @@ def view_fingerprint(views):
 
 
 @pytest.mark.parametrize("dataset", ZOO)
-def test_zoo_views_and_queries_bit_identical(dataset, forced_backend):
+def test_zoo_views_and_queries_bit_identical(dataset):
     db, model = zoo_setup(dataset)
     config = GvexConfig(theta=0.08, radius=0.3, gamma=0.5).with_bounds(0, 5)
-    results = {}
-    for backend in (MATCH_REFERENCE, MATCH_FAST):
-        forced_backend(backend)
-        cfg = GvexConfig(
-            theta=0.08,
-            radius=0.3,
-            gamma=0.5,
-            matching_backend=backend,
-            default_coverage=config.default_coverage,
-        )
-        views = explain_database(db, model, cfg)
-        index = ViewIndex(views, db=db, backend=backend)
+
+    def run():
+        views = explain_database(db, model, config)
+        index = ViewIndex(views, db=db)
         patterns = [p for view in views for p in view.patterns]
         queries = []
         for p in patterns:
@@ -451,32 +472,33 @@ def test_zoo_views_and_queries_bit_identical(dataset, forced_backend):
             occs = index.select(Q.pattern(p) & Q.in_scope("graphs"))
             queries.append([(o.label, o.graph_index, o.in_explanation) for o in occs])
         hosts = [s.subgraph for view in views for s in view.subgraphs]
-        cov = CoverageIndex(hosts, backend=backend)
+        cov = CoverageIndex(hosts)
         coverage = [
             (sorted(cov.coverage(p).nodes), sorted(cov.coverage(p).edges))
             for p in patterns
         ]
-        results[backend] = (view_fingerprint(views), queries, coverage)
-    assert results[MATCH_FAST] == results[MATCH_REFERENCE]
+        return view_fingerprint(views), queries, coverage
+
+    with reference.reference_matcher():
+        expected = run()
+    assert run() == expected
 
 
-# ----------------------------------------------------------------------
-# backend selection plumbing
-# ----------------------------------------------------------------------
-def test_unknown_backend_rejected():
-    with pytest.raises(MatchingError):
-        find_isomorphisms(
-            Pattern.singleton(0), Graph([0]), backend="vectorized"
+def test_reference_matcher_bypasses_plan_cache(mutagen_db):
+    """Inside ``reference_matcher()`` nothing reads or fills the
+    process-wide plan cache, so the parity arms above really compare
+    two independent implementations."""
+    model = GnnClassifier(3, 2, hidden_dims=(8, 8), seed=0)
+    before = PLAN_CACHE.stats()
+    with reference.reference_matcher():
+        views = explain_database(
+            mutagen_db, model, GvexConfig().with_bounds(0, 4)
         )
-    with pytest.raises(ConfigurationError):
-        GvexConfig(matching_backend="vectorized")
-
-
-def test_default_backend_round_trip(forced_backend):
-    assert get_default_backend() in (MATCH_FAST, MATCH_REFERENCE)
-    previous = forced_backend(MATCH_REFERENCE)
-    assert get_default_backend() == MATCH_REFERENCE
-    forced_backend(previous)
+        index = ViewIndex(views, db=mutagen_db)
+        for view in views:
+            for p in view.patterns:
+                index.select(Q.pattern(p) & Q.in_scope("graphs"))
+    assert PLAN_CACHE.stats() == before
 
 
 def test_global_plan_cache_is_shared():

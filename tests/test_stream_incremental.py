@@ -15,12 +15,15 @@ three levels:
   patterns, and snapshot objectives on every dataset of the synthetic
   zoo in both ``paper`` and ``soft`` verification modes, with
   ``oracle_forwards`` strictly smaller whenever the stream spans more
-  than one chunk;
+  than one chunk. The rebuild arm runs the production ``StreamGvex``
+  with :func:`repro.reference.rebuild_everify` substituting
+  :class:`~repro.reference.RebuildEVerify` for the engine;
 * scheduling level — the frontier-reuse fast path
   (``prefetch_extensions`` / ``extension_index_matrix``) fills the
   verifier cache with values bit-identical to the per-subset schedule.
 """
 
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -28,25 +31,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import (
-    BACKEND_BATCHED,
-    BACKEND_SERIAL,
-    JACOBIAN_EXACT,
-    STREAM_INCREMENTAL,
-    STREAM_REBUILD,
-    GvexConfig,
-    VERIFY_PAPER,
-    VERIFY_SOFT,
-)
+from repro.config import JACOBIAN_EXACT, GvexConfig, VERIFY_PAPER, VERIFY_SOFT
 from repro.core.explainability import ExplainabilityOracle
 from repro.core.inc_everify import IncrementalEVerify
 from repro.core.streaming import StreamGvex
 from repro.core.verifiers import BatchedGnnVerifier, GnnVerifier
 from repro.datasets.registry import DATASETS, dataset_info, load_dataset
-from repro.exceptions import ConfigurationError
 from repro.gnn.batch import extension_index_matrix, normalize_subsets
 from repro.gnn.model import CONV_TYPES, GnnClassifier
 from repro.graphs.graph import Graph
+from repro.reference import rebuild_everify, serial_verifier
 from repro.utils.rng import ensure_rng
 
 GRAPHS_PER_DATASET = 2
@@ -65,9 +59,11 @@ def stream_fingerprint(result):
     )
 
 
-def run_stream(model, graph, label, config, inc, **kwargs):
-    algo = StreamGvex(model, replace(config, stream_inc=inc), seed=0)
-    return algo.explain_graph_stream(graph, label, **kwargs)
+def run_stream(model, graph, label, config, rebuild=False, **kwargs):
+    """One stream, on the rebuild reference when ``rebuild``."""
+    with rebuild_everify() if rebuild else nullcontext():
+        algo = StreamGvex(model, config, seed=0)
+        return algo.explain_graph_stream(graph, label, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -95,8 +91,8 @@ def test_stream_inc_parity_across_zoo(dataset, mode):
         if label is None:
             continue
         checked += 1
-        rr = run_stream(model, graph, label, config, STREAM_REBUILD)
-        ri = run_stream(model, graph, label, config, STREAM_INCREMENTAL)
+        rr = run_stream(model, graph, label, config, rebuild=True)
+        ri = run_stream(model, graph, label, config)
         assert stream_fingerprint(ri) == stream_fingerprint(rr), (
             dataset,
             mode,
@@ -115,23 +111,22 @@ def test_stream_inc_parity_across_zoo(dataset, mode):
 
 
 @pytest.mark.parametrize("mode", [VERIFY_PAPER, VERIFY_SOFT])
-@pytest.mark.parametrize("backend", [BACKEND_SERIAL, BACKEND_BATCHED])
+@pytest.mark.parametrize("serial", [True, False])
 def test_stream_inc_parity_trained_model(
-    trained_model, mutagen_db, mode, backend
+    trained_model, mutagen_db, mode, serial
 ):
-    """Same contract on a trained classifier, across verifier backends
-    (all four stream_inc × verifier_backend combinations agree)."""
+    """Same contract on a trained classifier, across verifier schedules
+    (all four IncEVerify × EVerify schedule combinations agree)."""
     config = replace(
-        GvexConfig(
-            theta=0.08, radius=0.3, verification=mode, verifier_backend=backend
-        ).with_bounds(0, 6),
+        GvexConfig(theta=0.08, radius=0.3, verification=mode).with_bounds(0, 6),
         stream_batch_size=3,
     )
     for idx in (0, 1, 5):
         graph = mutagen_db[idx]
         label = trained_model.predict(graph)
-        rr = run_stream(trained_model, graph, label, config, STREAM_REBUILD)
-        ri = run_stream(trained_model, graph, label, config, STREAM_INCREMENTAL)
+        with serial_verifier() if serial else nullcontext():
+            rr = run_stream(trained_model, graph, label, config, rebuild=True)
+            ri = run_stream(trained_model, graph, label, config)
         assert stream_fingerprint(ri) == stream_fingerprint(rr), (mode, idx)
         if len(rr.snapshots) > 1:
             assert (
@@ -153,11 +148,9 @@ def test_shuffled_stream_orders_agree(trained_model, mutagen_db):
     for _ in range(3):
         order = list(rng.permutation(graph.n_nodes))
         rr = run_stream(
-            trained_model, graph, label, config, STREAM_REBUILD, order=order
+            trained_model, graph, label, config, rebuild=True, order=order
         )
-        ri = run_stream(
-            trained_model, graph, label, config, STREAM_INCREMENTAL, order=order
-        )
+        ri = run_stream(trained_model, graph, label, config, order=order)
         assert stream_fingerprint(ri) == stream_fingerprint(rr)
 
 
@@ -172,8 +165,8 @@ def test_exact_jacobian_falls_back_to_rebuild(trained_model, mutagen_db):
     )
     graph = mutagen_db[0]
     label = trained_model.predict(graph)
-    rr = run_stream(trained_model, graph, label, config, STREAM_REBUILD)
-    ri = run_stream(trained_model, graph, label, config, STREAM_INCREMENTAL)
+    rr = run_stream(trained_model, graph, label, config, rebuild=True)
+    ri = run_stream(trained_model, graph, label, config)
     assert stream_fingerprint(ri) == stream_fingerprint(rr)
     chunks = len(ri.snapshots)
     assert chunks > 1
@@ -197,8 +190,8 @@ def test_large_prefix_uses_sparse_influence(
     )
     graph = mutagen_db[1]
     label = trained_model.predict(graph)
-    rr = run_stream(trained_model, graph, label, config, STREAM_REBUILD)
-    ri = run_stream(trained_model, graph, label, config, STREAM_INCREMENTAL)
+    rr = run_stream(trained_model, graph, label, config, rebuild=True)
+    ri = run_stream(trained_model, graph, label, config)
     assert stream_fingerprint(ri) == stream_fingerprint(rr)
     chunks = len(ri.snapshots)
     assert chunks > 1
@@ -207,11 +200,6 @@ def test_large_prefix_uses_sparse_influence(
     assert ri.oracle_stats.sparse_power_builds > 0
     assert ri.oracle_stats.oracle_forwards == 1
     assert ri.oracle_stats.oracle_forwards < rr.oracle_stats.oracle_forwards
-
-
-def test_stream_inc_config_validated():
-    with pytest.raises(ConfigurationError):
-        GvexConfig(stream_inc="bogus")
 
 
 # ----------------------------------------------------------------------

@@ -8,12 +8,14 @@ checks that contract at three levels:
 * model level — ``predict_proba_batch`` rows equal serial
   ``predict_proba`` on the induced subgraph bit-for-bit, across conv
   types, readouts, directedness, and subset sizes;
-* verifier level — both backends answer identical probabilities and
-  the batched backend never launches more forwards;
+* verifier level — both schedules answer identical probabilities and
+  the batched verifier never launches more forwards;
 * algorithm level — ``explain_graph`` selects byte-identical node
   sets, objectives, and §2.2 flags on every dataset of the synthetic
   zoo in both ``paper`` and ``soft`` verification modes, with an
-  inference-call count no worse than serial.
+  inference-call count no worse than serial. The serial arm runs the
+  production explainers with :func:`repro.reference.serial_verifier`
+  substituting :class:`GnnVerifier` for the batched verifier.
 
 Models are seeded but untrained: parity is a property of the compute
 graph, not of the weights, and near-uniform outputs produce the
@@ -21,22 +23,15 @@ near-tie comparisons that stress decision parity hardest. One
 trained-model case rides on the session fixtures.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from repro.config import (
-    BACKEND_BATCHED,
-    BACKEND_SERIAL,
-    GvexConfig,
-    VERIFY_PAPER,
-    VERIFY_SOFT,
-)
+from repro.config import GvexConfig, VERIFY_PAPER, VERIFY_SOFT
 from repro.core.approx import explain_graph
 from repro.core.explainability import ExplainabilityOracle
 from repro.core.streaming import StreamGvex
-from repro.core.verifiers import BatchedGnnVerifier, GnnVerifier, make_verifier
+from repro.core.verifiers import BatchedGnnVerifier, GnnVerifier
+from repro.reference import serial_verifier
 from repro.datasets.registry import DATASETS, dataset_info, load_dataset
 from repro.gnn.model import CONV_TYPES, READOUTS, GnnClassifier
 from repro.utils.rng import ensure_rng
@@ -182,20 +177,18 @@ def test_prefetch_chunks_to_memory_budget(mutagen_db):
         assert chunked.subset_probability(key, 0) == whole.subset_probability(key, 0)
 
 
-def test_make_verifier_honors_backend(trained_model, mutagen_db):
+def test_serial_verifier_substitution(trained_model, mutagen_db):
+    """The explainers construct the batched verifier, and the serial
+    reference inside ``serial_verifier()``: the substituted run launches
+    one forward per subset."""
     g = mutagen_db[0]
-    cfg = GvexConfig()
-    assert isinstance(
-        make_verifier(trained_model, g, replace(cfg, verifier_backend=BACKEND_SERIAL)),
-        GnnVerifier,
-    )
-    assert not make_verifier(
-        trained_model, g, replace(cfg, verifier_backend=BACKEND_SERIAL)
-    ).is_batched
-    assert make_verifier(
-        trained_model, g, replace(cfg, verifier_backend=BACKEND_BATCHED)
-    ).is_batched
-    assert make_verifier(trained_model, g, None).is_batched
+    label = trained_model.predict(g)
+    config = GvexConfig(verification=VERIFY_PAPER).with_bounds(0, 4)
+    batched = explain_graph(trained_model, g, label, config)
+    with serial_verifier():
+        serial = explain_graph(trained_model, g, label, config)
+    assert serial.inference_calls > batched.inference_calls
+    assert result_fingerprint(serial) == result_fingerprint(batched)
 
 
 # ----------------------------------------------------------------------
@@ -208,8 +201,6 @@ def test_explain_parity_across_zoo(dataset, mode):
     db = load_dataset(dataset, scale="test", seed=0)
     model = zoo_model(dataset)
     config = GvexConfig(verification=mode).with_bounds(0, 5)
-    serial_cfg = replace(config, verifier_backend=BACKEND_SERIAL)
-    batched_cfg = replace(config, verifier_backend=BACKEND_BATCHED)
     checked = 0
     for idx in range(len(db)):
         if checked >= GRAPHS_PER_DATASET:
@@ -220,8 +211,9 @@ def test_explain_parity_across_zoo(dataset, mode):
             continue
         checked += 1
         oracle = ExplainabilityOracle(model, graph, config)
-        rs = explain_graph(model, graph, label, serial_cfg, oracle=oracle)
-        rb = explain_graph(model, graph, label, batched_cfg, oracle=oracle)
+        with serial_verifier():
+            rs = explain_graph(model, graph, label, config, oracle=oracle)
+        rb = explain_graph(model, graph, label, config, oracle=oracle)
         assert result_fingerprint(rb) == result_fingerprint(rs), (dataset, mode, idx)
         assert rb.inference_calls <= rs.inference_calls, (dataset, mode, idx)
     assert checked > 0
@@ -235,20 +227,9 @@ def test_explain_parity_trained_model(trained_model, mutagen_db, mode):
         graph = mutagen_db[idx]
         label = trained_model.predict(graph)
         oracle = ExplainabilityOracle(trained_model, graph, config)
-        rs = explain_graph(
-            trained_model,
-            graph,
-            label,
-            replace(config, verifier_backend=BACKEND_SERIAL),
-            oracle=oracle,
-        )
-        rb = explain_graph(
-            trained_model,
-            graph,
-            label,
-            replace(config, verifier_backend=BACKEND_BATCHED),
-            oracle=oracle,
-        )
+        with serial_verifier():
+            rs = explain_graph(trained_model, graph, label, config, oracle=oracle)
+        rb = explain_graph(trained_model, graph, label, config, oracle=oracle)
         assert result_fingerprint(rb) == result_fingerprint(rs)
         assert rb.inference_calls <= rs.inference_calls
 
@@ -287,15 +268,12 @@ def test_node_explain_parity():
         sub, _ = marked.induced_subgraph(subset)
         assert np.array_equal(row, adapter.predict_proba(sub)), subset
 
-    # end to end: identical context selections under either backend
+    # end to end: identical context selections under either schedule
     base = GvexConfig().with_bounds(0, 5)
     for node in (0, 4, 9):
-        rs = explain_node(
-            node_model, g, node, replace(base, verifier_backend=BACKEND_SERIAL)
-        )
-        rb = explain_node(
-            node_model, g, node, replace(base, verifier_backend=BACKEND_BATCHED)
-        )
+        with serial_verifier():
+            rs = explain_node(node_model, g, node, base)
+        rb = explain_node(node_model, g, node, base)
         assert rb.context_nodes == rs.context_nodes
         assert rb.score == rs.score
         assert (rb.consistent, rb.counterfactual) == (rs.consistent, rs.counterfactual)
@@ -303,7 +281,7 @@ def test_node_explain_parity():
 
 @pytest.mark.parametrize("mode", [VERIFY_PAPER, VERIFY_SOFT])
 def test_stream_parity(trained_model, mutagen_db, mode):
-    """StreamGVEX picks identical caches under either backend.
+    """StreamGVEX picks identical caches under either schedule.
 
     ``paper`` mode also exercises the speculative chunk prefetch (the
     arriving chunk's extension probes are filled before the per-node
@@ -312,15 +290,14 @@ def test_stream_parity(trained_model, mutagen_db, mode):
     for idx in (0, 1, 5):
         graph = mutagen_db[idx]
         label = trained_model.predict(graph)
-        results = {}
-        for backend in (BACKEND_SERIAL, BACKEND_BATCHED):
-            config = replace(
-                GvexConfig(verification=mode).with_bounds(0, 6),
-                verifier_backend=backend,
+        config = GvexConfig(verification=mode).with_bounds(0, 6)
+        with serial_verifier():
+            rs = StreamGvex(trained_model, config, seed=0).explain_graph_stream(
+                graph, label
             )
-            algo = StreamGvex(trained_model, config, seed=0)
-            results[backend] = algo.explain_graph_stream(graph, label)
-        rs, rb = results[BACKEND_SERIAL], results[BACKEND_BATCHED]
+        rb = StreamGvex(trained_model, config, seed=0).explain_graph_stream(
+            graph, label
+        )
         if rs.subgraph is None:
             assert rb.subgraph is None
         else:

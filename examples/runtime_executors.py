@@ -1,26 +1,23 @@
-"""The `repro.runtime` execution engine: one scheduler, three policies.
+"""The `repro.runtime` execution engine: one plan, two local executors.
 
 Builds an explain plan over the mutagenicity workload, runs it with
-the serial, fork-pool, and sharded executors, and shows that all three
-produce identical views — only the scheduling differs:
+the serial and fork-pool executors, and shows that both produce
+identical views — only the scheduling differs:
 
     python examples/runtime_executors.py
 
 The same plan/executor path is what `ExplanationService.explain`,
-`python -m repro.cli explain --processes/--shards`, the bench harness,
-and the HTTP `/explain` route all use (see docs/runtime.md).
+`python -m repro.cli explain --processes N`, the bench harness, and
+the HTTP `/explain` route all use (see docs/runtime.md). The third
+executor, `repro.runtime.cluster.DistributedExecutor`, runs the same
+plan on remote workers (see docs/distribution.md).
 """
 
 import time
 
 from repro.api import ExplanationService
 from repro.config import GvexConfig
-from repro.runtime import (
-    ForkPoolExecutor,
-    SerialExecutor,
-    ShardedExecutor,
-    build_plan,
-)
+from repro.runtime import ForkPoolExecutor, SerialExecutor, build_plan
 
 
 def fingerprint(views):
@@ -44,11 +41,7 @@ def main() -> None:
         print(f"  label {shard.label}: graphs {list(shard.indices)}")
 
     results = {}
-    for executor in (
-        SerialExecutor(),
-        ForkPoolExecutor(processes=2),
-        ShardedExecutor(n_shards=2),
-    ):
+    for executor in (SerialExecutor(), ForkPoolExecutor(processes=2)):
         start = time.perf_counter()
         views, stats = executor.run(plan)
         seconds = time.perf_counter() - start
@@ -60,7 +53,7 @@ def main() -> None:
     serial = fingerprint(results["serial"])
     for name, views in results.items():
         assert fingerprint(views) == serial, name
-    print("all executors selected identical views")
+    print("both executors selected identical views")
 
 
 if __name__ == "__main__":

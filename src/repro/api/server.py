@@ -14,7 +14,7 @@ Routes
 ``GET  /capabilities``  the Table 1 capability matrix (text)
 ``GET  /views``         current views (``?tenant=NAME``), versioned wire format
 ``POST /explain``       ``{"tenant"?, "method", "labels"?, "config"?,``
-                        ``"processes"?, "n_shards"?, "deadline_seconds"?}``
+                        ``"processes"?, "deadline_seconds"?}``
                         -> view summary
 ``POST /query``         ``{"tenant"?, "pattern", "scope"?, "label"?,``
                         ``"patterns"?}`` -> occurrences + per-label statistics
@@ -458,7 +458,6 @@ class _Handler(JsonRequestHandler):
                 labels=labels,
                 config=config,
                 processes=int(body.get("processes", 1)),
-                n_shards=int(body.get("n_shards", 1)),
                 deadline=deadline,
             )
             return {

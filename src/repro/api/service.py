@@ -194,11 +194,10 @@ class ExplanationService:
         ``method`` is a registry name or alias (``gvex-approx``,
         ``stream``, ``SX``, ...). Scheduling always goes through the
         :mod:`repro.runtime` plan/executor engine: ``processes > 1``
-        forks a warm-state worker pool, ``n_shards > 1`` runs the
-        replica-sharding simulation and merges partial views.
-        ``shard_stats`` (parsed ``results/runtime_scaling.json``
-        content; CLI ``--shard-stats``) feeds observed wall-clock back
-        into shard sizing. ``deadline`` (a
+        forks a warm-state worker pool. ``n_shards`` and
+        ``shard_stats`` are retired and ignored for one deprecation
+        cycle (docs/api.md): neither ever changed the views.
+        ``deadline`` (a
         :class:`~repro.runtime.deadline.Deadline`) attaches a monotonic
         budget the executors re-check between shards — when it expires
         mid-run the typed
@@ -207,6 +206,7 @@ class ExplanationService:
         produced views become the service's current views (queryable
         via :meth:`query`).
         """
+        del n_shards, shard_stats  # retired; see the docstring
         spec = get_spec(method)
         config = config if config is not None else self.config
         seed = seed if seed is not None else self.seed
@@ -227,10 +227,9 @@ class ExplanationService:
                 seed=seed,
                 explainer_kwargs=overrides,
                 processes=processes,
-                shard_stats=shard_stats,
                 deadline=deadline,
             )
-            views = run_plan(plan, processes=processes, n_shards=n_shards)
+            views = run_plan(plan, processes=processes)
             self.last_method = spec.name
             self._set_views(views)
             return views

@@ -94,20 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fork this many warm-state workers for the explanation "
         "phase (repro.runtime fork-pool executor, §A.7)",
     )
-    p_explain.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="replica-shard the database N ways and merge partial views "
-        "(repro.runtime sharded executor; composes with --processes)",
-    )
-    p_explain.add_argument(
-        "--shard-stats",
-        default=None,
-        help="path to a results/runtime_scaling.json-style stats file; "
-        "observed per-shard wall-clock feeds back into shard sizing "
-        "(adaptive rebalancing of skewed label groups)",
-    )
     p_explain.add_argument("--out", required=True, help="output views .json path")
 
     p_query = sub.add_parser("query", help="query saved explanation views")
@@ -475,20 +461,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = GvexConfig(
             theta=args.theta, radius=args.radius, gamma=args.gamma
         ).with_bounds(args.lower, args.upper)
-        shard_stats = None
-        if args.shard_stats:
-            stats_path = Path(args.shard_stats)
-            if not stats_path.exists():
-                raise SystemExit(f"shard stats file not found: {args.shard_stats}")
-            shard_stats = json.loads(stats_path.read_text())
         svc = _service(args, config)
         _attach_model(svc, args)
         views = svc.explain(
             args.method,
             labels=args.labels if args.labels else None,
             processes=args.processes,
-            n_shards=args.shards,
-            shard_stats=shard_stats,
         )
         svc.persist(args.out)
         for view in views:

@@ -8,20 +8,22 @@ lock). This package is now the *only* scheduling layer:
 * :func:`build_plan` partitions a database into label-group
   :class:`Shard`\\ s sized to the batched verifier's cache geometry
   (``repro.runtime.plan``);
-* :class:`SerialExecutor` / :class:`ForkPoolExecutor` /
-  :class:`ShardedExecutor` run a plan with identical results and
-  different scheduling (``repro.runtime.executors``), fork workers
-  holding an explicit warm :class:`WorkerState`;
-* :func:`merge_views` / :func:`merge_view_sets` combine replica-level
-  partial views (``repro.runtime.merge``);
+* one executor per scheduling mechanism runs a plan with identical
+  results: :class:`SerialExecutor` in-process, :class:`ForkPoolExecutor`
+  over a fork pool whose workers hold an explicit warm
+  :class:`WorkerState` (``repro.runtime.executors``), and
+  ``repro.runtime.cluster``'s ``DistributedExecutor`` over HTTP;
+* :func:`assemble_views` is the one Psum tail of the shard loop: it
+  runs once per label group, in the parent, whichever executor ran
+  the shards;
 * :class:`BoundedWorkQueue` gives the serving layer admission control
   and backpressure (``repro.runtime.workqueue``).
 
-The deprecated ``repro.core.parallel`` and ``repro.core.distributed``
-wrappers have been removed after their deprecation cycle — build a
-plan and pick an executor instead (docs/runtime.md has the migration
-table). The architecture is documented in ``docs/runtime.md``; the
-exported surface is snapshotted by ``scripts/check_api_surface.py``.
+The removed entry points (``repro.core.parallel``,
+``repro.core.distributed``, the in-process sharding simulation and its
+merge helpers) are listed with their replacements in
+``docs/runtime.md``; the exported surface is snapshotted by
+``scripts/check_api_surface.py``.
 """
 
 from repro.runtime.deadline import Deadline
@@ -29,21 +31,17 @@ from repro.runtime.executors import (
     Executor,
     ForkPoolExecutor,
     SerialExecutor,
-    ShardedExecutor,
     WorkerState,
-    make_executor,
     run_plan,
     run_tasks,
 )
 from repro.runtime.faults import FAULT_KINDS, FaultPlan, FaultSpec
-from repro.runtime.merge import merge_view_sets, merge_views
 from repro.runtime.plan import (
     APPROX_METHOD,
     ExplainPlan,
     Shard,
     assemble_views,
     build_plan,
-    observed_shard_size,
     shard_size_for,
 )
 from repro.runtime.workqueue import (
@@ -60,20 +58,14 @@ __all__ = [
     "Shard",
     "build_plan",
     "shard_size_for",
-    "observed_shard_size",
     "assemble_views",
     # executors
     "Executor",
     "SerialExecutor",
     "ForkPoolExecutor",
-    "ShardedExecutor",
     "WorkerState",
-    "make_executor",
     "run_plan",
     "run_tasks",
-    # merge
-    "merge_views",
-    "merge_view_sets",
     # work queue
     "BoundedWorkQueue",
     "WorkItem",

@@ -1,16 +1,16 @@
 """``repro.runtime.cluster`` — sharded explanation over the wire.
 
-The multi-machine realization of the merge contract
-:class:`~repro.runtime.ShardedExecutor` proves on one box: a
+The executor for the third scheduling mechanism, remote workers: a
 :class:`ClusterCoordinator` dispatches a plan's label-group shards to
-registered :class:`ClusterWorker`\\ s over HTTP, collects partial view
-sets, and merges them through ``repro.runtime.merge`` — bit-identical
-to :class:`~repro.runtime.SerialExecutor`. Workers heartbeat; dead or
-silent workers get their in-flight shards re-dispatched to survivors;
-a versioned wire schema (``cluster.wire``) keeps every exchange
-strictly validated; and the coordinator serves a warm tier
-(``GET /cache``) so new workers boot with the fleet's match-plan and
-view-index state instead of recomputing it.
+registered :class:`ClusterWorker`\\ s over HTTP, collects each shard's
+explanation subgraphs, and runs the one Psum tail
+(:func:`~repro.runtime.assemble_views`) once per label group —
+bit-identical to :class:`~repro.runtime.SerialExecutor`. Workers
+heartbeat; dead or silent workers get their in-flight shards
+re-dispatched to survivors; a versioned wire schema (``cluster.wire``)
+keeps every exchange strictly validated; and the coordinator serves a
+warm tier (``GET /cache``) so new workers boot with the fleet's
+match-plan and view-index state instead of recomputing it.
 
 Topology, wire schema, and fault semantics: ``docs/distribution.md``.
 """

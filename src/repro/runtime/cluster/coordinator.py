@@ -11,11 +11,12 @@ cluster's authoritative worker registry:
 Jobs run through :meth:`ClusterCoordinator.run`: the plan's label-group
 shards become :data:`~repro.runtime.cluster.wire.MSG_DISPATCH`
 envelopes in a pending queue; one dispatcher thread per live worker
-drains it with synchronous ``POST /shard`` calls; partial view sets
-come back as ``result`` envelopes and merge through
-``repro.runtime.merge`` — the exact contract
-:class:`~repro.runtime.executors.ShardedExecutor` proves bit-identical
-to the serial reference.
+drains it with synchronous ``POST /shard`` calls; each shard's
+explanation subgraphs come back in a ``result`` envelope, and
+:func:`merge_results` unions them by label and runs the one Psum tail,
+:func:`~repro.runtime.plan.assemble_views`, once per label group —
+the same tail :class:`~repro.runtime.executors.SerialExecutor` runs,
+so the merged views are bit-identical to the serial reference.
 
 Fault model (tests/test_cluster_faults.py, docs/distribution.md):
 
@@ -51,8 +52,8 @@ completed shard.
 
 :class:`DistributedExecutor` adapts a coordinator to the
 :class:`~repro.runtime.executors.Executor` surface, with the same
-serial fallbacks as the fork pool (per-group coverage scope,
-native-view methods).
+serial fallback as the fork pool (plans that are not
+:attr:`~repro.runtime.plan.ExplainPlan.splittable`).
 """
 
 from __future__ import annotations
@@ -62,22 +63,20 @@ import time
 import uuid
 from collections import deque
 from http.server import ThreadingHTTPServer
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.config import SCOPE_PER_GROUP
 from repro.exceptions import (
     ClusterError,
     DeadlineExpiredError,
     TransportError,
     WireError,
 )
-from repro.graphs.view import ViewSet
+from repro.graphs.view import ExplanationSubgraph, ViewSet
 from repro.matching.plan_cache import PLAN_CACHE
 from repro.runtime.cluster import wire
 from repro.runtime.cluster.transport import RetryPolicy, post_json
-from repro.runtime.executors import Executor, SerialExecutor, _native_non_approx
-from repro.runtime.merge import merge_view_sets
-from repro.runtime.plan import ExplainPlan
+from repro.runtime.executors import Executor, SerialExecutor
+from repro.runtime.plan import ExplainPlan, assemble_views
 
 #: a worker missing heartbeats for this long is declared dead
 DEFAULT_HEARTBEAT_TIMEOUT = 10.0
@@ -322,10 +321,9 @@ class ClusterCoordinator:
         """Dispatch a plan's shards to the fleet; merge the partials.
 
         Bit-parity contract: each worker returns one partial
-        ``ViewSet`` per shard (that shard's subgraphs + its own Psum
-        tail); partials merge label-by-label in shard order through
-        :func:`~repro.runtime.merge.merge_view_sets`, whose union +
-        re-summarize is proven identical to the serial schedule.
+        ``ViewSet`` per shard (that shard's subgraphs);
+        :func:`merge_results` unions them by label and runs the Psum
+        tail once per label group, exactly as the serial schedule does.
 
         ``journal`` (a :class:`~repro.runtime.cluster.journal.ShardJournal`)
         makes the run durable: its replayed shards pre-seed the job
@@ -605,9 +603,10 @@ class _Job:
                         f"{unfinished} shard(s) unfinished "
                         f"(re-dispatched {self.redispatched})"
                     )
-        parts = [self.results[sid].views for sid in sorted(self.results)]
         calls = sum(self.results[sid].inference_calls for sid in self.results)
-        merged = merge_view_sets(parts, plan.config, labels=plan.labels)
+        merged = merge_results(
+            [self.results[sid] for sid in sorted(self.results)], plan
+        )
         return merged, {
             "inference_calls": calls,
             "redispatched": self.redispatched,
@@ -617,13 +616,31 @@ class _Job:
         }
 
 
+def merge_results(
+    results: Iterable[wire.ResultMessage], plan: ExplainPlan
+) -> ViewSet:
+    """Union every result's subgraphs by label; one Psum per label.
+
+    Only the subgraphs are read: patterns a partial view may carry
+    (results journaled by workers that summarized their own shard) are
+    ignored, because Psum must see the whole label group.
+    :func:`~repro.runtime.plan.assemble_views` orders each group by
+    graph index, as the serial shard loop does.
+    """
+    subgraphs: Dict[Any, List[ExplanationSubgraph]] = {l: [] for l in plan.labels}
+    for msg in results:
+        for view in msg.views:
+            subgraphs.setdefault(view.label, []).extend(view.subgraphs)
+    return assemble_views(subgraphs, plan.config, plan.labels)
+
+
 class DistributedExecutor(Executor):
     """The cluster behind the standard ``Executor`` surface.
 
-    Same fallbacks as the fork pool: per-*group* coverage scope and
-    native-view methods can't be shard-decomposed without changing
-    semantics, so those plans run through :class:`SerialExecutor`
-    in-process. Everything else ships over the wire.
+    Same fallback as the fork pool: a plan that is not
+    :attr:`~repro.runtime.plan.ExplainPlan.splittable` runs through
+    :class:`SerialExecutor` in-process. Everything else ships over the
+    wire.
     """
 
     name = "distributed"
@@ -632,9 +649,7 @@ class DistributedExecutor(Executor):
         self.coordinator = coordinator
 
     def run(self, plan: ExplainPlan) -> Tuple[ViewSet, Dict[str, int]]:
-        if plan.config.coverage_scope == SCOPE_PER_GROUP:
-            return SerialExecutor().run(plan)
-        if _native_non_approx(plan):
+        if not plan.splittable:
             return SerialExecutor().run(plan)
         return self.coordinator.run(plan)
 
@@ -643,6 +658,7 @@ __all__ = [
     "ClusterCoordinator",
     "DistributedExecutor",
     "WorkerRecord",
+    "merge_results",
     "DEFAULT_HEARTBEAT_TIMEOUT",
     "DEFAULT_REQUEST_TIMEOUT",
     "DEFAULT_BREAKER_THRESHOLD",

@@ -26,10 +26,11 @@ and then:
 
 Shard execution reuses the scheduling layer verbatim: a dispatch
 envelope reconstructs a :class:`~repro.runtime.plan.Shard`, a warm
-:class:`~repro.runtime.executors.WorkerState` runs it, and the shard's
-subgraphs get their own Psum tail via
-:func:`~repro.runtime.plan.assemble_views` — producing exactly the
-partial ``ViewSet`` the merge contract expects.
+:class:`~repro.runtime.executors.WorkerState` runs it, and
+:func:`shard_views` packs the shard's subgraphs into a partial
+``ViewSet`` without patterns. Psum needs the whole label group, so it
+runs once, in the coordinator's merge
+(:func:`~repro.runtime.cluster.coordinator.merge_results`).
 """
 
 from __future__ import annotations
@@ -37,12 +38,13 @@ from __future__ import annotations
 import threading
 import uuid
 from http.server import ThreadingHTTPServer
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Sequence
 
 from repro.config import GvexConfig
 from repro.exceptions import DeadlineExpiredError, TransportError
 from repro.gnn.model import GnnClassifier
 from repro.graphs.database import GraphDatabase
+from repro.graphs.view import ExplanationView, ViewSet
 from repro.matching.plan_cache import PLAN_CACHE
 from repro.runtime.cluster import wire
 from repro.runtime.cluster.transport import (
@@ -50,8 +52,8 @@ from repro.runtime.cluster.transport import (
     get_json,
     post_json,
 )
-from repro.runtime.executors import WorkerState
-from repro.runtime.plan import Shard, assemble_views
+from repro.runtime.executors import TaskResult, WorkerState
+from repro.runtime.plan import Shard
 
 #: default seconds between heartbeats (coordinator timeout should be
 #: a comfortable multiple of this)
@@ -255,7 +257,7 @@ class ClusterWorker:
             return state
 
     def run_dispatch(self, msg: wire.DispatchMessage) -> Dict[str, Any]:
-        """One shard: run it warm, Psum its group, return the envelope.
+        """One shard: run it warm, return its subgraphs in an envelope.
 
         A dispatch whose ``deadline_seconds`` budget is already spent
         is *refused* (typed 504, never executed) — occupying the
@@ -272,17 +274,13 @@ class ClusterWorker:
             calls_before = state.inference_calls
             results = state.run_shard(Shard(msg.label, msg.indices))
             calls = state.inference_calls - calls_before
-        subgraphs = [sub for _, _, sub, _ in results if sub is not None]
-        views = assemble_views(
-            {msg.label: subgraphs}, msg.config, [msg.label]
-        )
         with self._lock:
             self.shards_run += 1
         return wire.encode_result(
             job_id=msg.job_id,
             shard_id=msg.shard_id,
             worker_id=self.worker_id,
-            views=views,
+            views=shard_views(msg.label, results),
             inference_calls=calls,
         )
 
@@ -297,6 +295,18 @@ class ClusterWorker:
         }
 
 
+def shard_views(label: int, results: Sequence[TaskResult]) -> ViewSet:
+    """A shard's partial view set: its subgraphs, no patterns."""
+    views = ViewSet()
+    views.add(
+        ExplanationView(
+            label=label,
+            subgraphs=[sub for _, _, sub, _ in results if sub is not None],
+        )
+    )
+    return views
+
+
 def _config_key(config: GvexConfig) -> str:
     """A hashable identity for a config (wire configs are canonical)."""
     import json
@@ -308,4 +318,5 @@ __all__ = [
     "ClusterWorker",
     "DEFAULT_HEARTBEAT_INTERVAL",
     "DEFAULT_MAX_MISSED",
+    "shard_views",
 ]

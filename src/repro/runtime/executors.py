@@ -2,8 +2,8 @@
 
 Every entry point — :class:`~repro.api.service.ExplanationService`,
 ``repro.cli explain``, the bench harness, ``repro.cli serve`` — builds
-an :class:`~repro.runtime.plan.ExplainPlan` and hands it to one of
-three executors:
+an :class:`~repro.runtime.plan.ExplainPlan` and hands it to the
+executor of one scheduling mechanism:
 
 * :class:`SerialExecutor` — runs the plan's shards in-process, in
   order. The reference for the parity contract.
@@ -11,20 +11,19 @@ three executors:
   explicit :class:`WorkerState` (model, config, database, built
   explainer) initialized once, and drains whole shards as in-process
   loops, so the state — including the batched verifier's stacked
-  scratch — stays warm across a shard's tasks. One pickled shard per
-  task replaces the old one-pickled-graph-index-per-task protocol of
-  ``repro.core.parallel``.
-* :class:`ShardedExecutor` — the distributed simulation (absorbing
-  ``repro.core.distributed``): the database is round-robin partitioned
-  into replica shards, each replica runs its own restricted plan
-  through an inner executor, and the partial view sets merge through
-  ``repro.runtime.merge`` (union of subgraphs + parent-side Psum
-  re-summarization), exactly the contract a multi-machine deployment
-  would ship over the wire.
+  scratch — stays warm across a shard's tasks.
+* :class:`~repro.runtime.cluster.DistributedExecutor` — ships the
+  shards to remote workers over HTTP (``repro.runtime.cluster``).
 
-All three produce **bit-identical** view sets for deterministic
-methods (``tests/test_runtime.py`` asserts this across the dataset
-zoo); they differ only in scheduling.
+Each explains shards with a warm :class:`WorkerState` and hands the
+subgraphs to the one Psum tail,
+:func:`~repro.runtime.plan.assemble_views`, once per label group, in
+the parent. A plan that is not
+:attr:`~repro.runtime.plan.ExplainPlan.splittable` runs whole through
+:class:`SerialExecutor` under every executor. All three produce
+**bit-identical** view sets for deterministic methods
+(``tests/test_runtime.py`` asserts this across the dataset zoo); they
+differ only in scheduling.
 """
 
 from __future__ import annotations
@@ -35,19 +34,13 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.config import SCOPE_PER_GROUP, GvexConfig
-from repro.exceptions import ValidationError, WorkerCrashError
+from repro.config import GvexConfig
+from repro.exceptions import WorkerCrashError
 from repro.core.approx import ApproxGvex, database_predictions, explain_graph
 from repro.gnn.model import GnnClassifier
 from repro.graphs.database import GraphDatabase
 from repro.graphs.view import ExplanationSubgraph, ViewSet
-from repro.runtime.plan import (
-    APPROX_METHOD,
-    ExplainPlan,
-    Shard,
-    assemble_views,
-    build_plan,
-)
+from repro.runtime.plan import APPROX_METHOD, ExplainPlan, Shard, assemble_views
 
 #: (graph index, label, explanation or None, inference calls)
 TaskResult = Tuple[int, int, Optional[ExplanationSubgraph], int]
@@ -141,16 +134,20 @@ class WorkerState:
         return out
 
 
-def _collect(
-    results: Sequence[TaskResult], labels: Sequence[int]
-) -> Tuple[Dict[int, List[ExplanationSubgraph]], int]:
-    subgraphs: Dict[int, List[ExplanationSubgraph]] = {l: [] for l in labels}
+def _assemble(
+    plan: ExplainPlan, results: Sequence[TaskResult]
+) -> Tuple[ViewSet, Dict[str, int]]:
+    """The parent-side tail: group results by label, one Psum per label."""
+    subgraphs: Dict[int, List[ExplanationSubgraph]] = {l: [] for l in plan.labels}
     calls = 0
     for _, label, subgraph, task_calls in results:
         calls += task_calls
         if subgraph is not None:
             subgraphs[label].append(subgraph)
-    return subgraphs, calls
+    return (
+        assemble_views(subgraphs, plan.config, plan.labels),
+        {"inference_calls": calls},
+    )
 
 
 def _require_budget(plan: ExplainPlan, what: str) -> None:
@@ -168,21 +165,12 @@ def _plan_predicted(plan: ExplainPlan) -> List[Optional[int]]:
     return predicted
 
 
-def _native_non_approx(plan: ExplainPlan) -> bool:
-    """Whether the plan's method owns its own whole-group pipeline.
-
-    StreamGVEX (and any future ``native_views`` registration other
-    than the core kernel) cannot be task-decomposed without changing
-    its pattern-tier semantics; the fork-pool and sharded executors
-    route such plans to the serial path instead of silently producing
-    different views (fork) or duplicating full runs per replica
-    (sharded).
-    """
-    if plan.method == APPROX_METHOD:
+def _can_fork() -> bool:
+    try:
+        mp.get_context("fork")
+    except ValueError:  # pragma: no cover - non-fork platforms
         return False
-    from repro.api.registry import get_spec
-
-    return get_spec(plan.method).native_views
+    return True
 
 
 class Executor:
@@ -197,56 +185,36 @@ class Executor:
 class SerialExecutor(Executor):
     """In-process execution, shard after shard — the parity reference.
 
-    Two cases route around the shard loop to preserve semantics the
-    task decomposition cannot express: the per-*group* coverage scope
-    (its node budget threads sequentially through a label group) and
-    native-view methods other than the core kernel (StreamGVEX's
-    Algorithm 3 owns its own pattern pipeline). Both delegate to the
-    method's own ``explain``/``explain_views``, exactly like the old
-    serial fallback. Note that ``explain_views`` re-derives its label
-    groups from model predictions, so a plan restricted via
-    ``predicted`` is honored only by the shard-decomposable paths —
-    the fork-pool and sharded executors therefore never decompose
-    native-view methods (see :func:`_native_non_approx`).
+    A plan that is not :attr:`~repro.runtime.plan.ExplainPlan.splittable`
+    runs whole through the method's own ``explain``/``explain_views``.
+    Note that ``explain_views`` re-derives its label groups from model
+    predictions, so a plan restricted via ``predicted`` is honored only
+    by the shard loop.
     """
 
     name = "serial"
 
     def run(self, plan: ExplainPlan) -> Tuple[ViewSet, Dict[str, int]]:
         _require_budget(plan, "serial execution")
-        if plan.method == APPROX_METHOD:
-            if plan.config.coverage_scope == SCOPE_PER_GROUP:
-                algo = ApproxGvex(plan.model, plan.config, labels=plan.labels)
-                views = algo.explain(plan.db, predicted=_plan_predicted(plan))
-                return views, {"inference_calls": algo.total_inference_calls}
-            state = WorkerState.from_plan(plan)
-            results: List[TaskResult] = []
-            for shard in plan.shards:
-                _require_budget(plan, "the next shard")
-                results.extend(state.run_shard(shard))
-            subgraphs, calls = _collect(results, plan.labels)
-            return (
-                assemble_views(subgraphs, plan.config, plan.labels),
-                {"inference_calls": calls},
-            )
-
-        from repro.api.registry import get_spec
-
+        if not plan.splittable:
+            return self._run_whole(plan)
         state = WorkerState.from_plan(plan)
-        if get_spec(plan.method).native_views:
-            views = state.explainer.explain_views(
-                plan.db, labels=plan.labels, config=plan.config
-            )
-            return views, {"inference_calls": 0}
-        results = []
+        results: List[TaskResult] = []
         for shard in plan.shards:
             _require_budget(plan, "the next shard")
             results.extend(state.run_shard(shard))
-        subgraphs, _ = _collect(results, plan.labels)
-        return (
-            assemble_views(subgraphs, plan.config, plan.labels),
-            {"inference_calls": 0},
+        return _assemble(plan, results)
+
+    @staticmethod
+    def _run_whole(plan: ExplainPlan) -> Tuple[ViewSet, Dict[str, int]]:
+        if plan.method == APPROX_METHOD:
+            algo = ApproxGvex(plan.model, plan.config, labels=plan.labels)
+            views = algo.explain(plan.db, predicted=_plan_predicted(plan))
+            return views, {"inference_calls": algo.total_inference_calls}
+        views = WorkerState.from_plan(plan).explainer.explain_views(
+            plan.db, labels=plan.labels, config=plan.config
         )
+        return views, {"inference_calls": 0}
 
 
 # ----------------------------------------------------------------------
@@ -290,9 +258,15 @@ def _fork_map(plan: ExplainPlan, processes: int) -> List[TaskResult]:
     mid-shard (OOM-killed, ``SIGKILL``, segfault), the executor raises
     ``BrokenProcessPool`` promptly instead of hanging ``pool.map``
     forever — the serve path turns that into a clean 5xx with its queue
-    slot reclaimed. Task exceptions re-raise unchanged, and ``map``
-    preserves shard order, so results stay bit-identical to the serial
+    slot reclaimed. Task exceptions re-raise unchanged, and results are
+    consumed in shard order, so they stay bit-identical to the serial
     schedule.
+
+    The parent re-checks the plan's deadline between shard results.
+    On expiry (or any error) it cancels the queued shards *before*
+    leaving the pool, whose shutdown would otherwise wait for every
+    one of them, then raises; shards already running finish and are
+    discarded.
     """
     ctx = mp.get_context("fork")
     results: List[TaskResult] = []
@@ -310,8 +284,15 @@ def _fork_map(plan: ExplainPlan, processes: int) -> List[TaskResult]:
                 dict(plan.explainer_kwargs),
             ),
         ) as pool:
-            for shard_results in pool.map(_run_shard, plan.shards):
-                results.extend(shard_results)
+            futures = [pool.submit(_run_shard, shard) for shard in plan.shards]
+            try:
+                for future in futures:
+                    _require_budget(plan, "the next shard")
+                    results.extend(future.result())
+            except BaseException:
+                for future in futures:
+                    future.cancel()
+                raise
     except BrokenProcessPool as exc:
         raise WorkerCrashError(
             "a fork-pool worker died mid-shard (killed or crashed); "
@@ -323,10 +304,11 @@ def _fork_map(plan: ExplainPlan, processes: int) -> List[TaskResult]:
 class ForkPoolExecutor(Executor):
     """Fork a pool; each worker drains whole shards with warm state.
 
-    Falls back to :class:`SerialExecutor` when ``processes <= 1`` or
-    the platform cannot fork. Only the explanation phase is
-    distributed; the Psum summarize tail runs in the parent (it needs
-    the whole label group's subgraphs).
+    Falls back to :class:`SerialExecutor` when ``processes <= 1``, when
+    the plan is not :attr:`~repro.runtime.plan.ExplainPlan.splittable`,
+    or when the platform cannot fork. Only the explanation phase is
+    distributed; the Psum tail runs in the parent (it needs the whole
+    label group's subgraphs).
     """
 
     name = "fork-pool"
@@ -335,89 +317,10 @@ class ForkPoolExecutor(Executor):
         self.processes = processes
 
     def run(self, plan: ExplainPlan) -> Tuple[ViewSet, Dict[str, int]]:
-        if self.processes <= 1:
+        if self.processes <= 1 or not plan.splittable or not _can_fork():
             return SerialExecutor().run(plan)
-        if plan.method == APPROX_METHOD and (
-            plan.config.coverage_scope == SCOPE_PER_GROUP
-        ):
-            return SerialExecutor().run(plan)
-        if _native_non_approx(plan):
-            # distributing per-graph explain_graph would change the
-            # method's own pattern pipeline: keep the serial semantics
-            return SerialExecutor().run(plan)
-        try:
-            mp.get_context("fork")
-        except ValueError:  # pragma: no cover - non-fork platforms
-            return SerialExecutor().run(plan)
-
         _require_budget(plan, "forking the worker pool")
-        results = _fork_map(plan, self.processes)
-        subgraphs, calls = _collect(results, plan.labels)
-        return (
-            assemble_views(subgraphs, plan.config, plan.labels),
-            {"inference_calls": calls},
-        )
-
-
-class ShardedExecutor(Executor):
-    """Replica sharding: partition the database, explain, merge.
-
-    Each replica gets every ``n_shards``-th graph (global indices are
-    preserved), runs its own restricted plan through ``inner`` — any
-    executor — and produces a *partial* view set with its own Psum
-    tier. Partials merge by unioning subgraphs and re-summarizing over
-    the union (``repro.runtime.merge``), so node coverage is preserved
-    and the pattern tier stays near-optimal. The wire-level deployment
-    of this contract — replicas on different machines shipping partial
-    views to a coordinator over HTTP, with heartbeats and shard
-    re-dispatch — is :mod:`repro.runtime.cluster`
-    (:class:`~repro.runtime.cluster.DistributedExecutor`); this class
-    remains the single-process simulation the cluster's bit-parity
-    tests compare against.
-    """
-
-    name = "sharded"
-
-    def __init__(self, n_shards: int = 2, inner: Optional[Executor] = None):
-        if n_shards < 1:
-            raise ValidationError(f"n_shards must be >= 1, got {n_shards}")
-        self.n_shards = n_shards
-        self.inner = inner if inner is not None else SerialExecutor()
-
-    def run(self, plan: ExplainPlan) -> Tuple[ViewSet, Dict[str, int]]:
-        from repro.runtime.merge import merge_view_sets
-
-        if _native_non_approx(plan):
-            # each replica would re-run the whole-group pipeline over
-            # the full database (explain_views re-derives its groups)
-            # and the merge would only deduplicate identical results:
-            # run it once instead
-            return self.inner.run(plan)
-        predicted = _plan_predicted(plan)
-        parts: List[ViewSet] = []
-        calls = 0
-        for replica in range(self.n_shards):
-            _require_budget(plan, f"replica {replica}")
-            replica_predicted: List[Optional[int]] = [
-                p if i % self.n_shards == replica else None
-                for i, p in enumerate(predicted)
-            ]
-            replica_plan = build_plan(
-                plan.db,
-                plan.model,
-                plan.config,
-                labels=plan.labels,
-                predicted=replica_predicted,
-                method=plan.method,
-                seed=plan.seed,
-                explainer_kwargs=plan.explainer_kwargs,
-                deadline=plan.deadline,
-            )
-            views, stats = self.inner.run(replica_plan)
-            calls += stats.get("inference_calls", 0)
-            parts.append(views)
-        merged = merge_view_sets(parts, plan.config, labels=plan.labels)
-        return merged, {"inference_calls": calls}
+        return _assemble(plan, _fork_map(plan, self.processes))
 
 
 def run_tasks(plan: ExplainPlan, processes: int = 1) -> List[TaskResult]:
@@ -427,43 +330,21 @@ def run_tasks(plan: ExplainPlan, processes: int = 1) -> List[TaskResult]:
     same scheduling layer as full view generation: warm
     :class:`WorkerState`, shard-at-a-time dispatch, optional fork pool.
     """
-    if processes > 1:
-        try:
-            mp.get_context("fork")
-        except ValueError:  # pragma: no cover - non-fork platforms
-            pass
-        else:
-            return _fork_map(plan, processes)
+    if processes > 1 and _can_fork():
+        return _fork_map(plan, processes)
     state = WorkerState.from_plan(plan)
     return [r for shard in plan.shards for r in state.run_shard(shard)]
-
-
-def make_executor(
-    processes: int = 1, n_shards: int = 1
-) -> Executor:
-    """The executor for a (processes, n_shards) request.
-
-    ``n_shards > 1`` wraps the pool/serial choice in a
-    :class:`ShardedExecutor`; ``processes > 1`` selects the fork pool.
-    """
-    if n_shards < 1:
-        raise ValidationError(f"n_shards must be >= 1, got {n_shards}")
-    inner: Executor
-    inner = ForkPoolExecutor(processes) if processes > 1 else SerialExecutor()
-    if n_shards > 1:
-        return ShardedExecutor(n_shards, inner=inner)
-    return inner
 
 
 def run_plan(
     plan: ExplainPlan,
     *,
     processes: int = 1,
-    n_shards: int = 1,
     return_stats: bool = False,
 ):
-    """One-call execution: pick an executor, run, unwrap."""
-    views, stats = make_executor(processes, n_shards).run(plan)
+    """One-call execution: serial, or a fork pool when ``processes > 1``."""
+    executor = ForkPoolExecutor(processes) if processes > 1 else SerialExecutor()
+    views, stats = executor.run(plan)
     if return_stats:
         return views, stats
     return views
@@ -475,8 +356,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ForkPoolExecutor",
-    "ShardedExecutor",
-    "make_executor",
     "run_plan",
     "run_tasks",
 ]

@@ -19,6 +19,11 @@ of a fork pool gets at least one shard. A worker then runs its shard
 as one in-process loop: the model weights, config, built explainer,
 and the verifier's stacked scratch stay warm across the shard's tasks
 instead of being re-pickled per task.
+
+:func:`assemble_views` is the one Psum tail of the shard loop: every
+executor, the fork pool and the cluster coordinator included, gathers
+a label group's explanation subgraphs in the parent and summarizes
+them into patterns exactly once per label.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.config import GvexConfig
+from repro.config import SCOPE_PER_GROUP, GvexConfig
 from repro.core.psum import summarize
 from repro.exceptions import ConfigurationError, RegistryError
 from repro.runtime.deadline import Deadline
@@ -85,36 +90,22 @@ class ExplainPlan:
     def group_indices(self, label: int) -> List[int]:
         return [i for s in self.shards_for(label) for i in s.indices]
 
+    @property
+    def splittable(self) -> bool:
+        """Whether the plan's shards may run apart (forked or remote).
 
-def observed_shard_size(stats: Mapping) -> Optional[int]:
-    """Best-throughput shard size from observed wall-clock stats.
+        Two kinds of plan must run whole, in-process: the core kernel
+        under the per-*group* coverage scope (its node budget threads
+        sequentially through a label group) and native-view methods
+        other than the core kernel (StreamGVEX's Algorithm 3 owns its
+        pattern pipeline). Every executor sends them to
+        :class:`~repro.runtime.executors.SerialExecutor`.
+        """
+        if self.method == APPROX_METHOD:
+            return self.config.coverage_scope != SCOPE_PER_GROUP
+        from repro.api.registry import get_spec
 
-    ``stats`` is the (parsed) ``results/runtime_scaling.json`` format:
-    its ``"shard_size"`` sweep lists per-configuration wall-clock
-    entries ``{"shard_size", "shards", "seconds", "views_per_sec"}``.
-    Returns the integer shard size with the highest observed
-    views/sec (ties break toward the smaller size — cheaper to
-    rebalance), or ``None`` when the stats carry no usable sweep
-    (missing key, only ``"auto"`` entries, zero-duration runs).
-    """
-    best: Optional[Tuple[float, int]] = None
-    for entry in stats.get("shard_size", []) or []:
-        size = entry.get("shard_size")
-        if not isinstance(size, int) or size < 1:
-            continue  # "auto" rows describe this heuristic, not a size
-        vps = entry.get("views_per_sec")
-        if vps is None:
-            seconds = entry.get("seconds") or 0
-            tasks = entry.get("tasks")
-            if not seconds or not tasks:
-                continue
-            vps = tasks / seconds
-        if vps <= 0:
-            continue
-        key = (float(vps), -size)
-        if best is None or key > best:
-            best = key
-    return -best[1] if best is not None else None
+        return not get_spec(self.method).native_views
 
 
 def shard_size_for(
@@ -123,7 +114,6 @@ def shard_size_for(
     config: GvexConfig,
     label: int,
     processes: int = 1,
-    stats: Optional[Mapping] = None,
 ) -> int:
     """Shard size for one label group, sized to verifier cache geometry.
 
@@ -140,14 +130,8 @@ def shard_size_for(
       (``ceil(group / processes)``), so a fork pool is never idle while
       another worker drains a mega-shard.
 
-    ``stats`` feeds back *observed* per-shard wall-clock (the
-    ``results/runtime_scaling.json`` format, CLI ``--shard-stats``):
-    the measured best-throughput shard size replaces the cache-budget
-    guess, rescaled per label group by how much heavier the group's
-    graphs are than the database average (the same ``n² · u_l`` cost
-    proxy), so skewed label groups get proportionally smaller shards
-    and their per-shard wall-clock evens out. The balance bound always
-    still applies.
+    Shard size never changes the views (the parity contract), only how
+    work is batched and balanced.
     """
     from repro.core.verifiers import BatchedGnnVerifier
 
@@ -159,21 +143,6 @@ def shard_size_for(
     by_budget = max(1, BatchedGnnVerifier.BATCH_ELEMENT_BUDGET // per_graph)
     balanced = math.ceil(len(indices) / max(1, processes))
 
-    observed = observed_shard_size(stats) if stats else None
-    if observed is not None:
-        # the observed optimum was measured over the whole database;
-        # rebalance skewed groups by relative mean per-graph cost so
-        # heavy groups cut smaller shards (similar per-shard wall-clock)
-        db_widths = [g.n_nodes for g in db if g.n_nodes]
-        group_widths = [db[i].n_nodes for i in indices if db[i].n_nodes]
-        if db_widths and group_widths:
-            db_cost = sum(w * w for w in db_widths) / len(db_widths)
-            group_cost = sum(w * w for w in group_widths) / len(group_widths)
-            skew = db_cost / max(group_cost, 1.0)
-        else:
-            skew = 1.0
-        adjusted = max(1, int(round(observed * min(skew, float(len(indices))))))
-        return max(1, min(adjusted, balanced))
     return max(1, min(by_budget, balanced))
 
 
@@ -189,17 +158,14 @@ def build_plan(
     explainer_kwargs: Optional[Mapping] = None,
     processes: int = 1,
     shard_size: Optional[int] = None,
-    shard_stats: Optional[Mapping] = None,
     deadline: Optional[Deadline] = None,
 ) -> ExplainPlan:
     """Partition a database into label-group shards.
 
-    ``predicted`` may carry ``None`` entries to exclude graphs (the
-    sharded executor and restricted bench sweeps use this); by default
-    the model's predictions group the database. ``shard_size``
-    overrides :func:`shard_size_for` uniformly; ``shard_stats`` feeds
-    observed wall-clock back into it (adaptive sizing; see
-    :func:`observed_shard_size`). ``method`` is resolved through the
+    ``predicted`` may carry ``None`` entries to exclude graphs
+    (restricted bench sweeps use this); by default the model's
+    predictions group the database. ``shard_size`` overrides
+    :func:`shard_size_for` uniformly. ``method`` is resolved through the
     explainer registry, so aliases work everywhere plans are built.
     ``deadline`` attaches a monotonic budget that every executor (and
     the cluster dispatch path) re-checks between shards.
@@ -233,9 +199,7 @@ def build_plan(
             continue
         size = shard_size
         if size is None:
-            size = shard_size_for(
-                db, members, config, label, processes=processes, stats=shard_stats
-            )
+            size = shard_size_for(db, members, config, label, processes=processes)
         if size < 1:
             raise ConfigurationError(f"shard_size must be >= 1, got {size}")
         for start in range(0, len(members), size):
@@ -285,6 +249,5 @@ __all__ = [
     "ExplainPlan",
     "build_plan",
     "shard_size_for",
-    "observed_shard_size",
     "assemble_views",
 ]

@@ -187,6 +187,12 @@ class TestRoutes:
             "method": "gvex-approx", "labels": [1], "config": config,
         })
         assert [v["label"] for v in summary["views"]] == [1]
+        # the retired n_shards field is ignored: same answer as without
+        plain = {"method": "gvex-approx", "labels": [1]}
+        _, want = _post(base, "/explain", plain)
+        status, got = _post(base, "/explain", dict(plain, n_shards=2))
+        assert status == 200
+        assert got == want
         _post(base, "/explain", {"method": "gvex-approx"})
 
     def test_query_without_views_is_client_error(

@@ -32,6 +32,7 @@ from repro.explainers.base import Explainer, ExplainerCapabilities
 from repro.graphs.pattern import Pattern
 
 from tests.conftest import C, N
+from tests.test_golden_views import view_set_fingerprint
 
 
 class TestRegistry:
@@ -206,6 +207,14 @@ class TestServiceParallel:
             assert sorted(p.key() for p in a.patterns) == sorted(
                 p.key() for p in b.patterns
             )
+        # the retired scheduling parameters are accepted and ignored
+        # (deleting them would turn them into RegistryError overrides)
+        retired = svc.explain(
+            "gvex-approx",
+            n_shards=3,
+            shard_stats={"shard_size": [{"shard_size": 1, "views_per_sec": 80.0}]},
+        )
+        assert view_set_fingerprint(retired) == view_set_fingerprint(serial)
 
     def test_parallel_forwards_constructor_overrides(
         self, trained_model, mutagen_db

@@ -126,32 +126,24 @@ class TestPipeline:
         self, artifacts, tmp_path, capsys
     ):
         """The seed matcher (substituted through ``reference_matcher``)
-        plus --shard-stats produce the same views as the default run,
-        and a missing stats file is a clean error."""
+        produces the same views as the default run, and the retired
+        --shards / --shard-stats flags are rejected."""
         import json
 
         from repro.reference import reference_matcher
 
         model_path, views_path = artifacts
-        stats_path = tmp_path / "stats.json"
-        stats_path.write_text(
-            json.dumps(
-                {"shard_size": [{"shard_size": 2, "views_per_sec": 90.0}]}
-            )
-        )
         out = tmp_path / "ref_views.json"
+        args = [
+            "explain",
+            "--dataset", "pcqm4m",
+            "--scale", "test",
+            "--model", str(model_path),
+            "--upper", "5",
+            "--out", str(out),
+        ]
         with reference_matcher():
-            code = main(
-                [
-                    "explain",
-                    "--dataset", "pcqm4m",
-                    "--scale", "test",
-                    "--model", str(model_path),
-                    "--shard-stats", str(stats_path),
-                    "--upper", "5",
-                    "--out", str(out),
-                ]
-            )
+            code = main(args)
         assert code == 0
         reference = load_views(out)
         default = load_views(views_path)
@@ -163,18 +155,18 @@ class TestPipeline:
             assert [p.key() for p in reference[label].patterns] == [
                 p.key() for p in default[label].patterns
             ]
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "explain",
-                    "--dataset", "pcqm4m",
-                    "--scale", "test",
-                    "--model", str(model_path),
-                    "--shard-stats", str(tmp_path / "missing.json"),
-                    "--upper", "5",
-                    "--out", str(out),
-                ]
+        stats_path = tmp_path / "stats.json"
+        stats_path.write_text(
+            json.dumps(
+                {"shard_size": [{"shard_size": 2, "views_per_sec": 90.0}]}
             )
+        )
+        capsys.readouterr()
+        for flag, value in (("--shards", "2"), ("--shard-stats", str(stats_path))):
+            with pytest.raises(SystemExit) as exit_:
+                main(args + [flag, value])
+            assert exit_.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, value",

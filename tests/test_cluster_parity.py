@@ -7,8 +7,12 @@ Three layers, increasingly physical:
   pushed through an actual ``result`` envelope (encode -> canonical
   bytes -> decode) before merging, including duplicated results from a
   simulated re-dispatch; the merge must equal ``SerialExecutor``'s
-  views bit for bit. No sockets, so this runs in the default lane and
-  covers the whole zoo.
+  views bit for bit. The partials here carry their own Psum patterns,
+  the shape workers sent (and journals recorded) before Psum moved
+  wholly into the coordinator, so old envelopes keep merging to the
+  serial views. No sockets, so this runs in the default lane.
+* **Psum once** — serial, fork-pool and live-cluster runs of one plan
+  each summarize every label group exactly once, in the parent.
 * **live localhost cluster** — a real coordinator + two real workers
   over HTTP on >= 2 zoo datasets (ISSUE acceptance), plus warm-tier
   plumbing assertions. Marked ``slow`` (CI's bench lane).
@@ -32,13 +36,14 @@ from repro.exceptions import MatchingError, QueryError
 from repro.graphs.io import viewset_from_dict, viewset_to_dict
 from repro.matching.plan_cache import PLAN_CACHE
 from repro.query.index import ViewIndex
-from repro.runtime import SerialExecutor, WorkerState, build_plan
+from repro.runtime import ForkPoolExecutor, SerialExecutor, WorkerState, build_plan
 from repro.runtime.cluster import (
     ClusterCoordinator,
     ClusterWorker,
     DistributedExecutor,
     wire,
 )
+from repro.runtime.cluster.coordinator import merge_results
 from repro.runtime.plan import Shard, assemble_views
 from tests.test_golden_views import view_set_fingerprint
 from tests.test_runtime import limited_predicted, zoo_model
@@ -47,7 +52,8 @@ AUTH = "cluster-secret"
 
 
 def shard_result_envelope(state: WorkerState, shard, shard_id, job_id="job-p"):
-    """What a worker would answer for one shard, as wire bytes."""
+    """A result envelope for one shard, as wire bytes, in the older
+    shape whose partial view carries the shard's own Psum patterns."""
     before = state.inference_calls
     results = state.run_shard(shard)
     views = assemble_views(
@@ -73,8 +79,6 @@ def shard_result_envelope(state: WorkerState, shard, shard_id, job_id="job-p"):
 @given(data=st.data())
 def test_wire_merge_matches_serial(data):
     """Random re-sharding + wire round-trip + re-dispatch == serial."""
-    from repro.runtime.merge import merge_view_sets
-
     dataset = data.draw(
         st.sampled_from(["ba_synthetic", "pcqm4m", "enzymes"]), label="dataset"
     )
@@ -128,11 +132,86 @@ def test_wire_merge_matches_serial(data):
         msg = wire.decode_result(envelope)
         results.setdefault(msg.shard_id, msg)
 
-    parts = [results[sid].views for sid in sorted(results)]
-    merged = merge_view_sets(parts, plan.config, labels=plan.labels)
+    merged = merge_results([results[sid] for sid in sorted(results)], plan)
     assert view_set_fingerprint(merged) == view_set_fingerprint(serial)
     calls = sum(m.inference_calls for m in results.values())
     assert calls == serial_stats["inference_calls"]
+
+
+def test_merge_results_unions_partials(trained_model, mutagen_db, small_config):
+    """Partials split anyhow, across labels, merge to the serial views,
+    and the patterns summarized over the union cover every node."""
+    from repro.graphs.view import ExplanationView, ViewSet
+    from repro.matching.coverage import CoverageIndex
+
+    plan = build_plan(mutagen_db, trained_model, small_config)
+    serial, _ = SerialExecutor().run(plan)
+    assert len(plan.labels) == 2
+    # one result per (label, half): label order and halves interleaved
+    parts = []
+    for label in reversed(plan.labels):
+        subs = serial[label].subgraphs
+        for chunk in (subs[len(subs) // 2 :], subs[: len(subs) // 2]):
+            views = ViewSet()
+            views.add(ExplanationView(label=label, subgraphs=list(chunk)))
+            parts.append(
+                wire.decode_result(
+                    wire.encode_result("job-u", len(parts), "w0", views)
+                )
+            )
+    merged = merge_results(parts, plan)
+    assert view_set_fingerprint(merged) == view_set_fingerprint(serial)
+    for view in merged:
+        index = CoverageIndex([s.subgraph for s in view.subgraphs])
+        assert index.covers_all_nodes(view.patterns)
+
+
+def test_psum_runs_once_per_label_on_every_executor(
+    trained_model, mutagen_db, monkeypatch
+):
+    """The one Psum tail runs once per label group on each executor.
+
+    A worker that summarized its own shard would add one call per shard.
+    """
+    import repro.runtime.plan as plan_module
+
+    calls = []
+    real = plan_module.summarize
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(plan_module, "summarize", counting)
+    config = GvexConfig(theta=0.08, radius=0.3, gamma=0.5).with_bounds(0, 6)
+    plan = build_plan(mutagen_db, trained_model, config, shard_size=4)
+    assert len(plan.shards) > len(plan.labels)
+
+    counts = {}
+    serial, _ = SerialExecutor().run(plan)
+    counts["serial"] = len(calls)
+    fork, _ = ForkPoolExecutor(processes=2).run(plan)
+    counts["fork-pool"] = len(calls) - counts["serial"]
+    with ClusterCoordinator(auth_token=AUTH) as coord:
+        with ClusterWorker(
+            mutagen_db, trained_model, coord.url, auth_token=AUTH,
+            worker_id="w1", warm_start=False,
+        ), ClusterWorker(
+            mutagen_db, trained_model, coord.url, auth_token=AUTH,
+            worker_id="w2", warm_start=False,
+        ):
+            coord.wait_for_workers(2, timeout=15)
+            before = len(calls)
+            cluster, _ = DistributedExecutor(coord).run(plan)
+            counts["cluster"] = len(calls) - before
+
+    n_labels = len(plan.labels)
+    assert counts == {
+        "serial": n_labels, "fork-pool": n_labels, "cluster": n_labels
+    }
+    want = view_set_fingerprint(serial)
+    assert view_set_fingerprint(fork) == want
+    assert view_set_fingerprint(cluster) == want
 
 
 # ----------------------------------------------------------------------

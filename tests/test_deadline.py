@@ -13,12 +13,15 @@ The fault-discipline contract (docs/faults.md, docs/api.md):
 * :class:`~repro.runtime.cluster.transport.RetryPolicy` retries only
   *transient* transport errors, with deterministic seeded jitter, and
   never sleeps past the deadline;
+* the serial and fork-pool executors re-check the budget between
+  shards, in the parent, and raise instead of publishing views;
 * workers refuse a dispatch whose wire budget is already spent.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing as mp
 import threading
 import time
 import urllib.error
@@ -34,7 +37,14 @@ from repro.exceptions import (
     ValidationError,
     WireError,
 )
-from repro.runtime import BoundedWorkQueue, Deadline, build_plan
+from repro.runtime import (
+    BoundedWorkQueue,
+    Deadline,
+    ForkPoolExecutor,
+    SerialExecutor,
+    WorkerState,
+    build_plan,
+)
 from repro.runtime.cluster import (
     ClusterCoordinator,
     ClusterWorker,
@@ -367,6 +377,71 @@ class TestServerDeadline:
         )
         assert status == 200
         assert body["views"]
+
+
+# ----------------------------------------------------------------------
+# executors: the budget is re-checked between shards
+# ----------------------------------------------------------------------
+class CountdownDeadline(Deadline):
+    """A deadline that expires after a fixed number of checks.
+
+    Counts :meth:`require` calls instead of reading a clock, so a test
+    decides exactly which check fails. Forked workers get no copy of it
+    (plans reach them without their deadline), so every counted check
+    ran in the parent.
+    """
+
+    __slots__ = ("checks_left", "checks")
+
+    def __init__(self, checks: int) -> None:
+        super().__init__(float("inf"))
+        self.checks_left = checks
+        self.checks = 0
+
+    def require(self, what: str = "work") -> None:
+        self.checks += 1
+        if self.checks > self.checks_left:
+            raise DeadlineExpiredError(
+                f"deadline expired: budget exhausted before {what}"
+            )
+
+
+class TestExecutorDeadline:
+    @pytest.mark.parametrize(
+        "executor",
+        [SerialExecutor(), ForkPoolExecutor(processes=2)],
+        ids=lambda e: e.name,
+    )
+    def test_budget_rechecked_between_shards(
+        self, trained_model, mutagen_db, monkeypatch, executor
+    ):
+        """An executor raises in the parent a few shards in, instead of
+        running every shard and returning views; the fork pool cancels
+        its queued shards rather than draining them."""
+        ran = mp.get_context("fork").Value("i", 0)
+        real = WorkerState.run_shard
+
+        def counted(state, shard):
+            with ran.get_lock():
+                ran.value += 1
+            time.sleep(0.02)  # keeps the queue behind the cancellation
+            return real(state, shard)
+
+        # patched before any fork, so pool workers inherit it
+        monkeypatch.setattr(WorkerState, "run_shard", counted)
+        deadline = CountdownDeadline(3)
+        plan = build_plan(
+            mutagen_db,
+            trained_model,
+            GvexConfig(theta=0.08, radius=0.3).with_bounds(0, 6),
+            shard_size=1,
+            deadline=deadline,
+        )
+        with pytest.raises(DeadlineExpiredError, match="the next shard"):
+            executor.run(plan)
+        # one check up front, then one per shard: the fourth fails
+        assert deadline.checks == 4
+        assert ran.value < len(plan.shards) == len(mutagen_db)
 
 
 # ----------------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 Mirrors the CI docs lane (``.github/workflows/ci.yml``) inside tier-1,
 so a broken README/docs link or a syntax error in ``examples/`` fails
-locally before it fails in CI.
+locally before it fails in CI. Beyond byte-compiling, every ``repro``
+import in ``examples/`` must resolve against the current package.
 """
 
+import ast
 import compileall
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -98,3 +101,49 @@ def test_examples_compile():
     assert compileall.compile_dir(
         str(REPO / "examples"), quiet=2, force=True
     ), "examples/ contains files that do not compile"
+
+
+def _repro_imports(path):
+    """``(module, name)`` per ``repro`` import in a file (``name`` is
+    ``None`` for a plain ``import repro.x``)."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "repro":
+                    yield alias.name, None
+        elif (
+            isinstance(node, ast.ImportFrom)
+            and node.level == 0
+            and (node.module or "").split(".")[0] == "repro"
+        ):
+            for alias in node.names:
+                yield node.module, alias.name
+
+
+def _resolves(module, name):
+    try:
+        found = importlib.import_module(module)
+    except ImportError:
+        return False
+    if name is None or name == "*" or hasattr(found, name):
+        return True
+    try:  # ``from package import submodule``
+        importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        return False
+    return True
+
+
+def test_examples_resolve_their_repro_imports():
+    """Each example's ``repro`` imports name things that exist, checked
+    without running the example (compiling alone would pass an import
+    of a deleted name)."""
+    examples = sorted((REPO / "examples").glob("*.py"))
+    assert examples
+    unresolved = [
+        f"{path.name}: {module}{'' if name is None else ' -> ' + name}"
+        for path in examples
+        for module, name in _repro_imports(path)
+        if not _resolves(module, name)
+    ]
+    assert not unresolved, f"examples import missing names: {unresolved}"

@@ -5,10 +5,12 @@ Three levels:
 * **plan** — label-group sharding: ascending order preserved, shard
   sizing respects the verifier cache geometry and worker balance,
   approx-method constructor overrides rejected;
-* **executor parity** — serial, fork-pool, and sharded executors
-  produce *bit-identical* view sets (nodes, scores, flags, patterns,
-  edge loss) on the trained motif model and across the synthetic zoo,
-  in paper and soft verification modes;
+* **executor parity** — the serial and fork-pool executors and the
+  cluster's merge (each shard's subgraphs round-tripped through a
+  ``result`` envelope, then the coordinator's union and Psum) produce
+  *bit-identical* view sets (nodes, scores, flags, patterns, edge
+  loss) on the trained motif model and across the synthetic zoo, in
+  paper and soft verification modes;
 * **work queue** — admission control: FIFO results, immediate
   ``QueueFullError`` past capacity, counters; plus the serve path
   under load (503 + queue metrics on /health) and bearer-token auth.
@@ -24,7 +26,7 @@ import urllib.request
 
 import pytest
 
-from repro.config import GvexConfig, VERIFY_PAPER, VERIFY_SOFT
+from repro.config import SCOPE_PER_GROUP, GvexConfig, VERIFY_PAPER, VERIFY_SOFT
 from repro.datasets.registry import DATASETS, dataset_info, load_dataset
 from repro.exceptions import QueueFullError, RegistryError
 from repro.gnn.model import GnnClassifier
@@ -34,13 +36,14 @@ from repro.runtime import (
     BoundedWorkQueue,
     ForkPoolExecutor,
     SerialExecutor,
-    Shard,
-    ShardedExecutor,
     build_plan,
-    make_executor,
     run_plan,
+    run_tasks,
     shard_size_for,
 )
+from repro.runtime.cluster import ClusterCoordinator, DistributedExecutor, wire
+from repro.runtime.cluster.coordinator import merge_results
+from repro.runtime.cluster.worker import shard_views
 from tests.test_golden_views import view_set_fingerprint
 
 ZOO = sorted(DATASETS)
@@ -66,6 +69,33 @@ def limited_predicted(db, model, per_label: int):
                 label = None
         out.append(label)
     return out
+
+
+def wire_merge(plan, tasks):
+    """Merge task results the way the cluster does, without sockets.
+
+    ``tasks`` are a plan's per-task results in shard order (what
+    :func:`~repro.runtime.run_tasks` returns). Each shard's slice is
+    packed as a worker packs it, round-tripped through the wire bytes
+    of a ``result`` envelope, and the decoded results are merged by the
+    coordinator's union + Psum. Returns ``(views, inference_calls)``.
+    """
+    results, start = [], 0
+    for shard_id, shard in enumerate(plan.shards):
+        chunk = tasks[start : start + len(shard)]
+        start += len(shard)
+        envelope = wire.encode_result(
+            job_id="job-m",
+            shard_id=shard_id,
+            worker_id="w0",
+            views=shard_views(shard.label, chunk),
+            inference_calls=sum(calls for _, _, _, calls in chunk),
+        )
+        results.append(
+            wire.decode_result(json.loads(wire.canonical_bytes(envelope)))
+        )
+    assert start == len(tasks)
+    return merge_results(results, plan), sum(m.inference_calls for m in results)
 
 
 # ----------------------------------------------------------------------
@@ -111,78 +141,6 @@ class TestPlan:
         finally:
             BatchedGnnVerifier.BATCH_ELEMENT_BUDGET = budget
 
-    def test_observed_shard_size_picks_best_throughput(self):
-        from repro.runtime import observed_shard_size
-
-        stats = {
-            "shard_size": [
-                {"shard_size": 1, "shards": 15, "seconds": 0.2, "views_per_sec": 75.0},
-                {"shard_size": 2, "shards": 9, "seconds": 0.18, "views_per_sec": 83.0},
-                {"shard_size": 4, "shards": 5, "seconds": 0.19, "views_per_sec": 78.0},
-                {"shard_size": "auto", "shards": 9, "seconds": 0.18, "views_per_sec": 84.0},
-            ]
-        }
-        assert observed_shard_size(stats) == 2
-        assert observed_shard_size({}) is None
-        assert observed_shard_size({"shard_size": []}) is None
-        # ties break toward the smaller size
-        tie = {
-            "shard_size": [
-                {"shard_size": 4, "views_per_sec": 80.0},
-                {"shard_size": 2, "views_per_sec": 80.0},
-            ]
-        }
-        assert observed_shard_size(tie) == 2
-
-    def test_adaptive_shard_size_feeds_back_stats(self, mutagen_db):
-        config = GvexConfig().with_bounds(0, 4)
-        indices = list(range(len(mutagen_db)))
-        stats = {
-            "shard_size": [
-                {"shard_size": 1, "views_per_sec": 50.0},
-                {"shard_size": 3, "views_per_sec": 90.0},
-            ]
-        }
-        adaptive = shard_size_for(mutagen_db, indices, config, 1, stats=stats)
-        # a uniform database: the observed optimum is adopted as-is
-        assert adaptive == 3
-        # skewed group: graphs much wider than the db average get
-        # proportionally smaller shards (their per-shard wall-clock
-        # would otherwise dominate)
-        wide = Graph([0] * (4 * max(g.n_nodes for g in mutagen_db)))
-        skewed = GraphDatabase(
-            list(mutagen_db.graphs) + [wide],
-            labels=None,
-            name="skewed",
-        )
-        wide_group = [len(skewed.graphs) - 1]
-        narrow = shard_size_for(skewed, wide_group, config, 1, stats=stats)
-        assert narrow < adaptive
-        # balance still binds: never more graphs per shard than the group
-        assert (
-            shard_size_for(mutagen_db, indices[:2], config, 1, processes=2, stats=stats)
-            == 1
-        )
-
-    def test_build_plan_plumbs_shard_stats(self, trained_model, mutagen_db):
-        config = GvexConfig().with_bounds(0, 4)
-        stats = {"shard_size": [{"shard_size": 2, "views_per_sec": 99.0}]}
-        plan = build_plan(mutagen_db, trained_model, config, shard_stats=stats)
-        assert plan.shards  # sized without error
-        for label in plan.labels:
-            members = plan.group_indices(label)
-            expected = shard_size_for(
-                mutagen_db, members, config, label, stats=stats
-            )
-            assert max(len(s) for s in plan.shards_for(label)) == min(
-                expected, len(members)
-            )
-        baseline = build_plan(mutagen_db, trained_model, config)
-        assert {s.label for s in plan.shards} == {s.label for s in baseline.shards}
-        # identical task coverage either way
-        for label in plan.labels:
-            assert plan.group_indices(label) == baseline.group_indices(label)
-
     def test_approx_rejects_constructor_overrides(
         self, trained_model, mutagen_db
     ):
@@ -205,7 +163,7 @@ class TestPlan:
 
 
 # ----------------------------------------------------------------------
-# executor parity: serial == fork-pool == sharded, bit for bit
+# executor parity: serial == fork-pool == the cluster's merge, bit for bit
 # ----------------------------------------------------------------------
 class TestExecutorParity:
     @pytest.mark.parametrize("mode", [VERIFY_PAPER, VERIFY_SOFT])
@@ -214,12 +172,13 @@ class TestExecutorParity:
             theta=0.08, radius=0.3, verification=mode
         ).with_bounds(0, 6)
         plan = build_plan(mutagen_db, trained_model, config, processes=2)
+        assert len(plan.shards) > len(plan.labels)  # the merge has work
         serial, _ = SerialExecutor().run(plan)
         fork, _ = ForkPoolExecutor(processes=2).run(plan)
-        sharded, _ = ShardedExecutor(n_shards=3).run(plan)
+        merged, _ = wire_merge(plan, run_tasks(plan))
         want = view_set_fingerprint(serial)
         assert view_set_fingerprint(fork) == want
-        assert view_set_fingerprint(sharded) == want
+        assert view_set_fingerprint(merged) == want
 
     @pytest.mark.parametrize("mode", [VERIFY_PAPER, VERIFY_SOFT])
     @pytest.mark.parametrize("dataset", ZOO)
@@ -233,51 +192,71 @@ class TestExecutorParity:
         assert plan.n_tasks > 0
         serial, serial_stats = SerialExecutor().run(plan)
         fork, fork_stats = ForkPoolExecutor(processes=2).run(plan)
-        sharded, _ = ShardedExecutor(n_shards=2).run(plan)
+        merged, merged_calls = wire_merge(plan, run_tasks(plan))
         want = view_set_fingerprint(serial)
         assert view_set_fingerprint(fork) == want, (dataset, mode)
-        assert view_set_fingerprint(sharded) == want, (dataset, mode)
-        # the fork pool schedules the same work: same launch count
+        assert view_set_fingerprint(merged) == want, (dataset, mode)
+        # every schedule runs the same work: same launch count
         assert fork_stats["inference_calls"] == serial_stats["inference_calls"]
+        assert merged_calls == serial_stats["inference_calls"]
 
     def test_sharded_composes_with_fork_pool(self, trained_model, mutagen_db):
+        """Shards explained in forked workers merge like cluster results."""
         config = GvexConfig(theta=0.08, radius=0.3).with_bounds(0, 6)
-        plan = build_plan(mutagen_db, trained_model, config)
+        plan = build_plan(mutagen_db, trained_model, config, shard_size=3)
         serial, _ = SerialExecutor().run(plan)
-        combo, _ = ShardedExecutor(
-            n_shards=2, inner=ForkPoolExecutor(processes=2)
-        ).run(plan)
+        combo, _ = wire_merge(plan, run_tasks(plan, processes=2))
         assert view_set_fingerprint(combo) == view_set_fingerprint(serial)
 
-    def test_run_plan_helper_and_make_executor(
-        self, trained_model, mutagen_db
-    ):
+    def test_run_plan_helper(self, trained_model, mutagen_db):
         config = GvexConfig(theta=0.08, radius=0.3).with_bounds(0, 6)
-        plan = build_plan(mutagen_db, trained_model, config)
+        plan = build_plan(mutagen_db, trained_model, config, processes=2)
         views, stats = run_plan(plan, return_stats=True)
         assert stats["inference_calls"] > 0
-        assert make_executor(1, 1).name == "serial"
-        assert make_executor(2, 1).name == "fork-pool"
-        assert make_executor(1, 2).name == "sharded"
-        with pytest.raises(ValueError):
-            make_executor(1, 0)
+        forked, forked_stats = run_plan(plan, processes=2, return_stats=True)
+        assert view_set_fingerprint(forked) == view_set_fingerprint(views)
+        assert forked_stats == stats
+
+    def test_one_predicate_decides_the_serial_fallback(
+        self, trained_model, mutagen_db
+    ):
+        """``ExplainPlan.splittable`` is the only fallback rule.
+
+        The core kernel under per-group scope and native-view methods
+        other than the core kernel run whole; everything else, baseline
+        methods under per-group scope included, may be split.
+        """
+        per_group = GvexConfig(coverage_scope=SCOPE_PER_GROUP).with_bounds(0, 4)
+
+        def splittable(config, method):
+            return build_plan(
+                mutagen_db, trained_model, config, method=method
+            ).splittable
+
+        assert splittable(GvexConfig().with_bounds(0, 4), "gvex-approx")
+        assert not splittable(per_group, "gvex-approx")
+        assert not splittable(GvexConfig().with_bounds(0, 4), "gvex-stream")
+        assert splittable(per_group, "random")
 
     def test_native_stream_keeps_serial_semantics(
         self, trained_model, mutagen_db
     ):
-        """StreamGVEX owns its pipeline: fork/sharded must not
-        decompose it (different pattern tier) or duplicate full runs
-        per replica — both route to the serial path."""
+        """StreamGVEX owns its pipeline: neither the fork pool nor the
+        cluster may decompose it (different pattern tier) — both route
+        it to the serial path."""
         config = GvexConfig(theta=0.08, radius=0.3).with_bounds(0, 6)
         plan = build_plan(
             mutagen_db, trained_model, config, method="gvex-stream"
         )
         serial, _ = SerialExecutor().run(plan)
         fork, _ = ForkPoolExecutor(processes=2).run(plan)
-        sharded, _ = ShardedExecutor(n_shards=3).run(plan)
+        # no worker ever registers: a dispatch attempt would raise
+        # ClusterError, so equal views prove the serial fallback
+        with ClusterCoordinator() as coord:
+            cluster, _ = DistributedExecutor(coord).run(plan)
         want = view_set_fingerprint(serial)
         assert view_set_fingerprint(fork) == want
-        assert view_set_fingerprint(sharded) == want
+        assert view_set_fingerprint(cluster) == want
 
     def test_baseline_method_through_executors(
         self, trained_model, mutagen_db

@@ -183,9 +183,7 @@ class ExplanationService:
         labels: Optional[Iterable[int]] = None,
         config: Optional[GvexConfig] = None,
         processes: int = 1,
-        n_shards: int = 1,
         seed: Optional[Any] = None,
-        shard_stats: Optional[Mapping] = None,
         deadline: Optional[Any] = None,
         **overrides: Any,
     ) -> ViewSet:
@@ -194,10 +192,7 @@ class ExplanationService:
         ``method`` is a registry name or alias (``gvex-approx``,
         ``stream``, ``SX``, ...). Scheduling always goes through the
         :mod:`repro.runtime` plan/executor engine: ``processes > 1``
-        forks a warm-state worker pool. ``n_shards`` and
-        ``shard_stats`` are retired and ignored for one deprecation
-        cycle (docs/api.md): neither ever changed the views.
-        ``deadline`` (a
+        forks a warm-state worker pool. ``deadline`` (a
         :class:`~repro.runtime.deadline.Deadline`) attaches a monotonic
         budget the executors re-check between shards — when it expires
         mid-run the typed
@@ -206,7 +201,6 @@ class ExplanationService:
         produced views become the service's current views (queryable
         via :meth:`query`).
         """
-        del n_shards, shard_stats  # retired; see the docstring
         spec = get_spec(method)
         config = config if config is not None else self.config
         seed = seed if seed is not None else self.seed

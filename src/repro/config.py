@@ -42,15 +42,6 @@ JACOBIAN_EXPECTED = "expected"
 
 JACOBIAN_MODES = (JACOBIAN_EXACT, JACOBIAN_EXPECTED)
 
-#: ``GvexConfig`` keys retired when production lost its reference-tier
-#: switches (the matcher, the ``EVerify`` schedule, and the
-#: ``IncEVerify`` schedule now each have one implementation).
-#: :meth:`GvexConfig.from_dict` accepts and ignores them for one
-#: deprecation cycle, so ``/explain`` payloads and cluster dispatches
-#: written with them still load (docs/api.md).
-RETIRED_KEYS = ("verifier_backend", "matching_backend", "stream_inc")
-
-
 @dataclass(frozen=True)
 class CoverageConstraint:
     """Per-label node coverage range ``[lower, upper]`` (§3.1 Coverage)."""
@@ -197,18 +188,15 @@ class GvexConfig:
         """Build a config from a plain-JSON dict (unknown keys rejected).
 
         Coverage labels arrive as JSON object keys (strings); integer
-        labels are converted back so lookups keep working. The
-        :data:`RETIRED_KEYS` are accepted and ignored. Malformed input
-        raises :class:`ConfigurationError`.
+        labels are converted back so lookups keep working. Malformed
+        input raises :class:`ConfigurationError`.
         """
         if not isinstance(data, Mapping):
             raise ConfigurationError(
                 f"GvexConfig must be a JSON object, got {type(data).__name__}"
             )
         known = {f.name for f in fields(cls)}
-        kwargs: Dict[str, Any] = {
-            k: v for k, v in data.items() if k not in RETIRED_KEYS
-        }
+        kwargs: Dict[str, Any] = dict(data)
         unknown = set(kwargs) - known
         if unknown:
             raise ConfigurationError(
@@ -257,7 +245,6 @@ __all__ = [
     "CoverageConstraint",
     "GvexConfig",
     "DEFAULT_CONFIG",
-    "RETIRED_KEYS",
     "VERIFY_PAPER",
     "VERIFY_SOFT",
     "VERIFY_NONE",

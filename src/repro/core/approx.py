@@ -263,18 +263,29 @@ def _grow_lazy(
                 verifier.prefetch_remainders(
                     [state.selected | {v} for v in top]
                 )
+                rest = {
+                    v: verifier.remainder_probability(state.selected | {v}, label)
+                    for v in top
+                }
+                # novelty is the key's second element, so it only decides
+                # between candidates tied exactly at the lowest remainder
+                # probability; min() never moves onto a NaN (nor off a
+                # leading one), so a NaN never ties. Everyone else gets a
+                # placeholder that can only reorder losing candidates.
+                low = min((p for p in rest.values() if p == p), default=None)
+                tied = [v for v in top if rest[v] == low]
                 novelty = (
                     _pattern_novelty(
-                        graph, state.selected, {v: pool[v] for v in top}
+                        graph, state.selected, {v: pool[v] for v in tied}
                     )
-                    if len(top) > 1
-                    else {v: True for v in top}
+                    if len(tied) > 1
+                    else {}
                 )
                 chosen = min(
                     top,
                     key=lambda v: (
-                        verifier.remainder_probability(state.selected | {v}, label),
-                        0 if novelty[v] else 1,
+                        rest[v],
+                        0 if novelty.get(v, True) else 1,
                         pool[v],
                         v,
                     ),

@@ -18,6 +18,7 @@ from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.config import GvexConfig, VERIFY_NONE, VERIFY_PAPER, VERIFY_SOFT
+from repro.gnn.batch import DELTA_MAX_ROWS
 from repro.gnn.model import GnnClassifier
 from repro.graphs.graph import Graph
 from repro.graphs.view import ExplanationView
@@ -215,7 +216,17 @@ class BatchedGnnVerifier(GnnVerifier):
     evaluate every cache miss in one stacked forward pass
     (:meth:`GnnClassifier.predict_proba_batch`), so ``inference_calls``
     counts one launch per frontier instead of one per subset. Lazy
-    misses outside a prefetch fall back to the inherited serial path.
+    subset misses outside a prefetch take the inherited serial path;
+    lazy remainder misses do too unless the graph is above the delta
+    crossover, where they are one-key :meth:`prefetch_remainders`.
+
+    Remainder frontiers on graphs above the crossover are computed as
+    deltas (docs/verification.md, "Delta remainder forwards"): the
+    verifier keeps the per-layer hidden rows of the latest computed
+    remainder frontier, and each miss ``G \\ (S ∪ {v})`` whose base
+    ``G \\ S`` is among them recomputes only the rows within reach of
+    ``v`` (:meth:`GnnClassifier.predict_proba_delta`). Only GCN
+    :class:`GnnClassifier` models (``delta_capable``) take it.
 
     Models without a ``predict_proba_batch`` method (the relational
     classifier) degrade gracefully to the serial schedule; batch-capable
@@ -230,6 +241,15 @@ class BatchedGnnVerifier(GnnVerifier):
     #: the cap). Chunking changes scheduling only, never values.
     BATCH_ELEMENT_BUDGET = 16_000_000
 
+    #: Delta crossover, from ``results/BENCH_remainder_delta.json``
+    #: (``benchmarks/bench_remainder_delta.py``): a base group of ``B``
+    #: remainders of ``K`` rows whose widest layer's ball spans ``D``
+    #: rows takes the delta when ``B·K·(K − D/2)`` reaches this much
+    #: work. The delta's fixed cost (ball search, index building) loses
+    #: below it; about half of what it saves does not depend on the
+    #: ball (the full path's ``K²`` adjacency gather and normalization).
+    DELTA_MIN_WORK = 40_000
+
     def __init__(
         self, model: GnnClassifier, graph: Graph, original_label: object = _AUTO
     ) -> None:
@@ -239,6 +259,24 @@ class BatchedGnnVerifier(GnnVerifier):
         #: immutable per graph; reusing them across launches avoids an
         #: O(n²) rebuild every prefetch
         self._gather_cache: dict = {}
+        #: whether remainder frontiers keep hidden rows for deltas: GCN
+        #: models on graphs where a frontier can reach the crossover
+        #: (at most n-1 remainders of n-2 rows, an empty ball) and
+        #: whose bases fit the bitwise row cap
+        n = graph.n_nodes
+        self._keeps_bases = (
+            n <= DELTA_MAX_ROWS + 1
+            and self._delta_pays(n - 2, n - 1, 0)
+            and bool(getattr(model, "delta_capable", False))
+        )
+        #: remainder key -> (sorted nodes, layer outputs) of the latest
+        #: computed remainder frontier: the candidate delta bases
+        self._frontier: Dict[FrozenSet[int], Tuple[np.ndarray, list]] = {}
+
+    def _remainder_proba(self, key: FrozenSet[int]) -> np.ndarray:
+        if self._keeps_bases and key not in self._remainder_probas:
+            self.prefetch_remainders([key])
+        return super()._remainder_proba(key)
 
     def _launch(self, subsets: "list[list[int]]") -> "list[np.ndarray]":
         """Stacked forwards over ``subsets``, chunked to the memory cap."""
@@ -280,13 +318,131 @@ class BatchedGnnVerifier(GnnVerifier):
             for key in misses:
                 self._remainder_proba(key)
             return len(misses)
-        all_nodes = range(self.graph.n_nodes)
-        rows = self._launch(
-            [[v for v in all_nodes if v not in key] for key in misses]
-        )
-        for key, row in zip(misses, rows):
-            self._remainder_probas[key] = row
+        if not self._keeps_bases:
+            all_nodes = range(self.graph.n_nodes)
+            rows = self._launch(
+                [[v for v in all_nodes if v not in key] for key in misses]
+            )
+            for key, row in zip(misses, rows):
+                self._remainder_probas[key] = row
+            return len(misses)
+        frontier: Dict[FrozenSet[int], Tuple[np.ndarray, list]] = {}
+        rest = misses
+        base = self._shared_base(misses)
+        if base is not None:
+            group = [k for k in misses if len(k) == len(base) + 1 and base < k]
+            if self._delta_launch(base, group, frontier):
+                taken = set(group)
+                rest = [k for k in misses if k not in taken]
+        if rest:
+            self._hidden_launch(rest, frontier)
+        self._frontier = frontier
         return len(misses)
+
+    def _shared_base(self, misses: "list[FrozenSet[int]]") -> Optional[FrozenSet[int]]:
+        """The kept base (a remainder key one node smaller) most misses share.
+
+        Greedy frontiers share one base, the round's selection ``S``,
+        so the frontier stays one delta launch; a key can have several
+        kept bases, and picking per key could split it. Misses under
+        another base or none take the full path.
+        """
+        counts: Dict[FrozenSet[int], int] = {}
+        for key in misses:
+            for u in sorted(key):
+                base = key - {u}
+                if base in self._frontier:
+                    counts[base] = counts.get(base, 0) + 1
+        return max(counts, key=counts.__getitem__) if counts else None
+
+    def _delta_pays(self, rows: int, frontier: int, widest: int) -> bool:
+        """The crossover: is the delta faster than the full forward?
+
+        ``rows`` is the remainders' size, ``frontier`` the number of
+        remainders under the base and ``widest`` the widest layer's
+        ball (most rows any candidate recomputes). Constants and
+        measurements: ``results/BENCH_remainder_delta.json``.
+        """
+        return frontier * rows * (rows - widest / 2) >= self.DELTA_MIN_WORK
+
+    def _delta_launch(
+        self,
+        base: FrozenSet[int],
+        group: "list[FrozenSet[int]]",
+        frontier: Dict[FrozenSet[int], Tuple[np.ndarray, list]],
+    ) -> bool:
+        """Fill ``group`` as deltas from ``base``; False if the crossover says no."""
+        base_nodes, base_hiddens = self._frontier[base]
+        rows = base_nodes.size - 1
+        if not self._delta_pays(rows, len(group), 0):
+            return False  # too little work even with empty balls
+        removed = np.searchsorted(
+            base_nodes, [next(iter(key - base)) for key in group]
+        )
+        balls = self.model.removal_balls(
+            self.graph, base_nodes, removed, cache=self._gather_cache
+        )
+        if not self._delta_pays(rows, len(group), balls.widest):
+            return False
+        width = max(2, balls.widest, *(h.shape[1] for h in base_hiddens))
+        chunk = max(1, self.BATCH_ELEMENT_BUDGET // max(1, rows * width))
+        for start in range(0, len(group), chunk):
+            part = slice(start, start + chunk)
+            probas, idx, hiddens = self.model.predict_proba_delta(
+                self.graph,
+                base_nodes,
+                base_hiddens,
+                balls.take(part),
+                cache=self._gather_cache,
+            )
+            self._store_remainders(group[part], probas, idx, hiddens, frontier)
+        return True
+
+    def _hidden_launch(
+        self,
+        keys: "list[FrozenSet[int]]",
+        frontier: Dict[FrozenSet[int], Tuple[np.ndarray, list]],
+    ) -> None:
+        """Full stacked forwards over ``keys`` that keep each layer's rows."""
+        by_size: Dict[int, "list[FrozenSet[int]]"] = {}
+        for key in keys:
+            by_size.setdefault(len(key), []).append(key)
+        n = self.graph.n_nodes
+        for group in by_size.values():
+            rows = n - len(group[0])
+            chunk = max(1, self.BATCH_ELEMENT_BUDGET // max(1, rows * rows))
+            for start in range(0, len(group), chunk):
+                part = group[start : start + chunk]
+                kept = np.ones((len(part), n), dtype=bool)
+                for j, key in enumerate(part):
+                    kept[j, list(key)] = False
+                idx = np.nonzero(kept)[1].reshape(len(part), rows)
+                probas, hiddens = self.model.predict_proba_hiddens(
+                    self.graph, idx, cache=self._gather_cache
+                )
+                self._store_remainders(part, probas, idx, hiddens, frontier)
+
+    def _store_remainders(
+        self,
+        keys: "list[FrozenSet[int]]",
+        probas: np.ndarray,
+        idx: np.ndarray,
+        hiddens: "list[np.ndarray]",
+        frontier: Dict[FrozenSet[int], Tuple[np.ndarray, list]],
+    ) -> None:
+        """Cache one launch's probabilities and keep its finite rows as bases.
+
+        A base with a non-finite row would poison the copied rows
+        (``0 · inf`` is NaN where the full forward has no such term),
+        so such remainders are cached but never used as a base.
+        """
+        self.inference_calls += 1
+        self.subsets_evaluated += len(keys)
+        finite = np.isfinite(hiddens[-1]).all(axis=(1, 2))
+        for j, key in enumerate(keys):
+            self._remainder_probas[key] = probas[j]
+            if finite[j]:
+                frontier[key] = (idx[j], [h[j] for h in hiddens])
 
     def prefetch_extensions(
         self, base: Iterable[int], candidates: Iterable[int]

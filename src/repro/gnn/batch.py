@@ -32,7 +32,8 @@ conv types and readouts.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import functools
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -196,15 +197,236 @@ def stacked_layers(
     biases: Sequence[np.ndarray],
     act,
     sage_self_weights: Optional[Sequence[np.ndarray]] = None,
+    hiddens: Optional[List[np.ndarray]] = None,
 ) -> np.ndarray:
-    """Run the message-passing layers on a stacked batch; returns ``H_k``."""
+    """Run the message-passing layers on a stacked batch; returns ``H_k``.
+
+    When ``hiddens`` is a list, every layer's output ``H_1 .. H_k`` is
+    appended to it (the base rows :func:`delta_layers` copies from).
+    """
     H = X_b
     for i, (W, b) in enumerate(zip(weights, biases)):
         Z = Q_b @ (H @ W) + b
         if sage_self_weights is not None:
             Z = Z + H @ sage_self_weights[i]
         H = act(Z)
+        if hiddens is not None:
+            hiddens.append(H)
     return H
+
+
+#: Widest base remainder (rows) a delta starts from: rows copied from a
+#: base are exact only while its ``Q @ M`` sums each row in one BLAS
+#: K-block. OpenBLAS blocks at 256 columns on Sandybridge and 384 on
+#: SkylakeX (257- and 385-row bases broke parity there);
+#: :func:`delta_exact` probes sizes up to this cap.
+DELTA_MAX_ROWS = 256
+
+
+@functools.lru_cache(maxsize=None)
+def delta_exact(widths: Tuple[int, ...]) -> bool:
+    """Whether this BLAS rounds each GEMM row independently of its block.
+
+    :func:`delta_layers` copies rows that a base's ``(K, K) @ (K, d)``
+    product computed and recomputes the rest in ``(D, K-1)`` blocks.
+    Both equal the full forward only if a row's result depends on its
+    own row of ``Q`` and on ``M`` alone: not on how many rows share the
+    call or where it sits among them, and not on an all-zero column
+    dropped from the sum. OpenBLAS's SkylakeX kernels behave so; its
+    Haswell and Zen kernels do not (edge tiles and unroll remainders
+    round differently), and there the delta stays off. Dense random
+    operands at each layer width ``d`` show any change in accumulation
+    order; probed once per process and width set.
+    """
+    rng = np.random.default_rng(0)
+    for K in (37, 96, 161, DELTA_MAX_ROWS):
+        Q = rng.random((K, K))
+        for d in sorted(set(widths)):
+            M = rng.standard_normal((K, d))
+            full = Q @ M
+            for rows, start in ((2, 1), (3, 0), (5, 7), (9, 3), (K // 2 + 1, 1)):
+                if not np.array_equal(Q[start : start + rows] @ M, full[start : start + rows]):
+                    return False
+            p = K // 3
+            Q_zero = Q.copy()
+            Q_zero[:, p] = 0.0
+            kept = np.delete(Q_zero @ M, p, axis=0)
+            dropped = np.delete(np.delete(Q_zero, p, axis=0), p, axis=1) @ np.delete(M, p, axis=0)
+            if not np.array_equal(kept, dropped):
+                return False
+    return True
+
+
+class RemovalBalls(NamedTuple):
+    """Where dropping each candidate node changes a base remainder.
+
+    Built by :func:`removal_balls`; :func:`delta_layers` recomputes
+    these rows and copies the rest, and a caller choosing between the
+    delta and the full forward reads :attr:`widest`.
+    """
+
+    #: ``(K, K)`` symmetrized adjacency of the base remainder
+    A_base: np.ndarray
+    #: ``(B,)`` base position each candidate drops
+    removed: np.ndarray
+    #: ``(B, K)`` hop distance from the dropped node, in the base;
+    #: ``depth + 2`` beyond the widest ball
+    hops: np.ndarray
+    #: number of message-passing layers
+    depth: int
+
+    def ball(self, layer: int) -> np.ndarray:
+        """``(B, K)`` mask of the base rows layer ``layer`` (1-based)
+        recomputes per candidate, the dropped node included.
+
+        The dirty radius: ``layer`` hops of message passing, plus one
+        because the dropped node's neighbours lose a degree and GCN
+        normalizes by it.
+        """
+        return self.hops <= layer + 1
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """``(B, depth)`` remainder rows each layer recomputes per candidate."""
+        return np.stack(
+            [self.ball(layer).sum(axis=1) - 1 for layer in range(1, self.depth + 1)],
+            axis=1,
+        )
+
+    @property
+    def widest(self) -> int:
+        """Most remainder rows any candidate recomputes in any layer."""
+        return int(self.ball(self.depth).sum(axis=1).max()) - 1
+
+    def take(self, part: slice) -> "RemovalBalls":
+        """The balls of candidates ``part`` (one launch's chunk)."""
+        return self._replace(removed=self.removed[part], hops=self.hops[part])
+
+
+def removal_balls(
+    A_sym: np.ndarray, base_nodes: np.ndarray, removed: np.ndarray, depth: int
+) -> RemovalBalls:
+    """The dirty rows of dropping each candidate from a base remainder.
+
+    ``A_sym`` is the parent graph's symmetrized adjacency,
+    ``base_nodes`` the base remainder's sorted nodes (``K``),
+    ``removed`` one base position per candidate and ``depth`` the
+    number of GCN layers. Hops are measured in the base, paths through
+    the dropped node included, out to the widest ball.
+    """
+    A_base = A_sym[base_nodes][:, base_nodes]
+    B, K = removed.size, base_nodes.size
+    step = ((A_base + np.eye(K)) > 0).astype(np.float64)
+    hops = np.full((B, K), depth + 2, dtype=np.intp)
+    reach = np.zeros((B, K), dtype=bool)
+    reach[np.arange(B), removed] = True
+    hops[reach] = 0
+    for hop in range(1, depth + 2):
+        reach = (reach @ step) > 0
+        hops[reach & (hops > hop)] = hop
+    return RemovalBalls(A_base, removed, hops, depth)
+
+
+def delta_layers(
+    X_full: np.ndarray,
+    base_nodes: np.ndarray,
+    base_hiddens: Sequence[np.ndarray],
+    balls: RemovalBalls,
+    weights: Sequence[np.ndarray],
+    biases: Sequence[np.ndarray],
+    act,
+) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """GCN layers of ``base \\ {v}`` per candidate, recomputing only dirty rows.
+
+    ``base_nodes`` are the base remainder's sorted graph nodes (``K``)
+    and ``base_hiddens`` its layer outputs ``H_1 .. H_k`` (``(K, d_l)``
+    each); ``balls`` comes from :func:`removal_balls` on that base.
+    Returns the ``(B, K-1)`` node rows of every remainder and their
+    layer outputs ``(B, K-1, d_l)``, bit-identical to
+    :func:`stacked_layers` on the same rows where :func:`delta_exact`
+    holds and the base has at most :data:`DELTA_MAX_ROWS` rows. Rows
+    outside layer ``l``'s ball are copied from the base; the rest are
+    recomputed in the full forward's GEMM shape:
+
+    * every recomputed block keeps all ``K-1`` columns in base order,
+      so each dot product sums the same terms in the same order as the
+      full ``Q @ M``;
+    * ``M = H @ W`` runs over every row, as in the full forward, never
+      over the dirty rows alone;
+    * no block has a single row: numpy sends a one-row matmul to GEMV,
+      which rounds differently from GEMM (removing an isolated node
+      dirties no row), so blocks are padded to two rows, the padding
+      rows recomputed exactly as well.
+
+    Only GCN aggregation (``batched_aggregation(conv="gcn")``) is
+    supported: its normalization is the reason for the extra hop.
+    """
+    K = base_nodes.size
+    removed, A_base = balls.removed, balls.A_base
+    B = removed.size
+    cols = np.arange(K - 1)
+    keep = cols[None, :] + (cols[None, :] >= removed[:, None])  # base positions
+    rows = np.arange(B)[:, None]
+    idx = base_nodes[keep]  # (B, K-1) remainder nodes, sorted
+    A_hat = A_base + np.eye(K)
+    # degrees of A + I over the remainder: small integers, exact in float64
+    deg = A_hat.sum(axis=1)[keep] - A_base[keep, removed[:, None]]
+    inv_sqrt = 1.0 / np.sqrt(deg)
+    # recomputed rows ordered by hop distance, so layer l's block is a
+    # prefix of the widest layer's block
+    order = np.argsort(balls.hops[rows, keep], axis=1, kind="stable")
+    widths = [max(2, int(w)) for w in balls.sizes.max(axis=0)]
+    dirty = order[:, : max(widths)]  # (B, D) remainder positions
+    Q_rows = _normalized_rows(A_hat, keep, removed, dirty, inv_sqrt)
+    H = X_full[idx]
+    hiddens: List[np.ndarray] = []
+    for layer, (W, b) in enumerate(zip(weights, biases)):
+        width = widths[layer]
+        Z_rows = Q_rows[:, :width] @ (H @ W) + b
+        H = np.take(base_hiddens[layer], keep, axis=0)
+        H[rows, dirty[:, :width]] = act(Z_rows)
+        hiddens.append(H)
+    return idx, hiddens
+
+
+def _normalized_rows(
+    A_hat: np.ndarray,
+    keep: np.ndarray,
+    removed: np.ndarray,
+    dirty: np.ndarray,
+    inv_sqrt: np.ndarray,
+) -> np.ndarray:
+    """Rows ``dirty`` of each remainder's GCN matrix, ``(B, D, K-1)``.
+
+    Scatters the nonzeros of ``A_hat`` (the base's ``A + I``) into
+    zeros instead of gathering every entry: each value is
+    ``(a · inv_sqrt[row]) · inv_sqrt[col]``, the operation order of
+    :func:`batched_aggregation`, and every other entry is the same
+    ``+0.0`` the full matrix holds.
+    """
+    B, D = dirty.shape
+    K = A_hat.shape[0]
+    nz_rows, nz_cols = np.nonzero(A_hat)
+    indptr = np.searchsorted(nz_rows, np.arange(K + 1))
+    base_rows = np.take_along_axis(keep, dirty, axis=1).ravel()
+    counts = indptr[base_rows + 1] - indptr[base_rows]
+    owner = np.repeat(np.arange(B * D), counts)
+    starts = np.cumsum(counts) - counts
+    pos = np.arange(counts.sum()) + np.repeat(indptr[base_rows] - starts, counts)
+    base_col = nz_cols[pos]
+    cand = owner // D
+    kept = base_col != removed[cand]
+    owner, base_col, cand = owner[kept], base_col[kept], cand[kept]
+    col = base_col - (base_col > removed[cand])
+    row = owner % D
+    values = (
+        A_hat[base_rows[owner], base_col]
+        * inv_sqrt[cand, dirty[cand, row]]
+        * inv_sqrt[cand, col]
+    )
+    Q_rows = np.zeros((B, D, K - 1))
+    Q_rows[cand, row, col] = values
+    return Q_rows
 
 
 def stacked_readout(H: np.ndarray, readout: str) -> np.ndarray:
@@ -214,6 +436,23 @@ def stacked_readout(H: np.ndarray, readout: str) -> np.ndarray:
     if readout == "mean":
         return H.mean(axis=1)
     return H.sum(axis=1)
+
+
+def gather_sources(
+    graph: Graph, features_fn, cache: Optional[dict] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The parent graph's ``(X, A_sym)`` gather sources, memoized in ``cache``.
+
+    Both are immutable per graph; passing the same ``cache`` dict across
+    launches skips the O(n²) adjacency rebuild.
+    """
+    if cache is not None and "X" in cache:
+        return cache["X"], cache["A"]
+    X_full = features_fn()
+    A_sym = symmetrized_adjacency(graph)
+    if cache is not None:
+        cache["X"], cache["A"] = X_full, A_sym
+    return X_full, A_sym
 
 
 def batched_subset_probas(
@@ -241,21 +480,14 @@ def batched_subset_probas(
     out = np.empty((len(subsets), n_classes), dtype=np.float64)
     if not subsets:
         return out
-    X_full: Optional[np.ndarray] = None
-    A_sym: Optional[np.ndarray] = None
+    sources: Optional[Tuple[np.ndarray, np.ndarray]] = None
     for size, rows in sorted(group_by_size(subsets).items()):
         if size == 0:
             out[rows] = 1.0 / n_classes
             continue
-        if X_full is None:
-            if cache is not None and "X" in cache:
-                X_full, A_sym = cache["X"], cache["A"]
-            else:
-                X_full = features_fn()
-                A_sym = symmetrized_adjacency(graph)
-                if cache is not None:
-                    cache["X"], cache["A"] = X_full, A_sym
-        assert A_sym is not None
+        if sources is None:
+            sources = gather_sources(graph, features_fn, cache)
+        X_full, A_sym = sources
         X_b, A_b = gather_subset_batch(A_sym, X_full, [subsets[i] for i in rows])
         out[rows] = forward_group(X_b, A_b)
     return out
@@ -292,13 +524,7 @@ def presorted_rows_probas(
         )
     if k > 1 and not (np.diff(idx, axis=1) > 0).all():
         raise ModelError("index matrix rows must be strictly increasing")
-    if cache is not None and "X" in cache:
-        X_full, A_sym = cache["X"], cache["A"]
-    else:
-        X_full = features_fn()
-        A_sym = symmetrized_adjacency(graph)
-        if cache is not None:
-            cache["X"], cache["A"] = X_full, A_sym
+    X_full, A_sym = gather_sources(graph, features_fn, cache)
     X_b = X_full[idx]
     A_b = A_sym[idx[:, :, None], idx[:, None, :]]
     return forward_group(X_b, A_b)
@@ -329,9 +555,15 @@ __all__ = [
     "extension_index_matrix",
     "gather_subset_batch",
     "batched_aggregation",
+    "gather_sources",
     "batched_subset_probas",
     "presorted_rows_probas",
     "stacked_layers",
+    "DELTA_MAX_ROWS",
+    "delta_exact",
+    "RemovalBalls",
+    "removal_balls",
+    "delta_layers",
     "stacked_readout",
     "rowwise_head",
 ]

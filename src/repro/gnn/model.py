@@ -16,7 +16,7 @@ GNNExplainer baseline's soft edge masks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +26,9 @@ from repro.gnn.loss import softmax, softmax_cross_entropy
 from repro.gnn.propagation import normalized_adjacency
 from repro.graphs.graph import Graph
 from repro.utils.rng import RngLike, ensure_rng
+
+if TYPE_CHECKING:
+    from repro.gnn.batch import RemovalBalls
 
 CONV_TYPES = ("gcn", "gin", "sage")
 READOUTS = ("max", "mean", "sum")
@@ -272,20 +275,107 @@ class GnnClassifier:
             cache,
         )
 
-    def _forward_group(self, X_b: np.ndarray, A_b: np.ndarray) -> np.ndarray:
+    @property
+    def delta_capable(self) -> bool:
+        """Whether :meth:`predict_proba_delta` is exact here: GCN layers,
+        and a BLAS that rounds GEMM rows independently
+        (:func:`repro.gnn.batch.delta_exact`)."""
+        from repro.gnn.batch import delta_exact
+
+        return self.conv == "gcn" and delta_exact(self.hidden_dims)
+
+    def predict_proba_hiddens(
+        self, graph: Graph, idx: np.ndarray, cache: Optional[Dict] = None
+    ) -> Tuple[np.ndarray, List[np.ndarray]]:
+        """Presorted stacked forward that also returns every layer's rows.
+
+        ``idx`` is a ``(B, k)`` matrix of strictly increasing node rows
+        (``k >= 1``). Returns the class distributions — identical to
+        ``predict_proba_batch(graph, idx, presorted=True)`` — and the
+        layer outputs ``H_1 .. H_k`` as ``(B, k, d_l)`` arrays: the base
+        rows a later :meth:`predict_proba_delta` copies from.
+        """
+        from repro.gnn.batch import presorted_rows_probas
+
+        hiddens: List[np.ndarray] = []
+        probas = presorted_rows_probas(
+            graph,
+            idx,
+            self.n_classes,
+            lambda: self.features_for(graph),
+            lambda X_b, A_b: self._forward_group(X_b, A_b, hiddens),
+            cache,
+        )
+        return probas, hiddens
+
+    def removal_balls(
+        self,
+        graph: Graph,
+        base_nodes: np.ndarray,
+        removed: np.ndarray,
+        cache: Optional[Dict] = None,
+    ) -> RemovalBalls:
+        """The rows each layer recomputes when candidate ``b`` drops base
+        position ``removed[b]`` from the remainder ``base_nodes``
+        (:func:`repro.gnn.batch.removal_balls`); the input of
+        :meth:`predict_proba_delta`.
+        """
+        from repro.gnn.batch import gather_sources, removal_balls
+
+        _, A_sym = gather_sources(graph, lambda: self.features_for(graph), cache)
+        return removal_balls(A_sym, base_nodes, removed, self.n_layers)
+
+    def predict_proba_delta(
+        self,
+        graph: Graph,
+        base_nodes: np.ndarray,
+        base_hiddens: Sequence[np.ndarray],
+        balls: RemovalBalls,
+        cache: Optional[Dict] = None,
+    ) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:
+        """Remainders one node smaller than a cached base, by delta.
+
+        ``base_nodes``/``base_hiddens`` are a remainder's sorted nodes
+        and layer outputs (one row of :meth:`predict_proba_hiddens` or
+        of an earlier delta), and ``balls`` is :meth:`removal_balls` on
+        that base. Returns the class distributions, the remainders'
+        ``(B, K-1)`` node rows and their layer outputs — all
+        bit-identical to :meth:`predict_proba_hiddens` on those rows,
+        which stays the test oracle
+        (:func:`repro.gnn.batch.delta_layers`). GCN only
+        (:attr:`delta_capable`).
+        """
+        from repro.gnn.batch import delta_layers, gather_sources
+
+        if self.conv != "gcn":
+            raise ModelError(f"delta forwards need GCN layers, not {self.conv!r}")
+        X_full, _ = gather_sources(graph, lambda: self.features_for(graph), cache)
+        idx, hiddens = delta_layers(
+            X_full,
+            base_nodes,
+            base_hiddens,
+            balls,
+            self.weights,
+            self.biases,
+            self._act,
+        )
+        return self._head_probas(hiddens[-1]), idx, hiddens
+
+    def _forward_group(
+        self,
+        X_b: np.ndarray,
+        A_b: np.ndarray,
+        hiddens: Optional[List[np.ndarray]] = None,
+    ) -> np.ndarray:
         """Stacked forward for one same-size batch: probas per slice.
 
         ``A_b[i]`` must be the symmetrized 0/1 adjacency of slice ``i``;
         each output row is bit-identical to the serial
         :meth:`predict_proba` of that slice's graph (see
-        :mod:`repro.gnn.batch` for the kernel-parity argument).
+        :mod:`repro.gnn.batch` for the kernel-parity argument). Layer
+        outputs are appended to ``hiddens`` when it is given.
         """
-        from repro.gnn.batch import (
-            batched_aggregation,
-            rowwise_head,
-            stacked_layers,
-            stacked_readout,
-        )
+        from repro.gnn.batch import batched_aggregation, stacked_layers
 
         Q_b = batched_aggregation(self.conv, self.gin_eps, A_b)
         H = stacked_layers(
@@ -295,7 +385,14 @@ class GnnClassifier:
             self.biases,
             self._act,
             self.sage_self_weights if self.conv == "sage" else None,
+            hiddens,
         )
+        return self._head_probas(H)
+
+    def _head_probas(self, H: np.ndarray) -> np.ndarray:
+        """Readout, head and softmax over a stacked ``(B, k, d)`` batch."""
+        from repro.gnn.batch import rowwise_head, stacked_readout
+
         pooled = stacked_readout(H, self.readout)
         return softmax(rowwise_head(pooled, self.head_weight, self.head_bias))
 

@@ -175,19 +175,17 @@ class TestRoutes:
         assert err.value.code == 400
         assert "ConfigurationError" in json.loads(err.value.read())["error"]
 
-    def test_explain_accepts_retired_config_keys(self, live):
+    def test_explain_rejects_retired_config_keys(self, live):
         base, svc = live
         config = GvexConfig(theta=0.08, radius=0.3).with_bounds(0, 3).to_dict()
-        config.update(
-            verifier_backend="serial",
-            matching_backend="reference",
-            stream_inc="rebuild",
-        )
-        _, summary = _post(base, "/explain", {
-            "method": "gvex-approx", "labels": [1], "config": config,
-        })
-        assert [v["label"] for v in summary["views"]] == [1]
-        # the retired n_shards field is ignored: same answer as without
+        config["verifier_backend"] = "serial"
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(base, "/explain", {
+                "method": "gvex-approx", "labels": [1], "config": config,
+            })
+        assert err.value.code == 400
+        assert "ConfigurationError" in json.loads(err.value.read())["error"]
+        # the body's n_shards field is not read: same answer as without
         plain = {"method": "gvex-approx", "labels": [1]}
         _, want = _post(base, "/explain", plain)
         status, got = _post(base, "/explain", dict(plain, n_shards=2))

@@ -15,7 +15,7 @@ from repro.api import (
     pattern_from_spec,
     register_explainer,
 )
-from repro.config import RETIRED_KEYS, CoverageConstraint, GvexConfig
+from repro.config import CoverageConstraint, GvexConfig
 from repro.exceptions import (
     ConfigurationError,
     ExplanationError,
@@ -32,7 +32,6 @@ from repro.explainers.base import Explainer, ExplainerCapabilities
 from repro.graphs.pattern import Pattern
 
 from tests.conftest import C, N
-from tests.test_golden_views import view_set_fingerprint
 
 
 class TestRegistry:
@@ -207,14 +206,14 @@ class TestServiceParallel:
             assert sorted(p.key() for p in a.patterns) == sorted(
                 p.key() for p in b.patterns
             )
-        # the retired scheduling parameters are accepted and ignored
-        # (deleting them would turn them into RegistryError overrides)
-        retired = svc.explain(
-            "gvex-approx",
-            n_shards=3,
-            shard_stats={"shard_size": [{"shard_size": 1, "views_per_sec": 80.0}]},
-        )
-        assert view_set_fingerprint(retired) == view_set_fingerprint(serial)
+        # the retired scheduling parameters are gone: they now reach
+        # the explainer as unknown constructor overrides
+        for retired in (
+            {"n_shards": 3},
+            {"shard_stats": {"shard_size": [{"shard_size": 1}]}},
+        ):
+            with pytest.raises(RegistryError):
+                svc.explain("gvex-approx", **retired)
 
     def test_parallel_forwards_constructor_overrides(
         self, trained_model, mutagen_db
@@ -277,16 +276,13 @@ class TestConfigWire:
         with pytest.raises(ConfigurationError):
             GvexConfig.from_dict({"not_a_field": 1})
 
-    def test_retired_keys_accepted_and_ignored(self):
-        config = GvexConfig(theta=0.2).with_coverage(1, 2, 9)
-        wire = json.loads(json.dumps(config.to_dict()))
-        assert not set(RETIRED_KEYS) & set(wire)
-        wire.update(
-            verifier_backend="serial",
-            matching_backend="reference",
-            stream_inc="rebuild",
-        )
-        assert GvexConfig.from_dict(wire) == config
+    def test_retired_keys_rejected(self):
+        """The retired reference-tier keys fail like any unknown key."""
+        for retired in ("verifier_backend", "matching_backend", "stream_inc"):
+            wire = GvexConfig(theta=0.2).with_coverage(1, 2, 9).to_dict()
+            wire[retired] = "serial"
+            with pytest.raises(ConfigurationError, match=retired):
+                GvexConfig.from_dict(wire)
 
     @pytest.mark.parametrize(
         "payload",

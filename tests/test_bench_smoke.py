@@ -333,3 +333,47 @@ def test_dist_cluster_bench_smoke(trained_model, mutagen_db):
     redispatch = bench.bench_redispatch(mutagen_db, trained_model, config)
     assert redispatch["straggler"]["redispatched"] >= 1
     assert redispatch["straggler"]["shards"] == redispatch["healthy"]["shards"]
+
+
+def _load_remainder_delta_bench():
+    """Import benchmarks/bench_remainder_delta.py by path (not a package)."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).parent.parent / "benchmarks" / "bench_remainder_delta.py"
+    spec = importlib.util.spec_from_file_location("bench_remainder_delta", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.slow
+def test_remainder_delta_bench_smoke(tmp_path):
+    """The crossover ledger runs end to end on malnet-large frontiers.
+
+    Every recorded frontier is bitwise equal on the delta and the full
+    path (the bench raises otherwise) and the JSON carries its schema.
+    One generous bar: the delta takes at most 0.8x the full forward's
+    time over malnet-large frontiers (results/BENCH_remainder_delta.json:
+    0.54).
+    """
+    import json
+
+    bench = _load_remainder_delta_bench()
+    out = tmp_path / "BENCH_remainder_delta.json"
+    bench.run(out, sets=[("malnet", "large", "soft")], graphs={"soft": 6})
+    data = json.loads(out.read_text())
+    assert {"cpu_count", "commit", "repeats", "crossover", "sets", "skipped"} <= set(data)
+    if data["skipped"]:
+        pytest.skip("this BLAS rounds GEMM rows by block; the delta stays off")
+    assert data["all_bitwise_equal"] is True
+    assert data["repeats"] >= 5
+    (ledger,) = data["sets"]
+    assert ledger["frontiers"] > 0
+    for row in ledger["frontier_rows"]:
+        assert row["bitwise_equal"] is True
+        assert {
+            "rows", "frontier", "widest_fraction", "full_median_s",
+            "full_iqr_s", "delta_median_s", "delta_iqr_s", "rule_takes_delta",
+        } <= set(row)
+    assert ledger["delta_over_full"] <= 0.8, ledger["delta_over_full"]

@@ -14,7 +14,7 @@ from repro.core.verifiers import verify_view
 from repro.graphs.graph import graph_from_edges
 from repro.matching.coverage import CoverageIndex
 
-from tests.conftest import N, O
+from tests.conftest import C, N, O
 
 
 class TestExplainGraph:
@@ -154,3 +154,93 @@ class TestApproxGvexDatabase:
         views = algo.explain(mutagen_db, predicted=forced)
         assert views.labels == [0]
         assert len(views[0].subgraphs) > 0
+
+
+class _RankingStub:
+    """Verifier stub for ``_grow_lazy``'s confident branch.
+
+    Every selection is confident (0.95 > τ) and never counterfactual, so
+    growth runs to the upper bound; the remainder probability of
+    ``S ∪ {v}`` is ``rest[v]``. ``asked`` records, per selection, the
+    probabilities the ranking read.
+    """
+
+    def __init__(self, rest):
+        self.rest = rest
+        self.selected = frozenset()
+        self.asked = {}
+
+    def subset_probability(self, nodes, label):
+        return 0.95
+
+    def prefetch_extensions(self, base, candidates):
+        return 0
+
+    def prefetch_remainders(self, keys):
+        return 0
+
+    def remainder_probability(self, nodes, label):
+        (v,) = frozenset(nodes) - self.selected
+        self.asked.setdefault(self.selected, {})[v] = self.rest[v]
+        return self.rest[v]
+
+    def check(self, nodes, label):
+        self.selected = frozenset(nodes)
+        return False, False
+
+
+class TestTieOnlyNovelty:
+    """Novelty is mined only for candidates tied at the lowest remainder
+    probability, and the ranking still picks what the eager ``min``
+    over every candidate's novelty picked."""
+
+    NAN = float("nan")
+    TYPES = [C, C, C, C, C, C, N, O, O, N, O, C]
+    EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 6), (6, 7),
+             (6, 8), (3, 9), (9, 10), (4, 11)]
+    # exact ties at the minimum in every round, a NaN that leads the
+    # first round's ranking (min() keeps it) and one that never wins
+    REST = [NAN, 0.4, 0.25, 0.3, 0.25, 0.3, 0.25, 0.25, 0.5, NAN, 0.25, 0.3]
+    #: selection order of the eager ranking, recorded before novelty
+    #: became tie-only; mining every candidate ("all novel") gives
+    #: [0, 4, 10, 2, 6, 7, 3, 5] instead, so novelty decides here
+    PINNED = [0, 6, 7, 4, 10, 2, 3, 5]
+
+    def _grow(self, monkeypatch):
+        from repro.core import approx
+        from repro.core.explainability import ExplainabilityOracle
+        from repro.gnn.model import GnnClassifier
+
+        graph = graph_from_edges(self.TYPES, self.EDGES)
+        model = GnnClassifier(3, 2, hidden_dims=(8, 8), seed=0)
+        oracle = ExplainabilityOracle(model, graph, GvexConfig())
+        state = oracle.new_state()
+        stub = _RankingStub(self.REST)
+        order, mined = [], []
+        add, novelty = oracle.add, approx._pattern_novelty
+
+        def record_add(st, v):
+            order.append(int(v))
+            return add(st, v)
+
+        def record_novelty(g, selected, pool):
+            mined.append((frozenset(selected), sorted(pool)))
+            return novelty(g, selected, pool)
+
+        monkeypatch.setattr(oracle, "add", record_add)
+        monkeypatch.setattr(approx, "_pattern_novelty", record_novelty)
+        approx._grow_lazy(graph, stub, oracle, state, set(), 1, 0, 8, VERIFY_SOFT)
+        return order, mined, stub
+
+    def test_choice_matches_eager_ranking(self, monkeypatch):
+        order, _, _ = self._grow(monkeypatch)
+        assert order == self.PINNED
+
+    def test_mines_only_ties_at_the_minimum(self, monkeypatch):
+        _, mined, stub = self._grow(monkeypatch)
+        assert mined
+        for selected, candidates in mined:
+            asked = stub.asked[selected]
+            low = min(p for p in asked.values() if p == p)
+            assert candidates == sorted(v for v, p in asked.items() if p == low)
+            assert len(candidates) > 1

@@ -219,9 +219,10 @@ def _grow_lazy(
                 {w for u in state.selected for w in graph.all_neighbors(u)}
                 - state.selected
             )
-            frontier.sort(key=lambda w: -oracle.gain(state, w))
+            neg_gains = {w: -oracle.gain(state, w) for w in frontier}
+            frontier.sort(key=neg_gains.__getitem__)
             for w in frontier[: 2 * beam]:
-                pool.setdefault(w, -oracle.gain(state, w))
+                pool.setdefault(w, neg_gains[w])
         if not pool:
             break
 

@@ -1,19 +1,33 @@
 """The explainability objective ``f`` (Eq. 2) as a submodular oracle.
 
 One :class:`ExplainabilityOracle` is built per (model, graph) pair. It
-precomputes the boolean influence relation and diversity balls, after
-which set values and marginal gains are O(n) boolean reductions — this
-is what makes the greedy in ApproxGVEX and the swap tests in
+precomputes the boolean influence relation ``B`` and diversity balls
+``R``, and keeps each row of ``B`` as a Python-int bitset (bit ``w`` is
+node ``w``), the same int-row idiom the matcher uses. A
+:class:`SelectionState` holds the influenced set ``Inf(V_s)`` and the
+diversity set ``⋃_{x ∈ Inf(V_s)} R[x]`` as two such ints.
+
+Both unions of Eq. 2 distribute over ``V_s``, so the oracle also keeps
+the closure rows ``RB[u] = ⋃_{x ∈ B[u]} R[x]``, and then
+``D(V_s) = |⋃_{u ∈ V_s} RB[u]|``. A marginal gain is two AND-NOTs and
+two popcounts, ``add`` is two ORs, and :meth:`~ExplainabilityOracle.
+losses` prices every incumbent's removal from prefix and suffix ORs in
+``O(k)`` — what makes the greedy in ApproxGVEX and the swap test in
 StreamGVEX cheap.
 
 Per Eq. 2, a subgraph with node set ``V_s`` of a graph with ``|V|``
-nodes contributes ``(I(V_s) + γ·D(V_s)) / |V|``.
+nodes contributes ``(I(V_s) + γ·D(V_s)) / |V|``. Every value is that
+one float expression of integer counts: a gain is
+``(ΔI + γ·ΔD) / |V|``, and a loss is the difference of two state
+values, never ``(ΔI + γ·ΔD) / |V|``, which can round differently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Set
+from itertools import accumulate
+from operator import or_
+from typing import Dict, Iterable, List, Optional, Set
 
 import numpy as np
 
@@ -27,18 +41,41 @@ from repro.exceptions import ValidationError
 
 @dataclass
 class SelectionState:
-    """Incremental state of a greedy node selection on one graph."""
+    """Incremental state of a greedy node selection on one graph.
+
+    ``influenced`` and ``diversity`` are bitsets: bit ``w`` is set when
+    node ``w`` is influenced by, or lies in a diversity ball of, the
+    selection.
+    """
 
     selected: Set[int] = field(default_factory=set)
-    influenced: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
-    diversity: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
+    influenced: int = 0
+    diversity: int = 0
 
     def copy(self) -> "SelectionState":
         return SelectionState(
             selected=set(self.selected),
-            influenced=self.influenced.copy(),
-            diversity=self.diversity.copy(),
+            influenced=self.influenced,
+            diversity=self.diversity,
         )
+
+
+def _bit_rows(matrix: np.ndarray) -> List[int]:
+    """Rows of a boolean matrix as Python ints (bit ``w`` is column ``w``)."""
+    if matrix.size == 0:
+        return [0] * matrix.shape[0]
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    raw = packed.tobytes()
+    step = packed.shape[1]
+    return [
+        int.from_bytes(raw[i : i + step], "little")
+        for i in range(0, len(raw), step)
+    ]
+
+
+def _running_or(rows: List[int]) -> List[int]:
+    """``[0, r0, r0|r1, …]``: the OR of each prefix of ``rows``."""
+    return list(accumulate(rows, or_, initial=0))
 
 
 class ExplainabilityOracle:
@@ -56,6 +93,7 @@ class ExplainabilityOracle:
         else:
             self.B = np.zeros((0, 0), dtype=bool)
             self.R = np.zeros((0, 0), dtype=bool)
+        self._pack()
 
     @classmethod
     def from_relations(
@@ -84,15 +122,22 @@ class ExplainabilityOracle:
         self.n = n
         self.B = influence
         self.R = diversity
+        self._pack()
         return self
+
+    def _pack(self) -> None:
+        """Bitset rows of ``B`` and of the closure ``RB = B·R``.
+
+        The float32 product is exact: its entries are counts of 0/1
+        products, all below ``2**24``.
+        """
+        self._b = _bit_rows(self.B)
+        closure = self.B.astype(np.float32) @ self.R.astype(np.float32)
+        self._rb = _bit_rows(closure > 0)
 
     # ------------------------------------------------------------------
     def new_state(self) -> SelectionState:
-        return SelectionState(
-            selected=set(),
-            influenced=np.zeros(self.n, dtype=bool),
-            diversity=np.zeros(self.n, dtype=bool),
-        )
+        return SelectionState()
 
     def state_for(self, nodes: Iterable[int]) -> SelectionState:
         state = self.new_state()
@@ -101,13 +146,16 @@ class ExplainabilityOracle:
         return state
 
     # ------------------------------------------------------------------
-    def value_of_state(self, state: SelectionState) -> float:
-        """Current ``(I + γ·D) / |V|`` value."""
+    def _value(self, influenced: int, diversity: int) -> float:
         if self.n == 0:
             return 0.0
-        influence = float(state.influenced.sum())
-        diversity = float(state.diversity.sum())
-        return (influence + self.config.gamma * diversity) / self.n
+        return (
+            influenced.bit_count() + self.config.gamma * diversity.bit_count()
+        ) / self.n
+
+    def value_of_state(self, state: SelectionState) -> float:
+        """Current ``(I + γ·D) / |V|`` value."""
+        return self._value(state.influenced, state.diversity)
 
     def evaluate(self, nodes: Iterable[int]) -> float:
         """Stateless value of an arbitrary node set."""
@@ -123,38 +171,56 @@ class ExplainabilityOracle:
         """
         if v in state.selected:
             return 0.0
-        new_influenced = state.influenced | self.B[v]
-        newly = new_influenced & ~state.influenced
-        d_influence = float(newly.sum())
-        if newly.any():
-            new_diversity = state.diversity | self.R[newly].any(axis=0)
-            d_diversity = float((new_diversity & ~state.diversity).sum())
-        else:
-            d_diversity = 0.0
+        d_influence = (self._b[v] & ~state.influenced).bit_count()
+        d_diversity = (self._rb[v] & ~state.diversity).bit_count()
         return (d_influence + self.config.gamma * d_diversity) / self.n
 
+    def losses(
+        self, state: SelectionState, nodes: Iterable[int]
+    ) -> Dict[int, float]:
+        """Value drop from removing each of ``nodes`` (0.0 if unselected).
+
+        The other incumbents' rows are the OR of a prefix and a suffix
+        of the selection, so all ``k`` losses cost ``O(k)`` ORs.
+        """
+        members = list(state.selected)
+        b = [self._b[u] for u in members]
+        rb = [self._rb[u] for u in members]
+        # entry i of before/after: OR of the rows of members[:i] / members[i:]
+        before_b, before_rb = _running_or(b), _running_or(rb)
+        after_b, after_rb = _running_or(b[::-1])[::-1], _running_or(rb[::-1])[::-1]
+        position = {u: i for i, u in enumerate(members)}
+        value = self.value_of_state(state)
+        out: Dict[int, float] = {}
+        for v in nodes:
+            i = position.get(v)
+            out[v] = 0.0 if i is None else value - self._value(
+                before_b[i] | after_b[i + 1], before_rb[i] | after_rb[i + 1]
+            )
+        return out
+
     def loss(self, state: SelectionState, v: int) -> float:
-        """Value drop from removing ``v`` (recomputes the reduced state)."""
-        if v not in state.selected:
-            return 0.0
-        reduced = self.state_for(state.selected - {v})
-        return self.value_of_state(state) - self.value_of_state(reduced)
+        """Value drop from removing ``v``."""
+        return self.losses(state, [v])[v]
 
     def add(self, state: SelectionState, v: int) -> float:
         """Add ``v`` to the state; returns the realized gain."""
         gain = self.gain(state, v)
         if v in state.selected:
             return 0.0
-        newly = self.B[v] & ~state.influenced
-        state.influenced |= self.B[v]
-        if newly.any():
-            state.diversity |= self.R[newly].any(axis=0)
+        state.influenced |= self._b[v]
+        state.diversity |= self._rb[v]
         state.selected.add(v)
         return gain
 
     def remove(self, state: SelectionState, v: int) -> "SelectionState":
-        """State with ``v`` removed (rebuilt; unions are not invertible)."""
-        return self.state_for(state.selected - {v})
+        """State with ``v`` removed (unions are not invertible, so the
+        other incumbents' rows are OR-ed afresh)."""
+        reduced = SelectionState(selected=state.selected - {v})
+        for u in reduced.selected:
+            reduced.influenced |= self._b[u]
+            reduced.diversity |= self._rb[u]
+        return reduced
 
     # ------------------------------------------------------------------
     def best_candidate(

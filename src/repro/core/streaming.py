@@ -46,7 +46,7 @@ from repro.graphs.view import ExplanationSubgraph, ExplanationView, ViewSet
 from repro.mining.mdl import MinedPattern
 from repro.mining.pgen import mine_incremental, mine_patterns
 from repro.utils.rng import RngLike, ensure_rng
-from repro.exceptions import MissingKeyError, ValidationError
+from repro.exceptions import ValidationError
 
 
 @dataclass(frozen=True)
@@ -146,6 +146,7 @@ class StreamGvex:
         snapshots: List[AnytimeSnapshot] = []
         oracle: Optional[ExplainabilityOracle] = None
         state: Optional[SelectionState] = None
+        seen_ids: List[int] = []
         to_local: Dict[int, int] = {}
 
         for batch_start in range(0, len(stream), batch):
@@ -209,7 +210,7 @@ class StreamGvex:
             if v_local is None:
                 break
             oracle.add(state, v_local)
-            selected.add(_global_of(to_local, v_local))
+            selected.add(seen_ids[v_local])
         if len(selected) < lower or not selected:
             return StreamResult(
                 subgraph=None,
@@ -312,9 +313,8 @@ class StreamGvex:
             return False
         # (c) swap against the cheapest incumbent when gain >= 2 * loss
         local_selected = [to_local[u] for u in selected]
-        v_minus_local = min(
-            local_selected, key=lambda u: (oracle.loss(state, u), u)
-        )
+        losses = oracle.losses(state, local_selected)
+        v_minus_local = min(local_selected, key=lambda u: (losses[u], u))
         reduced = oracle.remove(state, v_minus_local)
         gain_v = oracle.gain(reduced, v_local)
         gain_v_minus = oracle.gain(reduced, v_minus_local)
@@ -416,13 +416,6 @@ class StreamGvex:
             view.score = sum(s.score for s in view.subgraphs)
             views.add(view)
         return views
-
-
-def _global_of(to_local: Dict[int, int], local: int) -> int:
-    for g, l in to_local.items():
-        if l == local:
-            return g
-    raise MissingKeyError(local)
 
 
 __all__ = ["StreamGvex", "StreamResult", "AnytimeSnapshot"]

@@ -1,8 +1,7 @@
-"""Conversion to/from :mod:`networkx` graphs.
+"""Conversion to/from :mod:`networkx` graphs, for tests only.
 
-Used by tests (networkx's ``GraphMatcher`` is the isomorphism oracle)
-and available to users who want to visualize or post-process
-explanation structures with the networkx ecosystem.
+networkx's ``GraphMatcher`` is the isomorphism oracle of the matching
+tests. Keeping the bridge here leaves networkx a test-only dependency.
 """
 
 from __future__ import annotations

@@ -182,3 +182,95 @@ def test_submodularity(base, extra, node):
 @given(nodes=subset_strategy)
 def test_non_negative(nodes):
     assert _ORACLE.evaluate(nodes) >= 0.0
+
+
+# ----------------------------------------------------------------------
+# the counting oracle is exact: bitset rows across 64-bit words, empty
+# rows/columns and non-reflexive balls, against the definitional
+# formulas written with the oracle's float expressions
+# ----------------------------------------------------------------------
+def _definitional_value(B, R, nodes, gamma):
+    n = B.shape[0]
+    if n == 0:
+        return 0.0
+    influence = float(influence_score(B, nodes))
+    diversity = float(diversity_score(R, influenced_set(B, nodes)))
+    return (influence + gamma * diversity) / n
+
+
+def _definitional_gain(B, R, nodes, v, gamma):
+    if v in nodes:
+        return 0.0
+    grown = nodes | {v}
+    d_influence = float(influence_score(B, grown) - influence_score(B, nodes))
+    d_diversity = float(
+        diversity_score(R, influenced_set(B, grown))
+        - diversity_score(R, influenced_set(B, nodes))
+    )
+    return (d_influence + gamma * d_diversity) / B.shape[0]
+
+
+def _definitional_loss(B, R, nodes, v, gamma):
+    if v not in nodes:
+        return 0.0
+    return _definitional_value(B, R, nodes, gamma) - _definitional_value(
+        B, R, nodes - {v}, gamma
+    )
+
+
+def _bits(mask):
+    return sum(1 << int(i) for i in np.flatnonzero(mask))
+
+
+def _random_relation(rng, n):
+    M = rng.random((n, n)) < rng.choice([0.0, 0.02, 0.1, 0.5, 1.0])
+    M[rng.random(n) < 0.2] = False  # all-empty rows
+    M[:, rng.random(n) < 0.2] = False  # all-empty columns
+    return M
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.one_of(
+        st.integers(min_value=0, max_value=200),
+        st.sampled_from([0, 1, 63, 64, 65, 127, 128, 129, 200]),
+    ),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    gamma=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_counting_oracle_matches_definition_exactly(n, seed, gamma):
+    rng = np.random.default_rng(seed)
+    B = _random_relation(rng, n)
+    R = _random_relation(rng, n)
+    if n and rng.random() < 0.5:
+        np.fill_diagonal(R, False)  # balls that miss their own centre
+    oracle = ExplainabilityOracle.from_relations(
+        Graph(np.zeros(n, dtype=np.int64)), GvexConfig(gamma=gamma), B, R
+    )
+    selected = {int(v) for v in np.flatnonzero(rng.random(n) < rng.random())}
+    probes = sorted(
+        {int(v) for v in rng.permutation(n)[:12]} | set(sorted(selected)[:4])
+    )
+
+    state = oracle.new_state()
+    for v in sorted(selected):
+        expected = _definitional_gain(B, R, set(state.selected), v, gamma)
+        assert oracle.add(state, v) == expected
+    value = _definitional_value(B, R, selected, gamma)
+    assert state.selected == selected
+    assert state.influenced == _bits(influenced_set(B, selected))
+    assert oracle.value_of_state(state) == value
+    assert oracle.evaluate(selected) == value
+
+    for v in probes:
+        assert oracle.gain(state, v) == _definitional_gain(B, R, selected, v, gamma)
+        assert oracle.loss(state, v) == _definitional_loss(B, R, selected, v, gamma)
+        reduced = oracle.remove(state, v)
+        assert reduced.selected == selected - {v}
+        assert reduced.influenced == _bits(influenced_set(B, selected - {v}))
+        assert oracle.value_of_state(reduced) == _definitional_value(
+            B, R, selected - {v}, gamma
+        )
+
+    nodes = sorted(selected) + probes
+    assert oracle.losses(state, nodes) == {u: oracle.loss(state, u) for u in nodes}

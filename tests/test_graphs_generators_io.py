@@ -1,4 +1,4 @@
-"""Unit tests for repro.graphs.generators, io, and convert."""
+"""Unit tests for repro.graphs.generators and io, and the networkx bridge."""
 
 import json
 
@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from repro.exceptions import GraphError
 from repro.graphs import generators as gen
 from repro.graphs import io
-from repro.graphs.convert import from_networkx, to_networkx
 from repro.graphs.database import GraphDatabase
 from repro.graphs.graph import graph_from_edges
 from repro.graphs.pattern import Pattern
 from repro.graphs.view import ExplanationSubgraph, ExplanationView, ViewSet
+from tests.networkx_bridge import from_networkx, to_networkx
 
 
 class TestGenerators:

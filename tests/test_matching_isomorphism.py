@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from networkx.algorithms import isomorphism as nxiso
 
-from repro.graphs.convert import to_networkx
 from repro.graphs.generators import erdos_renyi, ring_graph
 from repro.graphs.graph import Graph, graph_from_edges
 from repro.graphs.pattern import Pattern
@@ -16,6 +15,7 @@ from repro.matching.isomorphism import (
     first_isomorphism,
     is_subgraph_isomorphic,
 )
+from tests.networkx_bridge import to_networkx
 
 
 def _nx_induced_isomorphic(pattern: Pattern, host: Graph) -> bool:

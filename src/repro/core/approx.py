@@ -36,6 +36,8 @@ from repro.graphs.database import GraphDatabase
 from repro.graphs.graph import Graph
 from repro.graphs.pattern import Pattern
 from repro.graphs.view import ExplanationSubgraph, ExplanationView, ViewSet
+from repro.mining.classes import SubsetClassifier
+from repro.mining.pgen import fresh_classes, mine_patterns
 
 
 @dataclass
@@ -316,10 +318,10 @@ def _pattern_novelty(
     neighborhood adds structure not yet represented in ``V_S`` (ΔP ≠ ∅);
     applying the same test as a tie-break here steers the batch greedy
     toward structurally distinctive nodes (e.g. the O's completing an
-    NO2 group) when the remainder-probability signal is flat.
+    NO2 group) when the remainder-probability signal is flat. Each test
+    stops at the first fresh class with two or more nodes, and one
+    classifier serves every candidate.
     """
-    from repro.mining.pgen import mine_incremental, mine_patterns
-
     if not selected:
         return {v: True for v in pool}
     sel_sub, _ = graph.induced_subgraph(selected)
@@ -328,18 +330,20 @@ def _pattern_novelty(
         Pattern.singleton(int(t))
         for t in sorted(set(graph.node_types.tolist()))
     )
+    classifier = SubsetClassifier()
     out: Dict[int, bool] = {}
     for v in pool:
         ext = sorted(selected | {v})
         ext_sub, ids = graph.induced_subgraph(ext)
-        delta = mine_incremental(
+        delta = fresh_classes(
             ext_sub,
             new_node=ids.index(v),
             radius=2,
             known=known,
             max_size=3,
+            classifier=classifier,
         )
-        out[v] = any(p.n_nodes >= 2 for p in delta)
+        out[v] = any(len(subset) >= 2 for subset in delta)
     return out
 
 

@@ -5,9 +5,19 @@ Processes each graph's nodes as a stream in batches. The selected set
 (Procedure 4): once full, an arriving node ``v`` replaces the
 cheapest-to-lose incumbent ``v⁻`` only when ``gain(v) >= 2 · loss(v⁻)``
 — the swap rule that preserves the streaming 1/4-approximation
-(Theorem 5.1). ``IncUpdateP`` (Procedure 5) keeps the higher-tier
-pattern set covering ``V_S``, mining new candidates only from the
-arriving node's ``r``-hop neighborhood (``IncPGen``).
+(Theorem 5.1). The swap is tried only when the arriving node adds
+pattern structure: ``IncPGen``'s ΔP over its ``r``-hop neighborhood is
+non-empty. That test stops at the first fresh isomorphism class
+(:func:`~repro.mining.pgen.fresh_classes`). ``IncUpdateP``
+(Procedure 5) keeps the higher-tier pattern set covering ``V_S``. Its
+candidates come from one :class:`~repro.mining.index.SubsetIndex` per
+stream, which adds the subsets an admitted node brings and drops the
+subsets an evicted node takes, instead of re-mining ``V_S`` on every
+admission. ΔP and the index classify through one shared
+:class:`~repro.mining.classes.SubsetClassifier`, which builds a
+``Pattern`` only for subset content it has not seen; the re-mining
+schedule survives as the parity reference
+:func:`repro.reference.remine_patterns`.
 
 ``IncEVerify`` — the per-chunk refresh of the influence/diversity
 oracle on the seen prefix — is :class:`~repro.core.inc_everify.
@@ -29,7 +39,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -43,8 +53,9 @@ from repro.graphs.database import GraphDatabase
 from repro.graphs.graph import Graph
 from repro.graphs.pattern import Pattern
 from repro.graphs.view import ExplanationSubgraph, ExplanationView, ViewSet
+from repro.mining.index import SubsetIndex
 from repro.mining.mdl import MinedPattern
-from repro.mining.pgen import mine_incremental, mine_patterns
+from repro.mining.pgen import fresh_classes
 from repro.utils.rng import RngLike, ensure_rng
 from repro.exceptions import ValidationError
 
@@ -137,12 +148,9 @@ class StreamGvex:
         selected: Set[int] = set()  # global node ids
         backup: Set[int] = set()
         patterns: List[Pattern] = []
-        # canonization memo for IncUpdateP: maps source-graph node
-        # subsets of admitted V_S subgraphs to their induced Pattern
-        # (with its cached WL key), so chunk-over-chunk re-mining stops
-        # re-canonizing subsets it already saw (ROADMAP open item);
-        # evicted when the repair scan mutates the selection
-        psum_memo: Dict[Tuple[int, ...], Pattern] = {}
+        # V_S's connected subsets by class, updated wherever `selected`
+        # changes; its classifier also serves the ΔP tests
+        index = SubsetIndex(graph, config.max_pattern_size)
         snapshots: List[AnytimeSnapshot] = []
         oracle: Optional[ExplainabilityOracle] = None
         state: Optional[SelectionState] = None
@@ -183,12 +191,10 @@ class StreamGvex:
                     continue
                 took = self._inc_update_vs(
                     v, selected, backup, oracle, state, to_local, upper,
-                    seen_sub, seen_ids, patterns,
+                    seen_sub, seen_ids, patterns, index,
                 )
                 if took:
-                    self._inc_update_p(
-                        graph, selected, patterns, config, memo=psum_memo
-                    )
+                    self._inc_update_p(graph, selected, patterns, config, index)
             assert oracle is not None and state is not None
             snapshots.append(
                 AnytimeSnapshot(
@@ -211,6 +217,7 @@ class StreamGvex:
                 break
             oracle.add(state, v_local)
             selected.add(seen_ids[v_local])
+            index.add(seen_ids[v_local])
         if len(selected) < lower or not selected:
             return StreamResult(
                 subgraph=None,
@@ -247,14 +254,14 @@ class StreamGvex:
             ):
                 break
             selected.add(best)
-            psum_memo.clear()  # repair-scan mutation: evict stale memo
+            index.add(best)
             if best in to_local:
                 oracle.add(state, to_local[best])
 
         nodes = tuple(sorted(selected))
         sub, _ = graph.induced_subgraph(nodes)
         consistent, counterfactual = verifier.check(nodes, label)
-        self._inc_update_p(graph, selected, patterns, config, memo=psum_memo)
+        self._inc_update_p(graph, selected, patterns, config, index)
         score = oracle.value_of_state(state)
         return StreamResult(
             subgraph=ExplanationSubgraph(
@@ -283,6 +290,7 @@ class StreamGvex:
         seen_sub: Graph,
         seen_ids: List[int],
         patterns: Sequence[Pattern],
+        index: SubsetIndex,
     ) -> bool:
         """``IncUpdateVS`` (Procedure 4): maintain the size-``u_l`` cache.
 
@@ -292,24 +300,27 @@ class StreamGvex:
         margin is what bounds the value surrendered over the stream
         and preserves the 1/4-approximation. Gains and losses are the
         submodular marginals of Eq. 2 (Lemma 3.3), served by the
-        chunk's ``IncEVerify`` oracle. Returns True when ``v`` entered
-        ``V_S``.
+        chunk's ``IncEVerify`` oracle. ``index`` follows every change
+        to ``selected``. Returns True when ``v`` entered ``V_S``.
         """
         v_local = to_local[v]
         # (a) cache not full: just add
         if len(selected) < upper:
             oracle.add(state, v_local)
             selected.add(v)
+            index.add(v)
             return True
-        # (b) v contributes no new pattern structure: skip
-        delta = mine_incremental(
+        # (b) v contributes no new pattern structure: skip. Only ΔP's
+        # emptiness matters, so stop at its first class.
+        delta = fresh_classes(
             seen_sub,
             new_node=v_local,
             radius=self.config.stream_radius,
             known=patterns,
             max_size=self.config.max_pattern_size,
+            classifier=index.classifier,
         )
-        if not delta:
+        if next(delta, None) is None:
             return False
         # (c) swap against the cheapest incumbent when gain >= 2 * loss
         local_selected = [to_local[u] for u in selected]
@@ -321,9 +332,11 @@ class StreamGvex:
         if gain_v >= 2.0 * gain_v_minus:
             v_minus_global = seen_ids[v_minus_local]
             selected.discard(v_minus_global)
+            index.drop(v_minus_global)
             backup.add(v_minus_global)
             oracle.add(reduced, v_local)
             selected.add(v)
+            index.add(v)
             state.selected = reduced.selected
             state.influenced = reduced.influenced
             state.diversity = reduced.diversity
@@ -336,37 +349,26 @@ class StreamGvex:
         selected: Set[int],
         patterns: List[Pattern],
         config: GvexConfig,
-        memo: Optional[Dict[Tuple[int, ...], Pattern]] = None,
+        index: SubsetIndex,
     ) -> None:
         """Procedure 5: keep patterns covering ``V_S`` with small edge loss.
 
         Re-runs the weighted-cover greedy on the (≤ u_l node) induced
-        subgraph of ``V_S``, with the incumbent patterns plus freshly
-        mined candidates as the pool; incumbents that no longer
-        contribute coverage are swapped out exactly as the paper's
-        case analysis prescribes. ``memo`` caches the induced Pattern
-        (hence its canonical WL key) per source-node subset across the
-        stream's repeated calls — each admitted node re-mines a ``V_S``
-        that overlaps the previous one almost entirely, and memoized
-        subsets skip Pattern construction and re-canonization while
-        producing byte-identical candidates.
+        subgraph of ``V_S``, with the incumbent patterns first and then
+        the candidates ``mine_patterns`` would mine from ``V_S`` (the
+        top 50 by MDL, then one singleton per node type); incumbents
+        that no longer contribute coverage are swapped out exactly as
+        the paper's case analysis prescribes. The candidates are read
+        from ``index``, which already holds ``V_S``'s classified
+        subsets, so nothing is re-mined.
         """
         if not selected:
             return
-        vs_sub, vs_ids = graph.induced_subgraph(selected)
+        vs_sub, _ = graph.induced_subgraph(selected)
         pool: List[MinedPattern] = [
             MinedPattern(p, support=1, embeddings=1) for p in patterns
         ]
-        pool.extend(
-            mine_patterns(
-                [vs_sub],
-                max_size=config.max_pattern_size,
-                min_support=1,
-                max_candidates=50,
-                subset_keys=[vs_ids] if memo is not None else None,
-                pattern_memo=memo,
-            )
-        )
+        pool.extend(index.mined(max_candidates=50))
         result = summarize([vs_sub], config, candidates=pool)
         patterns[:] = result.patterns
 

@@ -12,7 +12,12 @@ benches compare them against:
 * :func:`match_coverage` — one pattern's coverage of one host over that
   matcher, with the production ``match_cap`` and stop-early rules;
 * :class:`RebuildEVerify` — StreamGVEX's ``IncEVerify`` by rebuilding
-  the explainability oracle on the seen prefix every chunk.
+  the explainability oracle on the seen prefix every chunk;
+* :func:`remined_delta` and :func:`remine_inc_update_p` — StreamGVEX's
+  pattern side by re-mining: ``IncPGen``'s ΔP as a full list, one
+  ``Pattern`` built and canonized per enumerated subset of the ball's
+  induced subgraph, and ``IncUpdateP`` re-mining ``V_S`` with
+  ``mine_patterns`` on every admission.
 
 The serial ``EVerify`` reference is
 :class:`~repro.core.verifiers.GnnVerifier` itself, the batched
@@ -21,28 +26,34 @@ verifier's base class.
 No production module imports this one (``tests/test_reference_isolation.py``
 parses the package to check), and nothing here is in any ``__all__``.
 Tests and benches reach production through substitution: each of
-:func:`reference_matcher`, :func:`serial_verifier` and
-:func:`rebuild_everify` patches the production entry points with a
-reference for the duration of a ``with`` block.
+:func:`reference_matcher`, :func:`serial_verifier`,
+:func:`rebuild_everify` and :func:`remine_patterns` patches the
+production entry points with a reference for the duration of a
+``with`` block.
 """
 
 from __future__ import annotations
 
 from contextlib import ExitStack, contextmanager
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 from unittest import mock
 
 from repro.config import GvexConfig
 from repro.core.explainability import ExplainabilityOracle
 from repro.core.inc_everify import OracleStats
+from repro.core.psum import summarize
 from repro.core.verifiers import GnnVerifier
 from repro.gnn.model import GnnClassifier
 from repro.graphs.graph import Graph
 from repro.graphs.pattern import Pattern
+from repro.matching.canonical import pattern_identity
 from repro.matching.context import matching_order
 from repro.matching.coverage import PatternCoverage
 from repro.matching.isomorphism import Mapping
 from repro.matching.plan_cache import LocalCoverage
+from repro.mining.enumerate import connected_node_subsets
+from repro.mining.mdl import MinedPattern
+from repro.mining.pgen import mine_patterns
 
 
 # ----------------------------------------------------------------------
@@ -220,6 +231,82 @@ class RebuildEVerify:
 
 
 # ----------------------------------------------------------------------
+# IncPGen and IncUpdateP: re-mine, one Pattern per subset
+# ----------------------------------------------------------------------
+def remined_delta(
+    host: Graph,
+    new_node: int,
+    radius: int,
+    known: Iterable[Pattern],
+    max_size: int = 5,
+    enumeration_cap: int = 20_000,
+) -> List[Tuple[Tuple[int, ...], Pattern]]:
+    """``IncPGen``'s ΔP in full, classifying subset by subset.
+
+    Builds the ball's induced subgraph, then a ``Pattern`` per
+    enumerated subset containing ``new_node``, canonized against
+    ``known`` and the patterns already returned. Returns each fresh
+    class's first subset, in ``host``'s ids, with its pattern; the
+    patterns are the value of :func:`~repro.mining.pgen.mine_incremental`.
+    """
+    identity: Dict[str, List[Pattern]] = {}
+    met = [pattern_identity(p, identity) for p in known]
+    hood = sorted(host.k_hop_nodes(new_node, radius))
+    sub, mapping = host.induced_subgraph(hood)
+    local_new = mapping.index(new_node)
+    fresh: List[Tuple[Tuple[int, ...], Pattern]] = []
+    for subset in connected_node_subsets(sub, max_size, cap=enumeration_cap):
+        if local_new not in subset:
+            continue
+        canon = pattern_identity(Pattern.from_induced(sub, subset), identity)
+        if not any(canon is q for q in met):
+            met.append(canon)
+            fresh.append((tuple(mapping[v] for v in subset), canon))
+    return fresh
+
+
+def _listed_fresh_classes(
+    host: Graph,
+    new_node: int,
+    radius: int,
+    known: Iterable[Pattern],
+    max_size: int = 5,
+    enumeration_cap: int = 20_000,
+    classifier: object = None,
+) -> Iterator[Tuple[int, ...]]:
+    """Stand-in for ``fresh_classes``: the whole ΔP, listed first."""
+    delta = remined_delta(host, new_node, radius, known, max_size, enumeration_cap)
+    return iter([subset for subset, _ in delta])
+
+
+def remine_inc_update_p(
+    self: object,
+    graph: Graph,
+    selected: Set[int],
+    patterns: List[Pattern],
+    config: GvexConfig,
+    index: object,
+) -> None:
+    """``IncUpdateP`` by re-mining: ``mine_patterns`` over ``V_S`` per call.
+
+    Drop-in for ``StreamGvex._inc_update_p``; ``index`` is ignored.
+    """
+    if not selected:
+        return
+    vs_sub, _ = graph.induced_subgraph(selected)
+    pool = [MinedPattern(p, support=1, embeddings=1) for p in patterns]
+    pool.extend(
+        mine_patterns(
+            [vs_sub],
+            max_size=config.max_pattern_size,
+            min_support=1,
+            max_candidates=50,
+        )
+    )
+    patterns[:] = summarize([vs_sub], config, candidates=pool).patterns
+
+
+# ----------------------------------------------------------------------
 # substitution
 # ----------------------------------------------------------------------
 @contextmanager
@@ -266,3 +353,20 @@ def serial_verifier():
 def rebuild_everify():
     """Run the block's StreamGVEX chunks on :class:`RebuildEVerify`."""
     return _patched({"repro.core.streaming.IncrementalEVerify": RebuildEVerify})
+
+
+def remine_patterns():
+    """Run the block's StreamGVEX pattern side by re-mining.
+
+    ``IncUpdateVS`` and ApproxGVEX's novelty tie-break list all of ΔP
+    through :func:`remined_delta` instead of stopping at its first
+    class, and ``IncUpdateP`` re-mines ``V_S`` through
+    :func:`remine_inc_update_p` instead of reading the subset index.
+    """
+    return _patched(
+        {
+            "repro.core.streaming.fresh_classes": _listed_fresh_classes,
+            "repro.core.approx.fresh_classes": _listed_fresh_classes,
+            "repro.core.streaming.StreamGvex._inc_update_p": remine_inc_update_p,
+        }
+    )

@@ -1,7 +1,6 @@
-"""Shared utilities: seeded RNG helpers, timers, validation."""
+"""Shared utilities: seeded RNG helpers and validation."""
 
 from repro.utils.rng import ensure_rng, spawn_rngs
-from repro.utils.timing import Stopwatch, time_call
 from repro.utils.validation import (
     check_fraction,
     check_non_negative,
@@ -12,8 +11,6 @@ from repro.utils.validation import (
 __all__ = [
     "ensure_rng",
     "spawn_rngs",
-    "Stopwatch",
-    "time_call",
     "check_fraction",
     "check_non_negative",
     "check_positive",

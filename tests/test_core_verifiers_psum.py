@@ -237,6 +237,19 @@ class TestPsum:
         assert result.node_coverage_complete
         assert result.edge_loss == 0.0  # no edges to miss
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "ROADMAP 'Directed singleton patterns': Pattern.singleton builds "
+            "an undirected graph, which matches nothing on a directed host"
+        ),
+    )
+    def test_directed_isolated_node_is_covered(self):
+        # Lemma 4.3's precondition: PGen's singletons can cover every node
+        host = graph_from_edges([C, N, N], [(0, 1)], directed=True)
+        result = summarize([host], GvexConfig())
+        assert result.node_coverage_complete
+
 
 class TestVerifyView:
     def _view_for(self, model, db, config, idx):

@@ -32,6 +32,7 @@ from repro.graphs.pattern import Pattern
 from repro.matching.coverage import CoverageIndex
 from repro.matching.isomorphism import is_subgraph_isomorphic
 from repro.mining.enumerate import connected_node_subsets
+from repro.mining.index import SubsetIndex
 from repro.mining.pgen import mine_incremental
 
 
@@ -244,9 +245,12 @@ def test_stream_swap_rule_threshold(data, g):
     )
 
     algo = StreamGvex(_ORACLE_MODEL, _ORACLE_CONFIG)
+    index = SubsetIndex(g, _ORACLE_CONFIG.max_pattern_size)
+    for u in sorted(selected):
+        index.add(u)
     took = algo._inc_update_vs(
         v, selected, set(), oracle, state, to_local, upper,
-        seen_sub, seen_ids, [],
+        seen_sub, seen_ids, [], index,
     )
     if took:
         assert delta, "swap must be justified by new pattern structure"
@@ -256,6 +260,7 @@ def test_stream_swap_rule_threshold(data, g):
     else:
         assert (not delta) or gain_v < 2.0 * gain_v_minus + 1e-12
         assert v not in selected
+    assert index.nodes == selected  # the subset index follows V_S
 
 
 @settings(max_examples=40, deadline=None)

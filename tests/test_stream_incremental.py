@@ -53,7 +53,7 @@ def stream_fingerprint(result):
     return (
         nodes,
         score,
-        tuple(p.key() for p in result.patterns),
+        tuple(p.graph.content_key() for p in result.patterns),
         tuple(s.objective for s in result.snapshots),
         tuple(s.selected_nodes for s in result.snapshots),
     )

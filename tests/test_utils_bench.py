@@ -1,7 +1,5 @@
 """Tests for utils, bench harness, and reporting modules."""
 
-import time
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,6 @@ from repro.bench.harness import (
 )
 from repro.bench.reporting import render_series, render_table, save_result
 from repro.utils.rng import derive_seed, ensure_rng, spawn_rngs
-from repro.utils.timing import Stopwatch, time_call
 from repro.utils.validation import (
     check_fraction,
     check_in,
@@ -47,22 +44,6 @@ class TestRng:
     def test_derive_seed_stable(self):
         assert derive_seed(1, "a", 2) == derive_seed(1, "a", 2)
         assert derive_seed(1, "a") != derive_seed(1, "b")
-
-
-class TestTiming:
-    def test_stopwatch_laps(self):
-        sw = Stopwatch()
-        with sw.lap("x"):
-            time.sleep(0.01)
-        with sw.lap("x"):
-            pass
-        assert sw.laps["x"] >= 0.01
-        assert sw.total == sum(sw.laps.values())
-
-    def test_time_call(self):
-        result, elapsed = time_call(lambda a, b: a + b, 2, b=3)
-        assert result == 5
-        assert elapsed >= 0
 
 
 class TestValidation:

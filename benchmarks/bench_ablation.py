@@ -12,8 +12,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.bench.harness import bench_config, label_group_indices, majority_label
-from repro.bench.reporting import render_table, save_result
+from benchmarks.harness import bench_config, label_group_indices, majority_label
+from benchmarks.reporting import render_table, save_result
 from repro.config import JACOBIAN_EXACT, JACOBIAN_EXPECTED, VERIFY_NONE, VERIFY_SOFT
 from repro.core.approx import ApproxGvex
 from repro.core.psum import summarize
@@ -175,7 +175,7 @@ def test_ablation_stream_batch_size(mut, benchmark):
     much."""
     import time
 
-    from repro.bench.harness import label_group_indices, majority_label
+    from benchmarks.harness import label_group_indices, majority_label
     from repro.core.streaming import StreamGvex
 
     label = majority_label(mut)

@@ -11,8 +11,8 @@ assert:
   * GVEX's subgraph is no larger than the baselines'.
 """
 
-from repro.bench.harness import bench_config, label_group_indices
-from repro.bench.reporting import render_table, save_result
+from benchmarks.harness import bench_config, label_group_indices
+from benchmarks.reporting import render_table, save_result
 from repro.core.approx import ApproxGvex
 from repro.datasets.molecules import C, N, O
 from repro.explainers import GnnExplainer, SubgraphX

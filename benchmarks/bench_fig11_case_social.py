@@ -9,8 +9,8 @@ discussion view's patterns include a high-fanout (star-like) pattern,
 and the two views' pattern sets differ.
 """
 
-from repro.bench.harness import bench_config, label_group_indices
-from repro.bench.reporting import render_table, save_result
+from benchmarks.harness import bench_config, label_group_indices
+from benchmarks.reporting import render_table, save_result
 from repro.core.approx import ApproxGvex
 from repro.datasets.social import DISCUSSION, QA
 from repro.mining.pgen import mine_patterns

@@ -18,8 +18,8 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from repro.bench.harness import bench_config, label_group_indices, majority_label
-from repro.bench.reporting import render_table, save_result
+from benchmarks.harness import bench_config, label_group_indices, majority_label
+from benchmarks.reporting import render_table, save_result
 from repro.core.streaming import StreamGvex
 from repro.reference import rebuild_everify
 

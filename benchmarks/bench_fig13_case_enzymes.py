@@ -7,8 +7,8 @@ pattern sets are non-empty and mutually distinct, and that each view's
 subgraphs come only from its own label group.
 """
 
-from repro.bench.harness import bench_config
-from repro.bench.reporting import render_table, save_result
+from benchmarks.harness import bench_config
+from benchmarks.reporting import render_table, save_result
 from repro.core.approx import ApproxGvex
 
 from conftest import SEED

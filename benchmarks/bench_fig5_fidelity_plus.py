@@ -10,7 +10,7 @@ weakest baseline.
 
 import numpy as np
 
-from repro.bench.reporting import render_series, save_result
+from benchmarks.reporting import render_series, save_result
 
 from conftest import SWEEP_METHODS, sweep_for
 

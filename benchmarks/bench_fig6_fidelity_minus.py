@@ -9,7 +9,7 @@ terms.
 
 import numpy as np
 
-from repro.bench.reporting import render_series, save_result
+from benchmarks.reporting import render_series, save_result
 
 from conftest import SWEEP_METHODS, sweep_for
 

@@ -9,8 +9,8 @@ degrades Fidelity-, which GVEX delivers by construction).
 
 import numpy as np
 
-from repro.bench.harness import bench_config, label_group_indices, majority_label
-from repro.bench.reporting import render_table, save_result
+from benchmarks.harness import bench_config, label_group_indices, majority_label
+from benchmarks.reporting import render_table, save_result
 from repro.config import GvexConfig
 from repro.explainers import ApproxGvexExplainer
 from repro.metrics.fidelity import fidelity_scores

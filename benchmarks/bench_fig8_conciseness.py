@@ -9,13 +9,13 @@ Paper shapes:
 
 import numpy as np
 
-from repro.bench.harness import (
+from benchmarks.harness import (
     bench_config,
     label_group_indices,
     majority_label,
     make_explainers,
 )
-from repro.bench.reporting import render_series, render_table, save_result
+from benchmarks.reporting import render_series, render_table, save_result
 from repro.config import GvexConfig
 from repro.core.approx import ApproxGvex
 from repro.metrics.conciseness import mean_compression, mean_edge_loss, sparsity

@@ -19,13 +19,13 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from repro.bench.harness import (
+from benchmarks.harness import (
     bench_config,
     label_group_indices,
     majority_label,
     timed_explain,
 )
-from repro.bench.reporting import render_series, render_table, save_result
+from benchmarks.reporting import render_series, render_table, save_result
 from repro.core.approx import explain_graph
 from repro.core.streaming import StreamGvex
 from repro.reference import serial_verifier
@@ -135,7 +135,7 @@ def test_fig9d_scalability_pcq(benchmark):
             # replicate indices to reach the target count
             reps = [indices[i % len(indices)] for i in range(count)]
             for times, method in ((ag_times, "AG"), (sg_times, "SG")):
-                from repro.bench.harness import make_explainers
+                from benchmarks.harness import make_explainers
 
                 explainer = make_explainers(setup, [method])[method]
                 start = time.perf_counter()

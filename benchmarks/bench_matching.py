@@ -40,7 +40,7 @@ if __package__ in (None, ""):  # direct `python benchmarks/bench_matching.py`
 
 from benchmarks.conftest import SEED, trained
 from repro import reference
-from repro.bench.harness import bench_config
+from benchmarks.harness import bench_config
 from repro.core.approx import explain_database
 from repro.matching.coverage import CoverageIndex, pmatch
 from repro.matching.context import MatchContext, MatchPlan

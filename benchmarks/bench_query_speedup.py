@@ -12,8 +12,8 @@ from __future__ import annotations
 import time
 
 from benchmarks.conftest import SEED, trained
-from repro.bench.harness import bench_config
-from repro.bench.reporting import render_table, save_result
+from benchmarks.harness import bench_config
+from benchmarks.reporting import render_table, save_result
 from repro.core.approx import explain_database
 from repro.matching.isomorphism import is_subgraph_isomorphic
 from repro.query import Q, ViewIndex

@@ -6,7 +6,7 @@ GVEX supports label-specific, size-bounded, coverage-aware,
 configurable, queryable explanation at once.
 """
 
-from repro.bench.reporting import save_result
+from benchmarks.reporting import save_result
 from repro.metrics.capability import capability_rows, capability_table
 
 

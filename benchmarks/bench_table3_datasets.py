@@ -7,7 +7,7 @@ being the smallest molecules, REDDIT threads are larger than molecules.
 Absolute sizes are scaled down per DESIGN.md §1.
 """
 
-from repro.bench.reporting import save_result
+from benchmarks.reporting import save_result
 from repro.datasets.registry import DATASETS
 from repro.datasets.statistics import compute_statistics, statistics_table
 

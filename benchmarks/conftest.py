@@ -41,7 +41,7 @@ def upper_sweep_for(trained_setup):
 
 def sweep_for(trained_setup):
     """Cached Figures 5/6 sweep: returns (u_l values, per-method results)."""
-    from repro.bench.harness import fidelity_sweep
+    from benchmarks.harness import fidelity_sweep
 
     key = trained_setup.dataset
     if key not in _SWEEP_CACHE:

@@ -99,10 +99,6 @@ class ClassInfo:
                 out.append(stmt)
         return out
 
-    def lock_names(self) -> FrozenSet[str]:
-        """Attributes whose ``with`` acquisition means "lock held"."""
-        return frozenset(self.locks) | frozenset(self.conditions)
-
     def lock_for(self, attr: str) -> Optional[str]:
         """The canonical lock attr held when ``with self.<attr>:`` runs."""
         if attr in self.locks:

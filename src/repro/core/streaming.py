@@ -167,12 +167,10 @@ class StreamGvex:
             oracle = engine.refresh(seen_sub, seen_ids)
             state = oracle.state_for([to_local[v] for v in selected])
 
-            if mode == VERIFY_PAPER and verifier.is_batched:
+            if mode == VERIFY_PAPER:
                 # speculative frontier fill for the arriving chunk: the
                 # selected set rarely changes mid-chunk once the cache
-                # is warm, so most per-node vp_extend probes hit. The
-                # serial reference verifier skips it to keep its lazy
-                # one-forward-per-probe schedule.
+                # is warm, so most per-node vp_extend probes hit
                 fresh = [v for v in chunk if v not in selected]
                 verifier.prefetch_extensions(selected, fresh)
                 verifier.prefetch_remainders(

@@ -18,12 +18,12 @@ from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.config import GvexConfig, VERIFY_NONE, VERIFY_PAPER, VERIFY_SOFT
-from repro.gnn.batch import DELTA_MAX_ROWS
+from repro.gnn.batch import DELTA_MAX_ROWS, extension_index_matrix
 from repro.gnn.model import GnnClassifier
 from repro.graphs.graph import Graph
 from repro.graphs.view import ExplanationView
 from repro.matching.coverage import CoverageIndex
-from repro.exceptions import ValidationError
+from repro.exceptions import ModelError, ValidationError
 
 
 def uniform_prior(n_classes: int) -> np.ndarray:
@@ -58,9 +58,6 @@ class GnnVerifier:
     frontier, so its ``inference_calls`` is much smaller for the same
     ``subsets_evaluated``.
     """
-
-    #: whether prefetches are filled with stacked batch passes
-    is_batched = False
 
     def __init__(
         self, model: GnnClassifier, graph: Graph, original_label: object = _AUTO
@@ -228,12 +225,10 @@ class BatchedGnnVerifier(GnnVerifier):
     ``v`` (:meth:`GnnClassifier.predict_proba_delta`). Only GCN
     :class:`GnnClassifier` models (``delta_capable``) take it.
 
-    Models without a ``predict_proba_batch`` method (the relational
-    classifier) degrade gracefully to the serial schedule; batch-capable
-    models take the ``cache`` and ``presorted`` arguments.
+    The model must have ``predict_proba_batch`` (taking the ``cache``
+    and ``presorted`` arguments); a model without one is refused with
+    :class:`~repro.exceptions.ModelError` before any forward runs.
     """
-
-    is_batched = True
 
     #: peak-memory cap: one stacked launch materializes ``(B, k, k)``
     #: tensors, so the frontier is split into launches of at most
@@ -253,8 +248,12 @@ class BatchedGnnVerifier(GnnVerifier):
     def __init__(
         self, model: GnnClassifier, graph: Graph, original_label: object = _AUTO
     ) -> None:
+        if not hasattr(model, "predict_proba_batch"):
+            raise ModelError(
+                f"{type(model).__name__} has no predict_proba_batch: "
+                "the batched verifier needs a stacked forward"
+            )
         super().__init__(model, graph, original_label=original_label)
-        self._can_batch = hasattr(model, "predict_proba_batch")
         #: dense gather sources (features / symmetrized adjacency) are
         #: immutable per graph; reusing them across launches avoids an
         #: O(n²) rebuild every prefetch
@@ -301,10 +300,6 @@ class BatchedGnnVerifier(GnnVerifier):
         misses = self._subset_misses(keys)
         if not misses:
             return 0
-        if not self._can_batch:
-            for key in misses:
-                self._subset_proba(key)
-            return len(misses)
         rows = self._launch([sorted(key) for key in misses])
         for key, row in zip(misses, rows):
             self._subset_probas[key] = row
@@ -314,10 +309,6 @@ class BatchedGnnVerifier(GnnVerifier):
         misses = self._remainder_misses(keys)
         if not misses:
             return 0
-        if not self._can_batch:
-            for key in misses:
-                self._remainder_proba(key)
-            return len(misses)
         if not self._keeps_bases:
             all_nodes = range(self.graph.n_nodes)
             rows = self._launch(
@@ -468,10 +459,6 @@ class BatchedGnnVerifier(GnnVerifier):
         misses = [v for v in fresh if base_key | {v} not in self._subset_probas]
         if not misses:
             return 0
-        if not self._can_batch:
-            return super().prefetch_extensions(base_key, misses)
-        from repro.gnn.batch import extension_index_matrix
-
         idx = extension_index_matrix(base_key, misses)
         width = idx.shape[1]
         chunk = max(1, self.BATCH_ELEMENT_BUDGET // max(1, width * width))

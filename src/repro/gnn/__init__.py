@@ -12,14 +12,12 @@ from repro.gnn.model import GnnClassifier
 from repro.gnn.node_model import NodeGnnClassifier
 from repro.gnn.sparse import shard_block_adjacency, sparse_normalized_adjacency
 from repro.gnn.optim import Adam, Sgd
-from repro.gnn.relational import RelationalGnnClassifier
 from repro.gnn.propagation import normalized_adjacency, propagation_power
 from repro.gnn.training import LabelEncoder, Trainer, TrainingHistory, train_classifier
 
 __all__ = [
     "GnnClassifier",
     "NodeGnnClassifier",
-    "RelationalGnnClassifier",
     "Trainer",
     "TrainingHistory",
     "LabelEncoder",

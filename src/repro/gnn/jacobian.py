@@ -60,7 +60,7 @@ def expected_influence(model: GnnClassifier, graph: Graph) -> np.ndarray:
 
     For GCN aggregation on large graphs this dispatches to sparse
     matmuls (§6.2's big-graph optimization); other aggregation kinds
-    (GIN/SAGE/relational) use their model-specific dense matrix.
+    (GIN/SAGE) use their model-specific dense matrix.
     """
     if getattr(model, "conv", "gcn") == "gcn":
         from repro.gnn.sparse import SPARSE_THRESHOLD, sparse_expected_influence

@@ -148,14 +148,6 @@ class CoverageIndex:
         )
 
     @property
-    def all_edges(self) -> FrozenSet[EdgeRef]:
-        refs: Set[EdgeRef] = set()
-        for h, g in enumerate(self.hosts):
-            for u, v, _ in g.edges():
-                refs.add((h, (u, v)))
-        return frozenset(refs)
-
-    @property
     def n_nodes(self) -> int:
         return sum(g.n_nodes for g in self.hosts)
 

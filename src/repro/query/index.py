@@ -42,7 +42,6 @@ from repro.graphs.graph import Graph
 from repro.graphs.pattern import Pattern
 from repro.graphs.view import ExplanationView, ViewSet
 from repro.matching.canonical import pattern_identity
-from repro.matching.context import graph_content_key
 from repro.matching.plan_cache import PLAN_CACHE
 from repro.query.dsl import (
     SCOPE_EXPLANATIONS,
@@ -62,10 +61,6 @@ from dataclasses import dataclass
 #: and stable per canonical pattern for the index's lifetime, unlike
 #: ``id()`` which can be recycled.
 CanonKey = Tuple[str, int]
-
-#: current index snapshot format (``export_snapshot``); bump on
-#: incompatible change — unknown versions are rejected on warm-start
-INDEX_SNAPSHOT_SCHEMA_VERSION = 1
 
 #: stable host identity: ("expl", graph_index, selected nodes) for an
 #: explanation subgraph — content-defining (an induced subgraph is
@@ -99,18 +94,16 @@ class ViewIndex:
         Optional source database; enables queries against the *full*
         graphs (e.g. "which nonmutagens contain pattern P?"), not just
         the explanation tier.
-    snapshot:
-        Optional :meth:`export_snapshot` output that pre-fills the match
-        cache. First-time (pattern, host) probes also consult the
-        process-wide match-plan cache, so an index built after a Psum
-        run re-pays nothing for the pairs Psum already matched.
+
+    First-time (pattern, host) probes consult the process-wide
+    match-plan cache, so an index built after a Psum run re-pays
+    nothing for the pairs Psum already matched.
     """
 
     def __init__(
         self,
         views: ViewSet,
         db: Optional[GraphDatabase] = None,
-        snapshot: Optional[Dict] = None,
     ) -> None:
         self.views = views
         self.db = db
@@ -128,13 +121,6 @@ class ViewIndex:
         for view in views:
             for sub in view.subgraphs:
                 self._group_of.setdefault(sub.graph_index, view.label)
-
-        # an exported snapshot (the cluster warm tier) pre-fills the
-        # match cache *before* the eager posting build below, so a
-        # fresh replica's build pays zero isomorphism work for pairs
-        # the exporter already matched
-        if snapshot is not None:
-            self.warm_matches(snapshot)
 
         # register every view pattern so isomorphic duplicates unify,
         # then build the explanation-tier posting lists eagerly: this is
@@ -574,97 +560,6 @@ class ViewIndex:
             self._graph_postings[key] = [
                 (self._group_of.get(idx), idx) for _, idx in postings
             ]
-
-    # ------------------------------------------------------------------
-    # snapshots: the cross-process warm tier (docs/distribution.md)
-    # ------------------------------------------------------------------
-    def export_snapshot(self) -> Dict:
-        """Portable warm state: match results keyed on content keys.
-
-        Patterns ship as full graphs keyed by their content key; every
-        cached (pattern, host) match result ships as ``[pattern content
-        key, JSON host key, bool]``. Host keys are content-defined
-        (``("expl", graph_index, nodes)`` / ``("db", index)``), so a
-        *different process* building an index over the same views
-        resolves them identically — that is what makes the export a
-        warm tier rather than a process-local cache dump.
-        """
-        content_of: Dict[CanonKey, str] = {}
-        patterns: Dict[str, Dict] = {}
-        from repro.graphs.io import graph_to_dict
-
-        for wl_key, bucket in self._identity.items():
-            for pos, pattern in enumerate(bucket):
-                content = graph_content_key(pattern.graph)
-                content_of[(wl_key, pos)] = content
-                patterns[content] = graph_to_dict(pattern.graph)
-        matches = []
-        for (key, host_key), flag in self._match_cache.items():
-            content = content_of.get(key)
-            if content is None:  # pragma: no cover - defensive
-                continue
-            if host_key and host_key[0] == "expl":
-                json_key = ["expl", host_key[1], list(host_key[2])]
-            else:
-                json_key = [str(host_key[0]), host_key[1]]
-            matches.append([content, json_key, bool(flag)])
-        return {
-            "schema": INDEX_SNAPSHOT_SCHEMA_VERSION,
-            "patterns": patterns,
-            "matches": matches,
-        }
-
-    def warm_matches(self, snapshot: Dict) -> int:
-        """Pre-fill the match cache from :meth:`export_snapshot` output.
-
-        Unknown snapshot versions raise :class:`QueryError`; stale
-        entries — a pattern whose graph no longer hashes to its
-        recorded content key, a malformed host key — are dropped, not
-        applied. Existing local entries are never overwritten. Returns
-        the number of match results adopted.
-        """
-        from repro.graphs.io import graph_from_dict
-
-        if not isinstance(snapshot, dict):
-            raise QueryError("index snapshot must be a JSON object")
-        schema = snapshot.get("schema")
-        if schema != INDEX_SNAPSHOT_SCHEMA_VERSION:
-            raise QueryError(
-                f"unsupported index snapshot schema {schema!r}; this "
-                f"build reads version {INDEX_SNAPSHOT_SCHEMA_VERSION}"
-            )
-        key_of: Dict[str, CanonKey] = {}
-        for content, graph_dict in dict(snapshot.get("patterns") or {}).items():
-            try:
-                pattern = Pattern(graph_from_dict(graph_dict))
-            except Exception:  # repro: noqa[REPRO401] - warm row is best-effort
-                continue  # malformed: drop
-            if graph_content_key(pattern.graph) != content:
-                continue  # stale content key: drop, don't apply
-            _, key = self._canon(pattern)
-            key_of[content] = key
-        loaded = 0
-        for row in list(snapshot.get("matches") or []):
-            try:
-                content, json_key, flag = row
-                key = key_of[content]
-                if json_key[0] == "expl":
-                    host_key: HostKey = (
-                        "expl",
-                        int(json_key[1]),
-                        tuple(int(v) for v in json_key[2]),
-                    )
-                elif json_key[0] == "db":
-                    host_key = ("db", int(json_key[1]))
-                else:
-                    raise ValidationError(json_key)
-                flag = bool(flag)
-            except (KeyError, IndexError, TypeError, ValueError):
-                continue  # malformed row: drop
-            if (key, host_key) not in self._match_cache:
-                self._match_cache[(key, host_key)] = flag
-                loaded += 1
-        return loaded
 
     # ------------------------------------------------------------------
     def index_stats(self) -> Dict[str, int]:

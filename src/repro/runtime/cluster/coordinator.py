@@ -184,9 +184,6 @@ class ClusterCoordinator:
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
         self._workers: Dict[str, WorkerRecord] = {}
-        #: view-index snapshot published for GET /cache (plan-cache
-        #: state is exported live from the process-global PLAN_CACHE)
-        self._index_snapshot: Optional[Dict[str, Any]] = None
         self._jobs_run = 0
         self._redispatches = 0
         self._server = _CoordinatorServer((host, port), self)
@@ -282,18 +279,10 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------
     # warm tier
     # ------------------------------------------------------------------
-    def publish_index_snapshot(self, snapshot: Optional[Dict[str, Any]]) -> None:
-        """Set the view-index snapshot served at ``GET /cache``."""
-        with self._lock:
-            self._index_snapshot = snapshot
-
     def cache_snapshot(self) -> Dict[str, Any]:
-        """The ``cache_snapshot`` envelope a booting worker loads."""
-        with self._lock:
-            index = self._index_snapshot
-        return wire.encode_cache_snapshot(
-            plan_cache=PLAN_CACHE.export_snapshot(), view_index=index
-        )
+        """The ``cache_snapshot`` envelope a booting worker loads: the
+        live process-global plan cache (``view_index`` is null)."""
+        return wire.encode_cache_snapshot(plan_cache=PLAN_CACHE.export_snapshot())
 
     def status(self) -> Dict[str, Any]:
         with self._lock:
@@ -444,9 +433,6 @@ class _Job:
             if record is not None or self.in_flight.get(worker_id):
                 self._requeue_locked(self.in_flight.pop(worker_id, set()))
             self.done.notify_all()
-
-    def _mark_dead(self, worker_id: str) -> None:
-        self._mark_failed(worker_id, fatal=True)
 
     def _return_shard(self, worker_id: str, shard_id: int) -> None:
         """Give a shard back without blaming the worker (deadline)."""

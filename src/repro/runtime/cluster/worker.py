@@ -124,8 +124,6 @@ class ClusterWorker:
         self.shards_run = 0
         #: loaded-warm-tier statistics ({} until a snapshot is loaded)
         self.warm_stats: Dict[str, int] = {}
-        #: view-index snapshot from the warm tier (or None)
-        self.index_snapshot: Optional[Dict[str, Any]] = None
         #: set when the worker has shut down (tests wait on this)
         self.stopped = threading.Event()
 
@@ -208,7 +206,6 @@ class ClusterWorker:
                 stats = dict(PLAN_CACHE.load_snapshot(snapshot.plan_cache))
             except Exception:  # repro: noqa[REPRO401] - warm start is best-effort
                 stats = {}
-        self.index_snapshot = snapshot.view_index
         self.warm_stats = stats
         return stats
 

@@ -32,10 +32,9 @@ from hypothesis import strategies as st
 
 from repro.config import GvexConfig
 from repro.datasets.registry import load_dataset
-from repro.exceptions import MatchingError, QueryError
+from repro.exceptions import MatchingError
 from repro.graphs.io import viewset_from_dict, viewset_to_dict
 from repro.matching.plan_cache import PLAN_CACHE
-from repro.query.index import ViewIndex
 from repro.runtime import ForkPoolExecutor, SerialExecutor, WorkerState, build_plan
 from repro.runtime.cluster import (
     ClusterCoordinator,
@@ -318,56 +317,20 @@ class TestPlanCacheSnapshot:
         assert json.loads(json.dumps(snapshot)) == snapshot
 
 
-class TestViewIndexSnapshot:
-    def _views(self, trained_model, mutagen_db):
-        config = GvexConfig(theta=0.08, radius=0.3, gamma=0.5).with_bounds(0, 6)
-        plan = build_plan(mutagen_db, trained_model, config)
-        views, _ = SerialExecutor().run(plan)
-        return views
-
-    def test_snapshot_prefills_match_cache(self, trained_model, mutagen_db):
-        views = self._views(trained_model, mutagen_db)
-        cold = ViewIndex(views, mutagen_db)
-        snapshot = cold.export_snapshot()
-        assert snapshot["matches"]
-        assert json.loads(json.dumps(snapshot)) == snapshot
-        warmed = ViewIndex(views, mutagen_db, snapshot=snapshot)
-        assert warmed._match_cache == cold._match_cache
-
-    def test_unknown_schema_rejected(self, trained_model, mutagen_db):
-        views = self._views(trained_model, mutagen_db)
-        with pytest.raises(QueryError):
-            ViewIndex(views, mutagen_db, snapshot={"schema": 0})
-
-    def test_stale_pattern_dropped(self, trained_model, mutagen_db):
-        views = self._views(trained_model, mutagen_db)
-        cold = ViewIndex(views, mutagen_db)
-        snapshot = cold.export_snapshot()
-        # corrupt every pattern: nothing should load, nothing should crash
-        for content in list(snapshot["patterns"]):
-            graph = snapshot["patterns"][content]
-            graph["node_types"] = [t + 1 for t in graph["node_types"]]
-        loaded = ViewIndex(views, mutagen_db).warm_matches(snapshot)
-        assert loaded == 0
-
-
 @pytest.mark.slow
 def test_worker_boots_warm_from_coordinator(trained_model, mutagen_db):
-    """GET /cache ships the coordinator's plan-cache + index state."""
+    """GET /cache ships the coordinator's plan-cache state."""
     config = GvexConfig(theta=0.08, radius=0.3, gamma=0.5).with_bounds(0, 6)
     plan = build_plan(mutagen_db, trained_model, config)
     PLAN_CACHE.clear()
     views, _ = SerialExecutor().run(plan)  # coordinator-side warm state
-    index_snapshot = ViewIndex(views, mutagen_db).export_snapshot()
 
     with ClusterCoordinator(auth_token=AUTH) as coord:
-        coord.publish_index_snapshot(index_snapshot)
         with ClusterWorker(
             mutagen_db, trained_model, coord.url, auth_token=AUTH
         ) as worker:
             coord.wait_for_workers(1, timeout=15)
             assert worker.warm_stats.get("patterns", 0) > 0
-            assert worker.index_snapshot == index_snapshot
             # the warmed plan cache replays the job with zero builds
             builds = PLAN_CACHE.plan_builds
             dist, _ = coord.run(plan)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import GvexConfig, VERIFY_PAPER, VERIFY_SOFT
+from repro.core.approx import explain_graph
 from repro.core.psum import summarize
 from repro.core.verifiers import (
     BatchedGnnVerifier,
@@ -12,6 +13,7 @@ from repro.core.verifiers import (
     vp_extend,
     vp_extend_frontier,
 )
+from repro.exceptions import ModelError
 from repro.graphs.generators import chain_graph, ring_graph
 from repro.graphs.graph import Graph, graph_from_edges
 from repro.graphs.pattern import Pattern
@@ -123,6 +125,38 @@ class TestUniformPriorFallbacks:
                 ]
             )
         )
+
+
+class _NoBatchModel:
+    """A classifier with every method but ``predict_proba_batch``."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, name):
+        if name == "predict_proba_batch":
+            raise AttributeError(name)
+        return getattr(self._inner, name)
+
+
+class TestBatchedVerifierRefusal:
+    def test_model_without_batch_forward_is_refused(
+        self, trained_model, mutagen_db
+    ):
+        graph = mutagen_db[1]
+        label = trained_model.predict(graph)
+        model = _NoBatchModel(trained_model)
+        with pytest.raises(ModelError, match="predict_proba_batch"):
+            BatchedGnnVerifier(model, graph)
+        # refused before the constructor's own forward: an object that
+        # cannot run one gets the same typed error
+        with pytest.raises(ModelError, match="predict_proba_batch"):
+            BatchedGnnVerifier(object(), graph)
+        config = GvexConfig(theta=0.08, radius=0.3).with_bounds(0, 6)
+        with pytest.raises(ModelError, match="predict_proba_batch"):
+            explain_graph(model, graph, label, config)
+        # the serial schedule still answers for such a model
+        assert GnnVerifier(model, graph).original_label == label
 
 
 class TestVpExtendFrontier:

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.bench.harness import (
+from benchmarks.harness import (
     bench_config,
     label_group_indices,
     majority_label,
     make_explainers,
     timed_explain,
 )
-from repro.bench.reporting import render_series, render_table, save_result
+from benchmarks.reporting import render_series, render_table, save_result
 from repro.utils.rng import derive_seed, ensure_rng, spawn_rngs
 from repro.utils.validation import (
     check_fraction,

@@ -15,12 +15,12 @@ always reachable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, List, Optional, Sequence, Set, Tuple
 
 from repro.config import GvexConfig
 from repro.graphs.graph import Graph
 from repro.graphs.pattern import Pattern
-from repro.matching.coverage import CoverageIndex, NodeRef
+from repro.matching.coverage import CoverageIndex, EdgeRef, NodeRef
 from repro.mining.mdl import MinedPattern
 from repro.mining.pgen import mine_patterns
 
@@ -58,8 +58,8 @@ def summarize(
 ) -> PsumResult:
     """Run Psum over explanation subgraphs; returns the selected patterns.
 
-    ``candidates`` can inject a pre-mined pool (StreamGVEX's ΔP); by
-    default ``PGen`` mines fresh ones.
+    ``candidates`` can inject a pre-mined pool (StreamGVEX's
+    ``IncUpdateP`` pool); by default ``PGen`` mines fresh ones.
     """
     hosts = [g for g in subgraphs if g.n_nodes > 0]
     if not hosts:
@@ -72,54 +72,66 @@ def summarize(
         )
 
     index = CoverageIndex(hosts)
-    total_edges = index.n_edges
-    universe = set(index.all_nodes)
-    total_nodes = len(universe)
-
-    # precompute coverage and weights per candidate
-    pool: List[Tuple[Pattern, Set[NodeRef], Set]] = []
-    for mined in candidates:
-        cov = index.coverage(mined.pattern)
-        if cov.n_nodes == 0:
-            continue
-        pool.append((mined.pattern, set(cov.nodes), set(cov.edges)))
-
-    selected: List[Pattern] = []
+    coverage = [index.coverage(mined.pattern) for mined in candidates]
+    chosen = weighted_cover(
+        [(cov.nodes, cov.edges) for cov in coverage], index.n_nodes, index.n_edges
+    )
     covered: Set[NodeRef] = set()
-    covered_edges: Set = set()
-    while covered != universe and pool:
+    covered_edges: Set[EdgeRef] = set()
+    for i in chosen:
+        covered |= coverage[i].nodes
+        covered_edges |= coverage[i].edges
+    return PsumResult(
+        patterns=[candidates[i].pattern for i in chosen],
+        covered_nodes=len(covered),
+        total_nodes=index.n_nodes,
+        covered_edges=len(covered_edges),
+        total_edges=index.n_edges,
+    )
+
+
+def weighted_cover(
+    coverage: Sequence[Tuple[AbstractSet, AbstractSet]],
+    n_nodes: int,
+    n_edges: int,
+) -> List[int]:
+    """Psum's weighted-cover greedy: the positions it selects, in order.
+
+    ``coverage[i]`` holds the nodes and the edges candidate ``i``
+    covers in hosts of ``n_nodes`` nodes and ``n_edges`` edges (every
+    covered node is a host node). Each round takes the candidate with
+    the most newly covered nodes per unit weight ``w(P)``, the earliest
+    on a tie, until every node is covered or no candidate adds one.
+    """
+    remaining = [i for i, (nodes, _) in enumerate(coverage) if nodes]
+    chosen: List[int] = []
+    covered: Set = set()
+    while len(covered) < n_nodes and remaining:
         best_i = -1
         best_ratio = -1.0
-        for i, (pattern, nodes, edges) in enumerate(pool):
+        for i in remaining:
+            nodes, edges = coverage[i]
             new_nodes = len(nodes - covered)
             if new_nodes == 0:
                 continue
-            weight = _edge_miss_weight(edges, total_edges)
+            weight = _edge_miss_weight(edges, n_edges)
             ratio = new_nodes / (weight + _EPS)
             if ratio > best_ratio:
                 best_ratio = ratio
                 best_i = i
         if best_i < 0:
             break  # no candidate adds coverage
-        pattern, nodes, edges = pool.pop(best_i)
-        selected.append(pattern)
-        covered |= nodes
-        covered_edges |= edges
-
-    return PsumResult(
-        patterns=selected,
-        covered_nodes=len(covered),
-        total_nodes=total_nodes,
-        covered_edges=len(covered_edges),
-        total_edges=total_edges,
-    )
+        remaining.remove(best_i)
+        chosen.append(best_i)
+        covered |= coverage[best_i][0]
+    return chosen
 
 
-def _edge_miss_weight(pattern_edges: Set, total_edges: int) -> float:
+def _edge_miss_weight(pattern_edges: AbstractSet, total_edges: int) -> float:
     """``w(P) = 1 - |P_ES| / |E_S|`` (Jaccard-style edge penalty)."""
     if total_edges == 0:
         return 0.0
     return 1.0 - len(pattern_edges) / total_edges
 
 
-__all__ = ["summarize", "PsumResult"]
+__all__ = ["summarize", "weighted_cover", "PsumResult"]

@@ -10,10 +10,11 @@ pattern structure: ``IncPGen``'s ΔP over its ``r``-hop neighborhood is
 non-empty. That test stops at the first fresh isomorphism class
 (:func:`~repro.mining.pgen.fresh_classes`). ``IncUpdateP``
 (Procedure 5) keeps the higher-tier pattern set covering ``V_S``. Its
-candidates come from one :class:`~repro.mining.index.SubsetIndex` per
-stream, which adds the subsets an admitted node brings and drops the
-subsets an evicted node takes, instead of re-mining ``V_S`` on every
-admission. ΔP and the index classify through one shared
+candidates, and what each covers in ``G[V_S]`` (``IncPMatch``), come
+from one :class:`~repro.mining.index.SubsetIndex` per stream, which
+adds the subsets an admitted node brings and drops the subsets an
+evicted node takes, instead of re-mining and re-matching ``V_S`` on
+every admission. ΔP and the index classify through one shared
 :class:`~repro.mining.classes.SubsetClassifier`, which builds a
 ``Pattern`` only for subset content it has not seen; the re-mining
 schedule survives as the parity reference
@@ -46,13 +47,14 @@ import numpy as np
 from repro.config import GvexConfig, VERIFY_PAPER
 from repro.core.explainability import ExplainabilityOracle, SelectionState
 from repro.core.inc_everify import IncrementalEVerify, OracleStats
-from repro.core.psum import summarize
+from repro.core.psum import summarize, weighted_cover
 from repro.core.verifiers import BatchedGnnVerifier, vp_extend
 from repro.gnn.model import GnnClassifier
 from repro.graphs.database import GraphDatabase
 from repro.graphs.graph import Graph
 from repro.graphs.pattern import Pattern
 from repro.graphs.view import ExplanationSubgraph, ExplanationView, ViewSet
+from repro.matching.coverage import MATCH_CAP
 from repro.mining.index import SubsetIndex
 from repro.mining.mdl import MinedPattern
 from repro.mining.pgen import fresh_classes
@@ -351,24 +353,33 @@ class StreamGvex:
     ) -> None:
         """Procedure 5: keep patterns covering ``V_S`` with small edge loss.
 
-        Re-runs the weighted-cover greedy on the (≤ u_l node) induced
+        Re-runs Psum's weighted-cover greedy on the (≤ u_l node) induced
         subgraph of ``V_S``, with the incumbent patterns first and then
         the candidates ``mine_patterns`` would mine from ``V_S`` (the
         top 50 by MDL, then one singleton per node type); incumbents
         that no longer contribute coverage are swapped out exactly as
-        the paper's case analysis prescribes. The candidates are read
-        from ``index``, which already holds ``V_S``'s classified
-        subsets, so nothing is re-mined.
+        the paper's case analysis prescribes. ``index`` already holds
+        ``V_S``'s classified subsets, so it hands over the candidates
+        with their coverage: nothing is re-mined or matched, and a
+        pattern is built only for a candidate the greedy selects. The
+        matcher stops at ``MATCH_CAP`` mappings, so a call with a
+        candidate that may have more runs Psum on ``G[V_S]`` instead.
         """
         if not selected:
             return
-        vs_sub, _ = graph.induced_subgraph(selected)
-        pool: List[MinedPattern] = [
-            MinedPattern(p, support=1, embeddings=1) for p in patterns
-        ]
-        pool.extend(index.mined(max_candidates=50))
-        result = summarize([vs_sub], config, candidates=pool)
-        patterns[:] = result.patterns
+        pool = index.pool(patterns, max_candidates=50)
+        if any(c.mappings > MATCH_CAP for c in pool):
+            vs_sub, _ = graph.induced_subgraph(selected)
+            mined = [
+                MinedPattern(c.pattern(), support=1, embeddings=c.embeddings)
+                for c in pool
+            ]
+            patterns[:] = summarize([vs_sub], config, candidates=mined).patterns
+            return
+        chosen = weighted_cover(
+            [(c.nodes, c.edges) for c in pool], len(selected), index.n_edges
+        )
+        patterns[:] = [pool[i].pattern() for i in chosen]
 
     # ------------------------------------------------------------------
     # database-level driver

@@ -21,7 +21,6 @@ from repro.matching.coverage import (
     match_coverage,
     pmatch,
 )
-from repro.matching.incremental import IncrementalMatcher
 from repro.matching.isomorphism import (
     are_isomorphic,
     find_isomorphisms,
@@ -42,7 +41,6 @@ __all__ = [
     "match_coverage",
     "pmatch",
     "covered_node_count",
-    "IncrementalMatcher",
     "MatchContext",
     "MatchPlan",
     "MatchPlanCache",

@@ -31,6 +31,9 @@ from repro.matching.canonical import pattern_identity
 from repro.matching.context import graph_content_key
 from repro.matching.plan_cache import PLAN_CACHE
 
+#: the most mappings one coverage query enumerates per (pattern, host)
+MATCH_CAP = 10_000
+
 #: (host index, node id)
 NodeRef = Tuple[int, int]
 #: (host index, canonical edge key)
@@ -57,7 +60,7 @@ def match_coverage(
     pattern: Pattern,
     host: Graph,
     host_index: int = 0,
-    match_cap: int = 10_000,
+    match_cap: int = MATCH_CAP,
     host_key: Optional[str] = None,
 ) -> PatternCoverage:
     """Coverage of a single pattern over a single host graph."""
@@ -73,7 +76,7 @@ def match_coverage(
 def pmatch(
     pattern: Pattern,
     hosts: Sequence[Graph],
-    match_cap: int = 10_000,
+    match_cap: int = MATCH_CAP,
     host_keys: Optional[Sequence[Optional[str]]] = None,
     columnar=None,
     indices: Optional[Sequence[int]] = None,
@@ -119,7 +122,7 @@ class CoverageIndex:
     (``verify_view``, the query index) re-pays nothing.
     """
 
-    def __init__(self, hosts: Sequence[Graph], match_cap: int = 10_000) -> None:
+    def __init__(self, hosts: Sequence[Graph], match_cap: int = MATCH_CAP) -> None:
         self.hosts: List[Graph] = list(hosts)
         self.match_cap = match_cap
         self._cache: Dict[Pattern, PatternCoverage] = {}
@@ -197,6 +200,7 @@ def covered_node_count(patterns: Iterable[Pattern], hosts: Sequence[Graph]) -> i
 
 
 __all__ = [
+    "MATCH_CAP",
     "PatternCoverage",
     "match_coverage",
     "pmatch",

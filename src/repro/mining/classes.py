@@ -81,7 +81,10 @@ class SubsetClassifier:
 
     def classify(self, host: Graph, subset: Sequence[int]) -> int:
         """The class of the connected, sorted ``subset`` of ``host``."""
-        signature = subset_signature(host, subset)
+        return self.of_signature(subset_signature(host, subset))
+
+    def of_signature(self, signature: Signature) -> int:
+        """The class of the connected subsets whose signature this is."""
         cls = self._by_signature.get(signature)
         if cls is None:
             directed, types, edges = signature

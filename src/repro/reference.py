@@ -328,7 +328,6 @@ def reference_matcher():
     return _patched(
         {
             "repro.matching.isomorphism.find_isomorphisms": find_isomorphisms,
-            "repro.matching.incremental.find_isomorphisms": find_isomorphisms,
             "repro.matching.coverage.PLAN_CACHE": uncached,
             "repro.query.index.PLAN_CACHE": uncached,
         }

@@ -3,15 +3,20 @@
 Mirrors the CI docs lane (``.github/workflows/ci.yml``) inside tier-1,
 so a broken README/docs link or a syntax error in ``examples/`` fails
 locally before it fails in CI. Beyond byte-compiling, every ``repro``
-import in ``examples/`` must resolve against the current package.
+import in ``examples/`` must resolve against the current package, and
+the slow lane runs the examples that check their own output.
 """
 
 import ast
 import compileall
 import importlib
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -147,3 +152,19 @@ def test_examples_resolve_their_repro_imports():
         if not _resolves(module, name)
     ]
     assert not unresolved, f"examples import missing names: {unresolved}"
+
+
+@pytest.mark.slow
+def test_streaming_example_runs():
+    """``examples/streaming_anytime.py`` asserts that the incremental and
+    the rebuild ``IncEVerify`` streams select the same nodes."""
+    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "examples" / "streaming_anytime.py")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "final streaming explanation" in proc.stdout

@@ -2,11 +2,31 @@
 
 import pytest
 
+from repro.exceptions import GraphError
 from repro.graphs.generators import chain_graph, ring_graph
-from repro.graphs.graph import graph_from_edges
+from repro.graphs.graph import Graph, graph_from_edges
 from repro.graphs.pattern import Pattern
 from repro.matching.coverage import CoverageIndex, covered_node_count, match_coverage
-from repro.matching.incremental import IncrementalMatcher
+from repro.mining.index import SubsetIndex
+
+#: triangle 0-1-2, a type-1 node 3 hanging off 2, then triangle 3-4-5
+STREAM_HOST = graph_from_edges(
+    [0, 0, 0, 1, 0, 0], [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)]
+)
+TRIANGLE = Pattern.from_parts([0, 0, 0], [(0, 1), (1, 2), (2, 0)])
+
+
+def incumbent(index, pattern):
+    """The index's coverage of ``pattern`` in ``G[V_S]`` as an incumbent."""
+    return index.pool([pattern], max_candidates=0)[0]
+
+
+def batch(index, pattern):
+    """The matcher's coverage of ``pattern`` in ``G[V_S]``, in host ids."""
+    vs_sub, ids = index.graph.induced_subgraph(index.nodes)
+    cov = match_coverage(pattern, vs_sub)
+    nodes = {ids[v] for _, v in cov.nodes}
+    return nodes, {(ids[u], ids[w]) for _, (u, w) in cov.edges}
 
 
 class TestMatchCoverage:
@@ -72,54 +92,80 @@ class TestCoverageIndex:
 
 
 class TestIncrementalMatcher:
-    def test_streaming_matches_batch(self):
-        """Incremental coverage equals batch coverage on the final host."""
-        inc = IncrementalMatcher()
-        tri = Pattern.from_parts([0, 0, 0], [(0, 1), (1, 2), (2, 0)])
-        single1 = Pattern.singleton(1)
-        inc.register(tri)
-        inc.register(single1)
-        # stream: triangle 0-1-2, then a type-1 pendant, then another triangle
-        inc.add_node(0)
-        inc.add_node(0, edges=[(0, 0)])
-        inc.add_node(0, edges=[(0, 0), (1, 0)])
-        inc.add_node(1, edges=[(2, 0)])
-        inc.add_node(0, edges=[(3, 0)])
-        inc.add_node(0, edges=[(3, 0), (4, 0)])
+    """``IncPMatch`` is :class:`SubsetIndex`: as ``V_S`` streams in and
+    out, it prices each ``IncUpdateP`` candidate with its coverage of
+    ``G[V_S]`` without running the matcher."""
 
-        host = inc.host_graph()
-        batch_tri = match_coverage(tri, host)
-        assert inc.covered_nodes(tri) == {v for (_, v) in batch_tri.nodes}
-        assert inc.covered_edges(tri) == {e for (_, e) in batch_tri.edges}
-        assert inc.covered_nodes(single1) == {3}
+    def test_streaming_matches_batch(self):
+        """After every admission, the index covers what the matcher
+        covers on the induced subgraph of the nodes admitted so far."""
+        index = SubsetIndex(STREAM_HOST, 3)
+        single1 = Pattern.singleton(1)
+        for v in STREAM_HOST.nodes():
+            index.add(v)
+            for pattern in (TRIANGLE, single1):
+                got = incumbent(index, pattern)
+                assert (got.nodes, got.edges) == batch(index, pattern), (v, pattern)
+        assert incumbent(index, TRIANGLE).nodes == {0, 1, 2}
+        assert incumbent(index, TRIANGLE).edges == {(0, 1), (0, 2), (1, 2)}
+        assert incumbent(index, single1).nodes == {3}
+
+    def test_evicted_node_takes_its_coverage(self):
+        index = SubsetIndex(STREAM_HOST, 3)
+        for v in STREAM_HOST.nodes():
+            index.add(v)
+        index.drop(1)
+        edge = Pattern.from_parts([0, 0], [(0, 1)])
+        assert incumbent(index, TRIANGLE).nodes == set()
+        assert (incumbent(index, edge).nodes, incumbent(index, edge).edges) == (
+            {0, 2, 4, 5},
+            {(0, 2), (4, 5)},
+        )
+        index.add(1)
+        assert incumbent(index, TRIANGLE).nodes == {0, 1, 2}
 
     def test_register_after_stream_catches_up(self):
-        inc = IncrementalMatcher()
-        inc.add_node(0)
-        inc.add_node(0, edges=[(0, 0)])
+        """A pattern the index first sees after the stream is priced
+        from the subsets already indexed."""
+        index = SubsetIndex(chain_graph([0, 0]), 3)
+        index.add(0)
+        index.add(1)
         edge = Pattern.from_parts([0, 0], [(0, 1)])
-        inc.register(edge)
-        assert inc.covered_nodes(edge) == {0, 1}
+        assert incumbent(index, edge).nodes == {0, 1}
+        assert incumbent(index, edge).edges == {(0, 1)}
+        assert incumbent(index, TRIANGLE).nodes == set()
 
     def test_union_covered_nodes(self):
-        inc = IncrementalMatcher()
-        inc.register(Pattern.singleton(0))
-        inc.register(Pattern.singleton(1))
-        inc.add_node(0)
-        inc.add_node(1)
-        inc.add_node(2)
-        assert inc.union_covered_nodes() == {0, 1}
+        index = SubsetIndex(Graph([0, 1, 2]), 3)
+        for v in (0, 1, 2):
+            index.add(v)
+        pool = index.pool([Pattern.singleton(0), Pattern.singleton(1)], 0)
+        assert pool[0].nodes | pool[1].nodes == {0, 1}
+        # then one singleton candidate per node type of V_S
+        assert [c.nodes for c in pool[2:]] == [{0}, {1}, {2}]
 
-    def test_bad_edge_endpoint_rejected(self):
-        inc = IncrementalMatcher()
-        inc.add_node(0)
-        with pytest.raises(ValueError):
-            inc.add_node(0, edges=[(5, 0)])
+    def test_node_outside_the_graph_rejected(self):
+        index = SubsetIndex(chain_graph([0, 0]), 3)
+        index.add(0)
+        for node in (2, -1):
+            with pytest.raises(GraphError):
+                index.add(node)
+        assert index.nodes == {0}
+        assert incumbent(index, Pattern.singleton(0)).nodes == {0}
 
     def test_directed_stream(self):
-        inc = IncrementalMatcher(directed=True)
+        host = graph_from_edges([0, 1], [(0, 1)], directed=True)  # edge 0 -> 1
         fwd = Pattern.from_parts([0, 1], [(0, 1)], directed=True)
-        inc.register(fwd)
-        a = inc.add_node(0)
-        b = inc.add_node(1, edges=[(a, 0)])  # edge a -> b
-        assert inc.covered_nodes(fwd) == {a, b}
+        bwd = Pattern.from_parts([1, 0], [(0, 1)], directed=True)
+        index = SubsetIndex(host, 3)
+        index.add(0)
+        assert incumbent(index, fwd).nodes == set()
+        index.add(1)
+        assert incumbent(index, fwd).nodes == {0, 1}
+        assert incumbent(index, fwd).edges == {(0, 1)}
+        assert incumbent(index, bwd).nodes == set()
+        # a one-node pattern matches only hosts of its own directedness
+        singletons = [Pattern.singleton(0), Pattern(Graph([0], directed=True))]
+        for pattern in [fwd, bwd, *singletons]:
+            got = incumbent(index, pattern)
+            assert (got.nodes, got.edges) == batch(index, pattern), pattern

@@ -35,13 +35,13 @@ from hypothesis import strategies as st
 from repro import reference
 from repro.config import GvexConfig
 from repro.core.approx import explain_database
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, graph_from_edges
 from repro.graphs.pattern import Pattern
 from repro.matching.context import MatchContext, MatchPlan, graph_content_key
 from repro.matching.coverage import CoverageIndex, pmatch
-from repro.matching.incremental import IncrementalMatcher
 from repro.matching.isomorphism import find_isomorphisms
 from repro.matching.plan_cache import PLAN_CACHE, MatchPlanCache
+from repro.mining.index import SubsetIndex
 from repro.mining.pgen import mine_patterns
 from repro.query import Q, ViewIndex
 from repro.datasets.registry import DATASETS, dataset_info, load_dataset
@@ -414,24 +414,26 @@ def test_mined_patterns_bit_identical(hosts):
 
 
 def test_incremental_matcher_agrees_with_reference():
+    """The subset index's coverage of each ``IncUpdateP`` candidate is,
+    after every admission, the seed VF2's coverage in ``G[V_S]``."""
+    host = graph_from_edges([0, 0, 0, 1], [(0, 1), (0, 2), (1, 2), (2, 3)])
     tri = Pattern.from_parts([0, 0, 0], [(0, 1), (1, 2), (0, 2)])
-
-    def stream():
-        inc = IncrementalMatcher()
-        inc.register(tri)
-        inc.add_node(0)
-        inc.add_node(0, edges=[(0, 0)])
-        inc.add_node(0, edges=[(0, 0), (1, 0)])
-        inc.add_node(1, edges=[(2, 0)])
-        return (
-            inc.covered_nodes(tri),
-            inc.covered_edges(tri),
-            inc.union_covered_nodes(),
-        )
-
-    with reference.reference_matcher():
-        expected = stream()
-    assert stream() == expected
+    index = SubsetIndex(host, 3)
+    for v in host.nodes():
+        index.add(v)
+        pool = index.pool([tri])
+        vs_sub, ids = host.induced_subgraph(index.nodes)
+        with reference.reference_matcher():
+            matcher = CoverageIndex([vs_sub])
+            expected = [matcher.coverage(c.pattern()) for c in pool]
+        assert [(c.nodes, c.edges) for c in pool] == [
+            (
+                {ids[u] for _, u in cov.nodes},
+                {(ids[a], ids[b]) for _, (a, b) in cov.edges},
+            )
+            for cov in expected
+        ]
+    assert pool[0].nodes == {0, 1, 2}
 
 
 # ----------------------------------------------------------------------

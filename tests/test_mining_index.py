@@ -7,7 +7,9 @@
   ``Pattern.from_induced`` content keys are.
 * The subset index: after every admit and evict, its pool is
   ``mine_patterns`` over ``G[V_S]`` element for element, also when the
-  enumeration cap truncates.
+  enumeration cap truncates; each candidate's coverage is the
+  matcher's over ``G[V_S]``; and ``IncUpdateP`` through the index
+  selects what re-mining selects.
 * The lazy ΔP: its two answers (any fresh class; any fresh class of two
   or more nodes) are those of the listed ΔP, also under a small cap.
 """
@@ -18,14 +20,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import GvexConfig
+from repro.core.streaming import StreamGvex
+from repro.gnn.model import GnnClassifier
 from repro.graphs.graph import Graph, graph_from_edges
 from repro.graphs.io import graph_to_dict
 from repro.graphs.pattern import Pattern
+from repro.matching.coverage import MATCH_CAP, CoverageIndex
 from repro.mining.classes import SubsetClassifier, subset_signature
 from repro.mining.enumerate import connected_node_subsets, esu_path
 from repro.mining.index import SubsetIndex
+from repro.mining.mdl import MinedPattern
 from repro.mining.pgen import fresh_classes, mine_incremental, mine_patterns
-from repro.reference import remined_delta
+from repro.reference import remine_inc_update_p, remined_delta
+
+
+#: ``IncUpdateP`` reads no model; the explainer only needs one to exist
+MODEL = GnnClassifier(2, 2, hidden_dims=(4,), seed=0)
 
 
 @st.composite
@@ -51,6 +62,38 @@ def wire(mined):
         (m.pattern.graph.content_key(), graph_to_dict(m.pattern.graph), m.support, m.embeddings)
         for m in mined
     ]
+
+
+def mined(index, max_candidates=50):
+    """The index's pool with no incumbents, as ``mine_patterns`` lists it."""
+    return [
+        MinedPattern(c.pattern(), support=1, embeddings=c.embeddings)
+        for c in index.pool([], max_candidates)
+    ]
+
+
+def assert_coverage_is_the_matchers(index, max_candidates):
+    """Every candidate covers, in host ids, what the matcher finds in
+    ``G[V_S]``: one pattern per live subset content and both flavours
+    of singleton per node type as incumbents, then the pool itself."""
+    g = index.graph
+    vs_sub, ids = g.induced_subgraph(index.nodes)
+    incumbents = {}
+    for s in connected_node_subsets(
+        g, index.max_size, min_size=2, cap=None, nodes=index.nodes
+    ):
+        p = Pattern.from_induced(g, s)
+        incumbents.setdefault(p.graph.content_key(), p)
+    for t in sorted(set(vs_sub.node_types.tolist())):
+        incumbents[("singleton", t)] = Pattern.singleton(t)
+        incumbents[("directed", t)] = Pattern(Graph([t], directed=True))
+    matcher = CoverageIndex([vs_sub])
+    for c in index.pool(list(incumbents.values()), max_candidates):
+        if c.mappings > MATCH_CAP:
+            continue  # the matcher stops short; IncUpdateP falls back
+        cov = matcher.coverage(c.pattern())
+        assert c.nodes == {ids[v] for _, v in cov.nodes}
+        assert c.edges == {(ids[u], ids[w]) for _, (u, w) in cov.edges}
 
 
 # ----------------------------------------------------------------------
@@ -121,20 +164,36 @@ def test_index_pool_equals_mine_patterns_after_every_step(
     data, g, max_size, cap, max_candidates
 ):
     index = SubsetIndex(g, max_size, enumeration_cap=cap)
+    # IncUpdateP reads an index with the production cap, which is the
+    # cap re-mining uses; each side carries its own incumbents along
+    stream = SubsetIndex(g, max_size)
+    config = GvexConfig(max_pattern_size=max_size)
+    algo = StreamGvex(MODEL, config)
+    got, want = [], []
     for _ in range(data.draw(st.integers(1, 12))):
         outside = [v for v in g.nodes() if v not in index.nodes]
         evict = index.nodes and (not outside or data.draw(st.booleans()))
         if evict:
-            index.drop(data.draw(st.sampled_from(sorted(index.nodes))))
+            v = data.draw(st.sampled_from(sorted(index.nodes)))
+            index.drop(v)
+            stream.drop(v)
         else:
-            index.add(data.draw(st.sampled_from(outside)))
+            v = data.draw(st.sampled_from(outside))
+            index.add(v)
+            stream.add(v)
         if not index.nodes:
             continue
         vs_sub, _ = g.induced_subgraph(index.nodes)
         expected = mine_patterns(
             [vs_sub], max_size, 1, max_candidates=max_candidates, enumeration_cap=cap
         )
-        assert wire(index.mined(max_candidates)) == wire(expected)
+        assert wire(mined(index, max_candidates)) == wire(expected)
+        assert_coverage_is_the_matchers(index, max_candidates)
+        algo._inc_update_p(g, set(index.nodes), got, config, stream)
+        remine_inc_update_p(algo, g, set(index.nodes), want, config, None)
+        assert [graph_to_dict(p.graph) for p in got] == [
+            graph_to_dict(p.graph) for p in want
+        ]
 
 
 @pytest.mark.parametrize("cap", [0, 1, 2, 5, 9, 100_000])
@@ -146,7 +205,7 @@ def test_index_counts_only_the_cap_smallest_paths(cap):
     for v in (5, 2, 4, 0, 3, 1):
         index.add(v)
     expected = mine_patterns([host], 4, 1, max_candidates=50, enumeration_cap=cap)
-    assert wire(index.mined()) == wire(expected)
+    assert wire(mined(index)) == wire(expected)
 
 
 def test_index_breaks_full_ties_by_esu_path():
@@ -162,10 +221,10 @@ def test_index_breaks_full_ties_by_esu_path():
     index = SubsetIndex(host, 3)
     for v in reversed(host.nodes()):
         index.add(v)
-    mined = index.mined()
+    pool = mined(index)
     expected = mine_patterns([host], 3, 1, max_candidates=50)
-    assert wire(mined) == wire(expected)
-    triples = [m for m in mined if m.pattern.n_nodes == 3]
+    assert wire(pool) == wire(expected)
+    triples = [m for m in pool if m.pattern.n_nodes == 3]
     assert len(triples) == 3
     assert len({(m.mdl_score, m.pattern.size, m.pattern.key()) for m in triples}) == 1
     firsts = [sorted(m.pattern.graph.edge_types) for m in triples]

@@ -1,7 +1,7 @@
 """Matching-tier throughput: the production matcher vs the seed reference.
 
-Two measurements per dataset (MUTAG / ENZYMES / REDDIT), plus one
-large host:
+Two measurements per dataset (MUTAG / ENZYMES / REDDIT), one large
+host, and a host-size sweep:
 
 * **matcher throughput** — full-enumeration ``find_isomorphisms`` over
   every (view pattern, source graph) pair, matches/sec per matcher
@@ -15,12 +15,20 @@ large host:
   shares one plan-cache entry per (pattern, host) pair across call
   sites *and* requests;
 * **large host** — one 1500-node SYNTHETIC-style host (24 words per
-  row), enumeration and near-miss search, cache-free.
+  row), enumeration and near-miss search, cache-free;
+* **host-size crossover** — per-call ``find_isomorphisms`` against the
+  seed VF2 on hosts of 8 to 1500 nodes: one 64-bit word up to 64
+  nodes, several words beyond. Three production arms: ``ad_hoc`` is
+  the call as actually dispatched (plan-cache mediated — the reps
+  include the single cold context/plan build, then the steady
+  cache-hit state), ``fresh`` pays a context + plan build on every
+  call, and ``warm`` reuses prebuilt state (pure enumeration).
 
-The acceptance bar (also enforced in the ``-m slow`` CI lane,
+The acceptance bars (also enforced in the ``-m slow`` CI lane,
 ``tests/test_bench_smoke.py``): production is >= 5x faster on the
 coverage-heavy case, with bit-identical views, coverage, and query
-answers. Results land in ``results/BENCH_matching.json``::
+answers, and the ``ad_hoc`` call is >= 1.0x the reference on hosts of
+at most 24 nodes. Results land in ``results/BENCH_matching.json``::
 
     PYTHONPATH=src python benchmarks/bench_matching.py \\
         --out results/BENCH_matching.json
@@ -58,6 +66,13 @@ DATASETS = ("mutagenicity", "enzymes", "reddit_binary")
 REQUESTS = 8
 
 MIN_SPEEDUP = 5.0
+
+#: crossover host sizes: one word up to 64 nodes, several words at
+#: 128, 256 and 1500
+HOST_SIZES = (8, 12, 16, 24, 32, 48, 64, 128, 256, 1500)
+
+#: hosts at or below this size carry the ad-hoc >= 1.0x bar
+SMALL_HOST_BAR = 24
 
 
 def dataset_workload(name: str, upper: int = 6):
@@ -311,11 +326,120 @@ def large_host_case(n_nodes: int = 1500, seed: int = SEED) -> dict:
     return out
 
 
+def crossover_host(n_nodes: int, seed: int):
+    """A typed BA-style host plus neighborhood patterns to match.
+
+    Patterns are hub stars of 3, 4, 4 and 5 nodes; hosts above 256
+    nodes drop the 5-node star, whose embeddings around the big hubs
+    run into the millions.
+    """
+    from repro.graphs.generators import barabasi_albert
+    from repro.graphs.graph import Graph
+    from repro.graphs.pattern import Pattern
+    from repro.utils.rng import ensure_rng
+
+    rng = ensure_rng(seed)
+    base = barabasi_albert(n_nodes, m=2, seed=rng)
+    host = Graph(rng.integers(0, 3, size=n_nodes))
+    for u, v, t in base.edges():
+        host.add_edge(u, v, t)
+    hubs = sorted(host.nodes(), key=host.degree, reverse=True)
+    patterns = []
+    for hub, size in zip(hubs, (3, 4, 4, 5) if n_nodes <= 256 else (3, 4, 4)):
+        hood = [hub] + sorted(host.all_neighbors(hub))[: size - 1]
+        if host.is_connected_subset(hood):
+            patterns.append(Pattern.from_induced(host, hood))
+    return host, patterns
+
+
+def crossover_case(sizes=HOST_SIZES, reps: int = 40, seed: int = SEED) -> list:
+    """Production-vs-reference per call: ad-hoc (cache-mediated), fresh,
+    warm. Hosts above 64 nodes run ``reps // 8`` reps (at least 2)."""
+    rows = []
+    for n in sizes:
+        host, patterns = crossover_host(n, seed)
+        host_reps = reps if n <= 64 else max(2, reps // 8)
+
+        def run_reference():
+            count = 0
+            for p in patterns:
+                for _ in reference.find_isomorphisms(p, host):
+                    count += 1
+            return count
+
+        def run_ad_hoc():
+            # the call as dispatched: host context and plan come from
+            # the process-wide plan cache
+            count = 0
+            for p in patterns:
+                for _ in find_isomorphisms(p, host):
+                    count += 1
+            return count
+
+        def run_fresh():
+            # every call pays context + plan anew
+            count = 0
+            for p in patterns:
+                ctx = MatchContext(host)
+                plan = MatchPlan(p)
+                for _ in find_isomorphisms(p, host, context=ctx, plan=plan):
+                    count += 1
+            return count
+
+        warm_ctx = MatchContext(host)
+        warm_plans = [MatchPlan(p) for p in patterns]
+
+        def run_warm():
+            count = 0
+            for p, plan in zip(patterns, warm_plans):
+                for _ in find_isomorphisms(p, host, context=warm_ctx, plan=plan):
+                    count += 1
+            return count
+
+        arms = {}
+        counts = {}
+        for arm, fn in (
+            ("reference", run_reference),
+            ("ad_hoc", run_ad_hoc),
+            ("fresh", run_fresh),
+            ("warm", run_warm),
+        ):
+            counts[arm] = fn()  # parity probe (outside the timer)
+            if arm == "ad_hoc":
+                # time the true ad-hoc profile: one cold build on the
+                # first rep, cache hits on the rest
+                PLAN_CACHE.clear()
+            start = time.perf_counter()
+            for _ in range(host_reps):
+                fn()
+            arms[arm] = (time.perf_counter() - start) / host_reps
+        for arm in ("ad_hoc", "fresh", "warm"):
+            assert counts[arm] == counts["reference"], arm
+        rows.append(
+            {
+                "host_nodes": n,
+                "host_edges": host.n_edges,
+                "reps": host_reps,
+                "patterns": len(patterns),
+                "matches": counts["reference"],
+                "reference_ms": round(arms["reference"] * 1e3, 4),
+                "ad_hoc_ms": round(arms["ad_hoc"] * 1e3, 4),
+                "fresh_ms": round(arms["fresh"] * 1e3, 4),
+                "warm_ms": round(arms["warm"] * 1e3, 4),
+                "ad_hoc_speedup": round(arms["reference"] / arms["ad_hoc"], 2),
+                "fresh_speedup": round(arms["reference"] / arms["fresh"], 2),
+                "warm_speedup": round(arms["reference"] / arms["warm"], 2),
+            }
+        )
+    return rows
+
+
 def run(out_path: Path) -> dict:
     result = {
         "bench": "matching",
         "seed": SEED,
         "min_speedup": MIN_SPEEDUP,
+        "small_host_bar": SMALL_HOST_BAR,
         "matcher_throughput": [],
         "coverage_heavy": [],
     }
@@ -327,9 +451,15 @@ def run(out_path: Path) -> dict:
             result["matcher_throughput"].append(row)
         result["coverage_heavy"].append(coverage_heavy_case(name))
     result["large_host"] = large_host_case()
+    result["crossover"] = crossover_case()
 
     speedups = [c["speedup"] for c in result["coverage_heavy"]]
     result["best_coverage_speedup"] = max(speedups)
+    result["min_small_host_ad_hoc_speedup"] = min(
+        row["ad_hoc_speedup"]
+        for row in result["crossover"]
+        if row["host_nodes"] <= SMALL_HOST_BAR
+    )
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result, indent=2))
@@ -342,10 +472,23 @@ def main() -> int:
     args = parser.parse_args()
     result = run(Path(args.out))
     best = result["best_coverage_speedup"]
+    floor = result["min_small_host_ad_hoc_speedup"]
+    failures = []
     if best < MIN_SPEEDUP:
-        print(f"FAIL: coverage-heavy speedup {best:.2f}x < {MIN_SPEEDUP}x")
+        failures.append(f"coverage-heavy speedup {best:.2f}x < {MIN_SPEEDUP}x")
+    if floor < 1.0:
+        failures.append(
+            "production matcher below reference on a host <= "
+            f"{SMALL_HOST_BAR} nodes ({floor:.2f}x)"
+        )
+    for line in failures:
+        print(f"FAIL: {line}")
+    if failures:
         return 1
-    print(f"OK: coverage-heavy production-vs-reference speedup {best:.2f}x")
+    print(
+        f"OK: coverage-heavy production-vs-reference speedup {best:.2f}x, "
+        f"small-host ad-hoc floor {floor:.2f}x"
+    )
     return 0
 
 

@@ -56,25 +56,21 @@ def database_predictions(
 ) -> "List[Optional[int]]":
     """``M(G)`` for every graph of a database in stacked forwards.
 
-    Uses :meth:`GnnClassifier.predict_db` over the database's columnar
-    mirror when the model supports it (size-grouped ``(B, n, ·)``
-    stacked passes fed straight from the shared CSR arrays) and falls
-    back to the serial per-graph loop for foreign models. Entry ``i``
-    equals ``model.predict(db[i])`` exactly either way. ``db`` may be a
+    Uses :meth:`GnnClassifier.predict_db` when the model supports it
+    (size-grouped ``(B, n, ·)`` stacked passes) and falls back to the
+    serial per-graph loop for foreign models. Entry ``i`` equals
+    ``model.predict(db[i])`` exactly either way. ``db`` may be a
     :class:`~repro.graphs.database.GraphDatabase` or a plain graph
     sequence; ``indices`` restricts the pass to those database indices
-    (shard execution) — entries then align with ``indices``, and the
-    columnar lookups still hit the right slices.
+    (shard execution), and entries then align with ``indices``.
     """
     graphs = list(db.graphs if hasattr(db, "graphs") else db)
     if indices is not None:
-        indices = [int(i) for i in indices]
-        graphs = [graphs[i] for i in indices]
+        graphs = [graphs[int(i)] for i in indices]
     predict_db = getattr(model, "predict_db", None)
     if predict_db is None:
         return [model.predict(g) for g in graphs]
-    columnar = getattr(db, "columnar", None)
-    return predict_db(graphs, columnar=columnar, indices=indices)
+    return predict_db(graphs)
 
 
 def explain_graph(

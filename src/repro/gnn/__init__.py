@@ -6,11 +6,11 @@ from repro.gnn.jacobian import (
     influence_matrix,
     normalized_influence,
 )
-from repro.gnn.batch import scattered_adjacency_batch, symmetrized_adjacency
+from repro.gnn.batch import symmetrized_adjacency
 from repro.gnn.loss import softmax, softmax_cross_entropy
 from repro.gnn.model import GnnClassifier
 from repro.gnn.node_model import NodeGnnClassifier
-from repro.gnn.sparse import shard_block_adjacency, sparse_normalized_adjacency
+from repro.gnn.sparse import sparse_normalized_adjacency
 from repro.gnn.optim import Adam, Sgd
 from repro.gnn.propagation import normalized_adjacency, propagation_power
 from repro.gnn.training import LabelEncoder, Trainer, TrainingHistory, train_classifier
@@ -29,9 +29,7 @@ __all__ = [
     "normalized_adjacency",
     "propagation_power",
     "symmetrized_adjacency",
-    "scattered_adjacency_batch",
     "sparse_normalized_adjacency",
-    "shard_block_adjacency",
     "influence_matrix",
     "expected_influence",
     "exact_influence",

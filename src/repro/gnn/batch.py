@@ -123,34 +123,6 @@ def symmetrized_adjacency(graph: Graph) -> np.ndarray:
     return A
 
 
-def scattered_adjacency_batch(slices) -> np.ndarray:
-    """``(B, n, n)`` symmetrized adjacency stack from columnar slices.
-
-    Each element of ``slices`` is a same-sized
-    :class:`~repro.graphs.columnar.GraphSlice`; the union-direction
-    (``"all"``) CSR of a slice lists exactly the nonzeros of
-    ``max(A, A.T)``, so one fancy-index assignment over the
-    concatenated ``(batch, row, col)`` triples reproduces
-    :func:`symmetrized_adjacency` of every member bit-for-bit (0/1
-    entries are exact in float64) without materializing per-graph
-    dense matrices first.
-    """
-    B = len(slices)
-    if B == 0:
-        return np.empty((0, 0, 0), dtype=np.float64)
-    n = slices[0].n
-    A_b = np.zeros((B, n, n), dtype=np.float64)
-    if n == 0:
-        return A_b
-    rows = [sl.row_ids("all") for sl in slices]
-    cols = [sl.indices("all") for sl in slices]
-    batch = np.repeat(
-        np.arange(B, dtype=np.intp), [r.size for r in rows]
-    )
-    A_b[batch, np.concatenate(rows), np.concatenate(cols)] = 1.0
-    return A_b
-
-
 def gather_subset_batch(
     A_sym: np.ndarray,
     X_full: np.ndarray,
@@ -551,7 +523,6 @@ __all__ = [
     "normalize_subsets",
     "group_by_size",
     "symmetrized_adjacency",
-    "scattered_adjacency_batch",
     "extension_index_matrix",
     "gather_subset_batch",
     "batched_aggregation",

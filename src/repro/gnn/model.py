@@ -396,72 +396,40 @@ class GnnClassifier:
         pooled = stacked_readout(H, self.readout)
         return softmax(rowwise_head(pooled, self.head_weight, self.head_bias))
 
-    def predict_proba_db(
-        self,
-        graphs: Sequence[Graph],
-        columnar=None,
-        indices: Optional[Sequence[int]] = None,
-    ) -> np.ndarray:
+    def predict_proba_db(self, graphs: Sequence[Graph]) -> np.ndarray:
         """Class distributions for a whole database in stacked forwards.
 
         Groups the graphs by node count and runs one stacked
         ``(B, n, ·)`` forward per size group instead of ``|G|`` serial
-        passes; row ``i`` is bit-identical to ``predict_proba(
-        graphs[i])`` (empty graphs get the uniform ``M(∅)`` prior).
-
-        ``columnar`` (a :class:`~repro.graphs.columnar.ColumnarDatabase`
-        or a zero-arg factory returning one) supplies adjacency batches
-        scattered straight from the shard's CSR arrays — no per-graph
-        dense ``symmetrized_adjacency`` build; ``indices`` locates each
-        graph in it (defaults to ``0..len(graphs)-1``). Graphs missing
-        from (or stale in) the columnar mirror fall back to the dense
-        memo per graph.
+        passes, each member's adjacency read from its memoized
+        ``symmetrized_adjacency``; row ``i`` is bit-identical to
+        ``predict_proba(graphs[i])`` (empty graphs get the uniform
+        ``M(∅)`` prior).
         """
-        from repro.gnn.batch import scattered_adjacency_batch, symmetrized_adjacency
+        from repro.gnn.batch import symmetrized_adjacency
 
         graphs = list(graphs)
         out = np.empty((len(graphs), self.n_classes), dtype=np.float64)
         sizes: Dict[int, List[int]] = {}
         for i, g in enumerate(graphs):
             sizes.setdefault(g.n_nodes, []).append(i)
-        col = None
-        if columnar is not None and any(size > 0 for size in sizes):
-            col = columnar() if callable(columnar) else columnar
         for size, rows in sorted(sizes.items()):
             if size == 0:
                 out[rows] = 1.0 / self.n_classes
                 continue
             X_b = np.stack([self.features_for(graphs[i]) for i in rows])
-            slices = None
-            if col is not None:
-                slices = [
-                    col.fresh_slice(
-                        indices[i] if indices is not None else i, graphs[i]
-                    )
-                    for i in rows
-                ]
-                if any(sl is None for sl in slices):
-                    slices = None  # mutated member: dense fallback
-            if slices is not None:
-                A_b = scattered_adjacency_batch(slices)
-            else:
-                A_b = np.stack([symmetrized_adjacency(graphs[i]) for i in rows])
+            A_b = np.stack([symmetrized_adjacency(graphs[i]) for i in rows])
             out[rows] = self._forward_group(X_b, A_b)
         return out
 
-    def predict_db(
-        self,
-        graphs: Sequence[Graph],
-        columnar=None,
-        indices: Optional[Sequence[int]] = None,
-    ) -> List[Optional[int]]:
+    def predict_db(self, graphs: Sequence[Graph]) -> List[Optional[int]]:
         """Predicted labels for a whole database (``None`` for empty).
 
         Same stacked evaluation as :meth:`predict_proba_db`; entry ``i``
         equals ``predict(graphs[i])`` exactly.
         """
         graphs = list(graphs)
-        probas = self.predict_proba_db(graphs, columnar=columnar, indices=indices)
+        probas = self.predict_proba_db(graphs)
         return [
             None if g.n_nodes == 0 else int(np.argmax(probas[i]))
             for i, g in enumerate(graphs)

@@ -34,19 +34,13 @@ SPARSE_THRESHOLD = 512
 
 
 def sparse_normalized_adjacency(graph: Graph) -> sp.csr_matrix:
-    """CSR version of ``D^{-1/2} (A + I) D^{-1/2}`` (symmetrized).
-
-    The edge arrays come from one :func:`edge_index_arrays` pass
-    (columnar layout) rather than a Python loop over the edge dict —
-    same COO triples, so the assembled matrix is unchanged.
-    """
-    from repro.graphs.columnar import edge_index_arrays
-
+    """CSR version of ``D^{-1/2} (A + I) D^{-1/2}`` (symmetrized)."""
     n = graph.n_nodes
-    u, v, _ = edge_index_arrays(graph)
+    # (u, v) rows in edge order; each edge enters in both orientations
+    pairs = np.array(list(graph.edge_types), dtype=np.int64).reshape(-1, 2)
     diag = np.arange(n, dtype=np.int64)
-    rows = np.concatenate([np.stack([u, v], axis=1).ravel(), diag])
-    cols = np.concatenate([np.stack([v, u], axis=1).ravel(), diag])
+    rows = np.concatenate([pairs.ravel(), diag])
+    cols = np.concatenate([pairs[:, ::-1].ravel(), diag])
     data = np.ones(rows.size)
     A_hat = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
     # duplicate symmetric entries collapse via >0 thresholding
@@ -55,43 +49,6 @@ def sparse_normalized_adjacency(graph: Graph) -> sp.csr_matrix:
     inv_sqrt = 1.0 / np.sqrt(np.where(deg <= 0, 1.0, deg))
     D = sp.diags(inv_sqrt)
     return (D @ A_hat @ D).tocsr()
-
-
-def shard_block_adjacency(group, normalized: bool = True) -> sp.csr_matrix:
-    """Block-diagonal shard operator from one columnar label group.
-
-    Assembles the whole group's symmetrized adjacency (optionally
-    GCN-normalized per block) as a single ``(N, N)`` CSR with
-    ``N = group.total_nodes``, read directly off the group's ``"all"``
-    CSR arrays — node offsets globalize the graph-local neighbor ids,
-    so no per-graph matrix is ever materialized. One sparse matmul
-    against this operator advances message passing for every member of
-    the shard simultaneously (block-diagonality keeps graphs
-    independent), which is how the bench harness runs whole-shard
-    sparse influence sweeps.
-    """
-    n = group.total_nodes
-    indptr = group.indptr("all").astype(np.int64, copy=True)
-    local = group.indices("all")
-    # globalize: entry ranges [edge_offset[i], edge_offset[i+1]) belong
-    # to graph i, whose nodes start at node_offset[i]
-    eoff = np.asarray([group.edge_bounds(i, "all")[0] for i in range(group.n_graphs)]
-                      + [local.size], dtype=np.int64)
-    shift = np.repeat(group.node_offset[:-1], np.diff(eoff))
-    cols = local + shift
-    # append the self-loop of every node, keeping columns sorted: the
-    # union CSR has no diagonal entries (self-loops are rejected by
-    # Graph.add_edge), so an insertion per row suffices
-    A = sp.csr_matrix(
-        (np.ones(cols.size), cols, indptr), shape=(n, n)
-    ) + sp.identity(n, format="csr")
-    A.data = np.minimum(A.data, 1.0)
-    if not normalized:
-        return A.tocsr()
-    deg = np.asarray(A.sum(axis=1)).ravel()
-    inv_sqrt = 1.0 / np.sqrt(np.where(deg <= 0, 1.0, deg))
-    D = sp.diags(inv_sqrt)
-    return (D @ A @ D).tocsr()
 
 
 def sparse_expected_influence(graph: Graph, k: int) -> np.ndarray:
@@ -166,7 +123,6 @@ def auto_expected_influence(
 
 __all__ = [
     "sparse_normalized_adjacency",
-    "shard_block_adjacency",
     "sparse_expected_influence",
     "montecarlo_expected_influence",
     "auto_expected_influence",

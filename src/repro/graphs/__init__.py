@@ -1,12 +1,5 @@
 """Graph substrate: attributed graphs, patterns, views, and databases."""
 
-from repro.graphs.columnar import (
-    ColumnarDatabase,
-    ColumnarGroup,
-    GraphSlice,
-    columnar_slice_of,
-    edge_index_arrays,
-)
 from repro.graphs.database import GraphDatabase
 from repro.graphs.graph import Graph, graph_from_edges
 from repro.graphs.pattern import Pattern
@@ -16,11 +9,6 @@ __all__ = [
     "Graph",
     "graph_from_edges",
     "GraphDatabase",
-    "ColumnarDatabase",
-    "ColumnarGroup",
-    "GraphSlice",
-    "columnar_slice_of",
-    "edge_index_arrays",
     "Pattern",
     "ExplanationSubgraph",
     "ExplanationView",

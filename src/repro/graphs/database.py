@@ -33,9 +33,6 @@ class GraphDatabase:
             None if labels is None else list(labels)
         )
         self.name = name
-        #: memoized columnar CSR mirror (see repro.graphs.columnar);
-        #: built lazily, patched by :meth:`extend`, never pickled
-        self._columnar = None
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -113,30 +110,7 @@ class GraphDatabase:
         self.graphs.extend(graphs)
         if self.labels is not None and labels is not None:
             self.labels.extend(labels)
-        if self._columnar is not None:
-            self._columnar.extend(graphs, labels=labels, start=start)
         return range(start, len(self.graphs))
-
-    def columnar(self):
-        """The memoized columnar CSR mirror of this database.
-
-        Built on first use (one vectorized pass per graph) and patched
-        incrementally by :meth:`extend`; see docs/columnar.md. Consumers
-        must go through ``ColumnarDatabase.fresh_slice`` when the graph
-        may have mutated since the build.
-        """
-        if self._columnar is None:
-            from repro.graphs.columnar import ColumnarDatabase
-
-            self._columnar = ColumnarDatabase.from_database(self)
-        return self._columnar
-
-    def __getstate__(self) -> Dict[str, object]:
-        # fork-pool workers receive databases via pickled initargs; the
-        # columnar mirror is pure derived data — rebuild, don't ship
-        state = dict(self.__dict__)
-        state["_columnar"] = None
-        return state
 
     def subset(self, indices: Iterable[int], name: Optional[str] = None) -> "GraphDatabase":
         idx = list(indices)

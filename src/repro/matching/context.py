@@ -15,20 +15,12 @@ production matcher splits that work into two reusable halves:
   requirements used for pruning. Built once per canonical pattern and
   shared across a whole host database (database-batched ``PMatch``).
 
-Context construction runs on the columnar CSR layout
-(``repro.graphs.columnar``, docs/columnar.md): type and degree arrays
-are zero-copy slices of the group arrays, rows come from the group's
-shared packed-row table (or one ``bitwise_or.at`` scatter over the
-slice) converted to ints on first use, and signature counts are a
-masked ``bincount`` — single vectorized passes instead of per-host
-Python loops. Hosts that never joined a database go through the same
-code path via an on-the-fly single-graph slice.
-
-Hosts above :data:`MatchContext.LAZY_ROW_THRESHOLD` nodes build each
-row on demand from the graph's neighbor sets (only nodes actually
-mapped during search pay for a row), so contexts stay usable on
-SYNTHETIC-scale hosts where a dense ``n x n/64`` row table would not
-fit.
+Context construction reads the host ``Graph`` directly: node types
+and degrees come from the graph, each adjacency row is built from the
+node's neighbor sets on first lookup (only nodes actually mapped during
+search pay for a row, so no dense ``n x n/64`` table is ever
+materialized), and each signature-count array is one pass over the
+graph's typed edges.
 
 Both halves only *prune* subtrees that can never produce a match, so
 the matcher emits exactly the seed enumeration sequence — the contract
@@ -38,28 +30,26 @@ checks against the reference in :mod:`repro.reference`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import MatchingError
-from repro.graphs.columnar import (
-    KIND_ALL,
-    KIND_IN,
-    KIND_OUT,
-    GraphSlice,
-    columnar_slice_of,
-)
 from repro.graphs.graph import Graph
 from repro.graphs.pattern import Pattern
+
+#: adjacency-row flavors: neighbors ignoring direction, out-neighbors,
+#: in-neighbors
+KIND_ALL = "all"
+KIND_OUT = "out"
+KIND_IN = "in"
 
 #: a neighborhood-signature key: ``(direction, edge_type, neighbor
 #: type)`` with direction "" for undirected, "o"/"i" for directed
 SigKey = Tuple[str, int, int]
 
-#: adjacency rows indexed by host node: a list on eager contexts, a
-#: build-on-lookup dict on lazy ones
-Rows = Union[List[int], Dict[int, int]]
+#: adjacency rows indexed by host node, each built on first lookup
+Rows = Dict[int, int]
 
 
 def graph_content_key(graph: Graph) -> str:
@@ -124,19 +114,6 @@ class _LazyRows(dict):
         return row
 
 
-def _row_ints(table: np.ndarray) -> List[int]:
-    """Packed ``(n, words)`` uint64 rows as Python ints (bit ``w`` is
-    node ``w``, the little-endian word order of the packed layout)."""
-    if table.shape[1] == 1:
-        return table[:, 0].tolist()
-    raw = table.astype("<u8").tobytes()
-    step = 8 * table.shape[1]
-    return [
-        int.from_bytes(raw[i : i + step], "little")
-        for i in range(0, len(raw), step)
-    ]
-
-
 class MatchContext:
     """Precomputed matching state for one host graph.
 
@@ -148,18 +125,12 @@ class MatchContext:
     node ``w``.
     """
 
-    #: hosts with more nodes than this build adjacency rows lazily
-    LAZY_ROW_THRESHOLD = 4096
-
     __slots__ = (
         "graph",
         "n",
         "directed",
         "node_types",
         "degrees",
-        "_slice",
-        "_lazy",
-        "_row_ids",
         "_rows",
         "_sig_counts",
         "_type_counts",
@@ -167,117 +138,61 @@ class MatchContext:
         "_states",
     )
 
-    def __init__(
-        self, graph: Graph, columnar: Optional[GraphSlice] = None
-    ) -> None:
+    def __init__(self, graph: Graph) -> None:
         self.graph = graph
         n = graph.n_nodes
         self.n = n
         self.directed = graph.directed
-        self._lazy = n > self.LAZY_ROW_THRESHOLD
+        self.node_types = graph.node_types
+        self.degrees = np.fromiter(
+            (graph.degree(v) for v in range(n)), dtype=np.int64, count=n
+        )
         self._sig_counts: Dict[SigKey, np.ndarray] = {}
         self._type_counts: Optional[Dict[int, int]] = None
-        self._row_ids: Dict[str, np.ndarray] = {}
         self._rows: Dict[Tuple[str, Optional[int]], Rows] = {}
         self._compat_cache: Dict[str, List[int]] = {}
         #: per-plan search tables, memoized by ``isomorphism``
         self._states: Dict[str, object] = {}
-        if columnar is not None and columnar.content_key != graph.content_key():
-            columnar = None  # stale slice: the graph mutated since the build
-        if columnar is None and not self._lazy:
-            columnar = columnar_slice_of(graph)
-        self._slice = columnar
-        if columnar is not None:
-            # zero-copy views of the columnar group arrays
-            self.node_types = columnar.node_type
-            self.degrees = columnar.degrees()
-        else:
-            self.node_types = np.asarray(graph.node_types, dtype=np.int64)
-            self.degrees = np.fromiter(
-                (graph.degree(v) for v in range(n)), dtype=np.int64, count=n
-            )
 
     # ------------------------------------------------------------------
     # adjacency rows
     # ------------------------------------------------------------------
-    def _slice_row_ids(self, kind: str) -> np.ndarray:
-        """Memoized per-entry source-node ids of one CSR flavor."""
-        rid = self._row_ids.get(kind)
-        if rid is None:
-            assert self._slice is not None
-            rid = self._slice.row_ids(kind)
-            self._row_ids[kind] = rid
-        return rid
-
-    def _scatter(self, kind: str, etype: Optional[int]) -> np.ndarray:
-        """Packed ``(n, words)`` rows from one CSR flavor of the slice.
-
-        Untyped rows reuse the columnar group's shared row table when
-        it exists (zero-copy view); otherwise one ``bitwise_or.at``
-        scatter over the slice arrays.
-        """
-        sl = self._slice
-        assert sl is not None
-        words = max((self.n + 63) >> 6, 1)
-        if etype is None:
-            rows = sl.rows(kind)
-            if rows is not None and rows.shape[1] == words:
-                return rows
-        cols = sl.indices(kind)
-        row_ids = self._slice_row_ids(kind)
-        if etype is not None:
-            sel = sl.etypes(kind) == etype
-            cols = cols[sel]
-            row_ids = row_ids[sel]
-        table = np.zeros((self.n, words), dtype=np.uint64)
-        np.bitwise_or.at(
-            table,
-            (row_ids, cols >> np.int64(6)),
-            np.uint64(1) << (cols & np.int64(63)).astype(np.uint64),
-        )
-        return table
-
-    def _lazy_rows(self, kind: str, etype: Optional[int]) -> Rows:
-        """Rows built per node from the graph's neighbor sets."""
-        g = self.graph
-        neighbors = {
-            KIND_ALL: g.all_neighbors,
-            KIND_OUT: g.neighbors,
-            KIND_IN: g.in_neighbors,
-        }[kind]
-        if etype is None:
-            return _LazyRows(lambda v: sum(1 << w for w in neighbors(v)))
-        if kind == KIND_IN:  # w -> v edges
-            return _LazyRows(
-                lambda v: sum(
-                    1 << w for w in neighbors(v) if g.edge_type(w, v) == etype
-                )
-            )
-        return _LazyRows(
-            lambda v: sum(
-                1 << w for w in neighbors(v) if g.edge_type(v, w) == etype
-            )
-        )
-
     def rows(self, kind: str, etype: Optional[int] = None) -> Rows:
         """Adjacency rows as ints, indexed by host node.
 
         Row ``v`` of ``kind`` ``"all"`` holds ``v``'s neighbors ignoring
         direction, ``"out"`` holds ``{w : v -> w}`` and ``"in"`` holds
-        ``{w : w -> v}``. With ``etype`` only edges of that type count,
-        so ANDing one row into a candidate mask applies an edge *and*
-        its type to the whole frontier at once. Memoized per ``(kind,
-        etype)``; hosts above :data:`LAZY_ROW_THRESHOLD` nodes build
-        each row on first use, so no dense table is ever materialized
-        on SYNTHETIC-scale hosts.
+        ``{w : w -> v}`` (on an undirected host all three are the
+        neighbors). With ``etype`` only neighbors joined by an edge of
+        that type count (in either direction for ``"all"``), so ANDing
+        one row into a candidate mask applies an edge *and* its type to
+        the whole frontier at once. Memoized per ``(kind, etype)``;
+        each row is built from the graph's neighbor sets on its first
+        lookup.
         """
         key = (kind, etype)
         table = self._rows.get(key)
         if table is None:
-            if self._lazy:
-                table = self._lazy_rows(kind, etype)
+            g = self.graph
+            neighbors = {
+                KIND_ALL: g.all_neighbors,
+                KIND_OUT: g.neighbors,
+                KIND_IN: g.in_neighbors,
+            }[kind]
+            if etype is None:
+                build = lambda v: sum(1 << w for w in neighbors(v))
+            elif kind == KIND_ALL and g.directed:  # either direction
+                out, inc = self.rows(KIND_OUT, etype), self.rows(KIND_IN, etype)
+                build = lambda v: out[v] | inc[v]
+            elif kind == KIND_IN:  # w -> v edges
+                build = lambda v: sum(
+                    1 << w for w in neighbors(v) if g.edge_type(w, v) == etype
+                )
             else:
-                table = _row_ints(self._scatter(kind, etype))
+                build = lambda v: sum(
+                    1 << w for w in neighbors(v) if g.edge_type(v, w) == etype
+                )
+            table = _LazyRows(build)
             self._rows[key] = table
         return table
 
@@ -294,55 +209,36 @@ class MatchContext:
         return self._type_counts
 
     def sig_counts(self, key: SigKey) -> np.ndarray:
-        """Per-node count of neighbors matching one signature key.
+        """Per-node count of typed edges matching one signature key.
 
-        ``key = (direction, edge_type, neighbor_type)``; a host node is
-        a viable image for a pattern node only when, for every key of
-        the pattern node's neighborhood signature, the host count is at
-        least the pattern count (injective neighbor mapping).
+        ``key = (direction, edge_type, neighbor_type)``: entry ``v`` is
+        the number of edges of type ``edge_type`` that join ``v`` to a
+        node of type ``neighbor_type`` — ``v``'s out-edges for
+        direction ``"o"``, its in-edges for ``"i"``, and both for
+        ``""``. An undirected edge is both an out- and an in-edge, so on
+        an undirected host every direction counts each incident edge
+        once. A host node is a viable image for a pattern node only
+        when, for every key of the pattern node's neighborhood
+        signature, the host count is at least the pattern count
+        (injective neighbor mapping).
         """
         counts = self._sig_counts.get(key)
         if counts is None:
             direction, etype, ntype = key
-            kind = self._typed_kind(direction)
-            if self._slice is not None and kind is not None:
-                # a view of the group-level table: one masked bincount
-                # covers every graph in the label group at once
-                counts = self._slice.sig_counts(kind, etype, ntype)
-                self._sig_counts[key] = counts
-                return counts
-            counts = np.zeros(self.n, dtype=np.int64)
+            out_side = direction != "i" or not self.directed
+            in_side = direction != "o" or not self.directed
+            types = self.node_types.tolist()
+            tally = [0] * self.n
             for (u, v), t in self.graph.edge_types.items():
                 if t != etype:
                     continue
-                if direction == "":  # undirected: count both endpoints
-                    if self.node_types[v] == ntype:
-                        counts[u] += 1
-                    if self.node_types[u] == ntype:
-                        counts[v] += 1
-                elif direction == "o":  # u -> v seen from u
-                    if self.node_types[v] == ntype:
-                        counts[u] += 1
-                else:  # "i": u -> v seen from v
-                    if self.node_types[u] == ntype:
-                        counts[v] += 1
+                if out_side and types[v] == ntype:  # u -> v seen from u
+                    tally[u] += 1
+                if in_side and types[u] == ntype:  # u -> v seen from v
+                    tally[v] += 1
+            counts = np.array(tally, dtype=np.int64)
             self._sig_counts[key] = counts
         return counts
-
-    def _typed_kind(self, direction: str) -> Optional[str]:
-        """CSR flavor carrying reliable edge types for one direction.
-
-        ``None`` when the slice cannot answer the key bit-identically:
-        the undirected key on a directed host (the deduplicated union
-        drops types) and directional keys on an undirected host (the
-        per-edge loop counts canonical orientations only there) both
-        fall back to that loop.
-        """
-        if direction == "":
-            return KIND_ALL if not self.directed else None
-        if not self.directed:
-            return None
-        return KIND_OUT if direction == "o" else KIND_IN
 
     def compat(self, plan: "MatchPlan") -> List[int]:
         """Per-position candidate masks (ints) for one plan, memoized.
@@ -477,6 +373,9 @@ class MatchPlan:
 
 
 __all__ = [
+    "KIND_ALL",
+    "KIND_IN",
+    "KIND_OUT",
     "MatchContext",
     "MatchPlan",
     "SigKey",

@@ -29,10 +29,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.pattern import Pattern
 from repro.matching.canonical import pattern_identity
 from repro.matching.context import graph_content_key
-from repro.matching.plan_cache import PLAN_CACHE
-
-#: the most mappings one coverage query enumerates per (pattern, host)
-MATCH_CAP = 10_000
+from repro.matching.plan_cache import MATCH_CAP, PLAN_CACHE
 
 #: (host index, node id)
 NodeRef = Tuple[int, int]
@@ -78,8 +75,6 @@ def pmatch(
     hosts: Sequence[Graph],
     match_cap: int = MATCH_CAP,
     host_keys: Optional[Sequence[Optional[str]]] = None,
-    columnar=None,
-    indices: Optional[Sequence[int]] = None,
 ) -> List[PatternCoverage]:
     """Database-batched ``PMatch``: one pattern vs a whole host group.
 
@@ -88,19 +83,11 @@ def pmatch(
     coverage comes from (or lands in) the process-wide plan cache, and
     hosts failing the type-count prefilter skip VF2 entirely.
     ``host_keys`` lets callers that already computed content keys (e.g.
-    :class:`CoverageIndex`) avoid re-hashing; ``columnar`` (a
-    ``ColumnarDatabase`` or lazy factory, with ``indices`` locating
-    each host in it) routes cache-miss context builds through the
-    group's shared CSR arrays. Results are per host, in host order,
-    identical to per-host :func:`match_coverage` calls.
+    :class:`CoverageIndex`) avoid re-hashing. Results are per host, in
+    host order, identical to per-host :func:`match_coverage` calls.
     """
     local = PLAN_CACHE.coverage_many(
-        pattern,
-        hosts,
-        match_cap,
-        host_keys=host_keys,
-        columnar=columnar,
-        indices=indices,
+        pattern, hosts, match_cap, host_keys=host_keys
     )
     return [
         PatternCoverage(
@@ -128,20 +115,6 @@ class CoverageIndex:
         self._cache: Dict[Pattern, PatternCoverage] = {}
         self._identity: Dict[str, List[Pattern]] = {}
         self._host_keys = [graph_content_key(g) for g in self.hosts]
-        self._columnar = None
-
-    def _host_columnar(self):
-        """Lazy columnar mirror of the host group.
-
-        Passed to ``pmatch`` as a factory, so the build only happens
-        when some host context genuinely misses the plan cache (steady
-        state serve traffic pays one memoized-attr read).
-        """
-        if self._columnar is None:
-            from repro.graphs.columnar import ColumnarDatabase
-
-            self._columnar = ColumnarDatabase.from_graphs(self.hosts)
-        return self._columnar
 
     # ------------------------------------------------------------------
     @property
@@ -165,11 +138,7 @@ class CoverageIndex:
         key = canon
         if key not in self._cache:
             per_host = pmatch(
-                canon,
-                self.hosts,
-                self.match_cap,
-                host_keys=self._host_keys,
-                columnar=self._host_columnar,
+                canon, self.hosts, self.match_cap, host_keys=self._host_keys
             )
             nodes: Set[NodeRef] = set()
             edges: Set[EdgeRef] = set()

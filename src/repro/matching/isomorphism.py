@@ -27,10 +27,16 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.graphs.columnar import KIND_ALL, KIND_IN, KIND_OUT
 from repro.graphs.graph import Graph
 from repro.graphs.pattern import Pattern
-from repro.matching.context import MatchContext, MatchPlan, Rows
+from repro.matching.context import (
+    KIND_ALL,
+    KIND_IN,
+    KIND_OUT,
+    MatchContext,
+    MatchPlan,
+    Rows,
+)
 
 Mapping = Dict[int, int]
 

@@ -35,11 +35,13 @@ from collections import OrderedDict
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.exceptions import MatchingError, ValidationError
-from repro.graphs.columnar import ColumnarDatabase, GraphSlice
 from repro.graphs.graph import Graph
 from repro.graphs.pattern import Pattern
 from repro.matching.context import MatchContext, MatchPlan, graph_content_key
 from repro.matching.isomorphism import are_isomorphic, find_isomorphisms
+
+#: the most mappings one coverage query enumerates per (pattern, host)
+MATCH_CAP = 10_000
 
 #: current plan-cache snapshot format (``export_snapshot``); bump on
 #: incompatible change — unknown versions are rejected on load
@@ -213,23 +215,15 @@ class MatchPlanCache:
         return plan
 
     def context(
-        self,
-        host: Graph,
-        host_key: Optional[str] = None,
-        columnar: Optional[GraphSlice] = None,
+        self, host: Graph, host_key: Optional[str] = None
     ) -> Tuple[MatchContext, str]:
-        """The host's (cached) match context and its content key.
-
-        ``columnar`` optionally carries the host's slice of a columnar
-        group so a cache miss builds the context from the shared CSR
-        arrays (``MatchContext`` itself verifies slice freshness).
-        """
+        """The host's (cached) match context and its content key."""
         if host_key is None:
             host_key = graph_content_key(host)
         with self._lock:
             ctx = self._contexts.get(host_key)
             if ctx is None:
-                ctx = MatchContext(host, columnar=columnar)
+                ctx = MatchContext(host)
                 self._contexts[host_key] = ctx
                 self.context_builds += 1
                 while len(self._contexts) > self.max_contexts:
@@ -238,46 +232,6 @@ class MatchPlanCache:
                 self._contexts.move_to_end(host_key)
         return ctx, host_key
 
-    def contexts_for_group(
-        self,
-        hosts: Sequence[Graph],
-        host_keys: Optional[Sequence[Optional[str]]] = None,
-        columnar: Optional[ColumnarDatabase] = None,
-        indices: Optional[Sequence[int]] = None,
-    ) -> List[MatchContext]:
-        """Contexts for a whole host group in one shot.
-
-        With a :class:`ColumnarDatabase` the missing contexts are built
-        from per-graph slices that share the group's packed-row table —
-        one vectorized scatter covers every host in the group instead
-        of per-host packing loops. ``indices[i]`` is ``hosts[i]``'s
-        index in the columnar database (defaults to ``i``). Cached
-        contexts are returned as-is, so the result is identical to
-        per-host :meth:`context` calls.
-        """
-        col = self._resolve_columnar(columnar)
-        out: List[MatchContext] = []
-        for i, host in enumerate(hosts):
-            key = host_keys[i] if host_keys is not None else None
-            sl = None
-            if col is not None:
-                sl = col.fresh_slice(
-                    indices[i] if indices is not None else i, host
-                )
-            out.append(self.context(host, key, columnar=sl)[0])
-        return out
-
-    @staticmethod
-    def _resolve_columnar(columnar) -> Optional[ColumnarDatabase]:
-        """Accept a ColumnarDatabase or a lazy zero-arg factory.
-
-        Batched callers pass a factory so the columnar build is only
-        paid when some context is genuinely missing from the cache.
-        """
-        if columnar is None or isinstance(columnar, ColumnarDatabase):
-            return columnar
-        return columnar()
-
     # ------------------------------------------------------------------
     # cached match results
     # ------------------------------------------------------------------
@@ -285,7 +239,7 @@ class MatchPlanCache:
         self,
         pattern: Pattern,
         host: Graph,
-        match_cap: int = 10_000,
+        match_cap: int = MATCH_CAP,
         host_key: Optional[str] = None,
     ) -> LocalCoverage:
         """Covered host nodes/edges, in host-local ids (cached).
@@ -365,21 +319,16 @@ class MatchPlanCache:
         self,
         pattern: Pattern,
         hosts: Sequence[Graph],
-        match_cap: int = 10_000,
+        match_cap: int = MATCH_CAP,
         host_keys: Optional[Sequence[Optional[str]]] = None,
-        columnar=None,
-        indices: Optional[Sequence[int]] = None,
     ) -> List[LocalCoverage]:
         """Batched :meth:`coverage`: one pattern vs a host group.
 
         The database-batched ``PMatch`` core: canonical identity and
         match plan resolve once, cached per-host coverage is read
         under one lock acquisition, and only novel (pattern, host)
-        pairs enumerate (prefiltered by type counts). ``columnar`` (a
-        :class:`ColumnarDatabase` or lazy factory, with ``indices[i]``
-        locating ``hosts[i]`` in it) routes cache-miss context builds
-        through the group's columnar arrays. Identical, host for host,
-        to per-host :meth:`coverage` calls.
+        pairs enumerate (prefiltered by type counts). Identical, host
+        for host, to per-host :meth:`coverage` calls.
         """
         keys = [
             host_keys[i]
@@ -397,14 +346,8 @@ class MatchPlanCache:
                     self.hits += 1
         todo = [i for i, cov in enumerate(out) if cov is None]
         empty: LocalCoverage = (frozenset(), frozenset())
-        col = self._resolve_columnar(columnar) if todo else None
         for i in todo:
-            sl = None
-            if col is not None:
-                sl = col.fresh_slice(
-                    indices[i] if indices is not None else i, hosts[i]
-                )
-            ctx, _ = self.context(hosts[i], keys[i], columnar=sl)
+            ctx, _ = self.context(hosts[i], keys[i])
             if not plan.host_can_match(ctx):
                 out[i] = empty
                 continue
@@ -426,8 +369,6 @@ class MatchPlanCache:
         pattern: Pattern,
         hosts: Sequence[Graph],
         host_keys: Optional[Sequence[Optional[str]]] = None,
-        columnar=None,
-        indices: Optional[Sequence[int]] = None,
     ) -> List[bool]:
         """Batched containment: one pattern vs a host group.
 
@@ -435,8 +376,7 @@ class MatchPlanCache:
         canonical identity and plan resolve once, cached answers for
         the whole group are read under a single lock acquisition, and
         only genuinely novel (pattern, host) pairs run VF2 (with the
-        type-count prefilter applied first). ``columnar``/``indices``
-        as in :meth:`coverage_many`. Posting builds in
+        type-count prefilter applied first). Posting builds in
         ``query/index.py`` call this per pattern per tier.
         """
         keys = [
@@ -454,14 +394,8 @@ class MatchPlanCache:
                     out[i] = cached
                     self.hits += 1
         todo = [i for i, flag in enumerate(out) if flag is None]
-        col = self._resolve_columnar(columnar) if todo else None
         for i in todo:
-            sl = None
-            if col is not None:
-                sl = col.fresh_slice(
-                    indices[i] if indices is not None else i, hosts[i]
-                )
-            ctx, _ = self.context(hosts[i], keys[i], columnar=sl)
+            ctx, _ = self.context(hosts[i], keys[i])
             if not plan.host_can_match(ctx):
                 out[i] = False
                 continue
@@ -708,6 +642,7 @@ if hasattr(os, "register_at_fork"):  # POSIX: fork-pool workers
 
 
 __all__ = [
+    "MATCH_CAP",
     "MatchPlanCache",
     "PLAN_CACHE",
     "CanonKey",

@@ -272,28 +272,20 @@ class ViewIndex:
 
     def _matches_group(
         self, canon: Pattern, key: CanonKey, hosts: List[Graph],
-        host_keys: List[HostKey], columnar=None,
+        host_keys: List[HostKey],
     ) -> List[bool]:
         """Batched :meth:`_matches` over one pattern's host group.
 
         Locally-cached answers are reused; the rest go through the plan
         cache's database-batched probe (one identity/plan resolution,
-        one lock round for the whole group) — with ``columnar`` (the
-        source database's columnar mirror, whose graph indices are the
-        positions in ``hosts``) routing cache-miss context builds
-        through the shared CSR arrays.
+        one lock round for the whole group).
         """
         out: List[Optional[bool]] = [
             self._match_cache.get((key, hk)) for hk in host_keys
         ]
         todo = [i for i, flag in enumerate(out) if flag is None]
         if todo:
-            fresh = PLAN_CACHE.contains_many(
-                canon,
-                [hosts[i] for i in todo],
-                columnar=columnar,
-                indices=todo,
-            )
+            fresh = PLAN_CACHE.contains_many(canon, [hosts[i] for i in todo])
             for i, flag in zip(todo, fresh):
                 self._match_cache[(key, host_keys[i])] = flag
                 out[i] = flag
@@ -343,7 +335,6 @@ class ViewIndex:
                 canon, key,
                 list(self.db.graphs),
                 [("db", idx) for idx in range(len(self.db.graphs))],
-                columnar=self.db.columnar,
             )
             postings = [
                 (self._group_of.get(idx), idx)

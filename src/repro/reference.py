@@ -50,7 +50,7 @@ from repro.matching.canonical import pattern_identity
 from repro.matching.context import matching_order
 from repro.matching.coverage import PatternCoverage
 from repro.matching.isomorphism import Mapping
-from repro.matching.plan_cache import LocalCoverage
+from repro.matching.plan_cache import MATCH_CAP, LocalCoverage
 from repro.mining.enumerate import connected_node_subsets
 from repro.mining.mdl import MinedPattern
 from repro.mining.pgen import mine_patterns
@@ -176,7 +176,7 @@ def match_coverage(
     pattern: Pattern,
     host: Graph,
     host_index: int = 0,
-    match_cap: int = 10_000,
+    match_cap: int = MATCH_CAP,
 ) -> PatternCoverage:
     """Coverage of one pattern over one host, by the seed VF2."""
     nodes, edges = _local_coverage(pattern, host, match_cap)
@@ -191,7 +191,7 @@ class _UncachedMatches:
     VF2 on the caller's own pattern, nothing memoized."""
 
     def coverage(
-        self, pattern: Pattern, host: Graph, match_cap: int = 10_000, **_: object
+        self, pattern: Pattern, host: Graph, match_cap: int = MATCH_CAP, **_: object
     ) -> LocalCoverage:
         return _local_coverage(pattern, host, match_cap)
 
@@ -199,7 +199,7 @@ class _UncachedMatches:
         return any(True for _ in find_isomorphisms(pattern, host, limit=1))
 
     def coverage_many(
-        self, pattern: Pattern, hosts, match_cap: int = 10_000, **_: object
+        self, pattern: Pattern, hosts, match_cap: int = MATCH_CAP, **_: object
     ) -> List[LocalCoverage]:
         return [_local_coverage(pattern, h, match_cap) for h in hosts]
 

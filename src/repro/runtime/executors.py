@@ -100,8 +100,7 @@ class WorkerState:
         """Explain every task of one shard as a single warm loop."""
         out: List[TaskResult] = []
         if self.method == APPROX_METHOD:
-            # one stacked forward over the shard (fed from the
-            # database's columnar CSR mirror) replaces the per-graph
+            # one stacked forward over the shard replaces the per-graph
             # M(G) pass each verifier launch used to pay; predictions
             # are the model's own, bit-identical to per-graph predict
             predictions = database_predictions(

@@ -1,15 +1,20 @@
-"""Tests for the numpy GNN: forward/backward correctness via finite differences."""
+"""Tests for the numpy GNN: forward/backward correctness via finite
+differences, and stacked whole-database forwards bit-identical to the
+per-graph ones."""
 
 import numpy as np
 import pytest
 
+from repro.datasets.registry import DATASETS, dataset_info, load_dataset
 from repro.exceptions import ModelError
+from repro.gnn.batch import symmetrized_adjacency
 from repro.gnn.loss import softmax, softmax_cross_entropy
 from repro.gnn.model import GnnClassifier
 from repro.gnn.propagation import normalize_dense, normalized_adjacency, propagation_power
 from repro.gnn.training import LabelEncoder, Trainer
 from repro.graphs.database import GraphDatabase
 from repro.graphs.graph import Graph, graph_from_edges
+from repro.matching.context import MatchContext
 from repro.utils.rng import ensure_rng
 
 
@@ -276,3 +281,98 @@ class TestEdgeTypeLearning:
         trainer.fit(db, encoder=LabelEncoder(db.labels))
         acc = trainer.evaluate(db, LabelEncoder(db.labels))
         assert acc <= 0.7  # chance-ish: identical topology and node types
+
+
+# ----------------------------------------------------------------------
+# stacked whole-database forwards (predict_proba_db / predict_db)
+# ----------------------------------------------------------------------
+def test_symmetrized_adjacency_memoized_and_invalidated():
+    g = Graph([0, 1])
+    g.add_edge(0, 1, 0)
+    A1 = symmetrized_adjacency(g)
+    assert symmetrized_adjacency(g) is A1
+    assert not A1.flags.writeable
+    g2 = Graph([0, 1, 2])
+    g2.add_edge(0, 1, 0)
+    before = symmetrized_adjacency(g2)
+    model = GnnClassifier(in_dim=3, n_classes=2, hidden_dims=(4,), seed=0)
+    stale = model.predict_proba_db([g2])[0]
+    g2.add_edge(1, 2, 1)  # mutate after the memo and a stacked forward
+    after = symmetrized_adjacency(g2)
+    assert after is not before
+    assert after[1, 2] == 1.0
+    # every reader sees the mutation: the matcher's host context and
+    # the stacked forward
+    assert np.array_equal(MatchContext(g2).degrees, [1, 2, 1])
+    probas = model.predict_proba_db([g2])
+    assert np.array_equal(probas[0], model.predict_proba(g2))
+    assert not np.array_equal(probas[0], stale)
+
+
+@pytest.mark.parametrize("dataset", sorted(DATASETS))
+def test_zoo_predict_db_bit_identical(dataset):
+    info = dataset_info(dataset)
+    db = load_dataset(dataset, scale="test", seed=0)
+    model = GnnClassifier(
+        info.n_features, info.n_classes, hidden_dims=(8, 8), seed=0
+    )
+    probas = model.predict_proba_db(db.graphs)
+    preds = model.predict_db(db.graphs)
+    for i, g in enumerate(db):
+        assert np.array_equal(probas[i], model.predict_proba(g)), (dataset, i)
+        assert preds[i] == model.predict(g), (dataset, i)
+
+
+@pytest.mark.parametrize("conv,readout", [("gcn", "max"), ("gin", "mean"), ("sage", "sum")])
+def test_predict_db_parity_across_convs(conv, readout):
+    rng = np.random.default_rng(3)
+    graphs = []
+    for _ in range(10):
+        n = int(rng.integers(0, 7))
+        g = Graph(rng.integers(0, 3, n), directed=bool(rng.integers(0, 2)))
+        for _ in range(n):
+            u, v = (int(x) for x in rng.integers(0, max(n, 1), 2))
+            if u != v and not g.has_edge(u, v):
+                g.add_edge(u, v, int(rng.integers(0, 2)))
+        graphs.append(g)
+    model = GnnClassifier(
+        in_dim=3, n_classes=3, hidden_dims=(6, 6), conv=conv, readout=readout, seed=5
+    )
+    probas = model.predict_proba_db(graphs)
+    for i, g in enumerate(graphs):
+        assert np.array_equal(probas[i], model.predict_proba(g)), i
+
+
+def test_database_predictions_follow_extend():
+    """A streamed chunk appended after a stacked pass is predicted like
+    every other graph: the whole-database pass and a pass restricted to
+    the new indices both equal per-graph ``predict``."""
+    from repro.core.approx import database_predictions
+
+    db = load_dataset("mutagenicity", scale="test", seed=0)
+    info = dataset_info("mutagenicity")
+    model = GnnClassifier(info.n_features, info.n_classes, hidden_dims=(8, 8), seed=0)
+    half = len(db) // 2
+    grown = GraphDatabase(db.graphs[:half], db.labels[:half], name="grown")
+    assert database_predictions(model, grown) == [model.predict(g) for g in grown]
+    added = grown.extend(db.graphs[half:], labels=db.labels[half:])
+    assert database_predictions(model, grown) == [model.predict(g) for g in db]
+    assert database_predictions(model, grown, indices=added) == [
+        model.predict(db[i]) for i in added
+    ]
+
+
+def test_database_pickle_round_trip_after_stacked_forward():
+    """A database pickled after a stacked forward filled its graphs'
+    adjacency memos ships without them and predicts bit-identically."""
+    import pickle
+
+    db = load_dataset("mutagenicity", scale="test", seed=0)
+    info = dataset_info("mutagenicity")
+    model = GnnClassifier(info.n_features, info.n_classes, hidden_dims=(8, 8), seed=0)
+    probas = model.predict_proba_db(db.graphs)
+    copy = pickle.loads(pickle.dumps(db))
+    assert copy.name == db.name and copy.labels == db.labels
+    assert [g.content_key() for g in copy] == [g.content_key() for g in db]
+    assert all(g._sym_adj is None for g in copy)
+    assert np.array_equal(model.predict_proba_db(copy.graphs), probas)

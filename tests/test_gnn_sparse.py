@@ -13,7 +13,7 @@ from repro.gnn.sparse import (
     sparse_normalized_adjacency,
 )
 from repro.graphs.generators import barabasi_albert, erdos_renyi
-from repro.graphs.graph import graph_from_edges
+from repro.graphs.graph import Graph, graph_from_edges
 
 
 class TestSparseNormalizedAdjacency:
@@ -28,6 +28,18 @@ class TestSparseNormalizedAdjacency:
         g = graph_from_edges([0, 0, 0], [(0, 1), (1, 2)], directed=True)
         dense = normalized_adjacency(g)
         sparse = sparse_normalized_adjacency(g).todense()
+        assert np.allclose(dense, sparse)
+
+    def test_typed_reciprocal_edges_collapse(self):
+        """Edge pairs come from the typed edge map: a directed pair
+        ``u -> v``, ``v -> u`` of different types is one undirected
+        neighbor pair, like in the dense operator."""
+        g = Graph([0, 1, 2, 0], directed=True)
+        for (u, v), t in zip([(0, 1), (1, 0), (1, 2), (3, 1)], [0, 1, 2, 1]):
+            g.add_edge(u, v, t)
+        dense = normalized_adjacency(g)
+        sparse = sparse_normalized_adjacency(g).todense()
+        assert np.array_equal(sparse != 0, dense != 0)
         assert np.allclose(dense, sparse)
 
     def test_isolated_nodes(self):

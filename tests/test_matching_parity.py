@@ -16,9 +16,10 @@ The production matcher (int-row VF2 over per-host
 
 Hypothesis properties drive the mapping-stream check over random
 typed patterns and hosts (directed and undirected, typed edges), from
-one-word hosts up to 200 nodes; fixed hosts above the 4096-node
-lazy-row threshold cover the build-on-first-use rows; zoo tests pin
-the end-to-end pipeline, with the reference substituted through
+one-word hosts up to 200 nodes, plus two fixed 4,500-node hosts;
+``TestContext`` checks the host context's rows, signature counts and
+degrees against their definitions; zoo tests pin the end-to-end
+pipeline, with the reference substituted through
 :func:`repro.reference.reference_matcher`. Pruning (degree bounds,
 type signatures) may only ever *skip doomed subtrees*, so any
 divergence is a soundness bug, not a tolerance issue.
@@ -38,9 +39,10 @@ from repro.core.approx import explain_database
 from repro.graphs.graph import Graph, graph_from_edges
 from repro.graphs.pattern import Pattern
 from repro.matching.context import MatchContext, MatchPlan, graph_content_key
+from repro.matching import coverage as coverage_module
 from repro.matching.coverage import CoverageIndex, pmatch
 from repro.matching.isomorphism import find_isomorphisms
-from repro.matching.plan_cache import PLAN_CACHE, MatchPlanCache
+from repro.matching.plan_cache import MATCH_CAP, PLAN_CACHE, MatchPlanCache
 from repro.mining.index import SubsetIndex
 from repro.mining.pgen import mine_patterns
 from repro.query import Q, ViewIndex
@@ -125,6 +127,46 @@ def random_host(n, directed, rng, avg_degree, n_types=3):
     return g
 
 
+@st.composite
+def multi_word_hosts(draw, directed):
+    """Seeded hosts of 60-140 nodes, whose rows span several words."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    return random_host(draw(st.integers(min_value=60, max_value=140)), directed, rng, 3)
+
+
+def context_hosts(directed):
+    """Typed hosts of one directedness: 1-12 nodes or 60-140 nodes."""
+    return st.one_of(
+        typed_graphs(max_nodes=12, directed=directed), multi_word_hosts(directed)
+    )
+
+
+def typed_neighbors(g, kind, etype, v):
+    """``v``'s neighbors of one row kind, read off the edge list: an
+    edge ``a -> b`` makes ``b`` an out-neighbor of ``a`` and ``a`` an
+    in-neighbor of ``b``; undirected edges go both ways."""
+    out = set()
+    for a, b, t in g.edges():
+        if etype is not None and t != etype:
+            continue
+        if a == v and (kind != "in" or not g.directed):
+            out.add(b)
+        if b == v and (kind != "out" or not g.directed):
+            out.add(a)
+    return out
+
+
+def edges_at(g, v, direction):
+    """``v``'s edges for one signature direction, as ``(a, b)`` pairs:
+    out-edges for ``"o"``, in-edges for ``"i"``, both for ``""``; on an
+    undirected host each incident edge, once, for every direction."""
+    out = [(v, w) for w in g.neighbors(v)]
+    if not g.directed:
+        return out
+    inc = [(w, v) for w in g.in_neighbors(v)]
+    return {"o": out, "i": inc, "": out + inc}[direction]
+
+
 def cut_pattern(host, rng, size, twist=False):
     """A connected induced subgraph of ``host`` as a pattern.
 
@@ -191,11 +233,11 @@ def test_match_streams_bit_identical(pair, limit):
 
 @pytest.mark.parametrize("directed", [False, True])
 def test_lazy_host_streams_bit_identical(directed):
-    """Hosts above the lazy-row threshold build rows per node on first
-    use; their streams must still equal the reference's."""
+    """Rows are built per node on first use; on a 4,500-node host,
+    where search maps only a few nodes, the streams must still equal
+    the reference's."""
     rng = random.Random(11 + directed)
-    host = random_host(MatchContext.LAZY_ROW_THRESHOLD + 404, directed, rng, 3)
-    assert MatchContext(host)._lazy
+    host = random_host(4500, directed, rng, 3)
     patterns = [
         cut_pattern(host, rng, size, twist)
         for size in (1, 2, 3, 4)
@@ -238,18 +280,112 @@ class TestContext:
         )
 
     @pytest.mark.parametrize("directed", [False, True])
-    def test_lazy_rows_equal_eager(self, directed, monkeypatch):
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_rows_are_typed_neighbor_masks(self, directed, data):
+        """Row ``v`` of every kind and edge type is the bitmask of
+        ``v``'s neighbors of that kind joined by an edge of that type."""
+        g = data.draw(context_hosts(directed))
+        ctx = MatchContext(g)
+        for kind in ("all", "out", "in"):
+            for etype in (None, 0, 1, 2):  # type 2 never occurs
+                rows = ctx.rows(kind, etype)
+                for v in g.nodes():
+                    want = typed_neighbors(g, kind, etype, v)
+                    assert rows[v] == sum(1 << w for w in want), (kind, etype, v)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_sig_counts_and_degrees_by_definition(self, directed, data):
+        """``sig_counts`` counts ``v``'s out-edges (``"o"``), in-edges
+        (``"i"``) or both (``""``) of one type to one neighbor type;
+        an undirected edge counts once in every direction."""
+        g = data.draw(context_hosts(directed))
+        ctx = MatchContext(g)
+        assert list(ctx.degrees) == [g.degree(v) for v in g.nodes()]
+        assert list(ctx.node_types) == [g.node_type(v) for v in g.nodes()]
+        for direction in ("", "o", "i"):
+            for etype in (0, 1, 2):
+                for ntype in (0, 1, 2):
+                    key = (direction, etype, ntype)
+                    want = [
+                        sum(
+                            1
+                            for a, b in edges_at(g, v, direction)
+                            if g.edge_type(a, b) == etype
+                            and g.node_type(b if a == v else a) == ntype
+                        )
+                        for v in g.nodes()
+                    ]
+                    assert list(ctx.sig_counts(key)) == want, key
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_rows_built_on_first_lookup(self, directed):
+        """Each ``(kind, etype)`` table is memoized and holds a row only
+        for the nodes looked up so far; rows looked up in any order
+        equal a full ascending pass on a second context."""
         g = random_host(150, directed, random.Random(3), avg_degree=4)
-        eager = MatchContext(g)
-        monkeypatch.setattr(MatchContext, "LAZY_ROW_THRESHOLD", 2)
-        lazy = MatchContext(g)
-        assert lazy._lazy and not eager._lazy
-        kinds = ("out", "in") if directed else ("all",)
-        for kind in kinds:
+        looked_up = list(g.nodes())
+        random.Random(5).shuffle(looked_up)
+        looked_up = looked_up[:40]
+        lazy, full = MatchContext(g), MatchContext(g)
+        # a typed "all" table on a directed host reads the out and in
+        # tables, so those are checked before it touches them
+        for kind in ("out", "in", "all"):
             for etype in (None, 0, 1):
-                rows = eager.rows(kind, etype)
-                lazy_rows = lazy.rows(kind, etype)
-                assert [lazy_rows[v] for v in g.nodes()] == list(rows)
+                rows = lazy.rows(kind, etype)
+                assert lazy.rows(kind, etype) is rows
+                assert len(rows) == 0, (kind, etype)
+                got = {v: rows[v] for v in looked_up}
+                assert sorted(rows) == sorted(looked_up), (kind, etype)
+                every = full.rows(kind, etype)
+                ascending = [every[v] for v in g.nodes()]
+                assert len(every) == g.n_nodes
+                assert all(got[v] == ascending[v] for v in looked_up), (kind, etype)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(typed_graphs(max_nodes=8), min_size=1, max_size=6))
+    def test_plan_cache_context_equals_standalone(self, graphs):
+        """The plan cache's shared context for each host of a group
+        equals the standalone build field by field, and content-equal
+        hosts share one context."""
+        graphs = graphs + [graphs[0].copy()]  # a rebuilt-identical host
+        cache = MatchPlanCache()
+        for g in graphs:
+            ctx, key = cache.context(g)
+            assert key == graph_content_key(g)
+            ref = MatchContext(g)
+            assert list(ctx.degrees) == list(ref.degrees)
+            assert list(ctx.node_types) == list(ref.node_types)
+            for kind in ("all", "out", "in"):
+                for etype in (None, 0, 1):
+                    a, b = ctx.rows(kind, etype), ref.rows(kind, etype)
+                    assert [a[v] for v in g.nodes()] == [b[v] for v in g.nodes()]
+            for direction in ("", "o", "i"):
+                for etype in (0, 1):
+                    for ntype in (0, 1, 2):
+                        sig = (direction, etype, ntype)
+                        assert list(ctx.sig_counts(sig)) == list(ref.sig_counts(sig))
+        assert cache.context(graphs[-1])[0] is cache.context(graphs[0])[0]
+        assert cache.context_builds == len({graph_content_key(g) for g in graphs})
+
+    def test_plan_cache_context_follows_mutation(self):
+        """A host mutated after its context was cached gets a fresh
+        context that sees the new edge, because the key is the host's
+        content."""
+        cache = MatchPlanCache()
+        g = Graph([0, 1, 2])
+        g.add_edge(0, 1, 0)
+        typed = Pattern.from_parts([1, 2], [(0, 1)], edge_types=[1])
+        before, key = cache.context(g)
+        assert not cache.contains(typed, g)
+        g.add_edge(1, 2, 1)
+        after, new_key = cache.context(g)
+        assert new_key != key and after is not before
+        assert list(after.degrees) == [1, 2, 1]
+        assert after.rows("all", 1)[2] == 1 << 1
+        assert cache.contains(typed, g)
 
     def test_prefilter_rejects_impossible_types(self):
         host = Graph([0, 0, 1])
@@ -286,6 +422,19 @@ class TestPlanCache:
         stats = cache.stats()
         assert stats["contexts"] == 1  # FIFO-capped
         assert stats["contains_entries"] <= 2
+
+    def test_default_cap_is_match_cap(self):
+        """``coverage`` and ``coverage_many`` stop at ``MATCH_CAP``
+        mappings unless told otherwise, and ``repro.matching.coverage``
+        re-exports that one cap."""
+        assert coverage_module.MATCH_CAP is MATCH_CAP
+        host = Graph([0] * (MATCH_CAP + 5))  # every node is a match
+        p = Pattern.singleton(0)
+        cache = MatchPlanCache()
+        capped = cache.coverage(p, host)
+        assert len(capped[0]) == MATCH_CAP
+        assert cache.coverage_many(p, [host]) == [capped]
+        assert len(cache.coverage(p, host, match_cap=MATCH_CAP + 1)[0]) == MATCH_CAP + 1
 
     def test_clear(self):
         cache = MatchPlanCache()

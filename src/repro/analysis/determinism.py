@@ -40,7 +40,7 @@ wrong anywhere.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.base import register_checker
 from repro.analysis.findings import Finding

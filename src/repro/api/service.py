@@ -30,7 +30,6 @@ from repro.exceptions import ConfigurationError, ExplanationError
 from repro.gnn.model import GnnClassifier
 from repro.gnn.training import train_classifier
 from repro.graphs.database import GraphDatabase
-from repro.graphs.graph import Graph
 from repro.graphs.io import graph_from_dict, load_views, save_views
 from repro.graphs.pattern import Pattern
 from repro.graphs.view import ViewSet

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from math import comb
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -34,10 +35,15 @@ from repro.core.verifiers import (
 from repro.gnn.model import GnnClassifier
 from repro.graphs.database import GraphDatabase
 from repro.graphs.graph import Graph
-from repro.graphs.pattern import Pattern
 from repro.graphs.view import ExplanationSubgraph, ExplanationView, ViewSet
-from repro.mining.classes import SubsetClassifier
-from repro.mining.pgen import fresh_classes, mine_patterns
+from repro.mining.enumerate import connected_node_subsets
+from repro.mining.index import SubsetIndex
+from repro.mining.pgen import FRESH_CAP, fresh_classes
+
+#: the novelty test's largest pattern, and how many of ``G[S]``'s
+#: classes count as known (``mine_patterns``' default top 200)
+NOVELTY_SIZE = 3
+NOVELTY_KNOWN = 200
 
 
 @dataclass
@@ -192,6 +198,7 @@ def _grow_lazy(
     """
     soft = mode == VERIFY_SOFT
     beam = 6
+    index = SubsetIndex(graph, NOVELTY_SIZE)  # novelty's view of G[S]
     orig_prob = verifier.subset_probability(graph.nodes(), label)
     tau = min(0.9, orig_prob)
     heap: List[Tuple[float, int, int]] = []  # (-gain, node, version)
@@ -275,7 +282,7 @@ def _grow_lazy(
                 tied = [v for v in top if rest[v] == low]
                 novelty = (
                     _pattern_novelty(
-                        graph, state.selected, {v: pool[v] for v in tied}
+                        graph, index, state.selected, {v: pool[v] for v in tied}
                     )
                     if len(tied) > 1
                     else {}
@@ -306,7 +313,7 @@ def _grow_lazy(
 
 
 def _pattern_novelty(
-    graph: Graph, selected: Set[int], pool: Dict[int, float]
+    graph: Graph, index: SubsetIndex, selected: Set[int], pool: Dict[int, float]
 ) -> Dict[int, bool]:
     """Whether each candidate contributes a new (>=2-node) pattern.
 
@@ -314,32 +321,48 @@ def _pattern_novelty(
     neighborhood adds structure not yet represented in ``V_S`` (ΔP ≠ ∅);
     applying the same test as a tie-break here steers the batch greedy
     toward structurally distinctive nodes (e.g. the O's completing an
-    NO2 group) when the remainder-probability signal is flat. Each test
-    stops at the first fresh class with two or more nodes, and one
-    classifier serves every candidate.
+    NO2 group) when the remainder-probability signal is flat.
+
+    ``index`` classifies ``G[S]``'s connected subsets of 2 to
+    ``NOVELTY_SIZE`` nodes, and is caught up here with the nodes
+    selected since the last call. The known classes are those
+    ``mine_patterns`` over ``G[S]`` keeps. ``v`` is novel when a
+    connected subset of ``S ∪ {v}`` with ``v`` and 2 to ``NOVELTY_SIZE``
+    nodes has a class outside them. ``IncPGen`` enumerates at most
+    ``FRESH_CAP`` subsets of ``v``'s 2-hop ball in ``G[S ∪ {v}]``, so
+    where ``S ∪ {v}`` has more subsets than that, the cap can hide a
+    novel one: there ``fresh_classes`` runs the capped walk itself.
     """
     if not selected:
         return {v: True for v in pool}
-    sel_sub, _ = graph.induced_subgraph(selected)
-    known = [m.pattern for m in mine_patterns([sel_sub], max_size=3)]
-    known.extend(
-        Pattern.singleton(int(t))
-        for t in sorted(set(graph.node_types.tolist()))
-    )
-    classifier = SubsetClassifier()
+    for u in sorted(selected - index.nodes):
+        index.add(u)
+    known = index.top_classes(NOVELTY_KNOWN)
+    classifier = index.classifier
+    n = len(selected) + 1  # candidates are outside the selection
+    capped = sum(comb(n, k) for k in range(1, NOVELTY_SIZE + 1)) > FRESH_CAP
     out: Dict[int, bool] = {}
     for v in pool:
-        ext = sorted(selected | {v})
-        ext_sub, ids = graph.induced_subgraph(ext)
-        delta = fresh_classes(
-            ext_sub,
-            new_node=ids.index(v),
-            radius=2,
-            known=known,
-            max_size=3,
-            classifier=classifier,
-        )
-        out[v] = any(len(subset) >= 2 for subset in delta)
+        nodes = selected | {v}
+        if not capped:
+            out[v] = any(
+                classifier.classify(graph, subset) not in known
+                for subset in connected_node_subsets(
+                    graph, NOVELTY_SIZE, min_size=2, cap=None, nodes=nodes,
+                    containing=v,
+                )
+            )
+        else:
+            sub, ids = graph.induced_subgraph(sorted(nodes))
+            delta = fresh_classes(
+                sub,
+                new_node=ids.index(v),
+                radius=2,
+                known=[classifier.patterns[c] for c in known],
+                max_size=NOVELTY_SIZE,
+                classifier=classifier,
+            )
+            out[v] = any(len(subset) >= 2 for subset in delta)
     return out
 
 

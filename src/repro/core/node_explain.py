@@ -29,7 +29,6 @@ from repro.exceptions import ExplanationError, ModelError
 from repro.gnn.loss import softmax
 from repro.gnn.node_model import NodeGnnClassifier
 from repro.graphs.graph import Graph
-from repro.graphs.view import ExplanationSubgraph
 
 
 class CenterGraphClassifier:

@@ -42,8 +42,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-import numpy as np
-
 from repro.config import GvexConfig, VERIFY_PAPER
 from repro.core.explainability import ExplainabilityOracle, SelectionState
 from repro.core.inc_everify import IncrementalEVerify, OracleStats

@@ -12,7 +12,7 @@ Li=12, Ca=13``. Edge types: ``0`` single bond, ``1`` double bond.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 

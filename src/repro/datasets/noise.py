@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
 from repro.exceptions import DatasetError
 from repro.graphs.database import GraphDatabase
 from repro.graphs.graph import Graph

@@ -11,7 +11,7 @@ like the real bag-of-words embeddings), label = the seed's block.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 

@@ -11,7 +11,7 @@ graphs, PCQ the most graphs, PRO/SYN the largest connected bases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict
 
 from repro.exceptions import DatasetError
 from repro.graphs.database import GraphDatabase

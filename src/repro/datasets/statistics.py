@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.datasets.registry import DATASETS, DatasetInfo
+from repro.datasets.registry import DATASETS
 from repro.graphs.database import GraphDatabase
 
 

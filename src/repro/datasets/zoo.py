@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.datasets.registry import dataset_info, load_dataset
 from repro.gnn.model import GnnClassifier

@@ -14,8 +14,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
-import numpy as np
-
 from repro.exceptions import ExplanationError
 from repro.gnn.model import GnnClassifier
 from repro.graphs.database import GraphDatabase

@@ -13,7 +13,7 @@ fidelity harness can sweep this method alongside instance-level ones.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 

@@ -11,7 +11,7 @@ induced subgraph on the top-k nodes.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import Optional, Set
 
 import numpy as np
 

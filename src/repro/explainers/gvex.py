@@ -8,7 +8,6 @@ still exposing full view generation (patterns included) through
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 from repro.config import GvexConfig

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Tuple
 
 from repro.explainers.base import Explainer, ExplainerCapabilities
 from repro.gnn.model import GnnClassifier

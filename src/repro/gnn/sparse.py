@@ -21,8 +21,6 @@ count; Monte Carlo is opt-in (it changes numbers within sampling noise).
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 from scipy import sparse as sp
 

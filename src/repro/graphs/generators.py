@@ -8,7 +8,7 @@ attachment. All functions are deterministic given a seed.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 

@@ -11,7 +11,7 @@ resolved by an exact isomorphism check in :mod:`repro.matching.canonical`.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import GraphError, PatternError
 from repro.graphs.graph import Graph

@@ -10,7 +10,7 @@ consistency / counterfactual properties (§2.2) held under the verifier.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.graphs.graph import Graph
 from repro.graphs.pattern import Pattern

@@ -9,7 +9,7 @@ optimization target).
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Mapping
 
 from repro.graphs.database import GraphDatabase
 from repro.graphs.view import ExplanationSubgraph, ExplanationView, ViewSet

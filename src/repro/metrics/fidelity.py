@@ -10,7 +10,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.gnn.model import GnnClassifier
 from repro.graphs.database import GraphDatabase

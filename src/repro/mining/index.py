@@ -22,6 +22,10 @@ the class covers the union of their nodes and of their induced edges.
 A one-node pattern matches the ``V_S`` nodes of its type, on hosts of
 its own directedness only. So pricing a candidate builds and matches
 no ``Pattern``; :attr:`Candidate.pattern` builds one on demand.
+
+ApproxGVEX's novelty tie-break keeps one index of its selection too,
+and reads only :meth:`SubsetIndex.top_classes`: the classes that
+``mine_patterns`` over ``G[S]`` would keep.
 """
 
 from __future__ import annotations
@@ -118,27 +122,11 @@ class SubsetIndex:
         the top ``max_candidates`` classes as ``mine_patterns`` ranks
         them, then one singleton per node type.
         """
+        # coverage counts every live subset; the ranking may count fewer
         members: Dict[int, List[Subset]] = {}
         for subset, (_, cls, _) in self._live.items():
             members.setdefault(cls, []).append(subset)
-        # the ranking counts only the cap smallest paths; coverage, all
-        entries: Iterable = self._live.items()
-        if len(self._live) > self.enumeration_cap:
-            entries = sorted(entries, key=lambda item: item[1][0])
-            entries = entries[: self.enumeration_cap]
-        counts: Dict[int, int] = {}
-        first: Dict[int, Tuple[Subset, Subset]] = {}
-        for subset, (path, cls, _) in entries:
-            counts[cls] = counts.get(cls, 0) + 1
-            best = first.get(cls)
-            if best is None or path < best[0]:
-                first[cls] = (path, subset)
-        patterns = self.classifier.patterns
-
-        def rank(cls: int) -> Tuple[int, int, str, Subset]:
-            p = patterns[cls]
-            return (-mdl_score(p, counts[cls]), p.size, p.key(), first[cls][0])
-
+        top, counts, first = self._ranked(max_candidates)
         by_type: Dict[int, List[int]] = {}
         for v in sorted(self.nodes):
             by_type.setdefault(self.graph.node_type(v), []).append(v)
@@ -157,7 +145,7 @@ class SubsetIndex:
                 embeddings=counts[cls],
                 pattern=partial(self._pattern, first[cls][1]),
             )
-            for cls in sorted(first, key=rank)[:max_candidates]
+            for cls in top
         )
         # ``Pattern.singleton`` builds an undirected pattern
         pool.extend(
@@ -169,6 +157,35 @@ class SubsetIndex:
             for t in sorted(by_type)
         )
         return pool
+
+    def top_classes(self, max_candidates: int) -> Set[int]:
+        """The classes among ``mine_patterns``' top ``max_candidates``."""
+        return set(self._ranked(max_candidates)[0])
+
+    def _ranked(
+        self, max_candidates: int
+    ) -> Tuple[List[int], Dict[int, int], Dict[int, Tuple[Subset, Subset]]]:
+        """The top classes in ``mine_patterns``' order, each class's
+        count, and its smallest ESU path with that path's subset."""
+        # the ranking counts only the cap smallest paths
+        entries: Iterable = self._live.items()
+        if len(self._live) > self.enumeration_cap:
+            entries = sorted(entries, key=lambda item: item[1][0])
+            entries = entries[: self.enumeration_cap]
+        counts: Dict[int, int] = {}
+        first: Dict[int, Tuple[Subset, Subset]] = {}
+        for subset, (path, cls, _) in entries:
+            counts[cls] = counts.get(cls, 0) + 1
+            best = first.get(cls)
+            if best is None or path < best[0]:
+                first[cls] = (path, subset)
+        patterns = self.classifier.patterns
+
+        def rank(cls: int) -> Tuple[float, int, str, Subset]:
+            p = patterns[cls]
+            return (-mdl_score(p, counts[cls]), p.size, p.key(), first[cls][0])
+
+        return sorted(first, key=rank)[:max_candidates], counts, first
 
     def _covered(
         self, subsets: Sequence[Subset]

@@ -28,6 +28,10 @@ from repro.mining.enumerate import connected_node_subsets
 from repro.mining.mdl import MinedPattern
 
 
+#: how many subsets of a new node's ball ``IncPGen`` enumerates at most
+FRESH_CAP = 20_000
+
+
 def mine_patterns(
     hosts: Sequence[Graph],
     max_size: int = 5,
@@ -118,7 +122,7 @@ def fresh_classes(
     radius: int,
     known: Iterable[Pattern],
     max_size: int = 5,
-    enumeration_cap: int = 20_000,
+    enumeration_cap: int = FRESH_CAP,
     classifier: Optional[SubsetClassifier] = None,
 ) -> Iterator[Tuple[int, ...]]:
     """``IncPGen``'s ΔP, lazily: classes around a new node not in ``known``.
@@ -151,7 +155,7 @@ def mine_incremental(
     radius: int,
     known: Iterable[Pattern],
     max_size: int = 5,
-    enumeration_cap: int = 20_000,
+    enumeration_cap: int = FRESH_CAP,
 ) -> List[Pattern]:
     """The ``IncPGen`` operator (§5): new patterns around a new node.
 
@@ -168,4 +172,4 @@ def mine_incremental(
     ]
 
 
-__all__ = ["mine_patterns", "mine_incremental", "fresh_classes"]
+__all__ = ["FRESH_CAP", "mine_patterns", "mine_incremental", "fresh_classes"]

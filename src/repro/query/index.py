@@ -45,7 +45,6 @@ from repro.matching.canonical import pattern_identity
 from repro.matching.plan_cache import PLAN_CACHE
 from repro.query.dsl import (
     SCOPE_EXPLANATIONS,
-    SCOPE_GRAPHS,
     And,
     LabelTerm,
     Not,

@@ -17,7 +17,9 @@ benches compare them against:
   pattern side by re-mining: ``IncPGen``'s ΔP as a full list, one
   ``Pattern`` built and canonized per enumerated subset of the ball's
   induced subgraph, and ``IncUpdateP`` re-mining ``V_S`` with
-  ``mine_patterns`` on every admission.
+  ``mine_patterns`` on every admission;
+* :func:`remined_novelty` — ApproxGVEX's novelty tie-break by
+  re-mining ``G[S]`` and listing ΔP over ``G[S ∪ {v}]`` per candidate.
 
 The serial ``EVerify`` reference is
 :class:`~repro.core.verifiers.GnnVerifier` itself, the batched
@@ -306,6 +308,36 @@ def remine_inc_update_p(
     patterns[:] = summarize([vs_sub], config, candidates=pool).patterns
 
 
+def remined_novelty(
+    graph: Graph,
+    index: object,
+    selected: Set[int],
+    pool: Dict[int, float],
+) -> Dict[int, bool]:
+    """ApproxGVEX's novelty tie-break by re-mining, per call.
+
+    Drop-in for ``repro.core.approx._pattern_novelty``; ``index`` is
+    ignored. Mines ``G[S]`` with ``mine_patterns`` for the known
+    patterns, then builds ``G[S ∪ {v}]`` for each candidate and lists
+    its ΔP over ``v``'s 2-hop ball with :func:`remined_delta`: ``v``
+    is novel when ΔP has a pattern of two or more nodes.
+    """
+    if not selected:
+        return {v: True for v in pool}
+    sel_sub, _ = graph.induced_subgraph(selected)
+    known = [m.pattern for m in mine_patterns([sel_sub], max_size=3)]
+    known.extend(
+        Pattern.singleton(int(t))
+        for t in sorted(set(graph.node_types.tolist()))
+    )
+    out: Dict[int, bool] = {}
+    for v in pool:
+        ext_sub, ids = graph.induced_subgraph(sorted(selected | {v}))
+        delta = remined_delta(ext_sub, ids.index(v), 2, known, max_size=3)
+        out[v] = any(p.n_nodes >= 2 for _, p in delta)
+    return out
+
+
 # ----------------------------------------------------------------------
 # substitution
 # ----------------------------------------------------------------------
@@ -355,17 +387,19 @@ def rebuild_everify():
 
 
 def remine_patterns():
-    """Run the block's StreamGVEX pattern side by re-mining.
+    """Run the block's pattern side by re-mining.
 
-    ``IncUpdateVS`` and ApproxGVEX's novelty tie-break list all of ΔP
-    through :func:`remined_delta` instead of stopping at its first
-    class, and ``IncUpdateP`` re-mines ``V_S`` through
-    :func:`remine_inc_update_p` instead of reading the subset index.
+    StreamGVEX's ``IncUpdateVS`` lists all of ΔP through
+    :func:`remined_delta` instead of stopping at its first class, and
+    ``IncUpdateP`` re-mines ``V_S`` through :func:`remine_inc_update_p`
+    instead of reading the subset index. ApproxGVEX's novelty tie-break
+    re-mines ``G[S]`` and lists each candidate's ΔP through
+    :func:`remined_novelty` instead of reading its class index.
     """
     return _patched(
         {
             "repro.core.streaming.fresh_classes": _listed_fresh_classes,
-            "repro.core.approx.fresh_classes": _listed_fresh_classes,
             "repro.core.streaming.StreamGvex._inc_update_p": remine_inc_update_p,
+            "repro.core.approx._pattern_novelty": remined_novelty,
         }
     )

@@ -17,8 +17,6 @@ anything unexpected is a ``500``.
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.api.server import JsonRequestHandler, _PayloadTooLarge
 from repro.exceptions import (
     ClusterError,

@@ -7,7 +7,7 @@ reproducible end to end from a single integer.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 from repro.exceptions import ValidationError

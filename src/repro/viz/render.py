@@ -13,7 +13,7 @@ three formats:
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from repro.graphs.graph import Graph
 from repro.graphs.pattern import Pattern

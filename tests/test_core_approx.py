@@ -223,9 +223,9 @@ class TestTieOnlyNovelty:
             order.append(int(v))
             return add(st, v)
 
-        def record_novelty(g, selected, pool):
+        def record_novelty(g, index, selected, pool):
             mined.append((frozenset(selected), sorted(pool)))
-            return novelty(g, selected, pool)
+            return novelty(g, index, selected, pool)
 
         monkeypatch.setattr(oracle, "add", record_add)
         monkeypatch.setattr(approx, "_pattern_novelty", record_novelty)

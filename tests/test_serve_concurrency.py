@@ -263,8 +263,14 @@ class TestBurstAdmission:
             burst = [threading.Thread(target=fire) for _ in range(8)]
             for t in burst:
                 t.start()
-            # let the burst land against the gated worker, then open it
-            time.sleep(0.3)
+            # open the gate once the overflow beyond capacity+workers has
+            # been answered, however long the burst takes to land
+            deadline = time.monotonic() + 15.0
+            while time.monotonic() < deadline:
+                with lock:
+                    if sum(1 for status, _ in results if status == 503) >= 8 - 3:
+                        break
+                time.sleep(0.01)
             gate.set()
             for t in burst:
                 t.join()

@@ -36,6 +36,7 @@ from repro.gnn.model import GnnClassifier
 from repro.graphs.database import GraphDatabase
 from repro.graphs.graph import Graph
 from repro.graphs.view import ExplanationSubgraph, ExplanationView, ViewSet
+from repro.mining.classes import SubsetClassifier
 from repro.mining.enumerate import connected_node_subsets
 from repro.mining.index import SubsetIndex
 from repro.mining.pgen import FRESH_CAP, fresh_classes
@@ -90,6 +91,7 @@ def explain_graph(
     oracle: Optional[ExplainabilityOracle] = None,
     seed_nodes: Sequence[int] = (),
     predicted: object = _AUTO,
+    classifier: Optional[SubsetClassifier] = None,
 ) -> GraphExplainResult:
     """Explanation phase of Algorithm 1 for a single graph.
 
@@ -98,7 +100,9 @@ def explain_graph(
     pre-selected before the greedy starts (node explanation seeds the
     center node). ``predicted`` seeds the verifier's ``M(G)`` when the
     caller already ran a stacked database forward (shard execution
-    does), avoiding a redundant serial pass. Returns a result whose
+    does), avoiding a redundant serial pass. ``classifier`` is the
+    novelty test's subset classifier, which callers explaining many
+    graphs share (a new one by default). Returns a result whose
     ``subgraph`` is ``None`` when the lower bound could not be met
     (Algorithm 1 lines 16-17).
     """
@@ -122,7 +126,10 @@ def explain_graph(
     if mode == VERIFY_PAPER:
         _grow_paper_mode(graph, verifier, oracle, state, backup, label, lower, upper)
     else:
-        _grow_lazy(graph, verifier, oracle, state, backup, label, lower, upper, mode)
+        _grow_lazy(
+            graph, verifier, oracle, state, backup, label, lower, upper, mode,
+            classifier,
+        )
 
     # lower-bound phase: keep growing from the backup pool (lines 10-15),
     # verifying the whole pool as one frontier per round
@@ -172,6 +179,7 @@ def _grow_lazy(
     lower: int,
     upper: int,
     mode: str,
+    classifier: Optional[SubsetClassifier] = None,
 ) -> None:
     """Lazy-greedy growth for the soft/none modes.
 
@@ -198,7 +206,8 @@ def _grow_lazy(
     """
     soft = mode == VERIFY_SOFT
     beam = 6
-    index = SubsetIndex(graph, NOVELTY_SIZE)  # novelty's view of G[S]
+    # novelty's view of G[S]
+    index = SubsetIndex(graph, NOVELTY_SIZE, classifier=classifier)
     orig_prob = verifier.subset_probability(graph.nodes(), label)
     tau = min(0.9, orig_prob)
     heap: List[Tuple[float, int, int]] = []  # (-gain, node, version)
@@ -331,7 +340,8 @@ def _pattern_novelty(
     nodes has a class outside them. ``IncPGen`` enumerates at most
     ``FRESH_CAP`` subsets of ``v``'s 2-hop ball in ``G[S ∪ {v}]``, so
     where ``S ∪ {v}`` has more subsets than that, the cap can hide a
-    novel one: there ``fresh_classes`` runs the capped walk itself.
+    novel one: there ``fresh_classes`` runs the capped walk itself,
+    inside ``S ∪ {v}`` on the host.
     """
     if not selected:
         return {v: True for v in pool}
@@ -353,14 +363,14 @@ def _pattern_novelty(
                 )
             )
         else:
-            sub, ids = graph.induced_subgraph(sorted(nodes))
             delta = fresh_classes(
-                sub,
-                new_node=ids.index(v),
+                graph,
+                new_node=v,
                 radius=2,
                 known=[classifier.patterns[c] for c in known],
                 max_size=NOVELTY_SIZE,
                 classifier=classifier,
+                nodes=nodes,
             )
             out[v] = any(len(subset) >= 2 for subset in delta)
     return out
@@ -446,11 +456,15 @@ class ApproxGvex:
     def explain_label_group(
         self, db: GraphDatabase, label: int, indices: Sequence[int]
     ) -> ExplanationView:
-        """Build the explanation view for one label group ``G^l``."""
+        """Build the explanation view for one label group ``G^l``.
+
+        The group's graphs share one novelty classifier.
+        """
         view = ExplanationView(label=label)
         bounds = self.config.coverage_for(label)
         per_group = self.config.coverage_scope == SCOPE_PER_GROUP
         remaining_upper = bounds.upper if per_group else None
+        classifier = SubsetClassifier()
 
         for idx in indices:
             graph = db[idx]
@@ -466,10 +480,12 @@ class ApproxGvex:
                     graph_index=idx,
                     lower=0,
                     upper=remaining_upper,
+                    classifier=classifier,
                 )
             else:
                 result = explain_graph(
-                    self.model, graph, label, self.config, graph_index=idx
+                    self.model, graph, label, self.config, graph_index=idx,
+                    classifier=classifier,
                 )
             self.total_inference_calls += result.inference_calls
             if result.subgraph is not None:

@@ -84,7 +84,6 @@ class ExplainabilityOracle:
     def __init__(
         self, model: GnnClassifier, graph: Graph, config: GvexConfig
     ) -> None:
-        self.graph = graph
         self.config = config
         self.n = graph.n_nodes
         if self.n:
@@ -98,7 +97,6 @@ class ExplainabilityOracle:
     @classmethod
     def from_relations(
         cls,
-        graph: Graph,
         config: GvexConfig,
         influence: np.ndarray,
         diversity: np.ndarray,
@@ -108,16 +106,17 @@ class ExplainabilityOracle:
         StreamGVEX's incremental ``IncEVerify`` maintains the influence
         relation and diversity balls as persistent accumulators across
         stream chunks; this constructor wraps them in the standard
-        value/gain interface without re-deriving anything.
+        value/gain interface without re-deriving anything. The graph's
+        size ``n`` is read from the relations, which must both be
+        ``(n, n)``.
         """
-        n = graph.n_nodes
+        n = len(influence)
         if influence.shape != (n, n) or diversity.shape != (n, n):
             raise ValidationError(
-                f"relations must be ({n}, {n}); got {influence.shape} "
+                f"relations must both be ({n}, {n}); got {influence.shape} "
                 f"and {diversity.shape}"
             )
         self = cls.__new__(cls)
-        self.graph = graph
         self.config = config
         self.n = n
         self.B = influence

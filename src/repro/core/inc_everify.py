@@ -21,10 +21,14 @@ it carries three persistent accumulators:
   (Eq. 6) — rows/columns of dirty final-layer nodes are refreshed, the
   clean block is kept.
 
-``graph.induced_subgraph`` orders the seen prefix by global node id, so
-arriving nodes interleave with old ones; every accumulator is scattered
-into the new index space (a pure permutation — values are untouched)
-before the extension is applied.
+The seen prefix is read from the host, never built as a graph: the
+stream passes the host and the sorted seen ids, ``Q`` is the host's
+memoized symmetrized adjacency sliced by them (normalized by
+:func:`~repro.gnn.batch.aggregation_matrices`, as every forward is),
+and ``X`` the host's feature rows. Arriving nodes interleave with old
+ones in that order, so every accumulator is scattered into the new
+index space (a pure permutation — values are untouched) before the
+extension is applied.
 
 The engine's oracles are *mathematically equal* to the per-chunk
 rebuild (the reference :class:`repro.reference.RebuildEVerify`);
@@ -43,13 +47,14 @@ the fallback counted in :class:`OracleStats`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.config import JACOBIAN_EXPECTED, GvexConfig
 from repro.core.diversity import embedding_distances
 from repro.core.explainability import ExplainabilityOracle
+from repro.gnn.batch import aggregation_matrices, symmetrized_adjacency
 from repro.gnn.jacobian import (
     expected_influence,
     extend_expected_influence,
@@ -91,9 +96,11 @@ class IncrementalEVerify:
     """Chunk-extendable explainability oracle for one node stream.
 
     One instance serves one :meth:`StreamGvex.explain_graph_stream`
-    call. ``refresh(seen_sub, seen_ids)`` returns an
-    :class:`ExplainabilityOracle` for the seen prefix; the first call
-    builds the accumulators, later calls extend them.
+    call. ``refresh(graph, seen_ids)`` returns an
+    :class:`ExplainabilityOracle` for ``graph``'s subgraph induced by
+    the sorted ``seen_ids``, oracle index ``i`` being node
+    ``seen_ids[i]``; the first call builds the accumulators, later
+    calls extend them.
     """
 
     def __init__(self, model: GnnClassifier, config: GvexConfig) -> None:
@@ -107,7 +114,7 @@ class IncrementalEVerify:
         self._dist: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
-    def refresh(self, seen_sub: Graph, seen_ids: List[int]) -> ExplainabilityOracle:
+    def refresh(self, graph: Graph, seen_ids: Sequence[int]) -> ExplainabilityOracle:
         """Oracle for the grown prefix; incremental when possible."""
         ids = np.asarray(seen_ids, dtype=np.intp)
         if self.config.jacobian != JACOBIAN_EXPECTED:
@@ -118,20 +125,33 @@ class IncrementalEVerify:
             else:
                 self.stats.fallback_rebuilds += 1
             self._ids = ids
+            seen_sub, _ = graph.induced_subgraph(seen_ids)
             return ExplainabilityOracle(self.model, seen_sub, self.config)
         if self._ids is None:
-            oracle = self._full_build(seen_sub, ids)
+            oracle = self._full_build(graph, ids)
         else:
-            oracle = self._extend(seen_sub, ids)
+            oracle = self._extend(graph, ids)
         self._ids = ids
         return oracle
 
     # ------------------------------------------------------------------
-    def _relations_oracle(self, seen_sub: Graph, I1: np.ndarray) -> ExplainabilityOracle:
+    def _relations_oracle(self, I1: np.ndarray) -> ExplainabilityOracle:
         B = normalized_influence(I1) >= self.config.theta
         assert self._dist is not None
         R = self._dist <= self.config.radius
-        return ExplainabilityOracle.from_relations(seen_sub, self.config, B, R)
+        return ExplainabilityOracle.from_relations(self.config, B, R)
+
+    def _aggregation(self, graph: Graph, ids: np.ndarray) -> np.ndarray:
+        """``Q`` of the prefix: the host's adjacency sliced by ``ids``."""
+        A = symmetrized_adjacency(graph)[np.ix_(ids, ids)]
+        return aggregation_matrices(self.model.conv, self.model.gin_eps, A)
+
+    def _sparse_build(self, graph: Graph, ids: np.ndarray) -> np.ndarray:
+        """``I1`` by the sparse program, which needs the prefix's graph."""
+        self._powers = []
+        self.stats.sparse_power_builds += 1
+        seen_sub, _ = graph.induced_subgraph(ids.tolist())
+        return expected_influence(self.model, seen_sub)
 
     def _sparse_influence(self, n: int) -> bool:
         """Whether a from-scratch build would take the sparse big-graph path.
@@ -148,24 +168,22 @@ class IncrementalEVerify:
 
         return n > SPARSE_THRESHOLD
 
-    def _full_build(self, seen_sub: Graph, ids: np.ndarray) -> ExplainabilityOracle:
+    def _full_build(self, graph: Graph, ids: np.ndarray) -> ExplainabilityOracle:
         self.stats.full_refreshes += 1
-        Q = self.model.aggregation_matrix(seen_sub)
-        if self._sparse_influence(seen_sub.n_nodes):
-            I1 = expected_influence(self.model, seen_sub)
-            self._powers = []
-            self.stats.sparse_power_builds += 1
+        Q = self._aggregation(graph, ids)
+        if self._sparse_influence(ids.size):
+            I1 = self._sparse_build(graph, ids)
         else:
             I1, self._powers = extend_expected_influence(
-                self.model, seen_sub, [], np.empty(0, dtype=np.intp), Q=Q
+                self.model, Q, [], np.empty(0, dtype=np.intp)
             )
-        cache = self.model.forward(self.model.features_for(seen_sub), Q)
+        cache = self.model.forward(self.model.features_for(graph)[ids], Q)
         self._Q = Q
         self._hiddens = list(cache.hiddens)
         self._dist = embedding_distances(self._hiddens[-1])
-        return self._relations_oracle(seen_sub, I1)
+        return self._relations_oracle(I1)
 
-    def _extend(self, seen_sub: Graph, ids: np.ndarray) -> ExplainabilityOracle:
+    def _extend(self, graph: Graph, ids: np.ndarray) -> ExplainabilityOracle:
         self.stats.incremental_updates += 1
         model = self.model
         assert (
@@ -174,30 +192,28 @@ class IncrementalEVerify:
             and self._Q is not None
         )
         pos = np.searchsorted(ids, self._ids)  # old local -> new local
-        m = seen_sub.n_nodes
+        m = ids.size
 
         # --- influence: rank-update of the propagation powers (Eq. 3),
         # or the sparse big-graph program once the prefix outgrows it
         Q_old_pad = np.zeros((m, m))
         Q_old_pad[np.ix_(pos, pos)] = self._Q
-        Q_new = model.aggregation_matrix(seen_sub)
+        Q_new = self._aggregation(graph, ids)
         if self._sparse_influence(m):
-            I1 = expected_influence(model, seen_sub)
-            self._powers = []
-            self.stats.sparse_power_builds += 1
+            I1 = self._sparse_build(graph, ids)
         elif not self._powers:  # defensive: prefixes only grow, but a
             # dense resume after a sparse stretch stays correct
             I1, self._powers = extend_expected_influence(
-                model, seen_sub, [], np.empty(0, dtype=np.intp), Q=Q_new
+                model, Q_new, [], np.empty(0, dtype=np.intp)
             )
         else:
             I1, self._powers = extend_expected_influence(
-                model, seen_sub, self._powers, pos, Q=Q_new
+                model, Q_new, self._powers, pos
             )
         self._Q = Q_new
 
         # --- embeddings: recompute only dirty rows, layer by layer
-        X = model.features_for(seen_sub)
+        X = model.features_for(graph)[ids]
         q_dirty = np.any((Q_new - Q_old_pad) != 0.0, axis=1)
         q_support = Q_new != 0.0
         hiddens: List[np.ndarray] = [X]
@@ -239,7 +255,7 @@ class IncrementalEVerify:
             dist[rows, :] = block
             dist[:, rows] = block.T
         self._dist = dist
-        return self._relations_oracle(seen_sub, I1)
+        return self._relations_oracle(I1)
 
 
 def _distance_rows(embeddings: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -113,7 +113,7 @@ class CenterGraphClassifier:
         frontier-reuse fast path).
         """
         from repro.gnn.batch import (
-            batched_aggregation,
+            aggregation_matrices,
             batched_subset_probas,
             presorted_rows_probas,
             stacked_layers,
@@ -135,7 +135,7 @@ class CenterGraphClassifier:
             # NodeGnnClassifier is GCN-only (its aggregation_matrix is
             # normalized_adjacency unconditionally); revisit if it ever
             # grows the conv options of its graph-level sibling
-            Q_b = batched_aggregation("gcn", 0.0, A_b)
+            Q_b = aggregation_matrices("gcn", 0.0, A_b)
             H = stacked_layers(
                 X_b[:, :, :-1],
                 Q_b,

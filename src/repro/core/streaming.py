@@ -7,17 +7,19 @@ cheapest-to-lose incumbent ``v⁻`` only when ``gain(v) >= 2 · loss(v⁻)``
 — the swap rule that preserves the streaming 1/4-approximation
 (Theorem 5.1). The swap is tried only when the arriving node adds
 pattern structure: ``IncPGen``'s ΔP over its ``r``-hop neighborhood is
-non-empty. That test stops at the first fresh isomorphism class
+non-empty. The incumbent side of the rule is priced once per oracle
+and ``V_S``, and ΔP is tested only for an arrival whose gain passes
+it; ΔP stops at the first fresh isomorphism class
 (:func:`~repro.mining.pgen.fresh_classes`). ``IncUpdateP``
 (Procedure 5) keeps the higher-tier pattern set covering ``V_S``. Its
 candidates, and what each covers in ``G[V_S]`` (``IncPMatch``), come
 from one :class:`~repro.mining.index.SubsetIndex` per stream, which
 adds the subsets an admitted node brings and drops the subsets an
 evicted node takes, instead of re-mining and re-matching ``V_S`` on
-every admission. ΔP and the index classify through one shared
-:class:`~repro.mining.classes.SubsetClassifier`, which builds a
-``Pattern`` only for subset content it has not seen; the re-mining
-schedule survives as the parity reference
+every admission. ΔP and every stream of one :meth:`StreamGvex.explain`
+call classify through one :class:`~repro.mining.classes.SubsetClassifier`,
+which builds a ``Pattern`` only for subset content it has not seen;
+the re-mining schedule survives as the parity reference
 :func:`repro.reference.remine_patterns`.
 
 ``IncEVerify`` — the per-chunk refresh of the influence/diversity
@@ -26,9 +28,11 @@ IncrementalEVerify`: it carries the propagation-power sequence, the
 per-layer hidden states, and the embedding-distance matrix across
 chunks as persistent accumulators, extending them with rank-bounded
 updates when nodes arrive — the paper's genuinely incremental reading
-of §5 (see docs/streaming.md). Re-deriving the oracle on the seen
-prefix every chunk selects identical views; that schedule survives as
-the parity reference :class:`repro.reference.RebuildEVerify`.
+of §5 (see docs/streaming.md). The prefix is read from the host by
+its sorted ids, as is ΔP's ball; neither builds it as a graph.
+Re-deriving the oracle on the seen prefix every chunk selects
+identical views; that schedule survives as the parity reference
+:class:`repro.reference.RebuildEVerify`.
 
 Every batch boundary records an :class:`AnytimeSnapshot`, giving the
 "anytime" view quality/runtime curves of Figures 9(f) and 12;
@@ -40,7 +44,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.config import GvexConfig, VERIFY_PAPER
 from repro.core.explainability import ExplainabilityOracle, SelectionState
@@ -53,6 +57,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.pattern import Pattern
 from repro.graphs.view import ExplanationSubgraph, ExplanationView, ViewSet
 from repro.matching.coverage import MATCH_CAP
+from repro.mining.classes import SubsetClassifier
 from repro.mining.index import SubsetIndex
 from repro.mining.mdl import MinedPattern
 from repro.mining.pgen import fresh_classes
@@ -88,6 +93,17 @@ class StreamResult:
     oracle_stats: OracleStats = field(default_factory=OracleStats)
 
 
+class _Incumbent(NamedTuple):
+    """The swap rule's incumbent side for one oracle and one ``V_S``."""
+
+    #: ``v⁻``, the cheapest incumbent to lose, in the oracle's ids
+    local: int
+    #: the selection state without ``v⁻``
+    reduced: SelectionState
+    #: ``gain(v⁻)`` in that state: its loss
+    gain: float
+
+
 class StreamGvex:
     """Streaming view generation with anytime guarantees (Algorithm 3).
 
@@ -120,12 +136,15 @@ class StreamGvex:
         order: Optional[Sequence[int]] = None,
         lower: Optional[int] = None,
         upper: Optional[int] = None,
+        classifier: Optional[SubsetClassifier] = None,
     ) -> StreamResult:
         """Run the node stream for one graph.
 
         ``order`` fixes the arrival order (default: natural node order);
         StreamGVEX's guarantees are order-independent (§A.8), which
-        Figure 12's bench verifies empirically.
+        Figure 12's bench verifies empirically. ``classifier`` is the
+        subset classifier of the enclosing :meth:`explain` call (a new
+        one by default).
         """
         bounds = self.config.coverage_for(label)
         lower = bounds.lower if lower is None else lower
@@ -150,22 +169,26 @@ class StreamGvex:
         patterns: List[Pattern] = []
         # V_S's connected subsets by class, updated wherever `selected`
         # changes; its classifier also serves the ΔP tests
-        index = SubsetIndex(graph, config.max_pattern_size)
+        index = SubsetIndex(graph, config.max_pattern_size, classifier=classifier)
         snapshots: List[AnytimeSnapshot] = []
         oracle: Optional[ExplainabilityOracle] = None
         state: Optional[SelectionState] = None
         seen_ids: List[int] = []
         to_local: Dict[int, int] = {}
+        # the swap rule's incumbent side, kept while the oracle and V_S do
+        incumbent: Optional[_Incumbent] = None
 
         for batch_start in range(0, len(stream), batch):
             chunk = stream[batch_start : batch_start + batch]
             seen.extend(chunk)
             # IncEVerify: extend the persistent influence/diversity
-            # accumulators to the seen prefix
-            seen_sub, seen_ids = graph.induced_subgraph(seen)
+            # accumulators to the seen prefix, oracle id i being node
+            # seen_ids[i]
+            seen_ids = sorted(seen)
             to_local = {g: l for l, g in enumerate(seen_ids)}
-            oracle = engine.refresh(seen_sub, seen_ids)
+            oracle = engine.refresh(graph, seen_ids)
             state = oracle.state_for([to_local[v] for v in selected])
+            incumbent = None
 
             if mode == VERIFY_PAPER:
                 # speculative frontier fill for the arriving chunk: the
@@ -187,9 +210,9 @@ class StreamGvex:
                     mode,
                 ):
                     continue
-                took = self._inc_update_vs(
+                took, incumbent = self._inc_update_vs(
                     v, selected, backup, oracle, state, to_local, upper,
-                    seen_sub, seen_ids, patterns, index,
+                    graph, seen_ids, patterns, index, incumbent,
                 )
                 if took:
                     self._inc_update_p(graph, selected, patterns, config, index)
@@ -285,11 +308,12 @@ class StreamGvex:
         state: SelectionState,
         to_local: Dict[int, int],
         upper: int,
-        seen_sub: Graph,
+        graph: Graph,
         seen_ids: List[int],
         patterns: Sequence[Pattern],
         index: SubsetIndex,
-    ) -> bool:
+        incumbent: Optional[_Incumbent],
+    ) -> Tuple[bool, Optional[_Incumbent]]:
         """``IncUpdateVS`` (Procedure 4): maintain the size-``u_l`` cache.
 
         An arriving node with fresh pattern structure replaces the
@@ -298,8 +322,15 @@ class StreamGvex:
         margin is what bounds the value surrendered over the stream
         and preserves the 1/4-approximation. Gains and losses are the
         submodular marginals of Eq. 2 (Lemma 3.3), served by the
-        chunk's ``IncEVerify`` oracle. ``index`` follows every change
-        to ``selected``. Returns True when ``v`` entered ``V_S``.
+        chunk's ``IncEVerify`` oracle; ``seen_ids`` maps its ids to
+        ``graph``'s. ``index`` follows every change to ``selected``.
+
+        The rule's incumbent side depends only on the oracle and
+        ``V_S``: ``incumbent`` carries it from an earlier arrival, or is
+        None when either has changed since. The gain test runs before
+        ΔP, and ΔP changes nothing a decision reads, so the order
+        decides nothing. Returns whether ``v`` entered ``V_S``, and the
+        incumbent side for the next arrival (None once ``V_S`` changed).
         """
         v_local = to_local[v]
         # (a) cache not full: just add
@@ -307,39 +338,40 @@ class StreamGvex:
             oracle.add(state, v_local)
             selected.add(v)
             index.add(v)
-            return True
-        # (b) v contributes no new pattern structure: skip. Only ΔP's
-        # emptiness matters, so stop at its first class.
+            return True, None
+        # (b) swap against the cheapest incumbent only when gain >= 2 * loss
+        if incumbent is None:
+            losses = oracle.losses(state, state.selected)
+            v_minus = min(state.selected, key=lambda u: (losses[u], u))
+            reduced = oracle.remove(state, v_minus)
+            incumbent = _Incumbent(v_minus, reduced, oracle.gain(reduced, v_minus))
+        if oracle.gain(incumbent.reduced, v_local) < 2.0 * incumbent.gain:
+            return False, incumbent
+        # (c) ... and only when v contributes new pattern structure. Only
+        # ΔP's emptiness matters, so stop at its first class.
         delta = fresh_classes(
-            seen_sub,
-            new_node=v_local,
+            graph,
+            new_node=v,
             radius=self.config.stream_radius,
             known=patterns,
             max_size=self.config.max_pattern_size,
             classifier=index.classifier,
+            nodes=seen_ids,
         )
         if next(delta, None) is None:
-            return False
-        # (c) swap against the cheapest incumbent when gain >= 2 * loss
-        local_selected = [to_local[u] for u in selected]
-        losses = oracle.losses(state, local_selected)
-        v_minus_local = min(local_selected, key=lambda u: (losses[u], u))
-        reduced = oracle.remove(state, v_minus_local)
-        gain_v = oracle.gain(reduced, v_local)
-        gain_v_minus = oracle.gain(reduced, v_minus_local)
-        if gain_v >= 2.0 * gain_v_minus:
-            v_minus_global = seen_ids[v_minus_local]
-            selected.discard(v_minus_global)
-            index.drop(v_minus_global)
-            backup.add(v_minus_global)
-            oracle.add(reduced, v_local)
-            selected.add(v)
-            index.add(v)
-            state.selected = reduced.selected
-            state.influenced = reduced.influenced
-            state.diversity = reduced.diversity
-            return True
-        return False
+            return False, incumbent
+        v_minus_global = seen_ids[incumbent.local]
+        selected.discard(v_minus_global)
+        index.drop(v_minus_global)
+        backup.add(v_minus_global)
+        reduced = incumbent.reduced
+        oracle.add(reduced, v_local)
+        selected.add(v)
+        index.add(v)
+        state.selected = reduced.selected
+        state.influenced = reduced.influenced
+        state.diversity = reduced.diversity
+        return True, None
 
     def _inc_update_p(
         self,
@@ -394,6 +426,8 @@ class StreamGvex:
         each graph through :meth:`explain_graph_stream`, then
         summarizes the higher-tier patterns per label group (``Psum``)
         — the streaming counterpart of Problem 1's view generation.
+        Every stream of the call shares one subset classifier; it lives
+        for this call only, so concurrent calls share nothing.
         """
         if predicted is None:
             from repro.core.approx import database_predictions
@@ -407,6 +441,7 @@ class StreamGvex:
 
         labels = self.labels if self.labels is not None else sorted(groups)
         views = ViewSet()
+        classifier = SubsetClassifier()
         for label in labels:
             view = ExplanationView(label=label)
             for idx in groups.get(label, []):
@@ -415,7 +450,8 @@ class StreamGvex:
                 if shuffle_streams:
                     order = list(self._rng.permutation(graph.n_nodes))
                 result = self.explain_graph_stream(
-                    graph, label, graph_index=idx, order=order
+                    graph, label, graph_index=idx, order=order,
+                    classifier=classifier,
                 )
                 if result.subgraph is not None:
                     view.subgraphs.append(result.subgraph)

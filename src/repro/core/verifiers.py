@@ -78,7 +78,10 @@ class GnnVerifier:
     # ------------------------------------------------------------------
     def _subset_proba(self, key: FrozenSet[int]) -> np.ndarray:
         if key not in self._subset_probas:
-            sub, _ = self.graph.induced_subgraph(key)
+            # every node: G itself, whose arrays equal its induced copy's
+            n = self.graph.n_nodes
+            whole = len(key) == n and key.issuperset(range(n))
+            sub = self.graph if whole else self.graph.induced_subgraph(key)[0]
             self.inference_calls += 1
             self.subsets_evaluated += 1
             self._subset_probas[key] = self.model.predict_proba(sub)

@@ -139,27 +139,28 @@ def gather_subset_batch(
     return X_full[idx], A_sym[idx[:, :, None], idx[:, None, :]]
 
 
-def batched_aggregation(conv: str, gin_eps: float, A_b: np.ndarray) -> np.ndarray:
-    """Per-subset aggregation matrices ``Q_b`` for one stacked batch.
+def aggregation_matrices(conv: str, gin_eps: float, A: np.ndarray) -> np.ndarray:
+    """The aggregation matrix ``Q`` of each symmetrized 0/1 adjacency.
 
-    Mirrors :meth:`GnnClassifier.aggregation_matrix` (and
-    ``normalized_adjacency`` for GCN) operation-for-operation so each
-    ``Q_b[i]`` is bit-identical to the serial matrix of the induced
-    subgraph.
+    ``A`` is one ``(n, n)`` adjacency or a stacked ``(B, n, n)`` batch.
+    The one normalization of every forward:
+    :meth:`GnnClassifier.aggregation_matrix`, the stacked forwards and
+    ``IncEVerify``'s slices of the host's adjacency all call it, so a
+    slice of a batch is bit-identical to the serial matrix of the
+    induced subgraph.
     """
-    k = A_b.shape[1]
-    eye = np.eye(k)
+    eye = np.eye(A.shape[-1])
     if conv == "gcn":
-        A_hat = A_b + eye
-        deg = A_hat.sum(axis=2)
+        A_hat = A + eye
+        deg = A_hat.sum(axis=-1)
         inv_sqrt = 1.0 / np.sqrt(deg)
-        return A_hat * inv_sqrt[:, :, None] * inv_sqrt[:, None, :]
+        return A_hat * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
     if conv == "gin":
-        return A_b + (1.0 + gin_eps) * eye
+        return A + (1.0 + gin_eps) * eye
     # sage: row-normalized neighbor mean (self handled by the layer)
-    deg = A_b.sum(axis=2)
+    deg = A.sum(axis=-1)
     deg = np.where(deg <= 0, 1.0, deg)
-    return A_b / deg[:, :, None]
+    return A / deg[..., :, None]
 
 
 def stacked_layers(
@@ -330,7 +331,7 @@ def delta_layers(
       dirties no row), so blocks are padded to two rows, the padding
       rows recomputed exactly as well.
 
-    Only GCN aggregation (``batched_aggregation(conv="gcn")``) is
+    Only GCN aggregation (``aggregation_matrices(conv="gcn")``) is
     supported: its normalization is the reason for the extra hop.
     """
     K = base_nodes.size
@@ -373,7 +374,7 @@ def _normalized_rows(
     Scatters the nonzeros of ``A_hat`` (the base's ``A + I``) into
     zeros instead of gathering every entry: each value is
     ``(a · inv_sqrt[row]) · inv_sqrt[col]``, the operation order of
-    :func:`batched_aggregation`, and every other entry is the same
+    :func:`aggregation_matrices`, and every other entry is the same
     ``+0.0`` the full matrix holds.
     """
     B, D = dirty.shape
@@ -525,7 +526,7 @@ __all__ = [
     "symmetrized_adjacency",
     "extension_index_matrix",
     "gather_subset_batch",
-    "batched_aggregation",
+    "aggregation_matrices",
     "gather_sources",
     "batched_subset_probas",
     "presorted_rows_probas",

@@ -19,8 +19,6 @@ Two modes (``GvexConfig.jacobian``):
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.config import JACOBIAN_EXACT, JACOBIAN_EXPECTED
@@ -104,10 +102,9 @@ def exact_influence(model: GnnClassifier, graph: Graph) -> np.ndarray:
 
 def extend_expected_influence(
     model: GnnClassifier,
-    graph: Graph,
+    Q: np.ndarray,
     prev_powers: "list[np.ndarray]",
     prev_positions: np.ndarray,
-    Q: "Optional[np.ndarray]" = None,
 ) -> "tuple[np.ndarray, list[np.ndarray]]":
     """Expected-mode ``I1`` for a *grown* graph, rank-updating cached powers.
 
@@ -115,12 +112,10 @@ def extend_expected_influence(
     re-deriving ``Q^k`` on the seen prefix after every arriving chunk,
     the cached power sequence of the previous prefix is extended with a
     factored low-rank correction
-    (:func:`repro.gnn.propagation.extend_power_sequence`).
-    ``prev_positions[i]`` is the new index of previous node ``i``
-    (ignored, and may be empty, when ``prev_powers`` is).
-
-    Callers that already built the aggregation matrix pass it as ``Q``
-    to avoid a second ``O(m²)`` construction per chunk.
+    (:func:`repro.gnn.propagation.extend_power_sequence`). ``Q`` is the
+    grown graph's aggregation matrix; ``prev_positions[i]`` is the new
+    index of previous node ``i`` (ignored, and may be empty, when
+    ``prev_powers`` is).
 
     Returns ``(I1, powers)`` where ``powers`` is the sequence to cache
     for the next chunk. With an empty ``prev_powers`` (first chunk) the
@@ -128,14 +123,12 @@ def extend_expected_influence(
     has this incremental structure — exact mode re-derives per chunk
     (see docs/streaming.md).
     """
-    if Q is None:
-        Q = model.aggregation_matrix(graph)
     if prev_powers:
         powers = extend_power_sequence(prev_powers, Q, prev_positions)
     else:
         powers = power_sequence(Q, model.n_layers)
     if not powers:  # zero-layer degenerate: I1 = Q^0 = I
-        return np.eye(graph.n_nodes), powers
+        return np.eye(Q.shape[0]), powers
     return powers[-1], powers
 
 

@@ -23,7 +23,6 @@ import numpy as np
 from repro.exceptions import ModelError
 from repro.gnn.activations import get_activation
 from repro.gnn.loss import softmax, softmax_cross_entropy
-from repro.gnn.propagation import normalized_adjacency
 from repro.graphs.graph import Graph
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -161,17 +160,11 @@ class GnnClassifier:
     # ------------------------------------------------------------------
     def aggregation_matrix(self, graph: Graph) -> np.ndarray:
         """The matrix ``Q`` multiplying node features in each layer."""
-        if self.conv == "gcn":
-            return normalized_adjacency(graph)
-        A = graph.adjacency_matrix()
-        if graph.directed:
-            A = np.maximum(A, A.T)
-        if self.conv == "gin":
-            return A + (1.0 + self.gin_eps) * np.eye(graph.n_nodes)
-        # sage: row-normalized neighbor mean (self handled separately)
-        deg = A.sum(axis=1)
-        deg = np.where(deg <= 0, 1.0, deg)
-        return A / deg[:, None]
+        from repro.gnn.batch import aggregation_matrices, symmetrized_adjacency
+
+        return aggregation_matrices(
+            self.conv, self.gin_eps, symmetrized_adjacency(graph)
+        )
 
     def features_for(self, graph: Graph) -> np.ndarray:
         """Feature matrix for a graph, validated against ``in_dim``."""
@@ -375,9 +368,9 @@ class GnnClassifier:
         :mod:`repro.gnn.batch` for the kernel-parity argument). Layer
         outputs are appended to ``hiddens`` when it is given.
         """
-        from repro.gnn.batch import batched_aggregation, stacked_layers
+        from repro.gnn.batch import aggregation_matrices, stacked_layers
 
-        Q_b = batched_aggregation(self.conv, self.gin_eps, A_b)
+        Q_b = aggregation_matrices(self.conv, self.gin_eps, A_b)
         H = stacked_layers(
             X_b,
             Q_b,

@@ -247,8 +247,14 @@ class Graph:
             return False
         return len(self.connected_components()) == 1
 
-    def k_hop_nodes(self, center: int, hops: int) -> Set[int]:
-        """Nodes within ``hops`` (undirected) hops of ``center``, inclusive."""
+    def k_hop_nodes(
+        self, center: int, hops: int, within: Optional[Set[int]] = None
+    ) -> Set[int]:
+        """Nodes within ``hops`` (undirected) hops of ``center``, inclusive.
+
+        ``within`` (which must hold ``center``) restricts the walk to the
+        subgraph those nodes induce, without building it.
+        """
         if not 0 <= center < self.n_nodes:
             raise GraphError(f"node {center} not in graph")
         frontier = {center}
@@ -257,6 +263,8 @@ class Graph:
             nxt: Set[int] = set()
             for u in frontier:
                 nxt |= self.all_neighbors(u) - seen
+            if within is not None:
+                nxt &= within
             if not nxt:
                 break
             seen |= nxt

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from math import factorial
-from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import GraphError
 from repro.graphs.graph import Graph
@@ -64,17 +64,23 @@ class Candidate:
 class SubsetIndex:
     """The connected subsets of a node set of ``graph``, by class.
 
-    Other mining over the same stream may share :attr:`classifier`:
-    classes are content-defined, so sharing only saves work.
+    ``classifier`` (a new one by default) may be shared with other
+    mining and with other indexes, on any hosts: classes are
+    content-defined and nothing ranks by their ids, so sharing only
+    saves work. It is not thread-safe.
     """
 
     def __init__(
-        self, graph: Graph, max_size: int, enumeration_cap: int = 100_000
+        self,
+        graph: Graph,
+        max_size: int,
+        enumeration_cap: int = 100_000,
+        classifier: Optional[SubsetClassifier] = None,
     ) -> None:
         self.graph = graph
         self.max_size = max_size
         self.enumeration_cap = enumeration_cap
-        self.classifier = SubsetClassifier()
+        self.classifier = classifier if classifier is not None else SubsetClassifier()
         self.nodes: Set[int] = set()
         #: live subset -> (its ESU path, its class, its induced edges)
         self._live: Dict[Subset, Tuple[Subset, int, Tuple[Edge, ...]]] = {}

@@ -124,6 +124,7 @@ def fresh_classes(
     max_size: int = 5,
     enumeration_cap: int = FRESH_CAP,
     classifier: Optional[SubsetClassifier] = None,
+    nodes: Optional[Iterable[int]] = None,
 ) -> Iterator[Tuple[int, ...]]:
     """``IncPGen``'s ΔP, lazily: classes around a new node not in ``known``.
 
@@ -133,11 +134,19 @@ def fresh_classes(
     subset of each class met in a subset containing ``new_node`` that
     is not isomorphic to any pattern in ``known``. Stopping early skips
     the rest of the enumeration.
+
+    ``nodes`` (which must hold ``new_node``) restricts the host to the
+    subgraph those nodes induce, without building it: the ball is
+    taken inside ``nodes``, and the subsets and their order are those
+    over ``host.induced_subgraph(nodes)``, in ``host``'s ids
+    (relabelling keeps node order; see
+    :func:`~repro.mining.enumerate.connected_node_subsets`).
     """
     if classifier is None:
         classifier = SubsetClassifier()
     met = {classifier.class_of(p) for p in known}
-    ball = host.k_hop_nodes(new_node, radius)
+    within = None if nodes is None else set(nodes)
+    ball = host.k_hop_nodes(new_node, radius, within=within)
     for subset in connected_node_subsets(
         host, max_size, cap=enumeration_cap, nodes=ball
     ):

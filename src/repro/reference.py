@@ -37,7 +37,7 @@ production entry points with a reference for the duration of a
 from __future__ import annotations
 
 from contextlib import ExitStack, contextmanager
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 from unittest import mock
 
 from repro.config import GvexConfig
@@ -227,8 +227,9 @@ class RebuildEVerify:
         self.config = config
         self.stats = OracleStats()
 
-    def refresh(self, seen_sub: Graph, seen_ids: List[int]) -> ExplainabilityOracle:
+    def refresh(self, graph: Graph, seen_ids: Sequence[int]) -> ExplainabilityOracle:
         self.stats.full_refreshes += 1
+        seen_sub, _ = graph.induced_subgraph(seen_ids)
         return ExplainabilityOracle(self.model, seen_sub, self.config)
 
 
@@ -275,10 +276,16 @@ def _listed_fresh_classes(
     max_size: int = 5,
     enumeration_cap: int = 20_000,
     classifier: object = None,
+    nodes: Optional[Iterable[int]] = None,
 ) -> Iterator[Tuple[int, ...]]:
-    """Stand-in for ``fresh_classes``: the whole ΔP, listed first."""
+    """Stand-in for ``fresh_classes``: the whole ΔP, listed first, over
+    ``host.induced_subgraph(nodes)`` when ``nodes`` is given."""
+    ids = list(host.nodes())
+    if nodes is not None:
+        host, ids = host.induced_subgraph(nodes)
+        new_node = ids.index(new_node)
     delta = remined_delta(host, new_node, radius, known, max_size, enumeration_cap)
-    return iter([subset for subset, _ in delta])
+    return iter([tuple(ids[v] for v in subset) for subset, _ in delta])
 
 
 def remine_inc_update_p(

@@ -40,6 +40,7 @@ from repro.core.approx import ApproxGvex, database_predictions, explain_graph
 from repro.gnn.model import GnnClassifier
 from repro.graphs.database import GraphDatabase
 from repro.graphs.view import ExplanationSubgraph, ViewSet
+from repro.mining.classes import SubsetClassifier
 from repro.runtime.plan import APPROX_METHOD, ExplainPlan, Shard, assemble_views
 
 #: (graph index, label, explanation or None, inference calls)
@@ -106,6 +107,8 @@ class WorkerState:
             predictions = database_predictions(
                 self.model, self.db, indices=list(shard.indices)
             )
+            # the shard's graphs share one novelty classifier
+            classifier = SubsetClassifier()
             for index, prediction in zip(shard.indices, predictions):
                 result = explain_graph(
                     self.model,
@@ -114,6 +117,7 @@ class WorkerState:
                     self.config,
                     graph_index=index,
                     predicted=prediction,
+                    classifier=classifier,
                 )
                 self.inference_calls += result.inference_calls
                 out.append(

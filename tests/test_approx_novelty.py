@@ -9,7 +9,8 @@ and lists ΔP over ``G[S ∪ {v}]`` per candidate. The two must answer
 alike after every addition, also where
 ``mine_patterns``' 200-class cap or ``IncPGen``'s 20,000-subset ball
 cap binds; and ApproxGVEX must select identical views inside
-:func:`repro.reference.remine_patterns`.
+:func:`repro.reference.remine_patterns`. The indexes of the graphs one
+label group or one shard explains share one subset classifier.
 """
 
 from itertools import combinations
@@ -29,6 +30,8 @@ from repro.graphs.io import viewset_to_dict
 from repro.mining.index import SubsetIndex
 from repro.mining.pgen import FRESH_CAP
 from repro.reference import remine_patterns, remined_novelty
+from repro.runtime.executors import WorkerState
+from repro.runtime.plan import Shard
 
 
 @st.composite
@@ -144,3 +147,28 @@ def test_approx_views_equal_re_mining_across_zoo(dataset, bounds, monkeypatch):
     assert indexed == remined, (dataset, bounds)
     if dataset == "mutagenicity":
         assert calls
+
+
+def test_one_novelty_classifier_per_label_group_and_per_shard(monkeypatch):
+    """Every graph of a label group, or of a shard, classifies through
+    one classifier, and each call makes its own."""
+    db = load_dataset("mutagenicity", scale="test", seed=0)
+    info = dataset_info("mutagenicity")
+    model = GnnClassifier(info.n_features, info.n_classes, hidden_dims=(8, 8), seed=0)
+    config = GvexConfig(verification=VERIFY_SOFT).with_bounds(0, 5)
+    made = []
+    init = SubsetIndex.__init__
+
+    def record(index, *args, **kwargs):
+        init(index, *args, **kwargs)
+        made.append(index.classifier)
+
+    monkeypatch.setattr(SubsetIndex, "__init__", record)
+    indices = tuple(range(6))
+    ApproxGvex(model, config).explain_label_group(db, 0, indices)
+    WorkerState(model=model, config=config, db=db).run_shard(Shard(0, indices))
+    assert len(made) == 2 * len(indices)
+    group, shard = made[: len(indices)], made[len(indices) :]
+    assert all(c is group[0] for c in group)
+    assert all(c is shard[0] for c in shard)
+    assert shard[0] is not group[0]

@@ -12,7 +12,7 @@ from repro.core.explainability import ExplainabilityOracle
 from repro.core.influence import influence_relation, influence_score, influenced_set
 from repro.gnn.model import GnnClassifier
 from repro.graphs.generators import erdos_renyi
-from repro.graphs.graph import Graph, graph_from_edges
+from repro.graphs.graph import graph_from_edges
 
 
 @pytest.fixture(scope="module")
@@ -244,9 +244,7 @@ def test_counting_oracle_matches_definition_exactly(n, seed, gamma):
     R = _random_relation(rng, n)
     if n and rng.random() < 0.5:
         np.fill_diagonal(R, False)  # balls that miss their own centre
-    oracle = ExplainabilityOracle.from_relations(
-        Graph(np.zeros(n, dtype=np.int64)), GvexConfig(gamma=gamma), B, R
-    )
+    oracle = ExplainabilityOracle.from_relations(GvexConfig(gamma=gamma), B, R)
     selected = {int(v) for v in np.flatnonzero(rng.random(n) < rng.random())}
     probes = sorted(
         {int(v) for v in rng.permutation(n)[:12]} | set(sorted(selected)[:4])

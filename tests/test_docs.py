@@ -140,18 +140,22 @@ def _resolves(module, name):
 
 
 def test_examples_resolve_their_repro_imports():
-    """Each example's ``repro`` imports name things that exist, checked
-    without running the example (compiling alone would pass an import
-    of a deleted name)."""
-    examples = sorted((REPO / "examples").glob("*.py"))
-    assert examples
+    """Each example's, bench's and benchmark script's ``repro`` imports
+    name things that exist, checked without running the file (compiling
+    alone would pass an import of a deleted name)."""
+    scripts = {
+        folder: sorted((REPO / folder).glob("*.py"))
+        for folder in ("examples", "benchmarks", "perfbench")
+    }
+    assert all(scripts.values())
     unresolved = [
-        f"{path.name}: {module}{'' if name is None else ' -> ' + name}"
-        for path in examples
+        f"{path.relative_to(REPO)}: {module}{'' if name is None else ' -> ' + name}"
+        for paths in scripts.values()
+        for path in paths
         for module, name in _repro_imports(path)
         if not _resolves(module, name)
     ]
-    assert not unresolved, f"examples import missing names: {unresolved}"
+    assert not unresolved, f"scripts import missing names: {unresolved}"
 
 
 @pytest.mark.slow

@@ -11,7 +11,9 @@
   matcher's over ``G[V_S]``; and ``IncUpdateP`` through the index
   selects what re-mining selects.
 * The lazy ΔP: its two answers (any fresh class; any fresh class of two
-  or more nodes) are those of the listed ΔP, also under a small cap.
+  or more nodes) are those of the listed ΔP, also under a small cap;
+  inside a node set ``S`` of the host it yields what it yields over
+  ``G[S]``, in the same order, also where the cap binds.
 """
 
 from itertools import combinations
@@ -31,7 +33,7 @@ from repro.mining.classes import SubsetClassifier, subset_signature
 from repro.mining.enumerate import connected_node_subsets, esu_path
 from repro.mining.index import SubsetIndex
 from repro.mining.mdl import MinedPattern
-from repro.mining.pgen import fresh_classes, mine_incremental, mine_patterns
+from repro.mining.pgen import FRESH_CAP, fresh_classes, mine_incremental, mine_patterns
 from repro.reference import remine_inc_update_p, remined_delta
 
 
@@ -264,3 +266,60 @@ def test_lazy_delta_answers_equal_the_listed_delta(data, g, max_size, radius, ca
         assert (next(lazy, None) is not None) == bool(listed)
         lazy = fresh_classes(g, new_node, radius, known, max_size, cap, classifier)
         assert any(len(s) >= 2 for s in lazy) == any(p.n_nodes >= 2 for p in listed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    g=graphs(max_types=3),
+    max_size=st.integers(1, 5),
+    radius=st.integers(1, 3),
+    cap=st.sampled_from([20_000, 1, 2, 4, 9]),
+)
+def test_delta_inside_a_node_set_is_the_delta_of_its_subgraph(
+    data, g, max_size, radius, cap
+):
+    """``fresh_classes(host, v, nodes=S)`` yields what ``fresh_classes``
+    over ``G[S]`` yields for ``v``, mapped to host ids, in order: the
+    ball is taken inside ``S`` and the walk is ESU's over it."""
+    keep = sorted(data.draw(st.sets(st.integers(0, g.n_nodes - 1), min_size=1)))
+    new_node = data.draw(st.sampled_from(keep))
+    vs = sorted(data.draw(st.sets(st.sampled_from(keep))))
+    known = (
+        [m.pattern for m in mine_patterns([g.induced_subgraph(vs)[0]], max_size=3)]
+        if vs
+        else []
+    )
+    sub, ids = g.induced_subgraph(keep)
+    want = [
+        tuple(ids[v] for v in s)
+        for s in fresh_classes(sub, ids.index(new_node), radius, known, max_size, cap)
+    ]
+    got = fresh_classes(g, new_node, radius, known, max_size, cap, nodes=keep)
+    assert list(got) == want
+
+
+def test_delta_inside_a_node_set_caps_where_its_subgraph_does():
+    """A ball of 37,005 subsets inside ``S``: both walks stop at
+    ``FRESH_CAP`` at the same subset, before the class of the edge
+    ``(t, v)``. Low-id nodes outside ``S`` are adjacent to it, so a walk
+    that counted them, took the ball in the host, or ran only the
+    subsets holding ``v`` would yield another list."""
+    clique, t, v = list(range(3, 24)), 24, 25
+    host = Graph([0] * 24 + [2, 1])
+    for i, a in enumerate(clique):
+        for b in clique[i + 1 :]:
+            host.add_edge(a, b)
+        host.add_edge(a, v)
+        if a < 9:
+            for outside in (0, 1, 2):
+                host.add_edge(outside, a)
+    host.add_edge(t, v)
+    keep = clique + [t, v]
+    ball = host.k_hop_nodes(v, 2, within=set(keep))
+    assert sum(1 for _ in connected_node_subsets(host, 5, cap=None, nodes=ball)) > FRESH_CAP
+    known = [Pattern.singleton(0)]
+    sub, ids = host.induced_subgraph(keep)
+    want = [tuple(ids[u] for u in s) for s in fresh_classes(sub, ids.index(v), 2, known)]
+    assert (t, v) not in want
+    assert list(fresh_classes(host, v, 2, known, nodes=keep)) == want

@@ -248,9 +248,9 @@ def test_stream_swap_rule_threshold(data, g):
     index = SubsetIndex(g, _ORACLE_CONFIG.max_pattern_size)
     for u in sorted(selected):
         index.add(u)
-    took = algo._inc_update_vs(
+    took, _ = algo._inc_update_vs(
         v, selected, set(), oracle, state, to_local, upper,
-        seen_sub, seen_ids, [], index,
+        g, seen_ids, [], index, None,
     )
     if took:
         assert delta, "swap must be justified by new pattern structure"

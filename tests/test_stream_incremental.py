@@ -235,8 +235,7 @@ def assert_one_node_extension_matches_scratch(types, edges, prefix, conv):
     oracle = None
     for v in order[:prefix]:
         seen.append(v)
-        seen_sub, seen_ids = graph.induced_subgraph(seen)
-        oracle = engine.refresh(seen_sub, seen_ids)
+        oracle = engine.refresh(graph, sorted(seen))
     prefix_sub, _ = graph.induced_subgraph(seen)
     scratch = ExplainabilityOracle(model, prefix_sub, config)
     assert np.array_equal(oracle.B, scratch.B)

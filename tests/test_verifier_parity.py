@@ -143,6 +143,35 @@ def test_batched_verifier_matches_serial_probes(mutagen_db):
     assert serial.inference_calls == serial.subsets_evaluated == 2 * len(set(keys))
 
 
+@pytest.mark.parametrize("conv", CONV_TYPES)
+@pytest.mark.parametrize("dataset", ["malnet", "mutagenicity"])
+def test_whole_graph_probability_forwards_the_graph_itself(
+    dataset, conv, monkeypatch
+):
+    """A subset key of every node forwards ``G`` itself, never a copy;
+    the copy's arrays are ``G``'s, so the bits are the copy's."""
+    from repro.graphs.graph import Graph
+
+    graph = load_dataset(dataset, scale="test", seed=0)[0]
+    info = dataset_info(dataset)
+    model = GnnClassifier(
+        info.n_features, info.n_classes, hidden_dims=(8, 8), conv=conv, seed=0
+    )
+    copy, _ = graph.induced_subgraph(graph.nodes())
+    want = model.predict_proba(copy).tolist()
+    verifier = GnnVerifier(model, graph)
+
+    def copied(*args):
+        raise AssertionError("the whole graph was copied")
+
+    monkeypatch.setattr(Graph, "induced_subgraph", copied)
+    got = [
+        verifier.subset_probability(graph.nodes(), label)
+        for label in range(info.n_classes)
+    ]
+    assert got == want
+
+
 def test_prefetch_is_idempotent_and_cache_coherent(mutagen_db):
     model = GnnClassifier(3, 2, hidden_dims=(8, 8), seed=3)
     batched = BatchedGnnVerifier(model, mutagen_db[2])

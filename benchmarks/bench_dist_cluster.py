@@ -1,8 +1,8 @@
-"""Wire-level cluster benchmark: throughput, warm boot, re-dispatch.
+"""Wire-level cluster benchmark: throughput and re-dispatch.
 
 Boots real coordinator/worker clusters (localhost HTTP, the actual
 ``repro.runtime.cluster`` wire path — see docs/distribution.md) and
-measures the three distribution claims:
+measures the two distribution claims:
 
 * **views/sec vs workers** — the same plan through
   ``DistributedExecutor`` with 1 and N workers, against the
@@ -12,11 +12,6 @@ measures the three distribution claims:
   recorded and the numbers are reported honestly either way; the
   in-process workers here also share one GIL, so this measures wire
   overhead more than it measures scale-out.
-* **cold vs warm boot** — a worker booted with ``warm_start=False``
-  against one that fetches the coordinator's ``GET /cache`` snapshot:
-  boot time, run time, and the ``plan_builds`` counter delta during
-  the run (the warm contract: a snapshot-warmed run records **zero**
-  match-plan builds).
 * **re-dispatch overhead** — the same job with and without a
   registered black-hole straggler (accepts TCP, never answers, never
   heartbeats): extra wall-clock paid for the heartbeat reaper to
@@ -45,7 +40,6 @@ from typing import Any, Dict, Optional, Sequence
 
 from repro.config import GvexConfig
 from repro.graphs.io import viewset_to_dict
-from repro.matching.plan_cache import PLAN_CACHE
 from repro.runtime import SerialExecutor, build_plan
 from repro.runtime.cluster import (
     ClusterCoordinator,
@@ -133,7 +127,7 @@ def bench_workers(
             booted = [
                 ClusterWorker(
                     db, model, coord.url, auth_token=AUTH,
-                    worker_id=f"bench-w{i}", warm_start=False,
+                    worker_id=f"bench-w{i}",
                 ).start()
                 for i in range(n)
             ]
@@ -172,56 +166,6 @@ def bench_workers(
 
 
 # ----------------------------------------------------------------------
-# scenario: cold boot vs snapshot-warmed boot
-# ----------------------------------------------------------------------
-def bench_warm_boot(db, model, config: GvexConfig) -> Dict[str, Any]:
-    """Boot + run a one-worker cluster cold, then snapshot-warmed.
-
-    The cold run populates the process-wide plan cache; the warm arm's
-    worker then fetches it back via ``GET /cache`` at boot. The warm
-    contract is the ``plan_builds`` delta during the run: zero.
-    """
-    plan = build_plan(db, model, config)
-    result: Dict[str, Any] = {}
-    with ClusterCoordinator(auth_token=AUTH) as coord:
-        for arm, warm in (("cold", False), ("warm", True)):
-            if not warm:
-                PLAN_CACHE.clear()
-            start = time.perf_counter()
-            worker = ClusterWorker(
-                db, model, coord.url, auth_token=AUTH,
-                worker_id=f"boot-{arm}", warm_start=warm,
-            ).start()
-            boot_seconds = time.perf_counter() - start
-            try:
-                coord.wait_for_workers(1, timeout=30)
-                builds_before = PLAN_CACHE.plan_builds
-                start = time.perf_counter()
-                views, _ = coord.run(plan)
-                run_seconds = time.perf_counter() - start
-            finally:
-                worker.close()
-            result[arm] = {
-                "boot_seconds": boot_seconds,
-                "run_seconds": run_seconds,
-                "plan_builds_during_run": (
-                    PLAN_CACHE.plan_builds - builds_before
-                ),
-                "patterns_preloaded": worker.warm_stats.get("patterns", 0),
-                "fingerprint": fingerprint(views),
-            }
-    assert result["warm"]["plan_builds_during_run"] == 0, (
-        "snapshot-warmed run rebuilt match plans"
-    )
-    assert result["cold"]["fingerprint"] == result["warm"]["fingerprint"]
-    result["note"] = (
-        "warm contract: plan_builds_during_run == 0 after the worker "
-        "loads the coordinator's GET /cache snapshot at boot"
-    )
-    return result
-
-
-# ----------------------------------------------------------------------
 # scenario: re-dispatch overhead
 # ----------------------------------------------------------------------
 def bench_redispatch(
@@ -248,7 +192,7 @@ def bench_redispatch(
                 )
             with ClusterWorker(
                 db, model, coord.url, auth_token=AUTH,
-                worker_id="honest", warm_start=False,
+                worker_id="honest",
                 heartbeat_interval=min(0.25, heartbeat_timeout / 4),
             ):
                 coord.wait_for_workers(2 if hole else 1, timeout=30)
@@ -310,7 +254,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 trained.db, trained.model, config,
                 workers=tuple(range(1, args.workers + 1)),
             ),
-            "warm_boot": bench_warm_boot(trained.db, trained.model, config),
             "redispatch": bench_redispatch(
                 trained.db, trained.model, config
             ),

@@ -9,7 +9,7 @@ distribution.md) requires every fault path to surface a *typed* error
 ``REPRO401`` — a bare ``except:`` or broad ``except Exception /
 BaseException`` handler whose body never raises: the error is
 swallowed on what may be a fault path. Intentional containment sites
-(failure-tolerant warm starts, best-effort snapshot loads) carry a
+(HTTP boundaries that answer 500, tolerant journal replay) carry a
 ``# repro: noqa[REPRO401]`` with a justification.
 
 ``REPRO402`` — ``raise`` of a builtin exception type

@@ -279,15 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--transport-timeout",
         type=float,
         default=None,
-        help="HTTP timeout in seconds for register/warm-boot calls to "
-        "the coordinator (default 30)",
+        help="HTTP timeout in seconds for register calls to the "
+        "coordinator (default 30)",
     )
     p_work.add_argument("--auth-token", default=None)
-    p_work.add_argument(
-        "--no-warm",
-        action="store_true",
-        help="skip the GET /cache warm boot (cold plan cache)",
-    )
 
     p_lint = sub.add_parser(
         "lint",
@@ -618,7 +613,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "port": args.port,
             "worker_id": args.worker_id,
             "auth_token": args.auth_token,
-            "warm_start": not args.no_warm,
         }
         if args.heartbeat_interval is not None:
             kwargs["heartbeat_interval"] = args.heartbeat_interval
@@ -630,10 +624,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _SERVE_STATE["worker"] = worker
         with worker:
             print(f"worker {worker.worker_id} on {worker.url} -> "
-                  f"{worker.coordinator_url}"
-                  + (f" [warm: {worker.warm_stats}]" if worker.warm_stats
-                     else ""),
-                  flush=True)
+                  f"{worker.coordinator_url}", flush=True)
             try:
                 worker.join()
             except KeyboardInterrupt:  # pragma: no cover - interactive only

@@ -215,10 +215,10 @@ class BatchedGnnVerifier(GnnVerifier):
     serial :class:`GnnVerifier` — only the schedule differs: prefetches
     evaluate every cache miss in one stacked forward pass
     (:meth:`GnnClassifier.predict_proba_batch`), so ``inference_calls``
-    counts one launch per frontier instead of one per subset. Lazy
-    subset misses outside a prefetch take the inherited serial path;
-    lazy remainder misses do too unless the graph is above the delta
-    crossover, where they are one-key :meth:`prefetch_remainders`.
+    counts one launch per frontier instead of one per subset. A lazy
+    miss outside a prefetch is a one-key :meth:`prefetch_subsets` or
+    :meth:`prefetch_remainders` launch, so no query builds a ``Graph``
+    copy.
 
     Remainder frontiers on graphs above the crossover are computed as
     deltas (docs/verification.md, "Delta remainder forwards"): the
@@ -275,8 +275,13 @@ class BatchedGnnVerifier(GnnVerifier):
         #: computed remainder frontier: the candidate delta bases
         self._frontier: Dict[FrozenSet[int], Tuple[np.ndarray, list]] = {}
 
+    def _subset_proba(self, key: FrozenSet[int]) -> np.ndarray:
+        if key not in self._subset_probas:
+            self.prefetch_subsets([key])
+        return super()._subset_proba(key)
+
     def _remainder_proba(self, key: FrozenSet[int]) -> np.ndarray:
-        if self._keeps_bases and key not in self._remainder_probas:
+        if key not in self._remainder_probas:
             self.prefetch_remainders([key])
         return super()._remainder_proba(key)
 

@@ -4,7 +4,7 @@ Four independent call sites pay full pattern-vs-host enumeration today:
 Psum's coverage greedy (``core/psum.py``), constraint verification
 (``core/verifiers.py``), the query index's posting builds
 (``query/index.py``), and PGen's dedup/identity resolution
-(``mining/pgen.py``). They routinely ask about the *same* (pattern,
+(``mining/classes.py``). They routinely ask about the *same* (pattern,
 host) pairs — every Psum winner is re-matched by ``verify_view`` and
 again when the view index builds its posting lists.
 
@@ -25,6 +25,8 @@ bounded — FIFO eviction for contexts and match results, a wholesale
 generation-bumping reset for the pattern registry past
 ``max_patterns`` — and thread-safe (the HTTP serve path matches from
 reader threads); forked workers reinitialize it via an at-fork hook.
+It has no serialized form: every process, cluster workers included,
+fills its own.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import threading
 from collections import OrderedDict
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.exceptions import MatchingError, ValidationError
 from repro.graphs.graph import Graph
 from repro.graphs.pattern import Pattern
 from repro.matching.context import MatchContext, MatchPlan, graph_content_key
@@ -42,10 +43,6 @@ from repro.matching.isomorphism import are_isomorphic, find_isomorphisms
 
 #: the most mappings one coverage query enumerates per (pattern, host)
 MATCH_CAP = 10_000
-
-#: current plan-cache snapshot format (``export_snapshot``); bump on
-#: incompatible change — unknown versions are rejected on load
-SNAPSHOT_SCHEMA_VERSION = 1
 
 #: exact canonical pattern identity: (registry generation, WL key,
 #: bucket position) — the generation increments when the pattern
@@ -91,14 +88,13 @@ class MatchPlanCache:
         self._contains: "OrderedDict[Tuple[CanonKey, str], bool]" = OrderedDict()
         self.hits = 0
         self.misses = 0
-        #: how many MatchPlan / MatchContext objects were *constructed*
-        #: (vs served from the cache) — the warm-tier boot contract
-        #: asserts a snapshot-warmed worker records zero plan builds
+        #: canonical match plans (:meth:`plan`) and host contexts
+        #: (:meth:`context`) constructed, as opposed to served from
+        #: the cache
         self.plan_builds = 0
         self.context_builds = 0
-        #: counted separately from ``plan_builds``: the warm-tier boot
-        #: contract asserts zero *canonical* plan builds, and ad-hoc
-        #: plans are a different population
+        #: ad-hoc plans (:meth:`exact_plan`) constructed: plans for a
+        #: caller's own node ids, never counted in ``plan_builds``
         self.exact_plan_builds = 0
 
     # ------------------------------------------------------------------
@@ -415,135 +411,6 @@ class MatchPlanCache:
         return [bool(flag) for flag in out]
 
     # ------------------------------------------------------------------
-    # snapshots: the cross-process warm tier (docs/distribution.md)
-    # ------------------------------------------------------------------
-    def export_snapshot(self) -> Dict[str, object]:
-        """The cache's portable warm state as versioned plain JSON.
-
-        Everything is keyed on *content keys* — pattern graphs ship in
-        full (plans are deterministic functions of them and rebuild on
-        load), coverage and containment results ship by (pattern
-        content key, host content key). Live objects (``MatchPlan``,
-        ``MatchContext``) never serialize: a loader reconstructs plans
-        from the shipped patterns and rebuilds contexts lazily, so a
-        snapshot can cross process and machine boundaries safely.
-        """
-        from repro.graphs.io import graph_to_dict
-
-        with self._lock:
-            canon_content: Dict[CanonKey, str] = {}
-            patterns: Dict[str, Dict[str, object]] = {}
-            for wl_key, bucket in self._identity.items():
-                for pos, pattern in enumerate(bucket):
-                    content = graph_content_key(pattern.graph)
-                    canon_content[(self._generation, wl_key, pos)] = content
-                    patterns[content] = graph_to_dict(pattern.graph)
-            coverage = []
-            for (key, host_key, cap), (nodes, edges) in self._coverage.items():
-                content = canon_content.get(key)
-                if content is None:  # keyed before a registry reset
-                    continue
-                coverage.append(
-                    [
-                        content,
-                        host_key,
-                        cap,
-                        sorted(nodes),
-                        sorted([u, v] for u, v in edges),
-                    ]
-                )
-            contains = []
-            for (key, host_key), flag in self._contains.items():
-                content = canon_content.get(key)
-                if content is None:
-                    continue
-                contains.append([content, host_key, bool(flag)])
-        return {
-            "schema": SNAPSHOT_SCHEMA_VERSION,
-            "patterns": patterns,
-            "coverage": coverage,
-            "contains": contains,
-        }
-
-    def load_snapshot(self, snapshot: Dict[str, object]) -> Dict[str, int]:
-        """Warm this cache from :meth:`export_snapshot` output.
-
-        Unknown snapshot versions are rejected
-        (:class:`~repro.exceptions.MatchingError`); *stale entries are
-        dropped, never applied*: a pattern whose shipped graph no
-        longer hashes to its recorded content key (corruption, a
-        content-key algorithm change) is skipped along with every
-        result keyed on it, and malformed rows are skipped
-        individually. Plans for the surviving patterns are rebuilt
-        eagerly — that is the point of warming: the subsequent run
-        records **zero** plan builds for snapshot-covered patterns.
-
-        Returns ``{"patterns", "coverage", "contains", "dropped"}``
-        counts for diagnostics.
-        """
-        from repro.graphs.io import graph_from_dict
-
-        if not isinstance(snapshot, dict):
-            raise MatchingError("plan-cache snapshot must be a JSON object")
-        schema = snapshot.get("schema")
-        if schema != SNAPSHOT_SCHEMA_VERSION:
-            raise MatchingError(
-                f"unsupported plan-cache snapshot schema {schema!r}; "
-                f"this build reads version {SNAPSHOT_SCHEMA_VERSION}"
-            )
-        stats = {"patterns": 0, "coverage": 0, "contains": 0, "dropped": 0}
-        key_of: Dict[str, CanonKey] = {}
-        for content, graph_dict in dict(snapshot.get("patterns") or {}).items():
-            try:
-                pattern = Pattern(graph_from_dict(graph_dict))
-            # repro: noqa[REPRO401] - warm tier is best-effort: a malformed
-            # snapshot row is dropped (counted) rather than failing boot
-            except Exception:  # repro: noqa[REPRO401]
-                stats["dropped"] += 1
-                continue
-            if graph_content_key(pattern.graph) != content:
-                stats["dropped"] += 1  # stale key: drop, don't apply
-                continue
-            _, key, _ = self.plan(pattern)  # registers + rebuilds the plan
-            key_of[content] = key
-            stats["patterns"] += 1
-        for row in list(snapshot.get("coverage") or []):
-            try:
-                content, host_key, cap, nodes, edges = row
-                key = key_of[content]
-                if not isinstance(host_key, str) or not isinstance(cap, int):
-                    raise ValidationError(row)
-                value = (
-                    frozenset(int(n) for n in nodes),
-                    frozenset((int(u), int(v)) for u, v in edges),
-                )
-            except (KeyError, TypeError, ValueError):
-                stats["dropped"] += 1
-                continue
-            with self._lock:
-                self._coverage[(key, host_key, cap)] = value
-                if (key, host_key) not in self._contains:
-                    self._contains[(key, host_key)] = bool(value[0])
-                while len(self._coverage) > self.max_results:
-                    self._coverage.popitem(last=False)
-            stats["coverage"] += 1
-        for row in list(snapshot.get("contains") or []):
-            try:
-                content, host_key, flag = row
-                key = key_of[content]
-                if not isinstance(host_key, str) or not isinstance(flag, bool):
-                    raise ValidationError(row)
-            except (KeyError, TypeError, ValueError):
-                stats["dropped"] += 1
-                continue
-            with self._lock:
-                self._contains[(key, host_key)] = flag
-                while len(self._contains) > self.max_results:
-                    self._contains.popitem(last=False)
-            stats["contains"] += 1
-        return stats
-
-    # ------------------------------------------------------------------
     # repro: noqa[REPRO101] - runs via os.register_at_fork in the child,
     # which is single-threaded by construction; rebuilding the lock and
     # state lock-free here is the documented fork-safety design
@@ -647,5 +514,4 @@ __all__ = [
     "PLAN_CACHE",
     "CanonKey",
     "LocalCoverage",
-    "SNAPSHOT_SCHEMA_VERSION",
 ]

@@ -8,9 +8,9 @@ explanation subgraphs, and runs the one Psum tail
 bit-identical to :class:`~repro.runtime.SerialExecutor`. Workers
 heartbeat; dead or silent workers get their in-flight shards
 re-dispatched to survivors; a versioned wire schema (``cluster.wire``)
-keeps every exchange strictly validated; and the coordinator serves a
-warm tier (``GET /cache``) so new workers boot with the fleet's
-match-plan and view-index state instead of recomputing it.
+keeps every exchange strictly validated. Workers hold their own
+database, model and match-plan cache; nothing but envelopes crosses
+the wire.
 
 Topology, wire schema, and fault semantics: ``docs/distribution.md``.
 """
@@ -38,19 +38,16 @@ from repro.runtime.cluster.transport import (
 from repro.runtime.cluster.wire import (
     MESSAGE_TYPES,
     WIRE_SCHEMA_VERSION,
-    CacheSnapshotMessage,
     DispatchMessage,
     HeartbeatMessage,
     RegisterMessage,
     ResultMessage,
     canonical_bytes,
     check_envelope,
-    decode_cache_snapshot,
     decode_dispatch,
     decode_heartbeat,
     decode_register,
     decode_result,
-    encode_cache_snapshot,
     encode_dispatch,
     encode_heartbeat,
     encode_register,
@@ -90,7 +87,6 @@ __all__ = [
     "HeartbeatMessage",
     "DispatchMessage",
     "ResultMessage",
-    "CacheSnapshotMessage",
     "encode_register",
     "decode_register",
     "encode_heartbeat",
@@ -99,8 +95,6 @@ __all__ = [
     "decode_dispatch",
     "encode_result",
     "decode_result",
-    "encode_cache_snapshot",
-    "decode_cache_snapshot",
     "check_envelope",
     "canonical_bytes",
 ]

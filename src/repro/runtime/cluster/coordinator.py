@@ -5,7 +5,6 @@ cluster's authoritative worker registry:
 
 ``POST /register``   a worker announces its dispatch URL
 ``POST /heartbeat``  a worker's liveness beacon
-``GET  /cache``      the warm tier: plan-cache + view-index snapshots
 ``GET  /status``     registry + job bookkeeping (diagnostics)
 
 Jobs run through :meth:`ClusterCoordinator.run`: the plan's label-group
@@ -72,7 +71,6 @@ from repro.exceptions import (
     WireError,
 )
 from repro.graphs.view import ExplanationSubgraph, ViewSet
-from repro.matching.plan_cache import PLAN_CACHE
 from repro.runtime.cluster import wire
 from repro.runtime.cluster.transport import RetryPolicy, post_json
 from repro.runtime.executors import Executor, SerialExecutor
@@ -275,14 +273,6 @@ class ClusterCoordinator:
                         f"{timeout:.1f}s"
                     )
                 self._wake.wait(timeout=min(remaining, 0.5))
-
-    # ------------------------------------------------------------------
-    # warm tier
-    # ------------------------------------------------------------------
-    def cache_snapshot(self) -> Dict[str, Any]:
-        """The ``cache_snapshot`` envelope a booting worker loads: the
-        live process-global plan cache (``view_index`` is null)."""
-        return wire.encode_cache_snapshot(plan_cache=PLAN_CACHE.export_snapshot())
 
     def status(self) -> Dict[str, Any]:
         with self._lock:

@@ -36,8 +36,6 @@ class CoordinatorHandler(JsonRequestHandler):
         try:
             if route in ("/", "/status", "/health"):
                 self._json(200, coord.status())
-            elif route == "/cache":
-                self._json(200, coord.cache_snapshot())
             else:
                 self._error(404, f"unknown route {route!r}")
         except Exception as exc:  # repro: noqa[REPRO401] - HTTP boundary -> 500

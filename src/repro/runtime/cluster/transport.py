@@ -1,7 +1,7 @@
 """HTTP client plumbing for cluster peers (stdlib ``urllib`` only).
 
-Two calls — POST a JSON object, GET a JSON object — with bearer auth
-and a hard timeout. Every failure mode collapses into one typed
+One call — POST a JSON object, read a JSON object back — with bearer
+auth and a hard timeout. Every failure mode collapses into one typed
 exception, :class:`~repro.exceptions.TransportError`, but failures are
 no longer equal: each error carries a **classification** (``status``,
 ``transient``) that :class:`RetryPolicy` acts on:
@@ -16,7 +16,7 @@ Wire-schema validation stays out of this module — callers decode the
 returned object with ``cluster.wire`` (a :class:`WireError` is always
 fatal).
 
-Both entry points accept an optional
+:func:`post_json` accepts an optional
 :class:`~repro.runtime.faults.FaultPlan` plus a ``site`` name; the plan
 is consulted *before* the socket is touched, so chaos tests inject
 drops/resets/503s deterministically through the same retry/breaker
@@ -171,26 +171,9 @@ def post_json(
     )
 
 
-def get_json(
-    url: str,
-    *,
-    token: Optional[str] = None,
-    timeout: float = DEFAULT_TIMEOUT,
-    faults: Optional[Any] = None,
-    site: str = "",
-) -> Dict[str, Any]:
-    """GET a URL; return the (JSON object) response body."""
-    if faults is not None:
-        faults.before_request(site or url)
-    return _exchange(
-        Request(url, headers=_headers(token), method="GET"), timeout
-    )
-
-
 __all__ = [
     "DEFAULT_TIMEOUT",
     "TRANSIENT_STATUSES",
     "RetryPolicy",
     "post_json",
-    "get_json",
 ]

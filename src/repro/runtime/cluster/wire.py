@@ -5,13 +5,12 @@ wrapped in a versioned envelope::
 
     {"schema": 1, "type": "<message type>", ...fields...}
 
-Five message types exist:
+Four message types exist:
 
-``register``        worker -> coordinator: here I am, dispatch to ``url``
-``heartbeat``       worker -> coordinator: still alive (monotonic ``seq``)
-``dispatch``        coordinator -> worker: run one label-group shard
-``result``          worker -> coordinator: the shard's partial view set
-``cache_snapshot``  coordinator -> worker: warm plan-cache / index state
+``register``   worker -> coordinator: here I am, dispatch to ``url``
+``heartbeat``  worker -> coordinator: still alive (monotonic ``seq``)
+``dispatch``   coordinator -> worker: run one label-group shard
+``result``     worker -> coordinator: the shard's partial view set
 
 The functions here are *pure*: ``encode_*`` builds a plain dict,
 ``decode_*`` validates one and returns a typed message dataclass.
@@ -46,7 +45,6 @@ MSG_REGISTER = "register"
 MSG_HEARTBEAT = "heartbeat"
 MSG_DISPATCH = "dispatch"
 MSG_RESULT = "result"
-MSG_CACHE_SNAPSHOT = "cache_snapshot"
 
 #: every message type this schema version defines
 MESSAGE_TYPES = (
@@ -54,7 +52,6 @@ MESSAGE_TYPES = (
     MSG_HEARTBEAT,
     MSG_DISPATCH,
     MSG_RESULT,
-    MSG_CACHE_SNAPSHOT,
 )
 
 
@@ -108,14 +105,6 @@ class ResultMessage:
     worker_id: str
     inference_calls: int
     views: ViewSet
-
-
-@dataclass(frozen=True)
-class CacheSnapshotMessage:
-    """Warm-tier state a freshly registered worker loads to boot hot."""
-
-    plan_cache: Optional[Dict[str, Any]]
-    view_index: Optional[Dict[str, Any]]
 
 
 # ----------------------------------------------------------------------
@@ -327,42 +316,12 @@ def decode_result(payload: Any) -> ResultMessage:
     )
 
 
-# ----------------------------------------------------------------------
-# cache snapshot
-# ----------------------------------------------------------------------
-def encode_cache_snapshot(
-    plan_cache: Optional[Mapping[str, Any]] = None,
-    view_index: Optional[Mapping[str, Any]] = None,
-) -> Dict[str, Any]:
-    env = _envelope(MSG_CACHE_SNAPSHOT)
-    env["plan_cache"] = dict(plan_cache) if plan_cache is not None else None
-    env["view_index"] = dict(view_index) if view_index is not None else None
-    return env
-
-
-def decode_cache_snapshot(payload: Any) -> CacheSnapshotMessage:
-    d = check_envelope(payload, MSG_CACHE_SNAPSHOT)
-    for name in ("plan_cache", "view_index"):
-        if name not in d:
-            raise WireError(
-                f"cache_snapshot message is missing required field {name!r}"
-            )
-        if d[name] is not None and not isinstance(d[name], dict):
-            raise WireError(
-                f"cache_snapshot field {name!r} must be an object or null"
-            )
-    return CacheSnapshotMessage(
-        plan_cache=d["plan_cache"], view_index=d["view_index"]
-    )
-
-
 #: message type -> its decoder (the conformance suite iterates this)
 DECODERS = {
     MSG_REGISTER: decode_register,
     MSG_HEARTBEAT: decode_heartbeat,
     MSG_DISPATCH: decode_dispatch,
     MSG_RESULT: decode_result,
-    MSG_CACHE_SNAPSHOT: decode_cache_snapshot,
 }
 
 
@@ -373,12 +332,10 @@ __all__ = [
     "MSG_HEARTBEAT",
     "MSG_DISPATCH",
     "MSG_RESULT",
-    "MSG_CACHE_SNAPSHOT",
     "RegisterMessage",
     "HeartbeatMessage",
     "DispatchMessage",
     "ResultMessage",
-    "CacheSnapshotMessage",
     "encode_register",
     "decode_register",
     "encode_heartbeat",
@@ -387,8 +344,6 @@ __all__ = [
     "decode_dispatch",
     "encode_result",
     "decode_result",
-    "encode_cache_snapshot",
-    "decode_cache_snapshot",
     "check_envelope",
     "canonical_bytes",
     "DECODERS",

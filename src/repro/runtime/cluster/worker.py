@@ -1,4 +1,4 @@
-"""The cluster worker: register, heartbeat, drain shards, boot warm.
+"""The cluster worker: register, heartbeat, drain shards.
 
 A :class:`ClusterWorker` holds its *own* copies of the database and the
 trained model (nothing heavy ships over the wire — both sides load the
@@ -10,14 +10,9 @@ same deterministic artifacts), binds a small HTTP endpoint::
 
 and then:
 
-1. **warm boot** — ``GET {coordinator}/cache`` and load the plan-cache
-   snapshot into the process-global ``PLAN_CACHE``
-   (:meth:`~repro.matching.plan_cache.MatchPlanCache.load_snapshot`
-   drops stale content keys rather than applying them), keeping the
-   view-index snapshot for later index builds;
-2. **register** — ``POST {coordinator}/register`` with its dispatch
-   URL;
-3. **heartbeat** — a daemon thread posts a monotonically increasing
+1. **register** — ``POST {coordinator}/register`` with its dispatch
+   URL; a worker that cannot register closes its endpoint and raises;
+2. **heartbeat** — a daemon thread posts a monotonically increasing
    ``seq`` every ``heartbeat_interval`` seconds. After
    ``max_missed_heartbeats`` consecutive failures the coordinator is
    presumed gone and the worker shuts itself down cleanly — that is
@@ -47,11 +42,7 @@ from repro.graphs.database import GraphDatabase
 from repro.graphs.view import ExplanationView, ViewSet
 from repro.matching.plan_cache import PLAN_CACHE
 from repro.runtime.cluster import wire
-from repro.runtime.cluster.transport import (
-    DEFAULT_TIMEOUT,
-    get_json,
-    post_json,
-)
+from repro.runtime.cluster.transport import DEFAULT_TIMEOUT, post_json
 from repro.runtime.executors import TaskResult, WorkerState
 from repro.runtime.plan import Shard
 
@@ -99,7 +90,6 @@ class ClusterWorker:
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         max_missed_heartbeats: int = DEFAULT_MAX_MISSED,
         transport_timeout: float = DEFAULT_TIMEOUT,
-        warm_start: bool = True,
         max_body_bytes: int = 64 << 20,
     ) -> None:
         self.db = db
@@ -110,7 +100,6 @@ class ClusterWorker:
         self.heartbeat_interval = heartbeat_interval
         self.max_missed_heartbeats = max_missed_heartbeats
         self.transport_timeout = transport_timeout
-        self.warm_start = warm_start
         self.max_body_bytes = max_body_bytes
         self._server = _WorkerServer((host, port), self)
         self._server_thread: Optional[threading.Thread] = None
@@ -122,8 +111,6 @@ class ClusterWorker:
         #: worker-warm per-(method, seed, config) states across shards
         self._states: Dict[Any, WorkerState] = {}
         self.shards_run = 0
-        #: loaded-warm-tier statistics ({} until a snapshot is loaded)
-        self.warm_stats: Dict[str, int] = {}
         #: set when the worker has shut down (tests wait on this)
         self.stopped = threading.Event()
 
@@ -136,21 +123,28 @@ class ClusterWorker:
         return f"http://{host}:{port}"
 
     def start(self) -> "ClusterWorker":
-        """Serve, warm-boot, register, heartbeat — ready for dispatch."""
+        """Serve, register, heartbeat — ready for dispatch.
+
+        A failed registration closes the endpoint (``stopped`` is set
+        and the port is released) and re-raises the
+        :class:`~repro.exceptions.TransportError`.
+        """
         self._server_thread = threading.Thread(
             target=self._server.serve_forever,
             name=f"{self.worker_id}-server",
             daemon=True,
         )
         self._server_thread.start()
-        if self.warm_start:
-            self.load_warm_tier()
-        post_json(
-            f"{self.coordinator_url}/register",
-            wire.encode_register(self.worker_id, self.url),
-            token=self.auth_token,
-            timeout=self.transport_timeout,
-        )
+        try:
+            post_json(
+                f"{self.coordinator_url}/register",
+                wire.encode_register(self.worker_id, self.url),
+                token=self.auth_token,
+                timeout=self.transport_timeout,
+            )
+        except TransportError:
+            self.close()
+            raise
         self._heartbeat_thread = threading.Thread(
             target=self._heartbeat_loop,
             name=f"{self.worker_id}-heartbeat",
@@ -179,35 +173,6 @@ class ClusterWorker:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    # ------------------------------------------------------------------
-    # warm tier
-    # ------------------------------------------------------------------
-    def load_warm_tier(self) -> Dict[str, int]:
-        """Fetch ``GET /cache`` and load what is loadable.
-
-        A dead coordinator or an unreadable snapshot leaves the worker
-        cold but functional — warm start is an optimization, never a
-        correctness dependency.
-        """
-        try:
-            snapshot = wire.decode_cache_snapshot(
-                get_json(
-                    f"{self.coordinator_url}/cache",
-                    token=self.auth_token,
-                    timeout=self.transport_timeout,
-                )
-            )
-        except Exception:  # repro: noqa[REPRO401] - warm start is best-effort
-            return {}
-        stats: Dict[str, int] = {}
-        if snapshot.plan_cache is not None:
-            try:
-                stats = dict(PLAN_CACHE.load_snapshot(snapshot.plan_cache))
-            except Exception:  # repro: noqa[REPRO401] - warm start is best-effort
-                stats = {}
-        self.warm_stats = stats
-        return stats
 
     # ------------------------------------------------------------------
     # heartbeat
@@ -287,7 +252,6 @@ class ClusterWorker:
             "worker_id": self.worker_id,
             "coordinator": self.coordinator_url,
             "shards_run": self.shards_run,
-            "warm": dict(self.warm_stats),
             "plan_cache": PLAN_CACHE.stats(),
         }
 

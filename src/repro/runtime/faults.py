@@ -176,8 +176,7 @@ class FaultPlan:
     def before_request(self, site: str) -> None:
         """Transport hook: raise/delay per the schedule.
 
-        Called by ``transport.post_json``/``get_json`` before the
-        exchange. Raised errors are :class:`TransportError`\\ s carrying
+        Called by ``transport.post_json`` before the exchange. Raised errors are :class:`TransportError`\\ s carrying
         the same transient/fatal classification a real failure would,
         so the retry policy and circuit breaker exercise their real
         code paths.

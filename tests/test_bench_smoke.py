@@ -280,13 +280,12 @@ def _load_dist_cluster_bench():
 def test_dist_cluster_bench_smoke(trained_model, mutagen_db):
     """The cluster bench's scenarios run end to end at smoke scale.
 
-    Boots real 1- and 2-worker localhost clusters plus the warm-boot
-    and straggler arms. Wall-clock speedups are runner-dependent (the
-    in-process workers share one GIL), so the lane asserts the
+    Boots real 1- and 2-worker localhost clusters plus the straggler
+    arm. Wall-clock speedups are runner-dependent (the in-process
+    workers share one GIL), so the lane asserts the
     scheduler-independent contracts the bench itself enforces:
-    bit-identity to serial in every arm, zero plan builds after a
-    snapshot-warmed boot, and >= 1 re-dispatched shard with no extra
-    or lost shards under a straggler.
+    bit-identity to serial in every arm, and >= 1 re-dispatched shard
+    with no extra or lost shards under a straggler.
     """
     bench = _load_dist_cluster_bench()
     config = GvexConfig(theta=0.08, radius=0.3, gamma=0.5).with_bounds(0, 6)
@@ -300,11 +299,6 @@ def test_dist_cluster_bench_smoke(trained_model, mutagen_db):
         row["inference_calls"] == scaling["serial_inference_calls"]
         for row in scaling["arms"]
     )
-
-    warm = bench.bench_warm_boot(mutagen_db, trained_model, config)
-    assert warm["cold"]["plan_builds_during_run"] > 0
-    assert warm["warm"]["plan_builds_during_run"] == 0
-    assert warm["warm"]["patterns_preloaded"] > 0
 
     redispatch = bench.bench_redispatch(mutagen_db, trained_model, config)
     assert redispatch["straggler"]["redispatched"] >= 1

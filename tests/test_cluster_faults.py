@@ -90,7 +90,6 @@ def _victim_main(db, model, coord_url, auth, queue):
     worker_mod.ClusterWorker.run_dispatch = stalling
     worker = worker_mod.ClusterWorker(
         db, model, coord_url, auth_token=auth, worker_id="victim",
-        warm_start=False,
     )
     worker.start()
     queue.put(("up", worker.url))
@@ -121,7 +120,7 @@ def test_sigkill_mid_shard_redispatches_bit_identical(
         assert kind == "up"
         with ClusterWorker(
             mutagen_db, trained_model, coord.url,
-            auth_token=AUTH, worker_id="survivor", warm_start=False,
+            auth_token=AUTH, worker_id="survivor",
         ):
             coord.wait_for_workers(2, timeout=15)
             done = {}
@@ -207,7 +206,7 @@ def test_heartbeat_timeout_marks_silent_worker_dead_and_redispatches(
         )
         with SlowWorker(
             mutagen_db, trained_model, coord.url,
-            auth_token=AUTH, worker_id="honest", warm_start=False,
+            auth_token=AUTH, worker_id="honest",
             heartbeat_interval=0.2,
         ):
             coord.wait_for_workers(2, timeout=15)
@@ -249,7 +248,7 @@ def test_coordinator_shutdown_workers_exit_cleanly(
     workers = [
         ClusterWorker(
             mutagen_db, trained_model, coord.url,
-            auth_token=AUTH, worker_id=f"w{i}", warm_start=False,
+            auth_token=AUTH, worker_id=f"w{i}",
             heartbeat_interval=0.1, max_missed_heartbeats=2,
         ).start()
         for i in (1, 2)
@@ -267,13 +266,32 @@ def test_worker_shutdown_route(trained_model, mutagen_db):
     with ClusterCoordinator(auth_token=AUTH) as coord:
         worker = ClusterWorker(
             mutagen_db, trained_model, coord.url,
-            auth_token=AUTH, warm_start=False,
+            auth_token=AUTH,
         ).start()
         response = post_json(
             f"{worker.url}/shutdown", {}, token=AUTH, timeout=10
         )
         assert response["stopping"] is True
         assert worker.join(timeout=10)
+
+
+def test_worker_that_cannot_register_closes_its_server(
+    trained_model, mutagen_db
+):
+    """A register POST that fails stops the worker and frees its port:
+    ``start()`` raises, so no ``with`` block would ever close it."""
+    from repro.exceptions import TransportError
+
+    worker = ClusterWorker(
+        mutagen_db, trained_model, "http://127.0.0.1:9",  # discard
+        auth_token=AUTH, transport_timeout=5.0,
+    )
+    host, port = worker._server.server_address[:2]
+    with pytest.raises(TransportError):
+        worker.start()
+    assert worker.stopped.is_set()
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection((host, port), timeout=5).close()
 
 
 # ----------------------------------------------------------------------
@@ -350,7 +368,7 @@ def test_malformed_result_rejected_and_shard_redispatched(
         )
         with SlowWorker(
             mutagen_db, trained_model, coord.url,
-            auth_token=AUTH, worker_id="honest", warm_start=False,
+            auth_token=AUTH, worker_id="honest",
         ):
             coord.wait_for_workers(2, timeout=15)
             views, stats = coord.run(plan)
@@ -388,7 +406,7 @@ def test_auth_required_on_cluster_posts(trained_model, mutagen_db):
             )
         worker = ClusterWorker(
             mutagen_db, trained_model, coord.url,
-            auth_token=AUTH, warm_start=False,
+            auth_token=AUTH,
         ).start()
         try:
             with pytest.raises(TransportError, match="401"):
@@ -414,7 +432,7 @@ def test_transient_reset_is_retried_in_place(trained_model, mutagen_db):
     ) as coord:
         with ClusterWorker(
             mutagen_db, trained_model, coord.url,
-            auth_token=AUTH, worker_id="steady", warm_start=False,
+            auth_token=AUTH, worker_id="steady",
         ):
             coord.wait_for_workers(1, timeout=15)
             views, stats = coord.run(plan)
@@ -444,7 +462,7 @@ def test_exhausted_retries_quarantine_heartbeat_readmits(
     ) as coord:
         with ClusterWorker(
             mutagen_db, trained_model, coord.url,
-            auth_token=AUTH, worker_id="comeback", warm_start=False,
+            auth_token=AUTH, worker_id="comeback",
             heartbeat_interval=0.2,
         ):
             coord.wait_for_workers(1, timeout=15)
@@ -466,7 +484,6 @@ def _result_envelopes(db, model, plan, job_id="job-journal"):
     the same ``run_dispatch`` path a live worker uses."""
     worker = ClusterWorker(
         db, model, "http://127.0.0.1:1", worker_id="offline",
-        warm_start=False,
     )
     envelopes = {}
     for shard_id, shard in enumerate(plan.shards):
@@ -580,7 +597,6 @@ def _doomed_coordinator_main(db, model, journal_path, auth, queue):
     coord = ClusterCoordinator(auth_token=auth, heartbeat_timeout=30.0).start()
     worker = SlowWorker(
         db, model, coord.url, auth_token=auth, worker_id="doomed-w",
-        warm_start=False,
     )
     worker.delay = 0.3  # a wide window for the parent's SIGKILL
     worker.start()
@@ -628,7 +644,7 @@ def test_sigkill_coordinator_resumes_bit_identical(
     with ClusterCoordinator(auth_token=AUTH, heartbeat_timeout=30.0) as coord:
         with ClusterWorker(
             mutagen_db, trained_model, coord.url,
-            auth_token=AUTH, worker_id="phoenix", warm_start=False,
+            auth_token=AUTH, worker_id="phoenix",
         ):
             coord.wait_for_workers(1, timeout=15)
             views, stats = coord.run(plan, journal=journal)
@@ -668,7 +684,7 @@ def test_crash_resume_parity_across_zoo(dataset, tmp_path):
     with ClusterCoordinator(auth_token=AUTH, heartbeat_timeout=30.0) as coord:
         with ClusterWorker(
             trained.db, trained.model, coord.url,
-            auth_token=AUTH, worker_id="resumer", warm_start=False,
+            auth_token=AUTH, worker_id="resumer",
         ):
             coord.wait_for_workers(1, timeout=15)
             views, stats = coord.run(plan, journal=journal)
@@ -719,10 +735,10 @@ def test_chaos_soak_bit_identical(trained_model, mutagen_db, seed, tmp_path):
     ) as coord:
         with ClusterWorker(
             mutagen_db, trained_model, coord.url, auth_token=AUTH,
-            worker_id="chaos-0", warm_start=False, heartbeat_interval=0.25,
+            worker_id="chaos-0", heartbeat_interval=0.25,
         ), ClusterWorker(
             mutagen_db, trained_model, coord.url, auth_token=AUTH,
-            worker_id="chaos-1", warm_start=False, heartbeat_interval=0.25,
+            worker_id="chaos-1", heartbeat_interval=0.25,
         ):
             coord.wait_for_workers(2, timeout=15)
             with ShardJournal.for_plan(str(journal_path), plan) as journal:

@@ -14,12 +14,7 @@ Three layers, increasingly physical:
 * **Psum once** — serial, fork-pool and live-cluster runs of one plan
   each summarize every label group exactly once, in the parent.
 * **live localhost cluster** — a real coordinator + two real workers
-  over HTTP on >= 2 zoo datasets (ISSUE acceptance), plus warm-tier
-  plumbing assertions. Marked ``slow`` (CI's bench lane).
-* **warm tier** — cold vs snapshot-warmed: a warmed worker/plan-cache
-  replays a shard with *zero* plan builds (the ``plan_builds`` stats
-  hook), and snapshots with mismatched content keys or unknown schema
-  versions are dropped/rejected, never applied.
+  over HTTP on >= 2 zoo datasets. Marked ``slow`` (CI's bench lane).
 """
 
 from __future__ import annotations
@@ -32,9 +27,7 @@ from hypothesis import strategies as st
 
 from repro.config import GvexConfig
 from repro.datasets.registry import load_dataset
-from repro.exceptions import MatchingError
 from repro.graphs.io import viewset_from_dict, viewset_to_dict
-from repro.matching.plan_cache import PLAN_CACHE
 from repro.runtime import ForkPoolExecutor, SerialExecutor, WorkerState, build_plan
 from repro.runtime.cluster import (
     ClusterCoordinator,
@@ -193,11 +186,9 @@ def test_psum_runs_once_per_label_on_every_executor(
     counts["fork-pool"] = len(calls) - counts["serial"]
     with ClusterCoordinator(auth_token=AUTH) as coord:
         with ClusterWorker(
-            mutagen_db, trained_model, coord.url, auth_token=AUTH,
-            worker_id="w1", warm_start=False,
+            mutagen_db, trained_model, coord.url, auth_token=AUTH, worker_id="w1"
         ), ClusterWorker(
-            mutagen_db, trained_model, coord.url, auth_token=AUTH,
-            worker_id="w2", warm_start=False,
+            mutagen_db, trained_model, coord.url, auth_token=AUTH, worker_id="w2"
         ):
             coord.wait_for_workers(2, timeout=15)
             before = len(calls)
@@ -254,85 +245,3 @@ def test_live_cluster_views_survive_json_roundtrip(trained_model, mutagen_db):
             views, _ = coord.run(plan)
     reloaded = viewset_from_dict(viewset_to_dict(views))
     assert view_set_fingerprint(reloaded) == view_set_fingerprint(serial)
-
-
-# ----------------------------------------------------------------------
-# warm tier: snapshots
-# ----------------------------------------------------------------------
-class TestPlanCacheSnapshot:
-    def _warm_state(self, trained_model, mutagen_db):
-        config = GvexConfig(theta=0.08, radius=0.3, gamma=0.5).with_bounds(0, 6)
-        plan = build_plan(mutagen_db, trained_model, config)
-        SerialExecutor().run(plan)  # populates PLAN_CACHE
-        return plan
-
-    def test_warmed_run_records_zero_plan_builds(
-        self, trained_model, mutagen_db
-    ):
-        """Cold run builds plans; a snapshot-warmed run builds none."""
-        PLAN_CACHE.clear()
-        plan = self._warm_state(trained_model, mutagen_db)
-        cold_builds = PLAN_CACHE.plan_builds
-        assert cold_builds > 0
-        snapshot = PLAN_CACHE.export_snapshot()
-
-        # fresh process simulation: wipe, load the snapshot, re-run
-        PLAN_CACHE.clear()
-        PLAN_CACHE.load_snapshot(snapshot)
-        builds_after_load = PLAN_CACHE.plan_builds
-        SerialExecutor().run(plan)
-        assert PLAN_CACHE.plan_builds == builds_after_load, (
-            "snapshot-warmed run rebuilt match plans"
-        )
-
-    def test_mismatched_content_key_dropped_not_applied(
-        self, trained_model, mutagen_db
-    ):
-        PLAN_CACHE.clear()
-        self._warm_state(trained_model, mutagen_db)
-        snapshot = PLAN_CACHE.export_snapshot()
-        assert snapshot["patterns"]
-        # corrupt one pattern's stored graph: its recomputed content
-        # key no longer matches the key it is filed under
-        victim = next(iter(snapshot["patterns"]))
-        other = json.loads(json.dumps(snapshot["patterns"][victim]))
-        other["node_types"] = [t + 1 for t in other["node_types"]]
-        snapshot["patterns"][victim] = other
-
-        PLAN_CACHE.clear()
-        report = PLAN_CACHE.load_snapshot(snapshot)
-        assert report["patterns"] == len(snapshot["patterns"]) - 1
-        assert report["dropped"] > 0
-
-    def test_unknown_snapshot_schema_rejected(self):
-        with pytest.raises(MatchingError):
-            PLAN_CACHE.load_snapshot({"schema": 999, "patterns": {}})
-        with pytest.raises(MatchingError):
-            PLAN_CACHE.load_snapshot("not a dict")
-
-    def test_snapshot_is_pure_json(self, trained_model, mutagen_db):
-        PLAN_CACHE.clear()
-        self._warm_state(trained_model, mutagen_db)
-        snapshot = PLAN_CACHE.export_snapshot()
-        assert json.loads(json.dumps(snapshot)) == snapshot
-
-
-@pytest.mark.slow
-def test_worker_boots_warm_from_coordinator(trained_model, mutagen_db):
-    """GET /cache ships the coordinator's plan-cache state."""
-    config = GvexConfig(theta=0.08, radius=0.3, gamma=0.5).with_bounds(0, 6)
-    plan = build_plan(mutagen_db, trained_model, config)
-    PLAN_CACHE.clear()
-    views, _ = SerialExecutor().run(plan)  # coordinator-side warm state
-
-    with ClusterCoordinator(auth_token=AUTH) as coord:
-        with ClusterWorker(
-            mutagen_db, trained_model, coord.url, auth_token=AUTH
-        ) as worker:
-            coord.wait_for_workers(1, timeout=15)
-            assert worker.warm_stats.get("patterns", 0) > 0
-            # the warmed plan cache replays the job with zero builds
-            builds = PLAN_CACHE.plan_builds
-            dist, _ = coord.run(plan)
-    assert PLAN_CACHE.plan_builds == builds
-    assert view_set_fingerprint(dist) == view_set_fingerprint(views)

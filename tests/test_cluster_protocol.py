@@ -82,15 +82,6 @@ def exemplars():
             views=sample_viewset(),
             inference_calls=12,
         ),
-        wire.MSG_CACHE_SNAPSHOT: wire.encode_cache_snapshot(
-            plan_cache={
-                "schema": 1,
-                "patterns": {},
-                "coverage": [],
-                "contains": [],
-            },
-            view_index={"schema": 1, "patterns": {}, "matches": []},
-        ),
     }
 
 
@@ -128,16 +119,6 @@ class TestRoundTrip:
         assert view_set_fingerprint(msg.views) == view_set_fingerprint(
             sample_viewset()
         )
-
-    def test_cache_snapshot(self):
-        msg = wire.decode_cache_snapshot(exemplars()[wire.MSG_CACHE_SNAPSHOT])
-        assert msg.plan_cache["schema"] == 1
-        assert msg.view_index["schema"] == 1
-
-    def test_cache_snapshot_null_fields(self):
-        msg = wire.decode_cache_snapshot(wire.encode_cache_snapshot())
-        assert msg.plan_cache is None
-        assert msg.view_index is None
 
     def test_json_round_trip_is_transparent(self):
         """Envelope -> bytes -> envelope decodes identically (floats
@@ -220,10 +201,13 @@ class TestValidation:
                 wire.check_envelope(bad)
 
     def test_unknown_type_rejected(self):
-        with pytest.raises(WireError):
-            wire.check_envelope(
-                {"schema": wire.WIRE_SCHEMA_VERSION, "type": "gossip"}
-            )
+        # "cache_snapshot" is a retired schema-1 type: refused like any
+        # unknown one
+        for msg_type in ("gossip", "cache_snapshot"):
+            with pytest.raises(WireError):
+                wire.check_envelope(
+                    {"schema": wire.WIRE_SCHEMA_VERSION, "type": msg_type}
+                )
 
     def test_type_mismatch_rejected(self):
         with pytest.raises(WireError):
@@ -258,9 +242,3 @@ class TestValidation:
         env["views"] = {"not": "a viewset"}
         with pytest.raises(WireError):
             wire.decode_result(env)
-
-    def test_cache_snapshot_fields_object_or_null(self):
-        env = dict(exemplars()[wire.MSG_CACHE_SNAPSHOT])
-        env["plan_cache"] = [1, 2]
-        with pytest.raises(WireError):
-            wire.decode_cache_snapshot(env)

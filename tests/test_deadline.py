@@ -473,7 +473,7 @@ class TestClusterDeadline:
         with ClusterCoordinator(auth_token=AUTH) as coord:
             with ClusterWorker(
                 mutagen_db, trained_model, coord.url,
-                auth_token=AUTH, worker_id="refuser", warm_start=False,
+                auth_token=AUTH, worker_id="refuser",
             ) as worker:
                 coord.wait_for_workers(1, timeout=15)
                 env = _dispatch_env(plan, deadline_seconds=0.0)
@@ -499,7 +499,7 @@ class TestClusterDeadline:
         with ClusterCoordinator(auth_token=AUTH) as coord:
             with ClusterWorker(
                 mutagen_db, trained_model, coord.url,
-                auth_token=AUTH, worker_id="survivor", warm_start=False,
+                auth_token=AUTH, worker_id="survivor",
             ):
                 coord.wait_for_workers(1, timeout=15)
                 time.sleep(0.01)  # the budget dies before dispatch

@@ -95,11 +95,38 @@ def test_link_checker_flags_missing_target(tmp_path):
     checker = _checker()
     doc = tmp_path / "doc.md"
     doc.write_text(
+        "# Sec\n"
         "[ok](doc.md) [anchor](#sec) [web](https://x.test) "
         "[missing](nope.md)\n"
     )
     bad = checker.broken_links(doc)
     assert [target for _, target in bad] == ["nope.md"]
+
+
+def test_link_checker_flags_missing_anchor(tmp_path):
+    """An anchor must name a heading of the file it points into, by
+    GitHub's slug rules; a heading in fenced code is no heading."""
+    checker = _checker()
+    (tmp_path / "target.md").write_text(
+        "# Warm tier\n"
+        "## Host contexts (`matching/context.py`) ##\n"
+        "## Dup\n"
+        "## Dup\n"
+        "```\n"
+        "## Fenced\n"
+        "```\n"
+    )
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "## Here\n"
+        "[a](target.md#warm-tier) [b](target.md#host-contexts-matchingcontextpy) "
+        "[c](target.md#dup-1) [d](#here) [e](target.md#fenced) "
+        "[f](target.md#gone) [g](#nowhere) [h](target.md)\n"
+    )
+    bad = checker.broken_links(doc)
+    assert [target for _, target in bad] == [
+        "target.md#fenced", "target.md#gone", "#nowhere"
+    ]
 
 
 def test_examples_compile():

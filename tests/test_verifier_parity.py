@@ -172,6 +172,51 @@ def test_whole_graph_probability_forwards_the_graph_itself(
     assert got == want
 
 
+@pytest.mark.parametrize("conv", CONV_TYPES)
+@pytest.mark.parametrize("dataset", ["malnet", "mutagenicity"])
+def test_lazy_batched_misses_build_no_graph_copy(dataset, conv, monkeypatch):
+    """A query that misses a fresh batched verifier's cache is a one-key
+    stacked launch: ``repro.core.verifiers`` builds no ``Graph`` copy,
+    and every value equals the serial verifier's."""
+    import sys
+
+    from repro.graphs.graph import Graph
+
+    graph = load_dataset(dataset, scale="test", seed=0)[0]
+    info = dataset_info(dataset)
+    model = GnnClassifier(
+        info.n_features, info.n_classes, hidden_dims=(8, 8), conv=conv, seed=0
+    )
+    rng = ensure_rng(5)
+    keys = [frozenset(graph.nodes())] + [
+        frozenset(rng.choice(graph.n_nodes, size=size, replace=False).tolist())
+        for size in (1, 3, graph.n_nodes // 2, graph.n_nodes - 1)
+    ]
+    labels = range(info.n_classes)
+
+    def answers(make):
+        return [
+            (
+                [make().subset_probability(key, label) for label in labels],
+                [make().remainder_probability(key, label) for label in labels],
+                [make().check(key, label) for label in labels],
+            )
+            for key in keys
+        ]
+
+    want = answers(lambda: GnnVerifier(model, graph))
+    copies = []
+    for name in ("induced_subgraph", "remove_nodes"):
+        def spy(self, *args, _real=getattr(Graph, name), **kwargs):
+            copies.append(sys._getframe(1).f_globals.get("__name__"))
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, name, spy)
+    got = answers(lambda: BatchedGnnVerifier(model, graph))
+    assert "repro.core.verifiers" not in copies
+    assert got == want
+
+
 def test_prefetch_is_idempotent_and_cache_coherent(mutagen_db):
     model = GnnClassifier(3, 2, hidden_dims=(8, 8), seed=3)
     batched = BatchedGnnVerifier(model, mutagen_db[2])
@@ -180,8 +225,8 @@ def test_prefetch_is_idempotent_and_cache_coherent(mutagen_db):
     calls = batched.inference_calls
     assert batched.prefetch_subsets(keys) == 0  # warm cache: no launch
     assert batched.inference_calls == calls
-    # a lazy miss after prefetch goes through the serial fallback and
-    # must agree with a batch-computed value for the same key
+    # a lazy miss after prefetch is a one-key launch and must agree
+    # with a value computed in a larger batch for the same key
     lazy = batched.subset_probability(frozenset({0, 1}), 0)
     fresh = BatchedGnnVerifier(model, mutagen_db[2])
     fresh.prefetch_subsets([frozenset({0, 1})])

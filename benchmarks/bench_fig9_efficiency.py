@@ -54,7 +54,7 @@ def test_fig9ab_runtime_mut_enz(mut, enz, benchmark):
     def paper_budget_explainers(setup):
         return {
             "AG": ApproxGvexExplainer(setup.model, bench_config(upper=6)),
-            "SG": StreamGvexExplainer(setup.model, bench_config(upper=6), seed=SEED),
+            "SG": StreamGvexExplainer(setup.model, bench_config(upper=6)),
             "GE": GnnExplainer(setup.model, epochs=100, seed=SEED),
             "SX": SubgraphX(
                 setup.model, rollouts=20, shapley_samples=64, seed=SEED

@@ -89,8 +89,8 @@ class RecordingVerifier(BatchedGnnVerifier):
 
     log: list = []
 
-    def __init__(self, model, graph, original_label=None) -> None:
-        super().__init__(model, graph, original_label=original_label)
+    def __init__(self, model, graph) -> None:
+        super().__init__(model, graph)
         self._keeps_bases = 3 <= graph.n_nodes <= DELTA_MAX_ROWS + 1
 
     def _delta_launch(self, base, group, frontier) -> bool:
@@ -129,7 +129,7 @@ def _quartiles(samples):
 
 def replay(model, graph, base_nodes, removed) -> dict:
     """Time one recorded group on both paths; raises on any bit difference."""
-    verifier = BatchedGnnVerifier(model, graph, original_label=None)
+    verifier = BatchedGnnVerifier(model, graph)
     verifier._delta_pays = lambda rows, frontier, widest: True
     base = frozenset(range(graph.n_nodes)) - frozenset(base_nodes.tolist())
     _, hiddens = model.predict_proba_hiddens(

@@ -69,9 +69,10 @@ class ExplainerSpec:
     takes_seed:
         Whether the constructor accepts a ``seed`` keyword.
     native_views:
-        Whether the explainer generates two-tier views natively
-        (GVEX's Algorithms 1–3) rather than via the generic
-        subgraphs + Psum recipe of ``Explainer.explain_views``.
+        Whether the explainer is one of GVEX's own algorithms
+        (Algorithms 1–3), listed at ``/explainers`` as a descriptor.
+        Scheduling does not read it: every method's views come from
+        ``repro.runtime``'s shard loop and its one Psum tail.
     defaults:
         Default constructor keyword overrides.
     description:
@@ -214,6 +215,7 @@ register_explainer(ExplainerSpec(
     cls=StreamGvexExplainer,
     aliases=("stream", "sg"),
     takes_config=True,
+    takes_seed=False,
     native_views=True,
     description="GVEX Algorithm 3: streaming anytime two-tier views",
 ))

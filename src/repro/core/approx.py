@@ -5,8 +5,10 @@ gain (lazy greedy — valid because ``f`` is monotone submodular, Lemma
 3.3), gated by ``VpExtend`` under the configured verification mode and
 the coverage bounds ``[b_l, u_l]``. Per label group: run the per-graph
 phase for every member, then summarize the selected subgraphs into
-patterns with ``Psum``. The greedy-under-cardinality-range scheme
-carries the paper's 1/2-approximation (Theorem 4.1).
+patterns with ``Psum``; ``repro.runtime``'s shard loop drives that
+outer loop for every executor, and :class:`ApproxGvex` is its serial
+facade. The greedy-under-cardinality-range scheme carries the paper's
+1/2-approximation (Theorem 4.1).
 """
 
 from __future__ import annotations
@@ -18,20 +20,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.config import (
-    GvexConfig,
-    SCOPE_PER_GROUP,
-    VERIFY_PAPER,
-    VERIFY_SOFT,
-)
+from repro.config import GvexConfig, VERIFY_PAPER, VERIFY_SOFT
 from repro.core.explainability import ExplainabilityOracle, SelectionState
-from repro.core.psum import summarize
-from repro.core.verifiers import (
-    _AUTO,
-    BatchedGnnVerifier,
-    GnnVerifier,
-    vp_extend_frontier,
-)
+from repro.core.verifiers import BatchedGnnVerifier, GnnVerifier, vp_extend_frontier
 from repro.gnn.model import GnnClassifier
 from repro.graphs.database import GraphDatabase
 from repro.graphs.graph import Graph
@@ -90,7 +81,6 @@ def explain_graph(
     upper: Optional[int] = None,
     oracle: Optional[ExplainabilityOracle] = None,
     seed_nodes: Sequence[int] = (),
-    predicted: object = _AUTO,
     classifier: Optional[SubsetClassifier] = None,
 ) -> GraphExplainResult:
     """Explanation phase of Algorithm 1 for a single graph.
@@ -98,13 +88,10 @@ def explain_graph(
     ``lower``/``upper`` override the configured coverage bounds (the
     per-group scope passes remaining budgets). ``seed_nodes`` are
     pre-selected before the greedy starts (node explanation seeds the
-    center node). ``predicted`` seeds the verifier's ``M(G)`` when the
-    caller already ran a stacked database forward (shard execution
-    does), avoiding a redundant serial pass. ``classifier`` is the
-    novelty test's subset classifier, which callers explaining many
-    graphs share (a new one by default). Returns a result whose
-    ``subgraph`` is ``None`` when the lower bound could not be met
-    (Algorithm 1 lines 16-17).
+    center node). ``classifier`` is the novelty test's subset
+    classifier, which callers explaining many graphs share (a new one
+    by default). Returns a result whose ``subgraph`` is ``None`` when
+    the lower bound could not be met (Algorithm 1 lines 16-17).
     """
     bounds = config.coverage_for(label)
     lower = bounds.lower if lower is None else lower
@@ -115,7 +102,7 @@ def explain_graph(
 
     if oracle is None:
         oracle = ExplainabilityOracle(model, graph, config)
-    verifier = BatchedGnnVerifier(model, graph, original_label=predicted)
+    verifier = BatchedGnnVerifier(model, graph)
     state = oracle.new_state()
     for v in seed_nodes:
         if len(state.selected) < upper:
@@ -410,6 +397,11 @@ def _grow_paper_mode(
 class ApproxGvex:
     """Explain-and-summarize view generation over a graph database.
 
+    A facade over :mod:`repro.runtime`: each call builds an
+    :class:`~repro.runtime.plan.ExplainPlan` and runs it through the
+    serial shard loop, the one view-generation driver, so its views
+    equal every executor's.
+
     Parameters
     ----------
     model:
@@ -439,70 +431,29 @@ class ApproxGvex:
         predicted: Optional[Sequence[Optional[int]]] = None,
     ) -> ViewSet:
         """Generate one explanation view per label of interest (Problem 1)."""
-        if predicted is None:
-            predicted = database_predictions(self.model, db)
-        groups: Dict[int, List[int]] = {}
-        for i, l in enumerate(predicted):
-            if l is None:
-                continue
-            groups.setdefault(int(l), []).append(i)
-
-        labels = self.labels if self.labels is not None else sorted(groups)
-        views = ViewSet()
-        for label in labels:
-            views.add(self.explain_label_group(db, label, groups.get(label, [])))
-        return views
+        return self._run(db, self.labels, predicted)
 
     def explain_label_group(
         self, db: GraphDatabase, label: int, indices: Sequence[int]
     ) -> ExplanationView:
         """Build the explanation view for one label group ``G^l``.
 
-        The group's graphs share one novelty classifier.
+        ``indices`` are the group's database indices, explained in
+        ascending order.
         """
-        view = ExplanationView(label=label)
-        bounds = self.config.coverage_for(label)
-        per_group = self.config.coverage_scope == SCOPE_PER_GROUP
-        remaining_upper = bounds.upper if per_group else None
-        classifier = SubsetClassifier()
+        members = set(indices)
+        predicted = [label if i in members else None for i in range(len(db))]
+        return self._run(db, [label], predicted)[label]
 
-        for idx in indices:
-            graph = db[idx]
-            if per_group:
-                assert remaining_upper is not None
-                if remaining_upper <= 0:
-                    break
-                result = explain_graph(
-                    self.model,
-                    graph,
-                    label,
-                    self.config,
-                    graph_index=idx,
-                    lower=0,
-                    upper=remaining_upper,
-                    classifier=classifier,
-                )
-            else:
-                result = explain_graph(
-                    self.model, graph, label, self.config, graph_index=idx,
-                    classifier=classifier,
-                )
-            self.total_inference_calls += result.inference_calls
-            if result.subgraph is not None:
-                view.subgraphs.append(result.subgraph)
-                if per_group:
-                    assert remaining_upper is not None
-                    remaining_upper -= result.subgraph.n_nodes
+    def _run(self, db, labels, predicted) -> ViewSet:
+        from repro.runtime import SerialExecutor, build_plan
 
-        if per_group and view.n_subgraph_nodes < bounds.lower:
-            # the group could not reach its lower bound: no valid view
-            return ExplanationView(label=label)
-
-        psum = summarize([s.subgraph for s in view.subgraphs], self.config)
-        view.patterns = psum.patterns
-        view.edge_loss = psum.edge_loss
-        view.score = sum(s.score for s in view.subgraphs)
-        return view
+        plan = build_plan(
+            db, self.model, self.config, labels=labels, predicted=predicted
+        )
+        views, stats = SerialExecutor().run(plan)
+        self.total_inference_calls += stats["inference_calls"]
+        return views
 
 
 def explain_database(

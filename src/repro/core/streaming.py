@@ -16,10 +16,11 @@ candidates, and what each covers in ``G[V_S]`` (``IncPMatch``), come
 from one :class:`~repro.mining.index.SubsetIndex` per stream, which
 adds the subsets an admitted node brings and drops the subsets an
 evicted node takes, instead of re-mining and re-matching ``V_S`` on
-every admission. ΔP and every stream of one :meth:`StreamGvex.explain`
-call classify through one :class:`~repro.mining.classes.SubsetClassifier`,
-which builds a ``Pattern`` only for subset content it has not seen;
-the re-mining schedule survives as the parity reference
+every admission. ΔP and every stream of one shard (``repro.runtime``'s
+shard loop drives the streams of a database) classify through one
+:class:`~repro.mining.classes.SubsetClassifier`, which builds a
+``Pattern`` only for subset content it has not seen; the re-mining
+schedule survives as the parity reference
 :func:`repro.reference.remine_patterns`.
 
 ``IncEVerify`` — the per-chunk refresh of the influence/diversity
@@ -55,13 +56,12 @@ from repro.gnn.model import GnnClassifier
 from repro.graphs.database import GraphDatabase
 from repro.graphs.graph import Graph
 from repro.graphs.pattern import Pattern
-from repro.graphs.view import ExplanationSubgraph, ExplanationView, ViewSet
+from repro.graphs.view import ExplanationSubgraph, ViewSet
 from repro.matching.coverage import MATCH_CAP
 from repro.mining.classes import SubsetClassifier
 from repro.mining.index import SubsetIndex
 from repro.mining.mdl import MinedPattern
 from repro.mining.pgen import fresh_classes
-from repro.utils.rng import RngLike, ensure_rng
 from repro.exceptions import ValidationError
 
 
@@ -118,12 +118,10 @@ class StreamGvex:
         model: GnnClassifier,
         config: Optional[GvexConfig] = None,
         labels: Optional[Iterable[int]] = None,
-        seed: RngLike = None,
     ) -> None:
         self.model = model
         self.config = config if config is not None else GvexConfig()
         self.labels = None if labels is None else sorted(set(labels))
-        self._rng = ensure_rng(seed)
 
     # ------------------------------------------------------------------
     # per-graph stream (Algorithm 3)
@@ -143,7 +141,7 @@ class StreamGvex:
         ``order`` fixes the arrival order (default: natural node order);
         StreamGVEX's guarantees are order-independent (§A.8), which
         Figure 12's bench verifies empirically. ``classifier`` is the
-        subset classifier of the enclosing :meth:`explain` call (a new
+        subset classifier the enclosing shard's streams share (a new
         one by default).
         """
         bounds = self.config.coverage_for(label)
@@ -412,55 +410,27 @@ class StreamGvex:
         patterns[:] = [pool[i].pattern() for i in chosen]
 
     # ------------------------------------------------------------------
-    # database-level driver
-    # ------------------------------------------------------------------
     def explain(
         self,
         db: GraphDatabase,
         predicted: Optional[Sequence[Optional[int]]] = None,
-        shuffle_streams: bool = False,
     ) -> ViewSet:
         """Generate explanation views for every label of interest.
 
-        Groups the database by (given or predicted) label and streams
-        each graph through :meth:`explain_graph_stream`, then
-        summarizes the higher-tier patterns per label group (``Psum``)
-        — the streaming counterpart of Problem 1's view generation.
-        Every stream of the call shares one subset classifier; it lives
-        for this call only, so concurrent calls share nothing.
+        Groups the database by (given or predicted) label, streams each
+        graph through :meth:`explain_graph_stream`, then summarizes each
+        label group's subgraphs with one ``Psum``. A facade over
+        :mod:`repro.runtime`: it builds a ``gvex-stream`` plan and runs
+        the serial shard loop, so its views equal every executor's.
         """
-        if predicted is None:
-            from repro.core.approx import database_predictions
+        from repro.runtime import SerialExecutor
+        from repro.runtime.plan import STREAM_METHOD, build_plan
 
-            predicted = database_predictions(self.model, db)
-        groups: Dict[int, List[int]] = {}
-        for i, l in enumerate(predicted):
-            if l is None:
-                continue
-            groups.setdefault(int(l), []).append(i)
-
-        labels = self.labels if self.labels is not None else sorted(groups)
-        views = ViewSet()
-        classifier = SubsetClassifier()
-        for label in labels:
-            view = ExplanationView(label=label)
-            for idx in groups.get(label, []):
-                graph = db[idx]
-                order = None
-                if shuffle_streams:
-                    order = list(self._rng.permutation(graph.n_nodes))
-                result = self.explain_graph_stream(
-                    graph, label, graph_index=idx, order=order,
-                    classifier=classifier,
-                )
-                if result.subgraph is not None:
-                    view.subgraphs.append(result.subgraph)
-            psum = summarize([s.subgraph for s in view.subgraphs], self.config)
-            view.patterns = psum.patterns
-            view.edge_loss = psum.edge_loss
-            view.score = sum(s.score for s in view.subgraphs)
-            views.add(view)
-        return views
+        plan = build_plan(
+            db, self.model, self.config, labels=self.labels,
+            predicted=predicted, method=STREAM_METHOD,
+        )
+        return SerialExecutor().run(plan)[0]
 
 
 __all__ = ["StreamGvex", "StreamResult", "AnytimeSnapshot"]

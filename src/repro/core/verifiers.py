@@ -39,11 +39,6 @@ def uniform_prior(n_classes: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
-#: sentinel distinguishing "compute M(G) now" from an explicit label
-#: (which may legitimately be ``None`` for the empty graph)
-_AUTO = object()
-
-
 class GnnVerifier:
     """Cached GNN inference on node subsets of one graph (``EVerify``).
 
@@ -59,17 +54,9 @@ class GnnVerifier:
     ``subsets_evaluated``.
     """
 
-    def __init__(
-        self, model: GnnClassifier, graph: Graph, original_label: object = _AUTO
-    ) -> None:
+    def __init__(self, model: GnnClassifier, graph: Graph) -> None:
         self.model = model
         self.graph = graph
-        #: ``M(G)`` — callers that already know the prediction (e.g. a
-        #: whole-shard ``predict_db`` pass) seed it to skip the serial
-        #: forward the default would launch here
-        self.original_label: Optional[int] = (
-            model.predict(graph) if original_label is _AUTO else original_label  # type: ignore[assignment]
-        )
         self._subset_probas: Dict[FrozenSet[int], np.ndarray] = {}
         self._remainder_probas: Dict[FrozenSet[int], np.ndarray] = {}
         self.inference_calls = 0
@@ -248,15 +235,13 @@ class BatchedGnnVerifier(GnnVerifier):
     #: ball (the full path's ``K²`` adjacency gather and normalization).
     DELTA_MIN_WORK = 40_000
 
-    def __init__(
-        self, model: GnnClassifier, graph: Graph, original_label: object = _AUTO
-    ) -> None:
+    def __init__(self, model: GnnClassifier, graph: Graph) -> None:
         if not hasattr(model, "predict_proba_batch"):
             raise ModelError(
                 f"{type(model).__name__} has no predict_proba_batch: "
                 "the batched verifier needs a stacked forward"
             )
-        super().__init__(model, graph, original_label=original_label)
+        super().__init__(model, graph)
         #: dense gather sources (features / symmetrized adjacency) are
         #: immutable per graph; reusing them across launches avoids an
         #: O(n²) rebuild every prefetch
@@ -583,7 +568,7 @@ def verify_view(
     for s in view.subgraphs:
         graph = graphs[s.graph_index]
         verifier = GnnVerifier(model, graph)
-        target = label if label is not None else verifier.original_label
+        target = label if label is not None else model.predict(graph)
         consistent, counterfactual = verifier.check(s.nodes, target)
         if not (consistent and counterfactual):
             c2 = False

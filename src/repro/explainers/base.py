@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.exceptions import ExplanationError
 from repro.gnn.model import GnnClassifier
 from repro.graphs.database import GraphDatabase
 from repro.graphs.graph import Graph
-from repro.graphs.view import ExplanationSubgraph, ExplanationView, ViewSet
+from repro.graphs.view import ExplanationSubgraph
 
 
 @dataclass(frozen=True)
@@ -87,54 +87,6 @@ class Explainer(ABC):
             if explanation is not None:
                 out[idx] = explanation
         return out
-
-    # ------------------------------------------------------------------
-    def explain_views(
-        self,
-        db: GraphDatabase,
-        labels: Optional[Iterable[int]] = None,
-        config=None,
-    ) -> ViewSet:
-        """Two-tier explanation views from any explainer.
-
-        The generic recipe mirrors GVEX's output contract so every
-        registered method is servable and queryable identically: group
-        the database by predicted label, explain each graph with
-        ``explain_graph`` (bounded by the config's coverage upper
-        bound), then summarize each group's subgraphs into patterns
-        with ``Psum``. GVEX's own wrappers override this with the full
-        Algorithm 1/3 pipelines.
-        """
-        from repro.config import GvexConfig
-        from repro.core.approx import database_predictions
-        from repro.core.psum import summarize
-
-        config = config if config is not None else GvexConfig()
-        predicted = database_predictions(self.model, db)
-        groups: Dict[int, List[int]] = {}
-        for idx, label in enumerate(predicted):
-            if label is None:
-                continue
-            groups.setdefault(int(label), []).append(idx)
-        wanted = sorted(groups) if labels is None else sorted(set(labels))
-
-        views = ViewSet()
-        for label in wanted:
-            upper = config.coverage_for(label).upper
-            subs = []
-            for idx in groups.get(label, []):
-                expl = self.explain_graph(
-                    db[idx], label=label, max_nodes=upper or None, graph_index=idx
-                )
-                if expl is not None:
-                    subs.append(expl)
-            view = ExplanationView(label=label, subgraphs=subs)
-            psum = summarize([s.subgraph for s in subs], config)
-            view.patterns = psum.patterns
-            view.edge_loss = psum.edge_loss
-            view.score = sum(s.score for s in subs)
-            views.add(view)
-        return views
 
     # ------------------------------------------------------------------
     # shared helpers

@@ -1,9 +1,10 @@
 """GVEX algorithms behind the common :class:`Explainer` interface.
 
 The benches sweep all methods through ``explain_graph``; these wrappers
-adapt ApproxGVEX ("AG") and StreamGVEX ("SG") to that interface while
-still exposing full view generation (patterns included) through
-``explain_views``.
+adapt ApproxGVEX ("AG") and StreamGVEX ("SG") to that interface. Full
+view generation (patterns included) runs through ``repro.runtime``'s
+shard loop, which calls the two kernels directly: ``build_plan`` +
+``run_plan``, or the ``ApproxGvex``/``StreamGvex`` facades.
 """
 
 from __future__ import annotations
@@ -11,14 +12,12 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.config import GvexConfig
-from repro.core.approx import ApproxGvex, explain_graph as _approx_explain_graph
+from repro.core.approx import explain_graph as _approx_explain_graph
 from repro.core.streaming import StreamGvex
 from repro.explainers.base import Explainer, ExplainerCapabilities
 from repro.gnn.model import GnnClassifier
-from repro.graphs.database import GraphDatabase
 from repro.graphs.graph import Graph
-from repro.graphs.view import ExplanationSubgraph, ViewSet
-from repro.utils.rng import RngLike
+from repro.graphs.view import ExplanationSubgraph
 
 _GVEX_CAPABILITIES = dict(
     requires_learning=False,
@@ -64,11 +63,6 @@ class ApproxGvexExplainer(Explainer):
         )
         return result.subgraph
 
-    def explain_views(self, db: GraphDatabase, labels=None, config=None) -> ViewSet:
-        """Full two-tier view generation (Algorithm 1/2)."""
-        config = config if config is not None else self.config
-        return ApproxGvex(self.model, config, labels=labels).explain(db)
-
 
 class StreamGvexExplainer(Explainer):
     """Streaming GVEX ("SG")."""
@@ -77,15 +71,9 @@ class StreamGvexExplainer(Explainer):
         name="GVEX (StreamGVEX)", short_name="SG", **_GVEX_CAPABILITIES
     )
 
-    def __init__(
-        self,
-        model: GnnClassifier,
-        config: Optional[GvexConfig] = None,
-        seed: RngLike = None,
-    ):
+    def __init__(self, model: GnnClassifier, config: Optional[GvexConfig] = None):
         super().__init__(model)
         self.config = config if config is not None else GvexConfig()
-        self.seed = seed
 
     def explain_graph(
         self,
@@ -102,16 +90,9 @@ class StreamGvexExplainer(Explainer):
             config = config.with_coverage(
                 label, min(config.coverage_for(label).lower, max_nodes), max_nodes
             )
-        algo = StreamGvex(self.model, config, seed=self.seed)
+        algo = StreamGvex(self.model, config)
         result = algo.explain_graph_stream(graph, label, graph_index=graph_index)
         return result.subgraph
-
-    def explain_views(self, db: GraphDatabase, labels=None, config=None) -> ViewSet:
-        """Full two-tier view generation (Algorithm 3)."""
-        config = config if config is not None else self.config
-        return StreamGvex(
-            self.model, config, labels=labels, seed=self.seed
-        ).explain(db)
 
 
 __all__ = ["ApproxGvexExplainer", "StreamGvexExplainer"]

@@ -50,9 +50,9 @@ killed mid-run resumes without re-executing (or re-paying for) any
 completed shard.
 
 :class:`DistributedExecutor` adapts a coordinator to the
-:class:`~repro.runtime.executors.Executor` surface, with the same
-serial fallback as the fork pool (plans that are not
-:attr:`~repro.runtime.plan.ExplainPlan.splittable`).
+:class:`~repro.runtime.executors.Executor` surface. Every plan ships:
+StreamGVEX plans and per-group ApproxGVEX plans (one shard per label
+group) run on the workers like any other.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ from repro.exceptions import (
 from repro.graphs.view import ExplanationSubgraph, ViewSet
 from repro.runtime.cluster import wire
 from repro.runtime.cluster.transport import RetryPolicy, post_json
-from repro.runtime.executors import Executor, SerialExecutor
+from repro.runtime.executors import Executor
 from repro.runtime.plan import ExplainPlan, assemble_views
 
 #: a worker missing heartbeats for this long is declared dead
@@ -209,10 +209,12 @@ class ClusterCoordinator:
         if self._closed:
             return
         self._closed = True
-        self._server.shutdown()
-        self._server.server_close()
+        # shutdown() waits for a serve_forever loop: only a started
+        # coordinator runs one
         if self._thread is not None:
+            self._server.shutdown()
             self._thread.join(timeout=5)
+        self._server.server_close()
         with self._wake:
             self._wake.notify_all()
 
@@ -611,13 +613,8 @@ def merge_results(
 
 
 class DistributedExecutor(Executor):
-    """The cluster behind the standard ``Executor`` surface.
-
-    Same fallback as the fork pool: a plan that is not
-    :attr:`~repro.runtime.plan.ExplainPlan.splittable` runs through
-    :class:`SerialExecutor` in-process. Everything else ships over the
-    wire.
-    """
+    """The cluster behind the standard ``Executor`` surface: every
+    plan's shards ship over the wire."""
 
     name = "distributed"
 
@@ -625,8 +622,6 @@ class DistributedExecutor(Executor):
         self.coordinator = coordinator
 
     def run(self, plan: ExplainPlan) -> Tuple[ViewSet, Dict[str, int]]:
-        if not plan.splittable:
-            return SerialExecutor().run(plan)
         return self.coordinator.run(plan)
 
 

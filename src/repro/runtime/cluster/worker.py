@@ -161,7 +161,10 @@ class ClusterWorker:
         if self.stopped.is_set():
             return
         self.stopped.set()
-        self._server.shutdown()
+        # shutdown() waits for a serve_forever loop: only a started
+        # worker runs one
+        if self._server_thread is not None:
+            self._server.shutdown()
         self._server.server_close()
 
     def join(self, timeout: Optional[float] = None) -> bool:

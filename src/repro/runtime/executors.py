@@ -18,12 +18,12 @@ executor of one scheduling mechanism:
 Each explains shards with a warm :class:`WorkerState` and hands the
 subgraphs to the one Psum tail,
 :func:`~repro.runtime.plan.assemble_views`, once per label group, in
-the parent. A plan that is not
-:attr:`~repro.runtime.plan.ExplainPlan.splittable` runs whole through
-:class:`SerialExecutor` under every executor. All three produce
-**bit-identical** view sets for deterministic methods
-(``tests/test_runtime.py`` asserts this across the dataset zoo); they
-differ only in scheduling.
+the parent. This shard loop is the only view-generation driver: every
+method and coverage scope runs through it, and the
+``ApproxGvex``/``StreamGvex`` facades of ``repro.core`` run it
+serially. All three executors produce **bit-identical** view sets for
+deterministic methods (``tests/test_runtime.py`` asserts this across
+the dataset zoo); they differ only in scheduling.
 """
 
 from __future__ import annotations
@@ -34,14 +34,17 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.config import GvexConfig
+from repro.config import SCOPE_PER_GROUP, GvexConfig
 from repro.exceptions import WorkerCrashError
-from repro.core.approx import ApproxGvex, database_predictions, explain_graph
+from repro.core.approx import explain_graph
+from repro.core.streaming import StreamGvex
 from repro.gnn.model import GnnClassifier
 from repro.graphs.database import GraphDatabase
 from repro.graphs.view import ExplanationSubgraph, ViewSet
 from repro.mining.classes import SubsetClassifier
-from repro.runtime.plan import APPROX_METHOD, ExplainPlan, Shard, assemble_views
+from repro.runtime.plan import (
+    APPROX_METHOD, STREAM_METHOD, ExplainPlan, Shard, assemble_views,
+)
 
 #: (graph index, label, explanation or None, inference calls)
 TaskResult = Tuple[int, int, Optional[ExplanationSubgraph], int]
@@ -54,9 +57,9 @@ class WorkerState:
     Replaces ``repro.core.parallel``'s module-level worker globals with
     an explicit object: the (copy-on-write-shared) model weights, the
     config, the database, and — for registry methods other than the
-    core ApproxGVEX kernel — the explainer, built exactly once per
-    worker. ``inference_calls`` accumulates the approx path's
-    forward-pass launches across every shard the worker runs.
+    two GVEX kernels — the explainer, built exactly once per worker.
+    ``inference_calls`` accumulates the approx path's forward-pass
+    launches across every shard the worker runs.
     """
 
     model: GnnClassifier
@@ -81,8 +84,8 @@ class WorkerState:
 
     @property
     def explainer(self):
-        """The built explainer (non-approx methods), cached per worker."""
-        if self.method == APPROX_METHOD:
+        """The built explainer (baseline methods), cached per worker."""
+        if self.method in (APPROX_METHOD, STREAM_METHOD):
             return None
         if self._explainer is None:
             from repro.api.registry import build_explainer
@@ -98,32 +101,16 @@ class WorkerState:
 
     # ------------------------------------------------------------------
     def run_shard(self, shard: Shard) -> List[TaskResult]:
-        """Explain every task of one shard as a single warm loop."""
-        out: List[TaskResult] = []
+        """Explain every task of one shard as a single warm loop.
+
+        Returns one result per task, in index order; a task without an
+        explanation carries ``None``.
+        """
         if self.method == APPROX_METHOD:
-            # one stacked forward over the shard replaces the per-graph
-            # M(G) pass each verifier launch used to pay; predictions
-            # are the model's own, bit-identical to per-graph predict
-            predictions = database_predictions(
-                self.model, self.db, indices=list(shard.indices)
-            )
-            # the shard's graphs share one novelty classifier
-            classifier = SubsetClassifier()
-            for index, prediction in zip(shard.indices, predictions):
-                result = explain_graph(
-                    self.model,
-                    self.db[index],
-                    shard.label,
-                    self.config,
-                    graph_index=index,
-                    predicted=prediction,
-                    classifier=classifier,
-                )
-                self.inference_calls += result.inference_calls
-                out.append(
-                    (index, shard.label, result.subgraph, result.inference_calls)
-                )
-            return out
+            return self._run_approx(shard)
+        if self.method == STREAM_METHOD:
+            return self._run_stream(shard)
+        out: List[TaskResult] = []
         explainer = self.explainer
         upper = self.config.coverage_for(shard.label).upper
         for index in shard.indices:
@@ -134,6 +121,55 @@ class WorkerState:
                 graph_index=index,
             )
             out.append((index, shard.label, subgraph, 0))
+        return out
+
+    def _run_approx(self, shard: Shard) -> List[TaskResult]:
+        """ApproxGVEX's greedy over one shard.
+
+        Under the per-group coverage scope the shard is the whole label
+        group (``build_plan`` makes it so): the remaining ``u_l`` threads
+        through it in index order, a graph after the budget is spent
+        gets ``None``, and so does every graph of a group whose
+        subgraphs miss ``b_l``.
+        """
+        bounds = self.config.coverage_for(shard.label)
+        per_group = self.config.coverage_scope == SCOPE_PER_GROUP
+        remaining = bounds.upper
+        # the shard's graphs share one novelty classifier
+        classifier = SubsetClassifier()
+        out: List[TaskResult] = []
+        for index in shard.indices:
+            if per_group and remaining <= 0:
+                out.append((index, shard.label, None, 0))
+                continue
+            result = explain_graph(
+                self.model, self.db[index], shard.label, self.config,
+                graph_index=index, classifier=classifier,
+                lower=0 if per_group else None,
+                upper=remaining if per_group else None,
+            )
+            calls = result.inference_calls
+            self.inference_calls += calls
+            out.append((index, shard.label, result.subgraph, calls))
+            if per_group and result.subgraph is not None:
+                remaining -= result.subgraph.n_nodes
+        if per_group and bounds.upper - remaining < bounds.lower:
+            # the group could not reach its lower bound: no valid view
+            out = [(index, label, None, calls) for index, label, _, calls in out]
+        return out
+
+    def _run_stream(self, shard: Shard) -> List[TaskResult]:
+        """StreamGVEX's node stream (Algorithm 3) over each graph."""
+        algo = StreamGvex(self.model, self.config)
+        # the shard's streams share one ΔP subset classifier
+        classifier = SubsetClassifier()
+        out: List[TaskResult] = []
+        for index in shard.indices:
+            result = algo.explain_graph_stream(
+                self.db[index], shard.label, graph_index=index,
+                classifier=classifier,
+            )
+            out.append((index, shard.label, result.subgraph, 0))
         return out
 
 
@@ -159,15 +195,6 @@ def _require_budget(plan: ExplainPlan, what: str) -> None:
         plan.deadline.require(what)
 
 
-def _plan_predicted(plan: ExplainPlan) -> List[Optional[int]]:
-    """Per-index predicted labels implied by the plan's shards."""
-    predicted: List[Optional[int]] = [None] * len(plan.db)
-    for shard in plan.shards:
-        for index in shard.indices:
-            predicted[index] = shard.label
-    return predicted
-
-
 def _can_fork() -> bool:
     try:
         mp.get_context("fork")
@@ -186,38 +213,18 @@ class Executor:
 
 
 class SerialExecutor(Executor):
-    """In-process execution, shard after shard — the parity reference.
-
-    A plan that is not :attr:`~repro.runtime.plan.ExplainPlan.splittable`
-    runs whole through the method's own ``explain``/``explain_views``.
-    Note that ``explain_views`` re-derives its label groups from model
-    predictions, so a plan restricted via ``predicted`` is honored only
-    by the shard loop.
-    """
+    """In-process execution, shard after shard — the parity reference."""
 
     name = "serial"
 
     def run(self, plan: ExplainPlan) -> Tuple[ViewSet, Dict[str, int]]:
         _require_budget(plan, "serial execution")
-        if not plan.splittable:
-            return self._run_whole(plan)
         state = WorkerState.from_plan(plan)
         results: List[TaskResult] = []
         for shard in plan.shards:
             _require_budget(plan, "the next shard")
             results.extend(state.run_shard(shard))
         return _assemble(plan, results)
-
-    @staticmethod
-    def _run_whole(plan: ExplainPlan) -> Tuple[ViewSet, Dict[str, int]]:
-        if plan.method == APPROX_METHOD:
-            algo = ApproxGvex(plan.model, plan.config, labels=plan.labels)
-            views = algo.explain(plan.db, predicted=_plan_predicted(plan))
-            return views, {"inference_calls": algo.total_inference_calls}
-        views = WorkerState.from_plan(plan).explainer.explain_views(
-            plan.db, labels=plan.labels, config=plan.config
-        )
-        return views, {"inference_calls": 0}
 
 
 # ----------------------------------------------------------------------
@@ -243,7 +250,7 @@ def _init_worker(
         seed=seed,
         explainer_kwargs=dict(explainer_kwargs),
     )
-    # non-approx explainers are built eagerly so a bad constructor
+    # baseline explainers are built eagerly so a bad constructor
     # override fails at pool startup, not mid-shard
     _WORKER_STATE.explainer
 
@@ -307,9 +314,8 @@ def _fork_map(plan: ExplainPlan, processes: int) -> List[TaskResult]:
 class ForkPoolExecutor(Executor):
     """Fork a pool; each worker drains whole shards with warm state.
 
-    Falls back to :class:`SerialExecutor` when ``processes <= 1``, when
-    the plan is not :attr:`~repro.runtime.plan.ExplainPlan.splittable`,
-    or when the platform cannot fork. Only the explanation phase is
+    Falls back to :class:`SerialExecutor` when ``processes <= 1`` or
+    when the platform cannot fork. Only the explanation phase is
     distributed; the Psum tail runs in the parent (it needs the whole
     label group's subgraphs).
     """
@@ -320,7 +326,7 @@ class ForkPoolExecutor(Executor):
         self.processes = processes
 
     def run(self, plan: ExplainPlan) -> Tuple[ViewSet, Dict[str, int]]:
-        if self.processes <= 1 or not plan.splittable or not _can_fork():
+        if self.processes <= 1 or not _can_fork():
             return SerialExecutor().run(plan)
         _require_budget(plan, "forking the worker pool")
         return _assemble(plan, _fork_map(plan, self.processes))

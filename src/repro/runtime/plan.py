@@ -5,8 +5,10 @@ an immutable description of *what* to explain (database, model,
 config, registry method) and *how the work is cut*: each label group
 ``G^l`` is partitioned into :class:`Shard`\\ s, contiguous runs of the
 group's graph indices. Executors (``repro.runtime.executors``) only
-ever see shards, so every entry point — the facade, the CLI, the bench
-harness, the HTTP layer — schedules identical work the same way.
+ever see shards, so every entry point — the service facade, the CLI,
+the bench harness, the HTTP layer, the ``ApproxGvex``/``StreamGvex``
+facades — schedules identical work the same way, for every method and
+coverage scope.
 
 Shard sizing follows the batched verifier's cache geometry: one graph's
 greedy round evaluates a frontier of ``O(n)`` candidate subsets as
@@ -18,7 +20,10 @@ stays within one budget's worth of warm tensors, and so every worker
 of a fork pool gets at least one shard. A worker then runs its shard
 as one in-process loop: the model weights, config, built explainer,
 and the verifier's stacked scratch stay warm across the shard's tasks
-instead of being re-pickled per task.
+instead of being re-pickled per task. ApproxGVEX under the per-*group*
+coverage scope is the one exception: it threads one node budget
+``u_l`` through its whole label group, so each such group is one
+shard.
 
 :func:`assemble_views` is the one Psum tail of the shard loop: every
 executor, the fork pool and the cluster coordinator included, gathers
@@ -40,8 +45,10 @@ from repro.gnn.model import GnnClassifier
 from repro.graphs.database import GraphDatabase
 from repro.graphs.view import ExplanationSubgraph, ExplanationView, ViewSet
 
-#: registry name whose tasks run the core ApproxGVEX kernel directly
+#: registry names whose tasks run the core GVEX kernels directly:
+#: ApproxGVEX's greedy (Algorithm 1) and StreamGVEX's stream (Algorithm 3)
 APPROX_METHOD = "gvex-approx"
+STREAM_METHOD = "gvex-stream"
 
 
 @dataclass(frozen=True)
@@ -89,23 +96,6 @@ class ExplainPlan:
 
     def group_indices(self, label: int) -> List[int]:
         return [i for s in self.shards_for(label) for i in s.indices]
-
-    @property
-    def splittable(self) -> bool:
-        """Whether the plan's shards may run apart (forked or remote).
-
-        Two kinds of plan must run whole, in-process: the core kernel
-        under the per-*group* coverage scope (its node budget threads
-        sequentially through a label group) and native-view methods
-        other than the core kernel (StreamGVEX's Algorithm 3 owns its
-        pattern pipeline). Every executor sends them to
-        :class:`~repro.runtime.executors.SerialExecutor`.
-        """
-        if self.method == APPROX_METHOD:
-            return self.config.coverage_scope != SCOPE_PER_GROUP
-        from repro.api.registry import get_spec
-
-        return not get_spec(self.method).native_views
 
 
 def shard_size_for(
@@ -165,8 +155,10 @@ def build_plan(
     ``predicted`` may carry ``None`` entries to exclude graphs
     (restricted bench sweeps use this); by default the model's
     predictions group the database. ``shard_size`` overrides
-    :func:`shard_size_for` uniformly. ``method`` is resolved through the
-    explainer registry, so aliases work everywhere plans are built.
+    :func:`shard_size_for` uniformly, except that a per-group
+    ``gvex-approx`` label group is always one shard. ``method`` is
+    resolved through the explainer registry, so aliases work everywhere
+    plans are built.
     ``deadline`` attaches a monotonic budget that every executor (and
     the cluster dispatch path) re-checks between shards.
     """
@@ -175,11 +167,17 @@ def build_plan(
     config = config if config is not None else GvexConfig()
     method = get_spec(method).name
     explainer_kwargs = dict(explainer_kwargs or {})
-    if method == APPROX_METHOD and explainer_kwargs:
+    if method in (APPROX_METHOD, STREAM_METHOD) and explainer_kwargs:
         raise RegistryError(
-            "the gvex-approx runtime takes its configuration from "
+            f"the {method} runtime takes its configuration from "
             f"GvexConfig, not constructor overrides {sorted(explainer_kwargs)}"
         )
+    if shard_size is not None and shard_size < 1:
+        raise ConfigurationError(f"shard_size must be >= 1, got {shard_size}")
+    # ApproxGVEX's per-group budget threads through the whole group
+    whole_groups = (
+        method == APPROX_METHOD and config.coverage_scope == SCOPE_PER_GROUP
+    )
     if predicted is None:
         from repro.core.approx import database_predictions
 
@@ -197,11 +195,12 @@ def build_plan(
         members = groups.get(label, [])
         if not members:
             continue
-        size = shard_size
-        if size is None:
+        if whole_groups:
+            size = len(members)
+        elif shard_size is not None:
+            size = shard_size
+        else:
             size = shard_size_for(db, members, config, label, processes=processes)
-        if size < 1:
-            raise ConfigurationError(f"shard_size must be >= 1, got {size}")
         for start in range(0, len(members), size):
             shards.append(Shard(label, tuple(members[start : start + size])))
 
@@ -227,9 +226,8 @@ def assemble_views(
 
     Subgraphs are ordered by source graph index (the serial iteration
     order), patterns are mined/summarized over the whole group, and the
-    Eq. 2 scores aggregate — identical to the serial
-    ``ApproxGvex.explain_label_group`` assembly, which is what makes
-    executor outputs bit-comparable.
+    Eq. 2 scores aggregate, so executor outputs are bit-comparable. A
+    group without subgraphs gets an empty view with score ``0.0``.
     """
     views = ViewSet()
     for label in labels:
@@ -238,13 +236,14 @@ def assemble_views(
         psum = summarize([s.subgraph for s in subs], config)
         view.patterns = psum.patterns
         view.edge_loss = psum.edge_loss
-        view.score = sum(s.score for s in subs)
+        view.score = sum((s.score for s in subs), 0.0)
         views.add(view)
     return views
 
 
 __all__ = [
     "APPROX_METHOD",
+    "STREAM_METHOD",
     "Shard",
     "ExplainPlan",
     "build_plan",

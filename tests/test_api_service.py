@@ -113,14 +113,19 @@ class TestRegistry:
         }
         small = mutagen_db.graphs[:4]
         from repro.graphs.database import GraphDatabase
+        from repro.runtime import build_plan, run_plan
         db = GraphDatabase(small, labels=mutagen_db.labels[:4], name="mini")
         for spec in explainer_specs():
+            overrides = fast_overrides.get(spec.name, {})
             explainer = build_explainer(
-                spec.name, trained_model, config=config, seed=0,
-                **fast_overrides.get(spec.name, {}),
+                spec.name, trained_model, config=config, seed=0, **overrides
             )
             assert isinstance(explainer, Explainer)
-            views = explainer.explain_views(db, config=config)
+            plan = build_plan(
+                db, trained_model, config, method=spec.name,
+                explainer_kwargs=overrides,
+            )
+            views = run_plan(plan)
             for view in views:
                 assert view.subgraphs or view.patterns == []
                 for sub in view.subgraphs:

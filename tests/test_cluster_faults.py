@@ -294,6 +294,27 @@ def test_worker_that_cannot_register_closes_its_server(
         socket.create_connection((host, port), timeout=5).close()
 
 
+@pytest.mark.parametrize("endpoint", ["worker", "coordinator"])
+def test_closing_an_unstarted_endpoint_returns(
+    trained_model, mutagen_db, endpoint
+):
+    """``close()`` before ``start()`` frees the port without waiting for
+    a serve loop that never ran."""
+    if endpoint == "worker":
+        server = ClusterWorker(
+            mutagen_db, trained_model, "http://127.0.0.1:9", worker_id="idle"
+        )
+    else:
+        server = ClusterCoordinator()
+    host, port = server._server.server_address[:2]
+    closer = threading.Thread(target=server.close, daemon=True)
+    closer.start()
+    closer.join(timeout=5)
+    assert not closer.is_alive(), "close() hung on an unstarted endpoint"
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection((host, port), timeout=5).close()
+
+
 # ----------------------------------------------------------------------
 # malformed results
 # ----------------------------------------------------------------------
@@ -486,20 +507,23 @@ def _result_envelopes(db, model, plan, job_id="job-journal"):
         db, model, "http://127.0.0.1:1", worker_id="offline",
     )
     envelopes = {}
-    for shard_id, shard in enumerate(plan.shards):
-        msg = wire.decode_dispatch(
-            wire.encode_dispatch(
-                job_id=job_id,
-                shard_id=shard_id,
-                label=shard.label,
-                indices=shard.indices,
-                method=plan.method,
-                seed=plan.seed,
-                config=plan.config,
-                explainer_kwargs=plan.explainer_kwargs,
+    try:
+        for shard_id, shard in enumerate(plan.shards):
+            msg = wire.decode_dispatch(
+                wire.encode_dispatch(
+                    job_id=job_id,
+                    shard_id=shard_id,
+                    label=shard.label,
+                    indices=shard.indices,
+                    method=plan.method,
+                    seed=plan.seed,
+                    config=plan.config,
+                    explainer_kwargs=plan.explainer_kwargs,
+                )
             )
-        )
-        envelopes[shard_id] = worker.run_dispatch(msg)
+            envelopes[shard_id] = worker.run_dispatch(msg)
+    finally:
+        worker.close()  # never started: frees the bound socket
     return envelopes
 
 

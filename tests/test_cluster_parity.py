@@ -13,6 +13,9 @@ Three layers, increasingly physical:
   serial views. No sockets, so this runs in the default lane.
 * **Psum once** — serial, fork-pool and live-cluster runs of one plan
   each summarize every label group exactly once, in the parent.
+* **every plan ships** — a StreamGVEX plan and a per-group ApproxGVEX
+  plan run on the fork pool's and a live cluster's workers, and equal
+  serial.
 * **live localhost cluster** — a real coordinator + two real workers
   over HTTP on >= 2 zoo datasets. Marked ``slow`` (CI's bench lane).
 """
@@ -25,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import GvexConfig
+from repro.config import SCOPE_PER_GROUP, GvexConfig
 from repro.datasets.registry import load_dataset
 from repro.graphs.io import viewset_from_dict, viewset_to_dict
 from repro.runtime import ForkPoolExecutor, SerialExecutor, WorkerState, build_plan
@@ -202,6 +205,41 @@ def test_psum_runs_once_per_label_on_every_executor(
     want = view_set_fingerprint(serial)
     assert view_set_fingerprint(fork) == want
     assert view_set_fingerprint(cluster) == want
+
+
+def test_stream_and_per_group_plans_run_on_the_workers(
+    trained_model, mutagen_db
+):
+    """No plan stays home: StreamGVEX and per-group ApproxGVEX shards
+    are dispatched to forked and remote workers, with serial's views."""
+    config = GvexConfig(theta=0.08, radius=0.3).with_bounds(0, 6)
+    per_group = GvexConfig(
+        theta=0.08, radius=0.3, coverage_scope=SCOPE_PER_GROUP
+    ).with_bounds(0, 14)
+    plans = {
+        "stream": build_plan(
+            mutagen_db, trained_model, config, method="gvex-stream",
+            processes=2,
+        ),
+        "per-group": build_plan(mutagen_db, trained_model, per_group),
+    }
+    with ClusterCoordinator(auth_token=AUTH) as coord:
+        with ClusterWorker(
+            mutagen_db, trained_model, coord.url, auth_token=AUTH, worker_id="w1"
+        ) as w1, ClusterWorker(
+            mutagen_db, trained_model, coord.url, auth_token=AUTH, worker_id="w2"
+        ) as w2:
+            coord.wait_for_workers(2, timeout=15)
+            for name, plan in plans.items():
+                serial, _ = SerialExecutor().run(plan)
+                fork, _ = ForkPoolExecutor(processes=2).run(plan)
+                before = w1.shards_run + w2.shards_run
+                cluster, stats = DistributedExecutor(coord).run(plan)
+                assert w1.shards_run + w2.shards_run > before, name
+                assert stats["shards"] == len(plan.shards), name
+                want = view_set_fingerprint(serial)
+                assert view_set_fingerprint(fork) == want, name
+                assert view_set_fingerprint(cluster) == want, name
 
 
 # ----------------------------------------------------------------------

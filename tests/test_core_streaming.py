@@ -121,11 +121,6 @@ class TestStreamDatabase:
             if ag > 0:
                 assert sg >= 0.25 * ag
 
-    def test_shuffled_streams(self, trained_model, mutagen_db, stream_config):
-        algo = StreamGvex(trained_model, stream_config, seed=3)
-        views = algo.explain(mutagen_db, shuffle_streams=True)
-        assert len(views) == 2
-
 
 class TestParallel:
     def test_serial_fallback_matches_approx(self, trained_model, mutagen_db, small_config):

@@ -25,10 +25,24 @@ from tests.conftest import C, N, O, nitro_motif
 
 
 class TestGnnVerifier:
-    def test_original_label_cached(self, trained_model, mutagen_db):
-        g = mutagen_db[1]  # label-1 graph
-        verifier = GnnVerifier(trained_model, g)
-        assert verifier.original_label == trained_model.predict(g)
+    @pytest.mark.parametrize("cls", [GnnVerifier, BatchedGnnVerifier])
+    def test_construction_launches_no_forward(
+        self, trained_model, mutagen_db, monkeypatch, cls
+    ):
+        """``M(G)`` is no verifier's business: building one runs no
+        forward pass, serial or stacked."""
+        launched = []
+        for name in ("predict", "predict_proba", "predict_proba_batch"):
+            real = getattr(trained_model, name)
+
+            def spy(*args, _name=name, _real=real, **kwargs):
+                launched.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(trained_model, name, spy)
+        verifier = cls(trained_model, mutagen_db[1])
+        assert launched == []
+        assert verifier.inference_calls == 0
 
     def test_subset_label_cached(self, trained_model, mutagen_db):
         g = mutagen_db[0]
@@ -56,9 +70,9 @@ class TestGnnVerifier:
             if label != 1:
                 continue
             g = mutagen_db[idx]
-            verifier = GnnVerifier(trained_model, g)
-            if verifier.original_label != 1:
+            if trained_model.predict(g) != 1:
                 continue
+            verifier = GnnVerifier(trained_model, g)
             motif_nodes = [
                 v
                 for v in g.nodes()
@@ -115,15 +129,12 @@ class TestUniformPriorFallbacks:
         """The *subset* covering all nodes is the graph itself — a valid
         (non-degenerate) query that must run inference."""
         n = verifier.graph.n_nodes
-        p = verifier.subset_probability(range(n), verifier.original_label)
+        label = verifier.model.predict(verifier.graph)
+        p = verifier.subset_probability(range(n), label)
         assert 0.0 <= p <= 1.0
         assert verifier.inference_calls == 1
         assert p == pytest.approx(
-            float(
-                verifier.model.predict_proba(verifier.graph)[
-                    verifier.original_label
-                ]
-            )
+            float(verifier.model.predict_proba(verifier.graph)[label])
         )
 
 
@@ -148,15 +159,14 @@ class TestBatchedVerifierRefusal:
         model = _NoBatchModel(trained_model)
         with pytest.raises(ModelError, match="predict_proba_batch"):
             BatchedGnnVerifier(model, graph)
-        # refused before the constructor's own forward: an object that
-        # cannot run one gets the same typed error
+        # an object that cannot run any forward gets the same typed error
         with pytest.raises(ModelError, match="predict_proba_batch"):
             BatchedGnnVerifier(object(), graph)
         config = GvexConfig(theta=0.08, radius=0.3).with_bounds(0, 6)
         with pytest.raises(ModelError, match="predict_proba_batch"):
             explain_graph(model, graph, label, config)
         # the serial schedule still answers for such a model
-        assert GnnVerifier(model, graph).original_label == label
+        assert GnnVerifier(model, graph).label_of_nodes(graph.nodes()) == label
 
 
 class TestVpExtendFrontier:
@@ -207,9 +217,9 @@ class TestVpExtend:
             if label != 1:
                 continue
             g = mutagen_db[idx]
-            verifier = GnnVerifier(trained_model, g)
-            if verifier.original_label != 1:
+            if trained_model.predict(g) != 1:
                 continue
+            verifier = GnnVerifier(trained_model, g)
             motif = [v for v in g.nodes() if g.node_type(v) in (N, O)]
             consistent, counterfactual = verifier.check(motif, 1)
             if not (consistent and counterfactual):

@@ -273,7 +273,7 @@ def test_non_finite_rows_are_never_bases(delta_launches):
     poisoned = Graph(graph.node_types, features=X, directed=graph.directed)
     for u, v, t in graph.edges():
         poisoned.add_edge(u, v, t)
-    batched = BatchedGnnVerifier(model, poisoned, original_label=None)
+    batched = BatchedGnnVerifier(model, poisoned)
     batched.prefetch_remainders([frozenset({v}) for v in range(20)])
     assert set(batched._frontier) == {frozenset({7})}  # the only finite one
     # {3, 7} drops the NaN row: finite, while the base {3} is NaN throughout
@@ -335,7 +335,7 @@ def test_node_adapter_never_takes_delta(delta_launches):
     marked = Graph(graph.node_types, features=np.hstack([X, marker]))
     for u, v, t in graph.edges():
         marked.add_edge(u, v, t)
-    verifier = BatchedGnnVerifier(adapter, marked, original_label=None)
+    verifier = BatchedGnnVerifier(adapter, marked)
     assert not verifier._keeps_bases
     for size in range(1, 5):
         verifier.prefetch_remainders([set(range(1, size + 1)) | {v} for v in range(10, 30)])
@@ -346,7 +346,7 @@ def test_node_adapter_never_takes_delta(delta_launches):
 def test_above_crossover_keeps_the_latest_frontier_only(delta_launches):
     model = large_model("malnet")
     graph = load_dataset("malnet", scale="large", seed=0)[0]
-    verifier = BatchedGnnVerifier(model, graph, original_label=None)
+    verifier = BatchedGnnVerifier(model, graph)
     assert verifier._keeps_bases
     first = [frozenset({v}) for v in range(20)]
     verifier.prefetch_remainders(first)

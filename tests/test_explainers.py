@@ -24,7 +24,7 @@ def make_explainers(model):
     config = GvexConfig(theta=0.08, radius=0.3).with_bounds(0, 5)
     return {
         "AG": ApproxGvexExplainer(model, config),
-        "SG": StreamGvexExplainer(model, config, seed=0),
+        "SG": StreamGvexExplainer(model, config),
         "GE": GnnExplainer(model, epochs=40, seed=0),
         "SX": SubgraphX(model, rollouts=12, shapley_samples=4, seed=0),
         "GX": GStarX(model, coalition_samples=12, seed=0),

@@ -140,6 +140,18 @@ class TestIo:
         assert got.subgraphs[0].consistent and not got.subgraphs[0].counterfactual
         assert got.patterns[0].key() == view.patterns[0].key()
 
+    def test_empty_view_round_trips_byte_stable(self, tmp_path):
+        """A label group with no subgraphs persists ``"score": 0.0``, so
+        save -> load -> save writes the same bytes."""
+        from repro.config import GvexConfig
+        from repro.runtime import assemble_views
+
+        views = assemble_views({}, GvexConfig(), [0, 1])
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        io.save_views(views, first)
+        io.save_views(io.load_views(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
 
 class TestViewsSchema:
     """The versioned views wire format (schema 2, v1 read-compat)."""

@@ -3,14 +3,17 @@
 Three levels:
 
 * **plan** — label-group sharding: ascending order preserved, shard
-  sizing respects the verifier cache geometry and worker balance,
-  approx-method constructor overrides rejected;
+  sizing respects the verifier cache geometry and worker balance, a
+  per-group ApproxGVEX label group is one shard, GVEX constructor
+  overrides rejected;
 * **executor parity** — the serial and fork-pool executors and the
   cluster's merge (each shard's subgraphs round-tripped through a
   ``result`` envelope, then the coordinator's union and Psum) produce
   *bit-identical* view sets (nodes, scores, flags, patterns, edge
   loss) on the trained motif model and across the synthetic zoo, in
-  paper and soft verification modes;
+  paper and soft verification modes, for ApproxGVEX under both
+  coverage scopes and for StreamGVEX; a plan restricted by
+  ``predicted`` explains only its tasks, whatever the method;
 * **work queue** — admission control: FIFO results, immediate
   ``QueueFullError`` past capacity, counters; plus the serve path
   under load (503 + queue metrics on /health) and bearer-token auth.
@@ -18,6 +21,7 @@ Three levels:
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 import time
@@ -26,13 +30,21 @@ import urllib.request
 
 import pytest
 
-from repro.config import SCOPE_PER_GROUP, GvexConfig, VERIFY_PAPER, VERIFY_SOFT
+from repro.api.registry import explainer_names
+from repro.config import (
+    SCOPE_PER_GRAPH,
+    SCOPE_PER_GROUP,
+    GvexConfig,
+    VERIFY_PAPER,
+    VERIFY_SOFT,
+)
 from repro.datasets.registry import DATASETS, dataset_info, load_dataset
 from repro.exceptions import QueueFullError, RegistryError
 from repro.gnn.model import GnnClassifier
 from repro.graphs.database import GraphDatabase
 from repro.graphs.graph import Graph
 from repro.runtime import (
+    APPROX_METHOD,
     BoundedWorkQueue,
     ForkPoolExecutor,
     SerialExecutor,
@@ -41,13 +53,41 @@ from repro.runtime import (
     run_tasks,
     shard_size_for,
 )
-from repro.runtime.cluster import ClusterCoordinator, DistributedExecutor, wire
+from repro.runtime.cluster import wire
 from repro.runtime.cluster.coordinator import merge_results
 from repro.runtime.cluster.worker import shard_views
 from tests.test_golden_views import view_set_fingerprint
 
 ZOO = sorted(DATASETS)
 GRAPHS_PER_LABEL = 2
+MODES = [VERIFY_PAPER, VERIFY_SOFT]
+
+#: the (method, coverage scope) inputs of the parity suites; the first
+#: keeps the suites' bare test ids
+METHOD_SCOPES = [
+    (APPROX_METHOD, SCOPE_PER_GRAPH),
+    (APPROX_METHOD, SCOPE_PER_GROUP),
+    ("gvex-stream", SCOPE_PER_GRAPH),
+]
+
+#: constructor overrides that keep the baselines quick
+FAST_OVERRIDES = {
+    "subgraphx": dict(rollouts=2, shapley_samples=2),
+    "gnnexplainer": dict(epochs=3),
+    "gstarx": dict(coalition_samples=4),
+}
+
+
+def parity_cases(*axes):
+    """``pytest.param``\\ s over ``axes`` × :data:`METHOD_SCOPES`."""
+    cases = []
+    for values in itertools.product(*axes):
+        for method, scope in METHOD_SCOPES:
+            case_id = "-".join(values)
+            if (method, scope) != METHOD_SCOPES[0]:
+                case_id += f"-{method}-{scope}"
+            cases.append(pytest.param(*values, method, scope, id=case_id))
+    return cases
 
 
 def zoo_model(dataset: str) -> GnnClassifier:
@@ -144,14 +184,31 @@ class TestPlan:
     def test_approx_rejects_constructor_overrides(
         self, trained_model, mutagen_db
     ):
-        with pytest.raises(RegistryError):
-            build_plan(
-                mutagen_db,
-                trained_model,
-                GvexConfig(),
-                method="gvex-approx",
-                explainer_kwargs={"rollouts": 3},
-            )
+        for method in ("gvex-approx", "gvex-stream"):
+            with pytest.raises(RegistryError):
+                build_plan(
+                    mutagen_db,
+                    trained_model,
+                    GvexConfig(),
+                    method=method,
+                    explainer_kwargs={"rollouts": 3},
+                )
+
+    def test_per_group_approx_group_is_one_shard(
+        self, trained_model, mutagen_db
+    ):
+        """The per-group budget threads through a whole label group, so
+        neither ``shard_size`` nor the worker count splits it."""
+        config = GvexConfig(coverage_scope=SCOPE_PER_GROUP).with_bounds(0, 8)
+        plan = build_plan(
+            mutagen_db, trained_model, config, shard_size=2, processes=4
+        )
+        assert len(plan.shards) == len(plan.labels) == 2
+        stream = build_plan(
+            mutagen_db, trained_model, config, method="gvex-stream",
+            shard_size=2,
+        )
+        assert len(stream.shards) > len(stream.labels)
 
     def test_labels_subset(self, trained_model, mutagen_db):
         plan = build_plan(
@@ -166,13 +223,20 @@ class TestPlan:
 # executor parity: serial == fork-pool == the cluster's merge, bit for bit
 # ----------------------------------------------------------------------
 class TestExecutorParity:
-    @pytest.mark.parametrize("mode", [VERIFY_PAPER, VERIFY_SOFT])
-    def test_trained_model_parity(self, trained_model, mutagen_db, mode):
+    @pytest.mark.parametrize("mode,method,scope", parity_cases(MODES))
+    def test_trained_model_parity(
+        self, trained_model, mutagen_db, mode, method, scope
+    ):
         config = GvexConfig(
-            theta=0.08, radius=0.3, verification=mode
-        ).with_bounds(0, 6)
-        plan = build_plan(mutagen_db, trained_model, config, processes=2)
-        assert len(plan.shards) > len(plan.labels)  # the merge has work
+            theta=0.08, radius=0.3, verification=mode, coverage_scope=scope
+        ).with_bounds(0, 6 if scope == SCOPE_PER_GRAPH else 14)
+        plan = build_plan(
+            mutagen_db, trained_model, config, method=method, processes=2
+        )
+        if method == APPROX_METHOD and scope == SCOPE_PER_GROUP:
+            assert len(plan.shards) == len(plan.labels)  # one per group
+        else:
+            assert len(plan.shards) > len(plan.labels)  # the merge has work
         serial, _ = SerialExecutor().run(plan)
         fork, _ = ForkPoolExecutor(processes=2).run(plan)
         merged, _ = wire_merge(plan, run_tasks(plan))
@@ -180,25 +244,85 @@ class TestExecutorParity:
         assert view_set_fingerprint(fork) == want
         assert view_set_fingerprint(merged) == want
 
-    @pytest.mark.parametrize("mode", [VERIFY_PAPER, VERIFY_SOFT])
-    @pytest.mark.parametrize("dataset", ZOO)
-    def test_zoo_parity(self, dataset, mode):
+    @pytest.mark.parametrize(
+        "dataset,mode,method,scope", parity_cases(ZOO, MODES)
+    )
+    def test_zoo_parity(self, dataset, mode, method, scope):
         """Bit-identical views on every synthetic-zoo dataset."""
         db = load_dataset(dataset, scale="test", seed=0)
         model = zoo_model(dataset)
-        config = GvexConfig(verification=mode).with_bounds(0, 5)
+        config = GvexConfig(
+            verification=mode, coverage_scope=scope
+        ).with_bounds(0, 5 if scope == SCOPE_PER_GRAPH else 8)
         predicted = limited_predicted(db, model, GRAPHS_PER_LABEL)
-        plan = build_plan(db, model, config, predicted=predicted, processes=2)
+        plan = build_plan(
+            db, model, config, predicted=predicted, method=method, processes=2
+        )
         assert plan.n_tasks > 0
         serial, serial_stats = SerialExecutor().run(plan)
         fork, fork_stats = ForkPoolExecutor(processes=2).run(plan)
         merged, merged_calls = wire_merge(plan, run_tasks(plan))
         want = view_set_fingerprint(serial)
-        assert view_set_fingerprint(fork) == want, (dataset, mode)
-        assert view_set_fingerprint(merged) == want, (dataset, mode)
+        case = (dataset, mode, method, scope)
+        assert view_set_fingerprint(fork) == want, case
+        assert view_set_fingerprint(merged) == want, case
         # every schedule runs the same work: same launch count
         assert fork_stats["inference_calls"] == serial_stats["inference_calls"]
         assert merged_calls == serial_stats["inference_calls"]
+
+    def test_per_group_budget_threads_through_the_group(
+        self, trained_model, mutagen_db
+    ):
+        """One result per task: graphs after the spent budget get None,
+        and the group's subgraphs stay within ``u_l`` in total."""
+        config = GvexConfig(
+            theta=0.08, radius=0.3, coverage_scope=SCOPE_PER_GROUP
+        ).with_bounds(0, 10)
+        plan = build_plan(mutagen_db, trained_model, config)
+        tasks = run_tasks(plan, processes=2)
+        assert [i for i, _, _, _ in tasks] == [
+            i for s in plan.shards for i in s.indices
+        ]
+        assert any(sub is None for _, _, sub, _ in tasks)
+        views, _ = SerialExecutor().run(plan)
+        for view in views:
+            assert 0 < view.n_subgraph_nodes <= 10
+
+    def test_per_group_group_below_lower_bound_is_empty(
+        self, trained_model, mutagen_db
+    ):
+        """A group whose subgraphs miss ``b_l`` gets no subgraph at all."""
+        config = GvexConfig(
+            theta=0.08, radius=0.3, coverage_scope=SCOPE_PER_GROUP
+        ).with_bounds(10_000, 10_000)
+        plan = build_plan(mutagen_db, trained_model, config)
+        tasks = run_tasks(plan)
+        assert len(tasks) == plan.n_tasks
+        assert all(sub is None for _, _, sub, _ in tasks)
+        views, _ = SerialExecutor().run(plan)
+        for view in views:
+            assert view.subgraphs == [] and view.patterns == []
+            assert view.score == 0.0 and isinstance(view.score, float)
+
+    @pytest.mark.parametrize("method", explainer_names())
+    def test_restricted_plan_explains_only_its_tasks(
+        self, trained_model, mutagen_db, method
+    ):
+        """A plan restricted by ``predicted`` explains its tasks and no
+        other graph, whatever the method."""
+        config = GvexConfig(theta=0.08, radius=0.3).with_bounds(0, 4)
+        predicted = limited_predicted(mutagen_db, trained_model, 3)
+        plan = build_plan(
+            mutagen_db, trained_model, config, predicted=predicted,
+            method=method, explainer_kwargs=FAST_OVERRIDES.get(method, {}),
+        )
+        tasks = {i for s in plan.shards for i in s.indices}
+        assert len(tasks) == 6 < len(mutagen_db)
+        views, _ = SerialExecutor().run(plan)
+        explained = {s.graph_index for v in views for s in v.subgraphs}
+        assert explained <= tasks
+        if method == "gvex-stream":
+            assert explained == tasks
 
     def test_sharded_composes_with_fork_pool(self, trained_model, mutagen_db):
         """Shards explained in forked workers merge like cluster results."""
@@ -216,47 +340,6 @@ class TestExecutorParity:
         forked, forked_stats = run_plan(plan, processes=2, return_stats=True)
         assert view_set_fingerprint(forked) == view_set_fingerprint(views)
         assert forked_stats == stats
-
-    def test_one_predicate_decides_the_serial_fallback(
-        self, trained_model, mutagen_db
-    ):
-        """``ExplainPlan.splittable`` is the only fallback rule.
-
-        The core kernel under per-group scope and native-view methods
-        other than the core kernel run whole; everything else, baseline
-        methods under per-group scope included, may be split.
-        """
-        per_group = GvexConfig(coverage_scope=SCOPE_PER_GROUP).with_bounds(0, 4)
-
-        def splittable(config, method):
-            return build_plan(
-                mutagen_db, trained_model, config, method=method
-            ).splittable
-
-        assert splittable(GvexConfig().with_bounds(0, 4), "gvex-approx")
-        assert not splittable(per_group, "gvex-approx")
-        assert not splittable(GvexConfig().with_bounds(0, 4), "gvex-stream")
-        assert splittable(per_group, "random")
-
-    def test_native_stream_keeps_serial_semantics(
-        self, trained_model, mutagen_db
-    ):
-        """StreamGVEX owns its pipeline: neither the fork pool nor the
-        cluster may decompose it (different pattern tier) — both route
-        it to the serial path."""
-        config = GvexConfig(theta=0.08, radius=0.3).with_bounds(0, 6)
-        plan = build_plan(
-            mutagen_db, trained_model, config, method="gvex-stream"
-        )
-        serial, _ = SerialExecutor().run(plan)
-        fork, _ = ForkPoolExecutor(processes=2).run(plan)
-        # no worker ever registers: a dispatch attempt would raise
-        # ClusterError, so equal views prove the serial fallback
-        with ClusterCoordinator() as coord:
-            cluster, _ = DistributedExecutor(coord).run(plan)
-        want = view_set_fingerprint(serial)
-        assert view_set_fingerprint(fork) == want
-        assert view_set_fingerprint(cluster) == want
 
     def test_baseline_method_through_executors(
         self, trained_model, mutagen_db

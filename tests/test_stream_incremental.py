@@ -63,7 +63,7 @@ def stream_fingerprint(result):
 def run_stream(model, graph, label, config, rebuild=False, **kwargs):
     """One stream, on the rebuild reference when ``rebuild``."""
     with rebuild_everify() if rebuild else nullcontext():
-        algo = StreamGvex(model, config, seed=0)
+        algo = StreamGvex(model, config)
         return algo.explain_graph_stream(graph, label, **kwargs)
 
 

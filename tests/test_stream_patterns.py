@@ -48,7 +48,7 @@ def pattern_fingerprint(result):
 
 def run_stream(model, graph, label, config, remine=False):
     with remine_patterns() if remine else nullcontext():
-        algo = StreamGvex(model, config, seed=0)
+        algo = StreamGvex(model, config)
         return algo.explain_graph_stream(graph, label)
 
 

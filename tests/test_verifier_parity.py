@@ -366,10 +366,10 @@ def test_stream_parity(trained_model, mutagen_db, mode):
         label = trained_model.predict(graph)
         config = GvexConfig(verification=mode).with_bounds(0, 6)
         with serial_verifier():
-            rs = StreamGvex(trained_model, config, seed=0).explain_graph_stream(
+            rs = StreamGvex(trained_model, config).explain_graph_stream(
                 graph, label
             )
-        rb = StreamGvex(trained_model, config, seed=0).explain_graph_stream(
+        rb = StreamGvex(trained_model, config).explain_graph_stream(
             graph, label
         )
         if rs.subgraph is None:

@@ -211,8 +211,9 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
     """Reusable JSON-over-HTTP plumbing shared by every repro endpoint.
 
     Provides bearer-token auth (constant-time compare), bounded body
-    reads (:class:`_PayloadTooLarge` -> 413), JSON responses, and quiet
-    logging. The owning server object must expose ``auth_token``
+    reads (:class:`_PayloadTooLarge` -> 413; a negative
+    ``Content-Length`` is a 400 before any read), JSON responses, and
+    quiet logging. The owning server object must expose ``auth_token``
     (``Optional[str]``) and ``max_body_bytes`` (``int``). The serving
     handler below and the cluster coordinator/worker handlers
     (``repro.runtime.cluster``) all subclass this, so the wire behavior
@@ -231,6 +232,8 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> Dict[str, Any]:
         length = int(self.headers.get("Content-Length") or 0)
+        if length < 0:  # rfile.read(-1) would block until the client closes
+            raise ValidationError(f"negative Content-Length: {length}")
         if length == 0:
             return {}
         if length > self.server.max_body_bytes:

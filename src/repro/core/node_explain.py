@@ -19,7 +19,7 @@ contains it (its prediction is what is being explained).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -98,23 +98,21 @@ class CenterGraphClassifier:
     def predict_proba_batch(
         self,
         graph: Graph,
-        node_subsets: List[List[int]],
+        node_subsets: np.ndarray,
         cache: Optional[dict] = None,
-        presorted: bool = False,
     ) -> np.ndarray:
         """Batched ``predict_proba`` over node-induced subgraphs.
 
         Lets ``BatchedGnnVerifier`` serve node-explanation frontiers
-        with stacked passes. Rows match the serial path bit-for-bit:
-        subsets lacking the center marker (or empty) get the uniform
-        prior, others the center row of the stacked node-model forward.
-        ``presorted=True`` takes a ``(B, k)`` index matrix of strictly
-        increasing rows and skips per-subset normalization (the
-        frontier-reuse fast path).
+        with stacked passes. ``node_subsets`` is a ``(B, k)`` matrix of
+        strictly increasing node rows, as for
+        :meth:`GnnClassifier.predict_proba_batch`. Rows match the
+        serial path bit-for-bit: subsets lacking the center marker (or
+        empty) get the uniform prior, others the center row of the
+        stacked node-model forward.
         """
         from repro.gnn.batch import (
             aggregation_matrices,
-            batched_subset_probas,
             presorted_rows_probas,
             stacked_layers,
         )
@@ -153,16 +151,7 @@ class CenterGraphClassifier:
                 )
             return out
 
-        if presorted:
-            return presorted_rows_probas(
-                graph,
-                np.asarray(node_subsets, dtype=np.intp),
-                self.n_classes,
-                features,
-                forward_group,
-                cache,
-            )
-        return batched_subset_probas(
+        return presorted_rows_probas(
             graph, node_subsets, self.n_classes, features, forward_group, cache
         )
 

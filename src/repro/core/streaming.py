@@ -84,13 +84,15 @@ class StreamResult:
     incremental engine pays one full refresh per stream plus cheap
     extensions, the rebuild reference one full refresh per chunk — the
     per-chunk launch contrast the parity suite and
-    ``bench_fig12_node_order.py`` assert.
+    ``bench_fig12_node_order.py`` assert. ``inference_calls`` counts
+    the stream's EVerify forward launches.
     """
 
     subgraph: Optional[ExplanationSubgraph]
     patterns: List[Pattern] = field(default_factory=list)
     snapshots: List[AnytimeSnapshot] = field(default_factory=list)
     oracle_stats: OracleStats = field(default_factory=OracleStats)
+    inference_calls: int = 0
 
 
 class _Incumbent(NamedTuple):
@@ -141,8 +143,8 @@ class StreamGvex:
         ``order`` fixes the arrival order (default: natural node order);
         StreamGVEX's guarantees are order-independent (§A.8), which
         Figure 12's bench verifies empirically. ``classifier`` is the
-        subset classifier the enclosing shard's streams share (a new
-        one by default).
+        subset classifier the worker state's streams share (a new one
+        by default).
         """
         bounds = self.config.coverage_for(label)
         lower = bounds.lower if lower is None else lower
@@ -243,6 +245,7 @@ class StreamGvex:
                 patterns=patterns,
                 snapshots=snapshots,
                 oracle_stats=engine.stats,
+                inference_calls=verifier.inference_calls,
             )
 
         # consistency repair: the stream admits nodes in arrival order, so
@@ -294,6 +297,7 @@ class StreamGvex:
             patterns=patterns,
             snapshots=snapshots,
             oracle_stats=engine.stats,
+            inference_calls=verifier.inference_calls,
         )
 
     # ------------------------------------------------------------------

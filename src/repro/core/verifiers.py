@@ -13,7 +13,7 @@ and exposed for users who assemble views by hand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -200,10 +200,14 @@ class BatchedGnnVerifier(GnnVerifier):
 
     Same memoization semantics and bit-identical probabilities as the
     serial :class:`GnnVerifier` — only the schedule differs: prefetches
-    evaluate every cache miss in one stacked forward pass
+    evaluate every cache miss in stacked forward passes
     (:meth:`GnnClassifier.predict_proba_batch`), so ``inference_calls``
-    counts one launch per frontier instead of one per subset. A lazy
-    miss outside a prefetch is a one-key :meth:`prefetch_subsets` or
+    counts one launch per chunk of same-size misses instead of one per
+    subset. :meth:`_launch` makes every such launch from the misses'
+    sorted ``(B, k)`` node rows: the subsets' own nodes, the remainders'
+    complements (:meth:`_remainder_rows`) or an extension frontier's
+    one splice (``extension_index_matrix``). A lazy miss outside a
+    prefetch is a one-key :meth:`prefetch_subsets` or
     :meth:`prefetch_remainders` launch, so no query builds a ``Graph``
     copy.
 
@@ -215,9 +219,10 @@ class BatchedGnnVerifier(GnnVerifier):
     ``v`` (:meth:`GnnClassifier.predict_proba_delta`). Only GCN
     :class:`GnnClassifier` models (``delta_capable``) take it.
 
-    The model must have ``predict_proba_batch`` (taking the ``cache``
-    and ``presorted`` arguments); a model without one is refused with
-    :class:`~repro.exceptions.ModelError` before any forward runs.
+    The model must have ``predict_proba_batch`` (taking a sorted
+    ``(B, k)`` index matrix and the ``cache`` argument); a model without
+    one is refused with :class:`~repro.exceptions.ModelError` before any
+    forward runs.
     """
 
     #: peak-memory cap: one stacked launch materializes ``(B, k, k)``
@@ -270,32 +275,41 @@ class BatchedGnnVerifier(GnnVerifier):
             self.prefetch_remainders([key])
         return super()._remainder_proba(key)
 
-    def _launch(self, subsets: "list[list[int]]") -> "list[np.ndarray]":
-        """Stacked forwards over ``subsets``, chunked to the memory cap."""
-        rows: "list[np.ndarray]" = []
-        start = 0
-        while start < len(subsets):
-            widest = max(
-                (len(s) for s in subsets[start:]), default=1
-            )
-            chunk = max(1, self.BATCH_ELEMENT_BUDGET // max(1, widest * widest))
-            batch = subsets[start : start + chunk]
-            probas = self.model.predict_proba_batch(
-                self.graph, batch, cache=self._gather_cache
-            )
-            rows.extend(probas)
-            self.inference_calls += 1
-            self.subsets_evaluated += len(batch)
-            start += chunk
-        return rows
+    def _chunks(self, n_rows: int, width: int) -> "list[slice]":
+        """Launch-sized slices of ``n_rows`` rows of ``width`` nodes."""
+        step = max(1, self.BATCH_ELEMENT_BUDGET // max(1, width * width))
+        return [slice(start, start + step) for start in range(0, n_rows, step)]
+
+    def _launch(
+        self,
+        keys: "list[FrozenSet[int]]",
+        rows: Callable[["list[FrozenSet[int]]"], np.ndarray],
+        store: Dict[FrozenSet[int], np.ndarray],
+    ) -> None:
+        """Stacked forwards over ``keys``, one launch per subset size and
+        memory-cap chunk. ``rows(group)`` builds a same-size group's
+        sorted ``(B, k)`` node rows; each row's distribution is cached in
+        ``store`` under its key."""
+        for group in _by_size(keys):
+            idx = rows(group)
+            for part in self._chunks(*idx.shape):
+                probas = self.model.predict_proba_batch(
+                    self.graph, idx[part], cache=self._gather_cache
+                )
+                self.inference_calls += 1
+                self.subsets_evaluated += len(probas)
+                store.update(zip(group[part], probas))
+
+    def _remainder_rows(self, keys: "list[FrozenSet[int]]") -> np.ndarray:
+        """Sorted ``(B, n - k)`` node rows of ``G \\ key`` per same-size key."""
+        n, k = self.graph.n_nodes, len(keys[0])
+        kept = np.ones((len(keys), n), dtype=bool)
+        kept[np.arange(len(keys)).repeat(k), [v for key in keys for v in key]] = False
+        return np.nonzero(kept)[1].reshape(len(keys), n - k)
 
     def prefetch_subsets(self, keys: Iterable[Iterable[int]]) -> int:
         misses = self._subset_misses(keys)
-        if not misses:
-            return 0
-        rows = self._launch([sorted(key) for key in misses])
-        for key, row in zip(misses, rows):
-            self._subset_probas[key] = row
+        self._launch(misses, _sorted_rows, self._subset_probas)
         return len(misses)
 
     def prefetch_remainders(self, keys: Iterable[Iterable[int]]) -> int:
@@ -303,12 +317,7 @@ class BatchedGnnVerifier(GnnVerifier):
         if not misses:
             return 0
         if not self._keeps_bases:
-            all_nodes = range(self.graph.n_nodes)
-            rows = self._launch(
-                [[v for v in all_nodes if v not in key] for key in misses]
-            )
-            for key, row in zip(misses, rows):
-                self._remainder_probas[key] = row
+            self._launch(misses, self._remainder_rows, self._remainder_probas)
             return len(misses)
         frontier: Dict[FrozenSet[int], Tuple[np.ndarray, list]] = {}
         rest = misses
@@ -388,23 +397,15 @@ class BatchedGnnVerifier(GnnVerifier):
         frontier: Dict[FrozenSet[int], Tuple[np.ndarray, list]],
     ) -> None:
         """Full stacked forwards over ``keys`` that keep each layer's rows."""
-        by_size: Dict[int, "list[FrozenSet[int]]"] = {}
-        for key in keys:
-            by_size.setdefault(len(key), []).append(key)
-        n = self.graph.n_nodes
-        for group in by_size.values():
-            rows = n - len(group[0])
-            chunk = max(1, self.BATCH_ELEMENT_BUDGET // max(1, rows * rows))
-            for start in range(0, len(group), chunk):
-                part = group[start : start + chunk]
-                kept = np.ones((len(part), n), dtype=bool)
-                for j, key in enumerate(part):
-                    kept[j, list(key)] = False
-                idx = np.nonzero(kept)[1].reshape(len(part), rows)
+        for group in _by_size(keys):
+            idx = self._remainder_rows(group)
+            for part in self._chunks(*idx.shape):
                 probas, hiddens = self.model.predict_proba_hiddens(
-                    self.graph, idx, cache=self._gather_cache
+                    self.graph, idx[part], cache=self._gather_cache
                 )
-                self._store_remainders(part, probas, idx, hiddens, frontier)
+                self._store_remainders(
+                    group[part], probas, idx[part], hiddens, frontier
+                )
 
     def _store_remainders(
         self,
@@ -431,16 +432,15 @@ class BatchedGnnVerifier(GnnVerifier):
     def prefetch_extensions(
         self, base: Iterable[int], candidates: Iterable[int]
     ) -> int:
-        """Stacked fill of ``base ∪ {v}`` probes via the splice fast path.
+        """Stacked fill of ``base ∪ {v}`` probes from one splice.
 
         Builds the frontier's sorted index matrix with one vectorized
         splice into the shared ``base`` arrangement
-        (:func:`repro.gnn.batch.extension_index_matrix`) — skipping the
-        per-subset sorting and validation of the generic prefetch — and
-        launches it through the presorted fast path. No state is
-        carried between rounds (the gathers read the per-graph ``X``/
-        ``A`` cache, which costs the same as splicing old tensors
-        would). Cached values are bit-identical to
+        (:func:`repro.gnn.batch.extension_index_matrix`) instead of
+        sorting every subset, and launches it like any other frontier.
+        No state is carried between rounds (the gathers read the
+        per-graph ``X``/``A`` cache, which costs the same as splicing
+        old tensors would). Cached values are bit-identical to
         :meth:`prefetch_subsets`'s.
         """
         base_key = frozenset(int(v) for v in base)
@@ -450,23 +450,26 @@ class BatchedGnnVerifier(GnnVerifier):
             if v not in base_key
         ]
         misses = [v for v in fresh if base_key | {v} not in self._subset_probas]
-        if not misses:
-            return 0
-        idx = extension_index_matrix(base_key, misses)
-        width = idx.shape[1]
-        chunk = max(1, self.BATCH_ELEMENT_BUDGET // max(1, width * width))
-        start = 0
-        while start < len(misses):
-            part = idx[start : start + chunk]
-            probas = self.model.predict_proba_batch(
-                self.graph, part, cache=self._gather_cache, presorted=True
-            )
-            for v, row in zip(misses[start : start + chunk], probas):
-                self._subset_probas[base_key | {v}] = row
-            self.inference_calls += 1
-            self.subsets_evaluated += len(part)
-            start += chunk
+        self._launch(
+            [base_key | {v} for v in misses],  # one size: one group
+            lambda _: extension_index_matrix(base_key, misses),
+            self._subset_probas,
+        )
         return len(misses)
+
+
+def _by_size(keys: "list[FrozenSet[int]]") -> "list[list[FrozenSet[int]]]":
+    """``keys`` grouped by size, in order of first appearance: a stacked
+    launch takes one subset size."""
+    groups: Dict[int, "list[FrozenSet[int]]"] = {}
+    for key in keys:
+        groups.setdefault(len(key), []).append(key)
+    return list(groups.values())
+
+
+def _sorted_rows(keys: "list[FrozenSet[int]]") -> np.ndarray:
+    """Each same-size key's nodes in increasing order: ``(B, k)`` rows."""
+    return np.array([sorted(key) for key in keys], dtype=np.intp)
 
 
 def vp_extend(

@@ -6,9 +6,10 @@ the matching remainders for counterfactual probes. The serial path
 builds an induced :class:`~repro.graphs.graph.Graph` per candidate
 (Python dict/set churn over every edge) and runs one dense forward per
 subset; that is the dominant cost of the explain phase (§6.2's
-efficiency discussion). This module instead gathers all same-size
-subsets into ``(B, k, ·)`` tensors with one fancy-indexing pass over
-the *parent* graph's adjacency/feature matrices and runs the
+efficiency discussion). This module instead takes a batch of
+same-size subsets as one ``(B, k)`` matrix of sorted node rows, gathers
+it into ``(B, k, ·)`` tensors with one fancy-indexing pass over the
+*parent* graph's adjacency/feature matrices and runs the
 message-passing layers as stacked matmuls.
 
 Bitwise parity with the serial path is load-bearing: the greedy makes
@@ -33,27 +34,12 @@ conv types and readouts.
 from __future__ import annotations
 
 import functools
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import ModelError
 from repro.graphs.graph import Graph
-
-
-def normalize_subsets(
-    node_subsets: Iterable[Iterable[int]], n_nodes: int
-) -> List[Tuple[int, ...]]:
-    """Sorted, deduplicated, validated subsets (the serial key order)."""
-    out: List[Tuple[int, ...]] = []
-    for subset in node_subsets:
-        nodes = tuple(sorted({int(v) for v in subset}))
-        if nodes and not (0 <= nodes[0] and nodes[-1] < n_nodes):
-            raise ModelError(
-                f"subset {nodes} references nodes outside 0..{n_nodes - 1}"
-            )
-        out.append(nodes)
-    return out
 
 
 def extension_index_matrix(
@@ -65,10 +51,10 @@ def extension_index_matrix(
     every row shares the same sorted ``base``, differing in one spliced
     column. This derives the whole matrix from that structure with one
     vectorized ``searchsorted`` instead of per-subset Python
-    ``sorted(set(...))`` churn (the normalization pass that dominated
-    frontier setup); rows are bit-identical to
-    :func:`normalize_subsets` output, so downstream gathers match the
-    serial path exactly. Splicing into the *previous* round's gathered
+    ``sorted(set(...))`` churn; each row is its subset's nodes in
+    increasing order, the serial path's key order, so downstream
+    gathers match the serial path exactly. Splicing into the
+    *previous* round's gathered
     ``(B, k, ·)`` tensors instead was evaluated and rejected: gathering
     from the parent's cached ``X``/``A`` is the same memcpy volume as
     copying the old tensors, so rebuilding from the index matrix is
@@ -89,14 +75,6 @@ def extension_index_matrix(
     idx = base_arr[np.clip(src, 0, k - 1)]
     idx[np.arange(n_cand), pos] = cand
     return idx
-
-
-def group_by_size(subsets: Sequence[Tuple[int, ...]]) -> Dict[int, List[int]]:
-    """Indices of ``subsets`` grouped by subset size (one batch each)."""
-    groups: Dict[int, List[int]] = {}
-    for i, subset in enumerate(subsets):
-        groups.setdefault(len(subset), []).append(i)
-    return groups
 
 
 def symmetrized_adjacency(graph: Graph) -> np.ndarray:
@@ -121,22 +99,6 @@ def symmetrized_adjacency(graph: Graph) -> np.ndarray:
         A.setflags(write=False)
         graph._sym_adj = A
     return A
-
-
-def gather_subset_batch(
-    A_sym: np.ndarray,
-    X_full: np.ndarray,
-    subsets: Sequence[Tuple[int, ...]],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(X_b, A_b)`` tensors for a group of same-size subsets.
-
-    ``X_b`` is ``(B, k, d)`` — each subset's feature rows; ``A_b`` is
-    ``(B, k, k)`` — each subset's induced (symmetrized) adjacency.
-    """
-    idx = np.asarray(subsets, dtype=np.intp)
-    if idx.ndim != 2:
-        raise ModelError("all subsets in one batch must have the same size")
-    return X_full[idx], A_sym[idx[:, :, None], idx[:, None, :]]
 
 
 def aggregation_matrices(conv: str, gin_eps: float, A: np.ndarray) -> np.ndarray:
@@ -428,44 +390,6 @@ def gather_sources(
     return X_full, A_sym
 
 
-def batched_subset_probas(
-    graph: Graph,
-    node_subsets: Iterable[Iterable[int]],
-    n_classes: int,
-    features_fn,
-    forward_group,
-    cache: Optional[dict] = None,
-) -> np.ndarray:
-    """Shared driver for subset-batched inference.
-
-    Normalizes and validates the subsets, groups them by size, gathers
-    each group into stacked tensors, and delegates the model-specific
-    forward to ``forward_group(X_b, A_b) -> (B, n_classes)``. Empty
-    subsets get the uniform ``M(∅)`` prior without inference.
-
-    ``features_fn()`` supplies the parent graph's validated feature
-    matrix. Passing the same ``cache`` dict across calls reuses the
-    dense feature/adjacency gather sources — they are immutable per
-    graph, and rebuilding the O(n²) adjacency every prefetch would eat
-    the batching win on large graphs.
-    """
-    subsets = normalize_subsets(node_subsets, graph.n_nodes)
-    out = np.empty((len(subsets), n_classes), dtype=np.float64)
-    if not subsets:
-        return out
-    sources: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    for size, rows in sorted(group_by_size(subsets).items()):
-        if size == 0:
-            out[rows] = 1.0 / n_classes
-            continue
-        if sources is None:
-            sources = gather_sources(graph, features_fn, cache)
-        X_full, A_sym = sources
-        X_b, A_b = gather_subset_batch(A_sym, X_full, [subsets[i] for i in rows])
-        out[rows] = forward_group(X_b, A_b)
-    return out
-
-
 def presorted_rows_probas(
     graph: Graph,
     idx: np.ndarray,
@@ -474,16 +398,26 @@ def presorted_rows_probas(
     forward_group,
     cache: Optional[dict] = None,
 ) -> np.ndarray:
-    """:func:`batched_subset_probas` for a pre-sorted uniform-size frontier.
+    """Subset-batched inference: one stacked launch over sorted rows.
 
-    ``idx`` is a ``(B, k)`` matrix of strictly increasing node rows
-    (e.g. from :func:`extension_index_matrix`). Skips the per-subset
-    normalization pass — the frontier-reuse hot path — while producing
-    the exact tensors :func:`gather_subset_batch` would: the gathers
-    are the same fancy-indexing expressions, so results stay
-    bit-identical to the one-subset-at-a-time schedule.
+    ``idx`` is a ``(B, k)`` matrix of strictly increasing node rows,
+    one same-size subset per row (e.g. from
+    :func:`extension_index_matrix`); a row out of range or out of order
+    raises :class:`~repro.exceptions.ModelError`, and ``k == 0`` rows
+    get the uniform ``M(∅)`` prior without inference. Each row's
+    ``(k, d)`` features and ``(k, k)`` symmetrized adjacency are
+    gathered from the parent graph and ``forward_group(X_b, A_b) ->
+    (B, n_classes)`` runs the model-specific forward, so every row is
+    bit-identical to the serial forward on its induced subgraph.
+
+    ``features_fn()`` supplies the parent graph's validated feature
+    matrix. Passing the same ``cache`` dict across calls reuses the
+    dense gather sources (:func:`gather_sources`).
     """
-    idx = np.asarray(idx, dtype=np.intp)
+    try:
+        idx = np.asarray(idx, dtype=np.intp)
+    except (TypeError, ValueError) as exc:  # e.g. subsets of mixed sizes
+        raise ModelError("a launch takes one (B, k) matrix of node ids") from exc
     if idx.ndim != 2:
         raise ModelError(f"index matrix must be 2-D, got shape {idx.shape}")
     n_rows, k = idx.shape
@@ -491,12 +425,13 @@ def presorted_rows_probas(
         return np.full((n_rows, n_classes), 1.0 / n_classes)
     if n_rows == 0:
         return np.empty((0, n_classes), dtype=np.float64)
-    if idx.min() < 0 or idx.max() >= graph.n_nodes:
+    if k > 1 and not (idx[:, 1:] > idx[:, :-1]).all():
+        raise ModelError("index matrix rows must be strictly increasing")
+    # increasing rows: the first and last columns bound every node
+    if idx[:, 0].min() < 0 or idx[:, -1].max() >= graph.n_nodes:
         raise ModelError(
             f"index matrix references nodes outside 0..{graph.n_nodes - 1}"
         )
-    if k > 1 and not (np.diff(idx, axis=1) > 0).all():
-        raise ModelError("index matrix rows must be strictly increasing")
     X_full, A_sym = gather_sources(graph, features_fn, cache)
     X_b = X_full[idx]
     A_b = A_sym[idx[:, :, None], idx[:, None, :]]
@@ -521,14 +456,10 @@ def rowwise_head(
 
 
 __all__ = [
-    "normalize_subsets",
-    "group_by_size",
     "symmetrized_adjacency",
     "extension_index_matrix",
-    "gather_subset_batch",
     "aggregation_matrices",
     "gather_sources",
-    "batched_subset_probas",
     "presorted_rows_probas",
     "stacked_layers",
     "DELTA_MAX_ROWS",

@@ -16,7 +16,7 @@ GNNExplainer baseline's soft edge masks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -227,39 +227,27 @@ class GnnClassifier:
     def predict_proba_batch(
         self,
         graph: Graph,
-        node_subsets: Sequence[Iterable[int]],
+        node_subsets: np.ndarray,
         cache: Optional[Dict] = None,
-        presorted: bool = False,
     ) -> np.ndarray:
         """Class distributions for many node-induced subgraphs at once.
 
-        Row ``i`` equals ``predict_proba(graph.induced_subgraph(
-        node_subsets[i]))`` bit-for-bit (empty subsets get the uniform
-        ``M(∅)`` prior), but the whole batch is materialized with one
-        fancy-indexing gather per subset size and evaluated with
-        stacked matmuls instead of per-subset ``Graph`` construction.
-        This is the engine behind ``BatchedGnnVerifier``'s
-        frontier-at-a-time cache fills; callers looping over one graph
-        pass a ``cache`` dict to reuse the dense gather sources.
-
-        With ``presorted=True``, ``node_subsets`` is a ``(B, k)`` index
-        matrix of strictly increasing rows (uniform subset size, e.g.
-        from :func:`repro.gnn.batch.extension_index_matrix`) and the
-        per-subset normalization pass is skipped — the frontier-reuse
-        fast path. Results are identical either way.
+        ``node_subsets`` is a ``(B, k)`` matrix of strictly increasing
+        node rows: one launch takes subsets of one size (e.g. from
+        :func:`repro.gnn.batch.extension_index_matrix`). Row ``i``
+        equals ``predict_proba(graph.induced_subgraph(node_subsets[i]))``
+        bit-for-bit (``k == 0`` rows get the uniform ``M(∅)`` prior),
+        but the whole batch is materialized with one fancy-indexing
+        gather and evaluated with stacked matmuls instead of per-subset
+        ``Graph`` construction
+        (:func:`repro.gnn.batch.presorted_rows_probas`). This is the
+        engine behind ``BatchedGnnVerifier``'s frontier-at-a-time cache
+        fills; callers looping over one graph pass a ``cache`` dict to
+        reuse the dense gather sources.
         """
-        from repro.gnn.batch import batched_subset_probas, presorted_rows_probas
+        from repro.gnn.batch import presorted_rows_probas
 
-        if presorted:
-            return presorted_rows_probas(
-                graph,
-                np.asarray(node_subsets, dtype=np.intp),
-                self.n_classes,
-                lambda: self.features_for(graph),
-                self._forward_group,
-                cache,
-            )
-        return batched_subset_probas(
+        return presorted_rows_probas(
             graph,
             node_subsets,
             self.n_classes,
@@ -280,13 +268,13 @@ class GnnClassifier:
     def predict_proba_hiddens(
         self, graph: Graph, idx: np.ndarray, cache: Optional[Dict] = None
     ) -> Tuple[np.ndarray, List[np.ndarray]]:
-        """Presorted stacked forward that also returns every layer's rows.
+        """Stacked forward that also returns every layer's rows.
 
         ``idx`` is a ``(B, k)`` matrix of strictly increasing node rows
         (``k >= 1``). Returns the class distributions — identical to
-        ``predict_proba_batch(graph, idx, presorted=True)`` — and the
-        layer outputs ``H_1 .. H_k`` as ``(B, k, d_l)`` arrays: the base
-        rows a later :meth:`predict_proba_delta` copies from.
+        ``predict_proba_batch(graph, idx)`` — and the layer outputs
+        ``H_1 .. H_k`` as ``(B, k, d_l)`` arrays: the base rows a later
+        :meth:`predict_proba_delta` copies from.
         """
         from repro.gnn.batch import presorted_rows_probas
 

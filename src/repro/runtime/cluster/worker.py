@@ -236,9 +236,7 @@ class ClusterWorker:
             )
         state = self._state_for(msg)
         with self._exec_lock:
-            calls_before = state.inference_calls
             results = state.run_shard(Shard(msg.label, msg.indices))
-            calls = state.inference_calls - calls_before
         with self._lock:
             self.shards_run += 1
         return wire.encode_result(
@@ -246,7 +244,7 @@ class ClusterWorker:
             shard_id=msg.shard_id,
             worker_id=self.worker_id,
             views=shard_views(msg.label, results),
-            inference_calls=calls,
+            inference_calls=sum(calls for _, _, _, calls in results),
         )
 
     def health(self) -> Dict[str, Any]:

@@ -58,8 +58,9 @@ class WorkerState:
     an explicit object: the (copy-on-write-shared) model weights, the
     config, the database, and — for registry methods other than the
     two GVEX kernels — the explainer, built exactly once per worker.
-    ``inference_calls`` accumulates the approx path's forward-pass
-    launches across every shard the worker runs.
+    Every graph of every shard shares ``classifier`` (classes are
+    content-defined and rank nothing, so no view changes); it is not
+    thread-safe, and a state runs one shard at a time.
     """
 
     model: GnnClassifier
@@ -68,7 +69,9 @@ class WorkerState:
     method: str = APPROX_METHOD
     seed: int = 0
     explainer_kwargs: Mapping = field(default_factory=dict)
-    inference_calls: int = 0
+    classifier: SubsetClassifier = field(
+        default_factory=SubsetClassifier, repr=False
+    )
     _explainer: Optional[object] = field(default=None, repr=False)
 
     @classmethod
@@ -135,8 +138,6 @@ class WorkerState:
         bounds = self.config.coverage_for(shard.label)
         per_group = self.config.coverage_scope == SCOPE_PER_GROUP
         remaining = bounds.upper
-        # the shard's graphs share one novelty classifier
-        classifier = SubsetClassifier()
         out: List[TaskResult] = []
         for index in shard.indices:
             if per_group and remaining <= 0:
@@ -144,12 +145,11 @@ class WorkerState:
                 continue
             result = explain_graph(
                 self.model, self.db[index], shard.label, self.config,
-                graph_index=index, classifier=classifier,
+                graph_index=index, classifier=self.classifier,
                 lower=0 if per_group else None,
                 upper=remaining if per_group else None,
             )
             calls = result.inference_calls
-            self.inference_calls += calls
             out.append((index, shard.label, result.subgraph, calls))
             if per_group and result.subgraph is not None:
                 remaining -= result.subgraph.n_nodes
@@ -161,15 +161,14 @@ class WorkerState:
     def _run_stream(self, shard: Shard) -> List[TaskResult]:
         """StreamGVEX's node stream (Algorithm 3) over each graph."""
         algo = StreamGvex(self.model, self.config)
-        # the shard's streams share one ΔP subset classifier
-        classifier = SubsetClassifier()
         out: List[TaskResult] = []
         for index in shard.indices:
             result = algo.explain_graph_stream(
                 self.db[index], shard.label, graph_index=index,
-                classifier=classifier,
+                classifier=self.classifier,
             )
-            out.append((index, shard.label, result.subgraph, 0))
+            calls = result.inference_calls
+            out.append((index, shard.label, result.subgraph, calls))
         return out
 
 

@@ -49,7 +49,6 @@ AUTH = "cluster-secret"
 def shard_result_envelope(state: WorkerState, shard, shard_id, job_id="job-p"):
     """A result envelope for one shard, as wire bytes, in the older
     shape whose partial view carries the shard's own Psum patterns."""
-    before = state.inference_calls
     results = state.run_shard(shard)
     views = assemble_views(
         {shard.label: [s for _, _, s, _ in results if s is not None]},
@@ -61,7 +60,7 @@ def shard_result_envelope(state: WorkerState, shard, shard_id, job_id="job-p"):
         shard_id=shard_id,
         worker_id=f"w{shard_id % 3}",
         views=views,
-        inference_calls=state.inference_calls - before,
+        inference_calls=sum(calls for _, _, _, calls in results),
     )
     # the actual bytes a socket would carry
     return json.loads(wire.canonical_bytes(envelope))

@@ -341,6 +341,56 @@ class TestExecutorParity:
         assert view_set_fingerprint(forked) == view_set_fingerprint(views)
         assert forked_stats == stats
 
+    def test_stream_plan_counts_forward_passes(
+        self, trained_model, mutagen_db
+    ):
+        """A StreamGVEX plan reports its verifiers' launches, and the
+        same count under serial, fork-pool and wire-merge schedules."""
+        config = GvexConfig(theta=0.08, radius=0.3).with_bounds(0, 6)
+        plan = build_plan(
+            mutagen_db, trained_model, config, method="gvex-stream",
+            processes=2,
+        )
+        _, serial = SerialExecutor().run(plan)
+        _, fork = ForkPoolExecutor(processes=2).run(plan)
+        _, merged_calls = wire_merge(plan, run_tasks(plan))
+        assert serial["inference_calls"] > 0
+        assert fork["inference_calls"] == serial["inference_calls"]
+        assert merged_calls == serial["inference_calls"]
+
+    @pytest.mark.parametrize("method", [APPROX_METHOD, "gvex-stream"])
+    def test_shards_share_one_classifier(
+        self, trained_model, mutagen_db, monkeypatch, method
+    ):
+        """Every graph of every shard a worker state runs gets the
+        state's one subset classifier, not one per shard."""
+        from repro.core.streaming import StreamGvex
+        from repro.runtime import executors
+
+        seen = []
+        real_explain = executors.explain_graph
+        real_stream = StreamGvex.explain_graph_stream
+
+        def spy_explain(*args, classifier=None, **kwargs):
+            seen.append(classifier)
+            return real_explain(*args, classifier=classifier, **kwargs)
+
+        def spy_stream(self, *args, classifier=None, **kwargs):
+            seen.append(classifier)
+            return real_stream(self, *args, classifier=classifier, **kwargs)
+
+        monkeypatch.setattr(executors, "explain_graph", spy_explain)
+        monkeypatch.setattr(StreamGvex, "explain_graph_stream", spy_stream)
+        config = GvexConfig(theta=0.08, radius=0.3).with_bounds(0, 4)
+        plan = build_plan(
+            mutagen_db, trained_model, config, method=method, shard_size=2
+        )
+        assert len(plan.shards) > 1
+        SerialExecutor().run(plan)
+        assert len(seen) == plan.n_tasks
+        assert seen[0] is not None
+        assert all(classifier is seen[0] for classifier in seen)
+
     def test_baseline_method_through_executors(
         self, trained_model, mutagen_db
     ):

@@ -8,12 +8,15 @@ the hard way: after 100 induced failures the queue depth is exactly
 zero and every counter adds up.
 """
 
+import contextlib
 import json
 import os
 import signal
+import socket
 import threading
 import urllib.error
 import urllib.request
+from urllib.parse import urlparse
 
 import pytest
 
@@ -259,3 +262,47 @@ class TestMalformedRequests:
         assert queue["completed"] == 1
         assert queue["failed"] == 2
         assert queue["depth"] == 0
+
+
+@contextlib.contextmanager
+def _endpoint(kind, model, db):
+    """A live serve, coordinator or worker endpoint: ``(url, route)``."""
+    from repro.runtime.cluster import ClusterCoordinator, ClusterWorker
+
+    if kind == "serve":
+        server = create_server(ExplanationService(db=db, model=model), port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            yield server.url, "/query"
+        finally:
+            server.shutdown()
+            server.server_close()
+        return
+    with ClusterCoordinator() as coord:
+        if kind == "coordinator":
+            yield coord.url, "/register"
+            return
+        worker = ClusterWorker(db, model, coord.url).start()
+        try:
+            yield worker.url, "/shard"
+        finally:
+            worker.close()
+
+
+@pytest.mark.parametrize("kind", ["serve", "coordinator", "worker"])
+def test_negative_content_length_is_400(kind, trained_model, mutagen_db):
+    """``Content-Length: -1`` is refused before the body is read: a
+    read of -1 bytes would block the handler until the client closes."""
+    with _endpoint(kind, trained_model, mutagen_db) as (url, route):
+        address = urlparse(url)
+        request = (
+            f"POST {route} HTTP/1.1\r\nHost: {address.hostname}\r\n"
+            "Content-Type: application/json\r\nContent-Length: -1\r\n\r\n"
+        )
+        with socket.create_connection(
+            (address.hostname, address.port), timeout=5
+        ) as sock:
+            sock.sendall(request.encode())
+            status_line = sock.makefile("rb").readline()
+    assert status_line.split()[1] == b"400", status_line

@@ -37,7 +37,7 @@ from repro.core.inc_everify import IncrementalEVerify
 from repro.core.streaming import StreamGvex
 from repro.core.verifiers import BatchedGnnVerifier, GnnVerifier
 from repro.datasets.registry import DATASETS, dataset_info, load_dataset
-from repro.gnn.batch import extension_index_matrix, normalize_subsets
+from repro.gnn.batch import extension_index_matrix
 from repro.gnn.jacobian import influence_matrix, normalized_influence
 from repro.gnn.model import CONV_TYPES, GnnClassifier
 from repro.graphs.graph import Graph
@@ -301,9 +301,7 @@ def test_extension_index_matrix_matches_normalize():
         pool = [v for v in range(n) if v not in set(base)]
         cands = [int(v) for v in rng.permutation(pool)[: max(1, len(pool) // 2)]]
         idx = extension_index_matrix(base, cands)
-        want = normalize_subsets(
-            [sorted(set(base) | {v}) for v in cands], n
-        )
+        want = [tuple(sorted(set(base) | {v})) for v in cands]
         assert [tuple(row) for row in idx.tolist()] == want
     assert extension_index_matrix([1, 2], []).shape == (0, 3)
 

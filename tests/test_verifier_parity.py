@@ -40,6 +40,21 @@ GRAPHS_PER_DATASET = 2
 ZOO = sorted(DATASETS)
 
 
+def batch_rows(predict_proba_batch, graph, subsets):
+    """``predict_proba_batch`` over sorted ``subsets`` of mixed sizes:
+    one ``(B, k)`` matrix per size, ``k = 0`` included, rows returned
+    in ``subsets`` order."""
+    out = [None] * len(subsets)
+    for size in sorted({len(s) for s in subsets}):
+        at = [i for i, s in enumerate(subsets) if len(s) == size]
+        idx = np.array([subsets[i] for i in at], dtype=np.intp).reshape(
+            len(at), size
+        )
+        for i, row in zip(at, predict_proba_batch(graph, idx)):
+            out[i] = row
+    return np.array(out)
+
+
 def zoo_model(dataset: str) -> GnnClassifier:
     info = dataset_info(dataset)
     return GnnClassifier(
@@ -77,7 +92,7 @@ def test_predict_proba_batch_bitwise(conv, readout, mutagen_db):
                     )
                 )
             )
-    batch = model.predict_proba_batch(graph, subsets)
+    batch = batch_rows(model.predict_proba_batch, graph, subsets)
     assert batch.shape == (len(subsets), model.n_classes)
     uniform = np.full(model.n_classes, 1.0 / model.n_classes)
     assert np.array_equal(batch[0], uniform)
@@ -97,7 +112,7 @@ def test_predict_proba_batch_directed_graph():
             g.add_edge(u, v)
     model = GnnClassifier(3, 2, hidden_dims=(8, 8), seed=1)
     subsets = [tuple(sorted(rng.choice(12, size=5, replace=False).tolist())) for _ in range(6)]
-    batch = model.predict_proba_batch(g, subsets)
+    batch = model.predict_proba_batch(g, np.array(subsets))
     for row, subset in zip(batch, subsets):
         sub, _ = g.induced_subgraph(subset)
         assert np.array_equal(row, model.predict_proba(sub))
@@ -112,6 +127,10 @@ def test_predict_proba_batch_rejects_bad_nodes(mutagen_db):
         model.predict_proba_batch(graph, [(0, graph.n_nodes)])
     with pytest.raises(ModelError):
         model.predict_proba_batch(graph, [(-1, 0)])
+    with pytest.raises(ModelError, match="strictly increasing"):
+        model.predict_proba_batch(graph, [(2, 1)])
+    with pytest.raises(ModelError, match="one \\(B, k\\) matrix"):
+        model.predict_proba_batch(graph, [(0, 1), (2,)])  # mixed sizes
 
 
 # ----------------------------------------------------------------------
@@ -337,7 +356,7 @@ def test_node_explain_parity():
         for size in (1, 3, 5, 8)
         for _ in range(3)
     ]
-    batch = adapter.predict_proba_batch(marked, [list(s) for s in subsets])
+    batch = batch_rows(adapter.predict_proba_batch, marked, subsets)
     for row, subset in zip(batch, subsets):
         sub, _ = marked.induced_subgraph(subset)
         assert np.array_equal(row, adapter.predict_proba(sub)), subset

@@ -9,7 +9,10 @@ Lemma 4.3.
 
 Candidates come from :func:`repro.mining.mine_patterns` (``PGen``),
 which always includes singleton patterns, so full node coverage is
-always reachable.
+always reachable. ``PGen`` also prices them: each mined candidate
+carries the coverage its enumeration saw, which is the matcher's
+(``PMatch`` is induced), so a summarize runs the matcher only for a
+candidate ``PGen`` could not price or a pool the caller injected.
 """
 
 from __future__ import annotations
@@ -59,11 +62,14 @@ def summarize(
     """Run Psum over explanation subgraphs; returns the selected patterns.
 
     ``candidates`` can inject a pre-mined pool (StreamGVEX's
-    ``IncUpdateP`` pool); by default ``PGen`` mines fresh ones.
+    ``IncUpdateP`` pool), which the matcher prices; by default ``PGen``
+    mines fresh ones and prices them from its own enumeration, leaving
+    the matcher only the candidates it could not price.
     """
     hosts = [g for g in subgraphs if g.n_nodes > 0]
     if not hosts:
         return PsumResult()
+    injected = candidates is not None
     if candidates is None:
         candidates = mine_patterns(
             hosts,
@@ -72,7 +78,10 @@ def summarize(
         )
 
     index = CoverageIndex(hosts)
-    coverage = [index.coverage(mined.pattern) for mined in candidates]
+    coverage = [
+        index.coverage(m.pattern) if injected or m.coverage is None else m.coverage
+        for m in candidates
+    ]
     chosen = weighted_cover(
         [(cov.nodes, cov.edges) for cov in coverage], index.n_nodes, index.n_edges
     )

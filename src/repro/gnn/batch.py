@@ -21,11 +21,11 @@ possible:
   same per-slice BLAS GEMM the 2-D serial path uses, so every layer
   output is bit-identical to the serial forward on the induced
   subgraph;
-* the one op whose batched form maps to a *different* BLAS kernel is
-  the graph-level classification head (vector @ matrix is GEMV, while
-  ``(B, d) @ (d, C)`` is GEMM, and the two may round differently), so
-  :func:`rowwise_head` runs it row by row, exactly as the serial path
-  does.
+* the one op whose 2-D batched form maps to a *different* BLAS kernel
+  is the graph-level classification head (vector @ matrix is GEMV,
+  while ``(B, d) @ (d, C)`` is GEMM, and the two may round
+  differently), so :func:`rowwise_head` stacks ``B`` separate
+  ``(1, d) @ (d, C)`` products, each the GEMV the serial path runs.
 
 ``tests/test_verifier_parity.py`` asserts the bitwise equality across
 conv types and readouts.
@@ -400,11 +400,12 @@ def presorted_rows_probas(
 ) -> np.ndarray:
     """Subset-batched inference: one stacked launch over sorted rows.
 
-    ``idx`` is a ``(B, k)`` matrix of strictly increasing node rows,
-    one same-size subset per row (e.g. from
-    :func:`extension_index_matrix`); a row out of range or out of order
-    raises :class:`~repro.exceptions.ModelError`, and ``k == 0`` rows
-    get the uniform ``M(∅)`` prior without inference. Each row's
+    ``idx`` is a ``(B, k)`` matrix of strictly increasing integer node
+    rows, one same-size subset per row (e.g. from
+    :func:`extension_index_matrix`); a float or bool matrix of ids, or
+    a row out of range or out of order, raises
+    :class:`~repro.exceptions.ModelError`, and ``k == 0`` rows get the
+    uniform ``M(∅)`` prior without inference. Each row's
     ``(k, d)`` features and ``(k, k)`` symmetrized adjacency are
     gathered from the parent graph and ``forward_group(X_b, A_b) ->
     (B, n_classes)`` runs the model-specific forward, so every row is
@@ -415,9 +416,13 @@ def presorted_rows_probas(
     dense gather sources (:func:`gather_sources`).
     """
     try:
-        idx = np.asarray(idx, dtype=np.intp)
+        idx = np.asarray(idx)
     except (TypeError, ValueError) as exc:  # e.g. subsets of mixed sizes
         raise ModelError("a launch takes one (B, k) matrix of node ids") from exc
+    # casting would truncate floats and map bools to 0/1
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ModelError(f"index matrix must hold integer node ids, got {idx.dtype}")
+    idx = idx.astype(np.intp, copy=False)
     if idx.ndim != 2:
         raise ModelError(f"index matrix must be 2-D, got shape {idx.shape}")
     n_rows, k = idx.shape
@@ -441,18 +446,16 @@ def presorted_rows_probas(
 def rowwise_head(
     pooled: np.ndarray, head_weight: np.ndarray, head_bias: np.ndarray
 ) -> np.ndarray:
-    """Classification head applied one row at a time.
+    """Classification head applied to each row on its own: ``(B, C)`` logits.
 
     The serial path computes ``pooled @ W + b`` with a 1-D ``pooled``
     (a GEMV); batching it as ``(B, d) @ (d, C)`` selects a GEMM kernel
-    whose accumulation order may differ in the last ulp. Looping keeps
-    the head bit-identical; ``B`` is frontier-sized, so the loop is
-    negligible next to the layer matmuls.
+    whose accumulation order may differ in the last ulp. A stacked
+    matmul over ``(B, 1, d)`` runs one ``(1, d) @ (d, C)`` product per
+    row, which is that same GEMV, so every row is bit-identical to the
+    serial head without a Python loop over rows.
     """
-    logits = np.empty((pooled.shape[0], head_weight.shape[1]), dtype=np.float64)
-    for i in range(pooled.shape[0]):
-        logits[i] = pooled[i] @ head_weight + head_bias
-    return logits
+    return np.matmul(pooled[:, None, :], head_weight)[:, 0, :] + head_bias
 
 
 __all__ = [

@@ -4,7 +4,12 @@ Given patterns and host graphs (typically the explanation subgraphs of
 one label group), computes which host nodes/edges are *covered*: a node
 ``v`` is covered by ``P`` when some matching maps a pattern node onto
 ``v`` (§2.1). Used to check constraint C1 (patterns cover all nodes of
-``G_s``), C3 (proper coverage counts), and Psum's edge-loss weights.
+``G_s``) and C3 (proper coverage counts). Psum's edge-loss weights come
+from ``PGen``'s enumeration instead (matching is induced, so a mined
+class's matches are its enumerated subsets): :class:`CoverageIndex`
+prices only the candidates ``PGen`` could not, where a host's
+enumeration was capped or :data:`MATCH_CAP` could bind, and pools a
+caller injects.
 
 Match enumeration is capped (``match_cap``) to bound worst-case cost on
 pathological hosts; enumeration also stops early once every host node
@@ -101,12 +106,11 @@ def pmatch(
 class CoverageIndex:
     """Cached pattern coverage over a fixed set of host graphs.
 
-    The Psum greedy queries the same patterns repeatedly; this index
-    computes each pattern's coverage once (patterns are identified up to
-    isomorphism, so structurally equal patterns share a cache entry).
-    The per-(pattern, host) work additionally flows through the
-    process-wide plan cache, so a later index over the same hosts
-    (``verify_view``, the query index) re-pays nothing.
+    Computes each pattern's coverage once (patterns are identified up
+    to isomorphism, so structurally equal patterns share a cache
+    entry). The per-(pattern, host) work additionally flows through
+    the process-wide plan cache, so a later index over the same hosts
+    re-pays nothing.
     """
 
     def __init__(self, hosts: Sequence[Graph], match_cap: int = MATCH_CAP) -> None:
@@ -114,7 +118,8 @@ class CoverageIndex:
         self.match_cap = match_cap
         self._cache: Dict[Pattern, PatternCoverage] = {}
         self._identity: Dict[str, List[Pattern]] = {}
-        self._host_keys = [graph_content_key(g) for g in self.hosts]
+        #: host content keys, hashed on the first match
+        self._host_keys: Optional[List[str]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -137,6 +142,8 @@ class CoverageIndex:
         canon = pattern_identity(pattern, self._identity)
         key = canon
         if key not in self._cache:
+            if self._host_keys is None:
+                self._host_keys = [graph_content_key(g) for g in self.hosts]
             per_host = pmatch(
                 canon, self.hosts, self.match_cap, host_keys=self._host_keys
             )

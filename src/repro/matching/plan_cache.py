@@ -1,12 +1,14 @@
 """Process-wide match-plan cache — the cross-tier ``PMatch`` memo.
 
-Four independent call sites pay full pattern-vs-host enumeration today:
-Psum's coverage greedy (``core/psum.py``), constraint verification
-(``core/verifiers.py``), the query index's posting builds
-(``query/index.py``), and PGen's dedup/identity resolution
-(``mining/classes.py``). They routinely ask about the *same* (pattern,
-host) pairs — every Psum winner is re-matched by ``verify_view`` and
-again when the view index builds its posting lists.
+Three independent call sites pay full pattern-vs-host enumeration:
+constraint verification (``core/verifiers.py``), the query index's
+posting builds (``query/index.py``), and PGen's dedup/identity
+resolution (``mining/classes.py``); Psum's coverage greedy
+(``core/psum.py``) reaches it only for candidates PGen's enumeration
+could not price. A served view's patterns are matched against the same
+explanation subgraphs by every posting build and by ``verify_view``
+when a caller checks the view, and the same fresh query patterns arrive
+again and again.
 
 This module gives them one shared memo:
 

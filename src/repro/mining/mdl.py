@@ -17,9 +17,11 @@ preferred whenever it exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.graphs.pattern import Pattern
+from repro.matching.coverage import PatternCoverage
 
 
 @dataclass(frozen=True)
@@ -29,6 +31,9 @@ class MinedPattern:
     pattern: Pattern
     support: int  # number of distinct host graphs containing it
     embeddings: int  # total matches across hosts
+    #: what its matches cover in the hosts it was mined from, read from
+    #: the enumeration; ``None`` where only the matcher can say
+    coverage: Optional[PatternCoverage] = field(default=None, compare=False)
 
     @property
     def mdl_score(self) -> float:

@@ -14,18 +14,30 @@ a signature not seen before, and :func:`mine_patterns` builds one
 ``Pattern.from_induced`` per class to represent it.
 :func:`fresh_classes` is ``IncPGen``'s ΔP as a lazy generator: callers
 that only ask whether ΔP is empty stop at its first element.
+
+The same pass prices Psum's pool. ``PMatch`` is induced, so a class's
+matches in a host are exactly the subsets the enumeration put in that
+class: :func:`mine_patterns` keeps, per class and host, the union of
+their nodes and of their induced edges and their count (never the
+subsets themselves), and hands each kept candidate its ``coverage``.
+Where the matcher's answer could differ (a host that reached
+``enumeration_cap``, or more than ``MATCH_CAP`` possible mappings of
+a candidate in one host) the coverage is ``None`` and Psum asks the
+matcher.
 """
 
 from __future__ import annotations
 
+from math import factorial
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import MiningError
 from repro.graphs.graph import Graph
 from repro.graphs.pattern import Pattern
-from repro.mining.classes import SubsetClassifier
+from repro.matching.coverage import MATCH_CAP, PatternCoverage
+from repro.mining.classes import SubsetClassifier, subset_signature
 from repro.mining.enumerate import connected_node_subsets
-from repro.mining.mdl import MinedPattern
+from repro.mining.mdl import MinedPattern, mdl_score
 
 
 #: how many subsets of a new node's ball ``IncPGen`` enumerates at most
@@ -62,7 +74,11 @@ def mine_patterns(
     key, then first occurrence; singleton patterns for every observed
     node type are always present at the end. Each class is represented
     by ``Pattern.from_induced`` of its first subset (hosts in order,
-    each host in ESU order), built once per class.
+    each host in ESU order), built once per class. Each candidate's
+    ``coverage`` is what the matcher would find in ``hosts``, read from
+    the enumeration, or ``None`` where the matcher's answer could
+    differ (see :func:`_covered`); a host that reaches
+    ``enumeration_cap`` leaves every class's ``coverage`` ``None``.
     """
     if max_size < 1:
         raise MiningError(f"max_size must be >= 1, got {max_size}")
@@ -71,49 +87,122 @@ def mine_patterns(
 
     classifier = SubsetClassifier()
     represented: Dict[int, Pattern] = {}
-    support: Dict[int, Set[int]] = {}
-    embeddings: Dict[int, int] = {}
+    #: class -> host -> what the class's subsets cover in that host
+    occurrences: Dict[int, Dict[int, _Seen]] = {}
+    capped = False
 
     for h, host in enumerate(hosts):
+        in_host: Dict[int, _Seen] = {}
+        emitted = 0
         for subset in connected_node_subsets(
             host, max_size, min_size=2, cap=enumeration_cap
         ):
-            cls = classifier.classify(host, subset)
-            if cls not in represented:
-                represented[cls] = Pattern.from_induced(host, subset)
-            support.setdefault(cls, set()).add(h)
-            embeddings[cls] = embeddings.get(cls, 0) + 1
+            emitted += 1
+            signature = subset_signature(host, subset)
+            cls = classifier.of_signature(signature)
+            seen = in_host.get(cls)
+            if seen is None:
+                if cls not in represented:
+                    represented[cls] = Pattern.from_induced(host, subset)
+                seen = in_host[cls] = _Seen()
+                occurrences.setdefault(cls, {})[h] = seen
+            seen.nodes.update(subset)
+            # subsets are sorted, so undirected edges come out (low, high)
+            seen.edges.update([(subset[i], subset[j]) for i, j, _ in signature[2]])
+            seen.subsets += 1
+        if enumeration_cap is not None and emitted >= enumeration_cap:
+            capped = True
 
-    mined = [
-        MinedPattern(represented[c], support=len(s), embeddings=embeddings[c])
-        for c, s in support.items()
-        if len(s) >= min_support
-    ]
-    mined.sort(key=lambda m: (-m.mdl_score, m.pattern.size, m.pattern.key()))
+    embeddings = {
+        c: sum(seen.subsets for seen in in_hosts.values())
+        for c, in_hosts in occurrences.items()
+    }
+
+    def rank(cls: int) -> Tuple[float, int, str]:
+        pattern = represented[cls]
+        return (-mdl_score(pattern, embeddings[cls]), pattern.size, pattern.key())
+
+    kept = sorted(
+        (c for c, in_hosts in occurrences.items() if len(in_hosts) >= min_support),
+        key=rank,
+    )
     if max_candidates is not None:
-        mined = mined[:max_candidates]
-
-    mined.extend(_singletons([host.node_types.tolist() for host in hosts]))
+        kept = kept[:max_candidates]
+    mined = [
+        MinedPattern(
+            represented[c],
+            support=len(occurrences[c]),
+            embeddings=embeddings[c],
+            coverage=None if capped else _covered(occurrences[c], represented[c]),
+        )
+        for c in kept
+    ]
+    mined.extend(_singletons(hosts))
     return mined
 
 
-def _singletons(host_types: Sequence[Sequence[int]]) -> List[MinedPattern]:
-    """One singleton candidate per node type, with its occurrence counts.
+class _Seen:
+    """One class's subsets in one host: the union of their nodes and of
+    their induced edges, in the matcher's edge keys, and their count."""
 
-    ``host_types[h]`` lists the node types of host ``h``.
+    __slots__ = ("nodes", "edges", "subsets")
+
+    def __init__(self) -> None:
+        self.nodes: Set[int] = set()
+        self.edges: Set[Tuple[int, int]] = set()
+        self.subsets = 0
+
+
+def _covered(in_hosts: Dict[int, _Seen], pattern: Pattern) -> Optional[PatternCoverage]:
+    """What the matcher finds for ``pattern`` given its class's subsets.
+
+    The matcher is induced, so the pattern's matches in a host are the
+    subsets of its class there, each once per automorphism: it covers
+    their nodes and their induced edges. It stops at ``MATCH_CAP``
+    mappings per host, so a host where the subsets × k! could exceed
+    that gives ``None``.
     """
-    counts: Dict[int, int] = {}
-    host_sets: Dict[int, Set[int]] = {}
-    for h, types in enumerate(host_types):
-        for t in types:
-            counts[t] = counts.get(t, 0) + 1
-            host_sets.setdefault(t, set()).add(h)
-    return [
-        MinedPattern(
-            Pattern.singleton(t), support=len(host_sets[t]), embeddings=counts[t]
+    bound = factorial(pattern.n_nodes)
+    if any(seen.subsets * bound > MATCH_CAP for seen in in_hosts.values()):
+        return None
+    return PatternCoverage(
+        frozenset((h, v) for h, seen in in_hosts.items() for v in seen.nodes),
+        frozenset((h, e) for h, seen in in_hosts.items() for e in seen.edges),
+    )
+
+
+def _singletons(hosts: Sequence[Graph]) -> List[MinedPattern]:
+    """One singleton candidate per node type, with its occurrence counts
+    and its coverage: the nodes of its type in every host of its own
+    directedness (``Pattern.singleton`` is undirected, and the matcher
+    matches a pattern only on hosts of its directedness)."""
+    by_type: Dict[int, Dict[int, _Seen]] = {}
+    for h, host in enumerate(hosts):
+        for v, t in enumerate(host.node_types.tolist()):
+            in_hosts = by_type.setdefault(t, {})
+            seen = in_hosts.get(h)
+            if seen is None:
+                seen = in_hosts[h] = _Seen()
+            seen.nodes.add(v)
+            seen.subsets += 1
+    singletons = []
+    for t in sorted(by_type):
+        pattern = Pattern.singleton(t)
+        in_hosts = by_type[t]
+        matched = {
+            h: seen
+            for h, seen in in_hosts.items()
+            if hosts[h].directed == pattern.graph.directed
+        }
+        singletons.append(
+            MinedPattern(
+                pattern,
+                support=len(in_hosts),
+                embeddings=sum(seen.subsets for seen in in_hosts.values()),
+                coverage=_covered(matched, pattern),
+            )
         )
-        for t in sorted(counts)
-    ]
+    return singletons
 
 
 def fresh_classes(

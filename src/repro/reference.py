@@ -19,7 +19,9 @@ benches compare them against:
   induced subgraph, and ``IncUpdateP`` re-mining ``V_S`` with
   ``mine_patterns`` on every admission;
 * :func:`remined_novelty` — ApproxGVEX's novelty tie-break by
-  re-mining ``G[S]`` and listing ΔP over ``G[S ∪ {v}]`` per candidate.
+  re-mining ``G[S]`` and listing ΔP over ``G[S ∪ {v}]`` per candidate;
+* :func:`unpriced_patterns` — ``PGen`` without the coverage its
+  enumeration saw, so Psum prices every candidate with the matcher.
 
 The serial ``EVerify`` reference is
 :class:`~repro.core.verifiers.GnnVerifier` itself, the batched
@@ -29,14 +31,15 @@ No production module imports this one (``tests/test_reference_isolation.py``
 parses the package to check), and nothing here is in any ``__all__``.
 Tests and benches reach production through substitution: each of
 :func:`reference_matcher`, :func:`serial_verifier`,
-:func:`rebuild_everify` and :func:`remine_patterns` patches the
-production entry points with a reference for the duration of a
-``with`` block.
+:func:`rebuild_everify`, :func:`remine_patterns` and
+:func:`rematch_coverage` patches the production entry points with a
+reference for the duration of a ``with`` block.
 """
 
 from __future__ import annotations
 
 from contextlib import ExitStack, contextmanager
+from dataclasses import replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 from unittest import mock
 
@@ -345,6 +348,16 @@ def remined_novelty(
     return out
 
 
+def unpriced_patterns(hosts: Sequence[Graph], *args, **kwargs) -> List[MinedPattern]:
+    """``mine_patterns`` with every candidate's ``coverage`` dropped.
+
+    Same arguments and candidates; ``summarize`` then prices each one
+    with :class:`~repro.matching.coverage.CoverageIndex`, as Psum did
+    before ``PGen`` priced its own pool.
+    """
+    return [replace(m, coverage=None) for m in mine_patterns(hosts, *args, **kwargs)]
+
+
 # ----------------------------------------------------------------------
 # substitution
 # ----------------------------------------------------------------------
@@ -410,3 +423,13 @@ def remine_patterns():
             "repro.core.approx._pattern_novelty": remined_novelty,
         }
     )
+
+
+def rematch_coverage():
+    """Run the block's Psum with every candidate priced by the matcher.
+
+    ``summarize`` mines through :func:`unpriced_patterns`, so no
+    candidate carries the coverage ``PGen``'s enumeration saw. Inside
+    :func:`reference_matcher` too, that matcher is the seed VF2.
+    """
+    return _patched({"repro.core.psum.mine_patterns": unpriced_patterns})

@@ -125,12 +125,13 @@ class TestPipeline:
     def test_explain_reference_matcher_and_shard_stats(
         self, artifacts, tmp_path, capsys
     ):
-        """The seed matcher (substituted through ``reference_matcher``)
-        produces the same views as the default run, and the retired
-        --shards / --shard-stats flags are rejected."""
+        """The seed matcher (substituted through ``reference_matcher``,
+        pricing Psum's pool through ``rematch_coverage``) produces the
+        same views as the default run, and the retired --shards /
+        --shard-stats flags are rejected."""
         import json
 
-        from repro.reference import reference_matcher
+        from repro.reference import reference_matcher, rematch_coverage
 
         model_path, views_path = artifacts
         out = tmp_path / "ref_views.json"
@@ -142,7 +143,7 @@ class TestPipeline:
             "--upper", "5",
             "--out", str(out),
         ]
-        with reference_matcher():
+        with reference_matcher(), rematch_coverage():
             code = main(args)
         assert code == 0
         reference = load_views(out)

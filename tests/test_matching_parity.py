@@ -20,7 +20,8 @@ one-word hosts up to 200 nodes, plus two fixed 4,500-node hosts;
 ``TestContext`` checks the host context's rows, signature counts and
 degrees against their definitions; zoo tests pin the end-to-end
 pipeline, with the reference substituted through
-:func:`repro.reference.reference_matcher`. Pruning (degree bounds,
+:func:`repro.reference.reference_matcher` (and Psum's pool priced by
+it through :func:`repro.reference.rematch_coverage`). Pruning (degree bounds,
 type signatures) may only ever *skip doomed subtrees*, so any
 divergence is a soundness bug, not a tolerance issue.
 """
@@ -630,7 +631,8 @@ def test_zoo_views_and_queries_bit_identical(dataset):
         ]
         return view_fingerprint(views), queries, coverage
 
-    with reference.reference_matcher():
+    # Psum reads PGen's coverage; rematch_coverage puts it on the matcher
+    with reference.reference_matcher(), reference.rematch_coverage():
         expected = run()
     assert run() == expected
 

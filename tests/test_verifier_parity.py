@@ -33,6 +33,7 @@ from repro.core.streaming import StreamGvex
 from repro.core.verifiers import BatchedGnnVerifier, GnnVerifier
 from repro.reference import serial_verifier
 from repro.datasets.registry import DATASETS, dataset_info, load_dataset
+from repro.gnn.batch import rowwise_head
 from repro.gnn.model import CONV_TYPES, READOUTS, GnnClassifier
 from repro.utils.rng import ensure_rng
 
@@ -131,6 +132,28 @@ def test_predict_proba_batch_rejects_bad_nodes(mutagen_db):
         model.predict_proba_batch(graph, [(2, 1)])
     with pytest.raises(ModelError, match="one \\(B, k\\) matrix"):
         model.predict_proba_batch(graph, [(0, 1), (2,)])  # mixed sizes
+    with pytest.raises(ModelError, match="integer node ids"):
+        model.predict_proba_batch(graph, [[0.5, 1.7]])  # would truncate to {0, 1}
+    with pytest.raises(ModelError, match="integer node ids"):
+        model.predict_proba_batch(graph, np.array([[False, True]]))  # would be {0, 1}
+    # a size-0 matrix holds no ids, whatever its dtype: M(∅) is uniform
+    assert (model.predict_proba_batch(graph, np.empty((3, 0))) == 0.5).all()
+    assert model.predict_proba_batch(graph, np.empty((0, 2))).shape == (0, 2)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_stacked_head_equals_the_row_loop(seed):
+    """``rowwise_head`` is bit-identical to a loop of serial GEMVs
+    ``pooled[i] @ W + b``, on every BLAS kernel CI runs it under."""
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        b, d, c = (int(x) for x in rng.integers(1, (300, 130, 12)))
+        pooled = rng.standard_normal((b, d)) * rng.uniform(0.01, 100.0)
+        weight, bias = rng.standard_normal((d, c)), rng.standard_normal(c)
+        loop = np.array([pooled[i] @ weight + bias for i in range(b)])
+        stacked = rowwise_head(pooled, weight, bias)
+        assert stacked.shape == (b, c)
+        assert stacked.tobytes() == loop.tobytes(), (b, d, c)
 
 
 # ----------------------------------------------------------------------

@@ -148,8 +148,6 @@ def test_views_equal_matcher_priced_psum_across_zoo(dataset, bounds, monkeypatch
     info = dataset_info(dataset)
     model = GnnClassifier(info.n_features, info.n_classes, hidden_dims=(8, 8), seed=0)
     config = GvexConfig(verification=VERIFY_SOFT).with_bounds(*bounds)
-    with rematch_coverage():
-        matched = viewset_to_dict(explain_database(db, model, config))
     priced = []
     coverage = CoverageIndex.coverage
 
@@ -158,6 +156,10 @@ def test_views_equal_matcher_priced_psum_across_zoo(dataset, bounds, monkeypatch
         return coverage(index, pattern)
 
     monkeypatch.setattr(CoverageIndex, "coverage", counted)
+    with rematch_coverage():
+        matched = viewset_to_dict(explain_database(db, model, config))
+    assert priced
+    del priced[:]
     views = explain_database(db, model, config)
     assert viewset_to_dict(views) == matched, (dataset, bounds)
     assert priced == []

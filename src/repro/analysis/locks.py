@@ -10,7 +10,8 @@ order must be cycle-free.
 and at least once outside one. ``__init__`` is exempt (the instance
 is not yet shared), and a method whose name ends in ``_locked`` is
 assumed to run with the lock held (the convention
-``MatchPlanCache._reset_patterns_locked`` established).
+``_Job._requeue_locked`` in ``runtime/cluster/coordinator.py``
+follows).
 
 ``REPRO102`` — deadlock-shaped acquisitions: re-entering a
 non-reentrant ``threading.Lock`` that is already held on the same

@@ -13,7 +13,7 @@ from typing import Any, Dict, Union
 
 import numpy as np
 
-from repro.exceptions import GraphError
+from repro.exceptions import GraphError, ValidationError
 from repro.graphs.database import GraphDatabase
 from repro.graphs.graph import Graph
 from repro.graphs.pattern import Pattern
@@ -26,6 +26,9 @@ PathLike = Union[str, Path]
 #: versions are rejected so the service/HTTP layer never misparses.
 VIEWS_SCHEMA_VERSION = 2
 _READABLE_SCHEMAS = (1, 2)
+
+#: the largest node type, node id or edge type a wire graph may carry
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 # ----------------------------------------------------------------------
@@ -43,13 +46,55 @@ def graph_to_dict(graph: Graph) -> Dict[str, Any]:
 
 
 def graph_from_dict(d: Dict[str, Any]) -> Graph:
+    """Parse a graph's wire form, refusing what it would have to coerce.
+
+    Node types, and each edge's ``[u, v, type]``, must be non-negative
+    integers that fit int64 (bools and floats are refused, not
+    truncated), and ``directed`` a boolean; anything else raises
+    :class:`ValidationError`.
+    """
     features = None
     if "features" in d:
         features = np.asarray(d["features"], dtype=np.float64)
-    g = Graph(d["node_types"], features=features, directed=bool(d.get("directed")))
-    for u, v, t in d.get("edges", []):
-        g.add_edge(int(u), int(v), int(t))
+    directed = d.get("directed", False)
+    if not isinstance(directed, bool):
+        raise ValidationError(f"'directed' must be a boolean, got {directed!r}")
+    node_types = _wire_list(d["node_types"])
+    for t in node_types:
+        if not _is_wire_int(t):
+            raise ValidationError(
+                f"node type {t!r} is not a non-negative integer that fits int64"
+            )
+    g = Graph(node_types, features=features, directed=directed)
+    for edge in _wire_list(d.get("edges", [])):
+        if not (
+            isinstance(edge, (list, tuple))
+            and len(edge) == 3
+            and all(_is_wire_int(x) for x in edge)
+        ):
+            raise ValidationError(
+                f"edge {edge!r} is not [u, v, type] of non-negative "
+                "integers that fit int64"
+            )
+        g.add_edge(int(edge[0]), int(edge[1]), int(edge[2]))
     return g
+
+
+def _wire_list(value: Any) -> Union[list, tuple]:
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(
+            f"node types and edges must be lists, got {type(value).__name__}"
+        )
+    return value
+
+
+def _is_wire_int(value: Any) -> bool:
+    """A non-negative integer that fits int64, and not a bool."""
+    return (
+        isinstance(value, (int, np.integer))
+        and not isinstance(value, bool)
+        and 0 <= value <= _INT64_MAX
+    )
 
 
 # ----------------------------------------------------------------------

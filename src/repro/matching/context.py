@@ -12,7 +12,7 @@ production matcher splits that work into two reusable halves:
 * :class:`MatchPlan` — per-*pattern* state: the matching order, and
   for each position the edge/non-edge constraints against previously
   mapped positions plus the degree and neighborhood type-signature
-  requirements used for pruning. Built once per canonical pattern and
+  requirements used for pruning. Built once per pattern content and
   shared across a whole host database (database-batched ``PMatch``).
 
 Context construction reads the host ``Graph`` directly: node types

@@ -32,7 +32,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from repro.graphs.graph import Graph
 from repro.graphs.pattern import Pattern
-from repro.matching.canonical import pattern_identity
 from repro.matching.context import graph_content_key
 from repro.matching.plan_cache import MATCH_CAP, PLAN_CACHE
 
@@ -83,8 +82,8 @@ def pmatch(
 ) -> List[PatternCoverage]:
     """Database-batched ``PMatch``: one pattern vs a whole host group.
 
-    The pattern's canonical identity, matching order, and signature
-    tables resolve once and are shared across all hosts; each host's
+    The pattern's match plan (matching order, signature tables)
+    resolves once and is shared across all hosts; each host's
     coverage comes from (or lands in) the process-wide plan cache, and
     hosts failing the type-count prefilter skip VF2 entirely.
     ``host_keys`` lets callers that already computed content keys (e.g.
@@ -106,18 +105,16 @@ def pmatch(
 class CoverageIndex:
     """Cached pattern coverage over a fixed set of host graphs.
 
-    Computes each pattern's coverage once (patterns are identified up
-    to isomorphism, so structurally equal patterns share a cache
-    entry). The per-(pattern, host) work additionally flows through
-    the process-wide plan cache, so a later index over the same hosts
-    re-pays nothing.
+    Computes each pattern's coverage once, memoized by the pattern
+    graph's content key. The per-(pattern, host) work additionally
+    flows through the process-wide plan cache, so a later index over
+    the same hosts re-pays nothing.
     """
 
     def __init__(self, hosts: Sequence[Graph], match_cap: int = MATCH_CAP) -> None:
         self.hosts: List[Graph] = list(hosts)
         self.match_cap = match_cap
-        self._cache: Dict[Pattern, PatternCoverage] = {}
-        self._identity: Dict[str, List[Pattern]] = {}
+        self._cache: Dict[str, PatternCoverage] = {}
         #: host content keys, hashed on the first match
         self._host_keys: Optional[List[str]] = None
 
@@ -139,13 +136,12 @@ class CoverageIndex:
     # ------------------------------------------------------------------
     def coverage(self, pattern: Pattern) -> PatternCoverage:
         """Coverage of ``pattern`` across all hosts (cached, batched)."""
-        canon = pattern_identity(pattern, self._identity)
-        key = canon
+        key = graph_content_key(pattern.graph)
         if key not in self._cache:
             if self._host_keys is None:
                 self._host_keys = [graph_content_key(g) for g in self.hosts]
             per_host = pmatch(
-                canon, self.hosts, self.match_cap, host_keys=self._host_keys
+                pattern, self.hosts, self.match_cap, host_keys=self._host_keys
             )
             nodes: Set[NodeRef] = set()
             edges: Set[EdgeRef] = set()

@@ -70,14 +70,13 @@ def find_isomorphisms(
     if context is None or plan is None:
         # ad-hoc call: share host contexts and per-content plans through
         # the process-wide cache (deferred import; plan_cache imports
-        # this module). exact_plan never canonicalizes, so the calls
-        # canonicalization itself makes land here without recursing.
+        # this module)
         from repro.matching.plan_cache import PLAN_CACHE
 
         if context is None:
             context = PLAN_CACHE.context(graph)[0]
         if plan is None:
-            plan = PLAN_CACHE.exact_plan(pattern)
+            plan = PLAN_CACHE.plan(pattern)
     if not plan.host_can_match(context):
         return
     yield from _search(plan, _search_state(context, plan), limit)

@@ -1,34 +1,32 @@
 """Process-wide match-plan cache — the cross-tier ``PMatch`` memo.
 
-Three independent call sites pay full pattern-vs-host enumeration:
-constraint verification (``core/verifiers.py``), the query index's
-posting builds (``query/index.py``), and PGen's dedup/identity
-resolution (``mining/classes.py``); Psum's coverage greedy
-(``core/psum.py``) reaches it only for candidates PGen's enumeration
-could not price. A served view's patterns are matched against the same
-explanation subgraphs by every posting build and by ``verify_view``
-when a caller checks the view, and the same fresh query patterns arrive
-again and again.
+Two production call sites pay full pattern-vs-host enumeration: the
+query index's posting builds (``query/index.py``) and Psum's coverage
+greedy (``core/psum.py``), which reaches it only for the candidates
+PGen's enumeration could not price; ``verify_view``'s C1 check
+(``core/verifiers.py``) does too when a caller checks a view. Ad-hoc
+``find_isomorphisms`` calls (the exact isomorphism checks behind
+``pattern_identity``, from ``mining/classes.py`` and ``query/index.py``)
+draw their plans and contexts from it as well.
 
-This module gives them one shared memo:
+This module gives them one shared memo, every table keyed by
+:func:`~repro.matching.context.graph_content_key` — content-defined,
+so rebuilt-but-identical patterns and hosts hit:
 
-* **pattern plans** keyed by the pattern's *exact* canonical identity
-  (WL key + position in the key's isomorphism-resolved bucket — WL keys
-  alone may collide);
-* **host contexts** keyed by :func:`~repro.matching.context.
-  graph_content_key` — content-defined, so rebuilt-but-identical hosts
-  (e.g. induced explanation subgraphs reconstructed per request) hit;
+* **pattern plans**, for the caller's own node ids: a relabelled
+  pattern has another key and gets its own plan;
+* **host contexts**;
 * **coverage** results ``(pattern, host, match_cap) -> (covered nodes,
   covered edges)`` in host-local ids, and **containment** booleans.
 
-Entries are immutable values of deterministic computations, so cache
-hits are bit-identical to recomputation by construction. The cache is
-bounded — FIFO eviction for contexts and match results, a wholesale
-generation-bumping reset for the pattern registry past
-``max_patterns`` — and thread-safe (the HTTP serve path matches from
-reader threads); forked workers reinitialize it via an at-fork hook.
-It has no serialized form: every process, cluster workers included,
-fills its own.
+Every answer is a pure function of (pattern content, host content,
+cap), so a hit is bit-identical to recomputation and never depends on
+what the process asked before. The cache is bounded — past
+``max_patterns`` plans or ``max_contexts`` contexts the least recently
+used goes, past ``max_results`` results the oldest — and thread-safe
+(the HTTP serve path matches from reader threads); forked workers
+reinitialize it via an at-fork hook. It has no serialized form: every
+process, cluster workers included, fills its own.
 """
 
 from __future__ import annotations
@@ -41,16 +39,10 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from repro.graphs.graph import Graph
 from repro.graphs.pattern import Pattern
 from repro.matching.context import MatchContext, MatchPlan, graph_content_key
-from repro.matching.isomorphism import are_isomorphic, find_isomorphisms
+from repro.matching.isomorphism import find_isomorphisms
 
 #: the most mappings one coverage query enumerates per (pattern, host)
 MATCH_CAP = 10_000
-
-#: exact canonical pattern identity: (registry generation, WL key,
-#: bucket position) — the generation increments when the pattern
-#: registry resets, so recycled bucket positions can never alias
-#: entries keyed before the reset
-CanonKey = Tuple[int, str, int]
 
 #: host-local coverage: (covered node ids, covered canonical edge keys)
 LocalCoverage = Tuple[FrozenSet[int], FrozenSet[Tuple[int, int]]]
@@ -69,147 +61,40 @@ class MatchPlanCache:
         self.max_results = max_results
         self.max_patterns = max_patterns
         self._lock = threading.RLock()
-        self._generation = 0
-        self._identity: Dict[str, List[Pattern]] = {}
-        #: pattern graph content key -> resolved canonical identity;
-        #: serve paths re-create byte-identical Pattern objects per
-        #: request, and this memo resolves them with one cheap hash
-        #: instead of a WL refinement + exact isomorphism check
-        self._content_canon: Dict[str, Tuple[Pattern, CanonKey]] = {}
-        self._plans: Dict[CanonKey, MatchPlan] = {}
+        self._plans: "OrderedDict[str, MatchPlan]" = OrderedDict()
         self._contexts: "OrderedDict[str, MatchContext]" = OrderedDict()
-        #: ad-hoc plans keyed by exact pattern *content* — the un-
-        #: canonicalized path (``find_isomorphisms`` without a
-        #: carried plan) must plan the caller's own node ids, and
-        #: resolving through ``canon`` could return an isomorphic
-        #: representative with different ids
-        self._exact_plans: "OrderedDict[str, MatchPlan]" = OrderedDict()
-        self._coverage: "OrderedDict[Tuple[CanonKey, str, int], LocalCoverage]" = (
+        self._coverage: "OrderedDict[Tuple[str, str, int], LocalCoverage]" = (
             OrderedDict()
         )
-        self._contains: "OrderedDict[Tuple[CanonKey, str], bool]" = OrderedDict()
+        self._contains: "OrderedDict[Tuple[str, str], bool]" = OrderedDict()
         self.hits = 0
         self.misses = 0
-        #: canonical match plans (:meth:`plan`) and host contexts
-        #: (:meth:`context`) constructed, as opposed to served from
-        #: the cache
+        #: match plans (:meth:`plan`) and host contexts (:meth:`context`)
+        #: constructed, as opposed to served from the cache
         self.plan_builds = 0
         self.context_builds = 0
-        #: ad-hoc plans (:meth:`exact_plan`) constructed: plans for a
-        #: caller's own node ids, never counted in ``plan_builds``
-        self.exact_plan_builds = 0
 
     # ------------------------------------------------------------------
-    # keys and shared precomputation
+    # shared precomputation
     # ------------------------------------------------------------------
-    def canon(self, pattern: Pattern) -> Tuple[Pattern, CanonKey]:
-        """Canonical representative + exact canonical key.
+    def plan(self, pattern: Pattern) -> MatchPlan:
+        """The (cached) match plan of this pattern's content.
 
-        WL refinement and isomorphism checks — potentially expensive
-        for adversarial analyst patterns — run *outside* the lock;
-        bucket positions only ever append, so a snapshot's indices
-        stay valid and a concurrent registration just triggers a
-        rescan of the grown tail.
+        The plan maps the caller's own node ids: it is keyed by the
+        pattern graph's content key, which only content-identical
+        patterns share.
         """
         content = graph_content_key(pattern.graph)
         with self._lock:
-            resolved = self._content_canon.get(content)
-            if resolved is not None:
-                return resolved
-        wl_key = pattern.key()  # WL refinement: outside the lock
-        while True:
-            with self._lock:
-                resolved = self._content_canon.get(content)
-                if resolved is not None:
-                    return resolved
-                generation = self._generation
-                bucket = list(self._identity.get(wl_key, ()))
-            match_pos = None
-            for pos, candidate in enumerate(bucket):
-                if candidate is pattern or are_isomorphic(pattern, candidate):
-                    match_pos = pos
-                    break
-            with self._lock:
-                if self._generation != generation:
-                    continue  # registry reset mid-scan: start over
-                if match_pos is not None:
-                    resolved = (
-                        bucket[match_pos],
-                        (generation, wl_key, match_pos),
-                    )
-                    self._content_canon[content] = resolved
-                    return resolved
-                live = self._identity.setdefault(wl_key, [])
-                if len(live) != len(bucket):
-                    continue  # bucket grew concurrently: rescan it
-                if (
-                    len(self._content_canon) >= self.max_patterns
-                ):  # safety valve: see _reset_patterns_locked
-                    self._reset_patterns_locked()
-                    live = self._identity.setdefault(wl_key, [])
-                live.append(pattern)
-                resolved = (
-                    pattern,
-                    (self._generation, wl_key, len(live) - 1),
-                )
-                self._content_canon[content] = resolved
-                return resolved
-
-    def _reset_patterns_locked(self) -> None:
-        """Drop all pattern-side state (and the results keyed by it).
-
-        Called with the lock held when the pattern registry exceeds
-        ``max_patterns`` (a long-lived serve process fed unbounded
-        distinct analyst patterns). Canonical keys embed bucket
-        positions, so the identity map can never be cleared alone —
-        coverage/containment entries keyed by old positions would
-        alias fresh registrations; everything pattern-keyed resets
-        together and rebuilds on demand, and the generation bump keeps
-        any key still held by an in-flight caller from colliding.
-        """
-        self._generation += 1
-        self._identity.clear()
-        self._content_canon.clear()
-        self._plans.clear()
-        self._coverage.clear()
-        self._contains.clear()
-
-    def plan(self, pattern: Pattern) -> Tuple[Pattern, CanonKey, MatchPlan]:
-        """Canonical pattern, its key, and its (cached) match plan."""
-        canon, key = self.canon(pattern)
-        with self._lock:
-            plan = self._plans.get(key)
+            plan = self._plans.get(content)
             if plan is None:
-                plan = MatchPlan(canon)
-                self._plans[key] = plan
+                plan = MatchPlan(pattern)
+                self._plans[content] = plan
                 self.plan_builds += 1
-        return canon, key, plan
-
-    def exact_plan(self, pattern: Pattern) -> MatchPlan:
-        """Ad-hoc (cached) plan for *this* pattern's node ids.
-
-        Unlike :meth:`plan` there is no canonical resolution: the plan
-        is keyed by the pattern graph's content key and always maps the
-        caller's own node ids, which is what un-batched
-        ``find_isomorphisms`` calls need. Never recurses into
-        ``canon``/``are_isomorphic``, so the ad-hoc path can call
-        it from inside canonicalization itself.
-        """
-        content = graph_content_key(pattern.graph)
-        with self._lock:
-            plan = self._exact_plans.get(content)
-            if plan is not None:
-                self._exact_plans.move_to_end(content)
-                return plan
-        plan = MatchPlan(pattern)  # order derivation outside the lock
-        with self._lock:
-            existing = self._exact_plans.get(content)
-            if existing is not None:
-                return existing
-            self._exact_plans[content] = plan
-            self.exact_plan_builds += 1
-            while len(self._exact_plans) > self.max_patterns:
-                self._exact_plans.popitem(last=False)
+                while len(self._plans) > self.max_patterns:
+                    self._plans.popitem(last=False)
+            else:
+                self._plans.move_to_end(content)
         return plan
 
     def context(
@@ -240,43 +125,9 @@ class MatchPlanCache:
         match_cap: int = MATCH_CAP,
         host_key: Optional[str] = None,
     ) -> LocalCoverage:
-        """Covered host nodes/edges, in host-local ids (cached).
-
-        Mirrors ``match_coverage``'s enumeration exactly: same match
-        order, same ``match_cap`` truncation, same stop-early-on-full-
-        coverage rule — the result is a pure function of (pattern
-        content, host content, cap), which is the cache key.
-        """
-        if host_key is None:
-            host_key = graph_content_key(host)
-        content = graph_content_key(pattern.graph)
-        with self._lock:
-            # hit path: two memoized hashes + two dict probes, no plan
-            # resolution — this is what repeated serve requests pay
-            resolved = self._content_canon.get(content)
-            if resolved is not None:
-                cached = self._coverage.get((resolved[1], host_key, match_cap))
-                if cached is not None:
-                    self.hits += 1
-                    return cached
-        canon, key, plan = self.plan(pattern)
-        cache_key = (key, host_key, match_cap)
-        with self._lock:
-            cached = self._coverage.get(cache_key)
-            if cached is not None:
-                self.hits += 1
-                return cached
-            self.misses += 1
-        ctx, _ = self.context(host, host_key)
-        result = _coverage_local(canon, plan, ctx, host, match_cap)
-        with self._lock:
-            self._coverage[cache_key] = result
-            while len(self._coverage) > self.max_results:
-                self._coverage.popitem(last=False)
-            contains_key = (key, host_key)
-            if contains_key not in self._contains:
-                self._contains[contains_key] = bool(result[0])
-        return result
+        """Covered host nodes/edges, in host-local ids (cached): the
+        one-host case of :meth:`coverage_many`."""
+        return self.coverage_many(pattern, [host], match_cap, [host_key])[0]
 
     def contains(
         self,
@@ -284,34 +135,9 @@ class MatchPlanCache:
         host: Graph,
         host_key: Optional[str] = None,
     ) -> bool:
-        """Whether the pattern occurs in the host (cached)."""
-        if host_key is None:
-            host_key = graph_content_key(host)
-        content = graph_content_key(pattern.graph)
-        with self._lock:
-            resolved = self._content_canon.get(content)
-            if resolved is not None:
-                cached = self._contains.get((resolved[1], host_key))
-                if cached is not None:
-                    self.hits += 1
-                    return cached
-        canon, key, plan = self.plan(pattern)
-        cache_key = (key, host_key)
-        with self._lock:
-            cached = self._contains.get(cache_key)
-            if cached is not None:
-                self.hits += 1
-                return cached
-            self.misses += 1
-        ctx, _ = self.context(host, host_key)
-        found = False
-        for _ in find_isomorphisms(canon, host, limit=1, context=ctx, plan=plan):
-            found = True
-        with self._lock:
-            self._contains[cache_key] = found
-            while len(self._contains) > self.max_results:
-                self._contains.popitem(last=False)
-        return found
+        """Whether the pattern occurs in the host (cached): the one-host
+        case of :meth:`contains_many`."""
+        return self.contains_many(pattern, [host], [host_key])[0]
 
     def coverage_many(
         self,
@@ -320,46 +146,42 @@ class MatchPlanCache:
         match_cap: int = MATCH_CAP,
         host_keys: Optional[Sequence[Optional[str]]] = None,
     ) -> List[LocalCoverage]:
-        """Batched :meth:`coverage`: one pattern vs a host group.
+        """One pattern's coverage of each host, in host order.
 
-        The database-batched ``PMatch`` core: canonical identity and
-        match plan resolve once, cached per-host coverage is read
-        under one lock acquisition, and only novel (pattern, host)
-        pairs enumerate (prefiltered by type counts). Identical, host
-        for host, to per-host :meth:`coverage` calls.
+        The database-batched ``PMatch`` core: cached per-host coverage
+        is read under one lock acquisition, and only novel (pattern,
+        host) pairs enumerate, sharing one match plan (hosts failing
+        the type-count prefilter skip the search). The enumeration
+        mirrors ``match_coverage``'s exactly: same match order, same
+        ``match_cap`` truncation, same stop-early-on-full-coverage rule.
         """
-        keys = [
-            host_keys[i]
-            if host_keys is not None and host_keys[i] is not None
-            else graph_content_key(host)
-            for i, host in enumerate(hosts)
-        ]
-        canon, key, plan = self.plan(pattern)
-        out: List[Optional[LocalCoverage]] = [None] * len(hosts)
+        content = graph_content_key(pattern.graph)
+        keys = _content_keys(hosts, host_keys)
         with self._lock:
-            for i, hk in enumerate(keys):
-                cached = self._coverage.get((key, hk, match_cap))
-                if cached is not None:
-                    out[i] = cached
-                    self.hits += 1
-        todo = [i for i, cov in enumerate(out) if cov is None]
-        empty: LocalCoverage = (frozenset(), frozenset())
+            out = [self._coverage.get((content, hk, match_cap)) for hk in keys]
+            todo = [i for i, cov in enumerate(out) if cov is None]
+            self.hits += len(out) - len(todo)
+        if not todo:
+            return out
+        plan = self.plan(pattern)
+        #: per content key: hosts that share one are matched once
+        fresh: Dict[str, LocalCoverage] = {}
         for i in todo:
-            ctx, _ = self.context(hosts[i], keys[i])
-            if not plan.host_can_match(ctx):
-                out[i] = empty
-                continue
-            out[i] = _coverage_local(canon, plan, ctx, hosts[i], match_cap)
-        if todo:
-            with self._lock:
-                for i in todo:
-                    self.misses += 1
-                    self._coverage[(key, keys[i], match_cap)] = out[i]
-                    contains_key = (key, keys[i])
-                    if contains_key not in self._contains:
-                        self._contains[contains_key] = bool(out[i][0])
-                while len(self._coverage) > self.max_results:
-                    self._coverage.popitem(last=False)
+            hk = keys[i]
+            if hk not in fresh:
+                ctx, _ = self.context(hosts[i], hk)
+                fresh[hk] = _coverage_local(pattern, plan, ctx, hosts[i], match_cap)
+            out[i] = fresh[hk]
+        with self._lock:
+            self.hits += len(todo) - len(fresh)
+            self.misses += len(fresh)
+            for hk, cov in fresh.items():
+                self._coverage[(content, hk, match_cap)] = cov
+                self._contains.setdefault((content, hk), bool(cov[0]))
+            while len(self._coverage) > self.max_results:
+                self._coverage.popitem(last=False)
+            while len(self._contains) > self.max_results:
+                self._contains.popitem(last=False)
         return out  # fully populated: every index was cached or computed
 
     def contains_many(
@@ -368,49 +190,40 @@ class MatchPlanCache:
         hosts: Sequence[Graph],
         host_keys: Optional[Sequence[Optional[str]]] = None,
     ) -> List[bool]:
-        """Batched containment: one pattern vs a host group.
+        """Whether the pattern occurs in each host, in host order.
 
-        The database-batched form of :meth:`contains`: the pattern's
-        canonical identity and plan resolve once, cached answers for
+        The database-batched form of containment: cached answers for
         the whole group are read under a single lock acquisition, and
-        only genuinely novel (pattern, host) pairs run VF2 (with the
-        type-count prefilter applied first). Posting builds in
-        ``query/index.py`` call this per pattern per tier.
+        only novel (pattern, host) pairs search for a first match.
+        Posting builds in ``query/index.py`` call this per pattern per
+        tier.
         """
-        keys = [
-            host_keys[i]
-            if host_keys is not None and host_keys[i] is not None
-            else graph_content_key(host)
-            for i, host in enumerate(hosts)
-        ]
-        canon, key, plan = self.plan(pattern)
-        out: List[Optional[bool]] = [None] * len(hosts)
+        content = graph_content_key(pattern.graph)
+        keys = _content_keys(hosts, host_keys)
         with self._lock:
-            for i, hk in enumerate(keys):
-                cached = self._contains.get((key, hk))
-                if cached is not None:
-                    out[i] = cached
-                    self.hits += 1
-        todo = [i for i, flag in enumerate(out) if flag is None]
+            out = [self._contains.get((content, hk)) for hk in keys]
+            todo = [i for i, flag in enumerate(out) if flag is None]
+            self.hits += len(out) - len(todo)
+        if not todo:
+            return out
+        plan = self.plan(pattern)
+        #: per content key: hosts that share one are matched once
+        fresh: Dict[str, bool] = {}
         for i in todo:
-            ctx, _ = self.context(hosts[i], keys[i])
-            if not plan.host_can_match(ctx):
-                out[i] = False
-                continue
-            found = False
-            for _ in find_isomorphisms(
-                canon, hosts[i], limit=1, context=ctx, plan=plan
-            ):
-                found = True
-            out[i] = found
-        if todo:
-            with self._lock:
-                for i in todo:
-                    self.misses += 1
-                    self._contains[(key, keys[i])] = out[i]
-                while len(self._contains) > self.max_results:
-                    self._contains.popitem(last=False)
-        return [bool(flag) for flag in out]
+            hk = keys[i]
+            if hk not in fresh:
+                ctx, _ = self.context(hosts[i], hk)
+                first = find_isomorphisms(pattern, hosts[i], 1, context=ctx, plan=plan)
+                fresh[hk] = next(first, None) is not None
+            out[i] = fresh[hk]
+        with self._lock:
+            self.hits += len(todo) - len(fresh)
+            self.misses += len(fresh)
+            for hk, found in fresh.items():
+                self._contains[(content, hk)] = found
+            while len(self._contains) > self.max_results:
+                self._contains.popitem(last=False)
+        return out
 
     # ------------------------------------------------------------------
     # repro: noqa[REPRO101] - runs via os.register_at_fork in the child,
@@ -428,11 +241,7 @@ class MatchPlanCache:
         their own cache, matching the warm-``WorkerState`` design.
         """
         self._lock = threading.RLock()
-        self._generation += 1
-        self._identity.clear()
-        self._content_canon.clear()
         self._plans.clear()
-        self._exact_plans.clear()
         self._contexts.clear()
         self._coverage.clear()
         self._contains.clear()
@@ -441,10 +250,7 @@ class MatchPlanCache:
     def clear(self) -> None:
         """Drop every cached plan, context, and result."""
         with self._lock:
-            self._identity.clear()
-            self._content_canon.clear()
             self._plans.clear()
-            self._exact_plans.clear()
             self._contexts.clear()
             self._coverage.clear()
             self._contains.clear()
@@ -452,14 +258,12 @@ class MatchPlanCache:
             self.misses = 0
             self.plan_builds = 0
             self.context_builds = 0
-            self.exact_plan_builds = 0
 
     def stats(self) -> Dict[str, int]:
         """Cache occupancy and hit counters (for benches / diagnostics)."""
         with self._lock:
             return {
                 "plans": len(self._plans),
-                "exact_plans": len(self._exact_plans),
                 "contexts": len(self._contexts),
                 "coverage_entries": len(self._coverage),
                 "contains_entries": len(self._contains),
@@ -467,12 +271,23 @@ class MatchPlanCache:
                 "misses": self.misses,
                 "plan_builds": self.plan_builds,
                 "context_builds": self.context_builds,
-                "exact_plan_builds": self.exact_plan_builds,
             }
 
 
+def _content_keys(
+    hosts: Sequence[Graph], host_keys: Optional[Sequence[Optional[str]]]
+) -> List[str]:
+    """Each host's content key: the caller's where it passed one."""
+    if host_keys is None:
+        return [graph_content_key(host) for host in hosts]
+    return [
+        hk if hk is not None else graph_content_key(host)
+        for host, hk in zip(hosts, host_keys)
+    ]
+
+
 def _coverage_local(
-    canon: Pattern,
+    pattern: Pattern,
     plan: MatchPlan,
     ctx: MatchContext,
     host: Graph,
@@ -487,11 +302,11 @@ def _coverage_local(
     covered_edges: set = set()
     n_host = host.n_nodes
     count = 0
-    for mapping in find_isomorphisms(canon, host, context=ctx, plan=plan):
+    for mapping in find_isomorphisms(pattern, host, context=ctx, plan=plan):
         count += 1
         for hv in mapping.values():
             covered_nodes.add(hv)
-        for (pu, pv) in canon.graph.edge_types:
+        for (pu, pv) in pattern.graph.edge_types:
             hu, hv = mapping[pu], mapping[pv]
             if not host.directed and hu > hv:
                 hu, hv = hv, hu
@@ -514,6 +329,5 @@ __all__ = [
     "MATCH_CAP",
     "MatchPlanCache",
     "PLAN_CACHE",
-    "CanonKey",
     "LocalCoverage",
 ]

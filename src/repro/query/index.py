@@ -95,8 +95,8 @@ class ViewIndex:
         the explanation tier.
 
     First-time (pattern, host) probes consult the process-wide
-    match-plan cache, so an index built after a Psum run re-pays
-    nothing for the pairs Psum already matched.
+    match-plan cache, so an index rebuilt over the same views re-pays
+    nothing for the pairs an earlier index already matched.
     """
 
     def __init__(
@@ -257,27 +257,15 @@ class ViewIndex:
                 return canon, (wl_key, pos)
         raise AssertionError("canonical pattern missing from its bucket")
 
-    def _matches(
-        self, canon: Pattern, key: CanonKey, host: Graph, host_key: HostKey
-    ) -> bool:
-        cache_key = (key, host_key)
-        cached = self._match_cache.get(cache_key)
-        if cached is None:
-            # the process-wide plan cache keys by graph *content*, so
-            # pairs Psum / verify_view already matched hit here
-            cached = PLAN_CACHE.contains(canon, host)
-            self._match_cache[cache_key] = cached
-        return cached
-
     def _matches_group(
         self, canon: Pattern, key: CanonKey, hosts: List[Graph],
         host_keys: List[HostKey],
     ) -> List[bool]:
-        """Batched :meth:`_matches` over one pattern's host group.
+        """Whether one pattern occurs in each host of a group.
 
         Locally-cached answers are reused; the rest go through the plan
-        cache's database-batched probe (one identity/plan resolution,
-        one lock round for the whole group).
+        cache's database-batched probe (one plan resolution, one lock
+        round for the whole group). Every posting build calls this.
         """
         out: List[Optional[bool]] = [
             self._match_cache.get((key, hk)) for hk in host_keys
@@ -495,14 +483,17 @@ class ViewIndex:
         fresh_keys = {key for _, key in fresh}
         # every pre-existing key needs this label's posting list: scan
         # only the admitted view's subgraphs (cache-assisted)
+        hosts = [sub.subgraph for sub in view.subgraphs]
+        host_keys = [_host_key(sub) for sub in view.subgraphs]
         for key, postings in self._expl_postings.items():
             if key in fresh_keys:
                 continue
             canon = self._identity[key[0]][key[1]]
+            flags = self._matches_group(canon, key, hosts, host_keys)
             postings[view.label] = [
                 sub.graph_index
-                for sub in view.subgraphs
-                if self._matches(canon, key, sub.subgraph, _host_key(sub))
+                for sub, flag in zip(view.subgraphs, flags)
+                if flag
             ]
         for canon, key in fresh:
             self._expl_postings[key] = self._scan_explanations(canon, key)
@@ -528,12 +519,15 @@ class ViewIndex:
         if self.db is None:
             raise QueryError("extend_db requires a source database")
         new_indices = self.db.extend(graphs, labels)
+        hosts = [self.db.graphs[idx] for idx in new_indices]
+        host_keys = [("db", idx) for idx in new_indices]
         for key, postings in self._graph_postings.items():
             canon = self._identity[key[0]][key[1]]
+            flags = self._matches_group(canon, key, hosts, host_keys)
             additions = [
                 (self._group_of.get(idx), idx)
-                for idx in new_indices
-                if self._matches(canon, key, self.db.graphs[idx], ("db", idx))
+                for idx, flag in zip(new_indices, flags)
+                if flag
             ]
             if additions:
                 self._graph_postings[key] = postings + additions

@@ -29,6 +29,7 @@ from repro.explainers import (
     SubgraphX,
 )
 from repro.explainers.base import Explainer, ExplainerCapabilities
+from repro.graphs.graph import graph_from_edges
 from repro.graphs.pattern import Pattern
 
 from tests.conftest import C, N
@@ -327,6 +328,15 @@ class TestPatternWire:
 
     def test_edges_default_empty(self):
         assert pattern_from_spec({"node_types": [C]}).n_nodes == 1
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_benchmark_query_spec_loads(self, directed):
+        """The ``/query`` spec the benchmark's load generator builds from
+        a graph parses back to that graph."""
+        from perfbench.common import pattern_spec
+
+        g = graph_from_edges([N, C, C], [(0, 1), (2, 1)], directed=directed)
+        assert pattern_from_spec(pattern_spec(g)).graph == g
 
 
 class TestSatellites:

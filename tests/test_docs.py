@@ -186,16 +186,33 @@ def test_examples_resolve_their_repro_imports():
 
 
 @pytest.mark.slow
-def test_streaming_example_runs():
-    """``examples/streaming_anytime.py`` asserts that the incremental and
-    the rebuild ``IncEVerify`` streams select the same nodes."""
+@pytest.mark.parametrize(
+    "script, marker",
+    [
+        pytest.param(script, marker, id=script)
+        for script, marker in [
+            ("streaming_anytime.py", "final streaming explanation"),
+            ("view_queries.py", "Q3: patterns that distinguish"),
+            ("serving_http.py", "POST /query (N-O bond in mutagens)"),
+        ]
+    ],
+)
+def test_streaming_example_runs(script, marker):
+    """Examples run end to end and reach their last output line.
+
+    ``streaming_anytime.py`` asserts that the incremental and the
+    rebuild ``IncEVerify`` streams select the same nodes;
+    ``view_queries.py`` drives ``ViewIndex`` through the plan cache and
+    asserts the DSL agrees with the legacy queries; ``serving_http.py``
+    serves ``/explain`` and ``/query`` on port 0.
+    """
     paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
-        [sys.executable, str(REPO / "examples" / "streaming_anytime.py")],
+        [sys.executable, str(REPO / "examples" / script)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "final streaming explanation" in proc.stdout
+    assert marker in proc.stdout

@@ -72,11 +72,14 @@ class TestCoverageIndex:
         assert index.n_edges == 2
 
     def test_cache_shared_for_isomorphic_patterns(self):
+        """Patterns are memoized by content: an isomorphic relabelling
+        is matched on its own node ids and, uncapped, covers the same."""
         hosts = [chain_graph([0, 1, 0])]
         index = CoverageIndex(hosts)
         a = Pattern.from_parts([0, 1], [(0, 1)])
         b = Pattern.from_parts([1, 0], [(0, 1)])
-        assert index.coverage(a) is index.coverage(b)
+        assert index.coverage(a) == index.coverage(b)
+        assert index.coverage(Pattern.from_parts([0, 1], [(0, 1)])) is index.coverage(a)
 
     def test_covers_all_nodes(self):
         hosts = [chain_graph([0, 1, 0])]

@@ -404,13 +404,30 @@ class TestPlanCache:
         p = Pattern.from_parts([0, 1], [(0, 1)])
         first = cache.coverage(p, host)
         before = cache.stats()["hits"]
-        # an isomorphic pattern against a rebuilt-identical host: hit
-        q = Pattern.from_parts([1, 0], [(0, 1)])
+        # a re-created pattern against a rebuilt-identical host: hit
         rebuilt = Graph([0, 1, 0])
         rebuilt.add_edge(0, 1)
         rebuilt.add_edge(1, 2)
-        assert cache.coverage(q, rebuilt) == first
+        assert cache.coverage(Pattern.from_parts([0, 1], [(0, 1)]), rebuilt) == first
         assert cache.stats()["hits"] == before + 1
+        # an isomorphic relabelling is matched on its own node ids, and
+        # its uncapped coverage equals the first pattern's
+        q = Pattern.from_parts([1, 0], [(0, 1)])
+        assert cache.coverage(q, rebuilt) == first
+
+    def test_batch_matches_content_identical_hosts_once(self):
+        """A batch does no more matching than one-host calls in a row:
+        hosts that share a content key are matched once."""
+        hosts = [Graph([0, 1, 0]) for _ in range(3)]
+        for h in hosts:
+            h.add_edge(0, 1)
+        p = Pattern.from_parts([0, 1], [(0, 1)])
+        for method in ("coverage_many", "contains_many"):
+            cache = MatchPlanCache()
+            answers = getattr(cache, method)(p, hosts)
+            assert answers[0] == answers[1] == answers[2]
+            stats = cache.stats()
+            assert (stats["misses"], stats["hits"], stats["context_builds"]) == (1, 2, 1)
 
     def test_contains_and_eviction(self):
         cache = MatchPlanCache(max_contexts=1, max_results=2)
@@ -443,22 +460,87 @@ class TestPlanCache:
         cache.clear()
         assert cache.stats()["plans"] == 0
 
-    def test_pattern_registry_resets_past_cap(self):
-        """The pattern-side safety valve: registering past
-        ``max_patterns`` drops the registry wholesale with a
-        generation bump, and answers stay correct afterwards."""
+    def test_max_patterns_bounds_the_plan_table(self):
+        """``max_patterns`` bounds the plan table, least recently used
+        plan out first, and answers stay correct after eviction."""
         cache = MatchPlanCache(max_patterns=3)
         host = Graph([0, 1])
         host.add_edge(0, 1)
         edge = Pattern.from_parts([0, 1], [(0, 1)])
         assert cache.contains(edge, host)
-        for t in range(5):  # overflow the registry
+        for t in range(5):  # overflow the plan table
             cache.contains(Pattern.singleton(t), host)
-        assert cache.stats()["plans"] <= 3
-        # keys from before and after the reset never alias: the same
-        # query still answers identically
+        assert cache.stats()["plans"] == 3
+        assert cache.stats()["plan_builds"] == 6
+        # the edge's plan was evicted: its coverage plans it again
+        assert cache.coverage(edge, host) == ({0, 1}, {(0, 1)})
+        assert cache.stats()["plan_builds"] == 7
         assert cache.contains(edge, host)
         assert not cache.contains(Pattern.singleton(9), host)
+        assert cache.stats()["plans"] == 3
+
+    def test_capped_coverage_ignores_call_history(self):
+        """Capped coverage is enumerated on the caller's own pattern, so
+        an isomorphic pattern asked first cannot change the answer."""
+        host = graph_from_edges([0, 0, 1, 1], [(0, 3), (1, 2)])
+        edge_10 = Pattern.from_parts([1, 0], [(0, 1)])
+        expected = reference.match_coverage(edge_10, host, match_cap=1)
+        assert {v for _, v in expected.nodes} == {1, 2}
+        primed = MatchPlanCache()
+        primed.coverage(Pattern.from_parts([0, 1], [(0, 1)]), host, match_cap=1)
+        for cache in (MatchPlanCache(), primed):
+            nodes, edges = cache.coverage(edge_10, host, match_cap=1)
+            assert nodes == {1, 2} and edges == {(1, 2)}
+            assert cache.coverage_many(edge_10, [host], match_cap=1) == [
+                (nodes, edges)
+            ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_answers_equal_the_reference_in_any_call_order(self, data):
+        """``coverage``, ``coverage_many`` and ``contains`` answer what
+        the seed VF2 answers on the caller's pattern, for a pattern cut
+        from a host and an isomorphic relabelling of it, every call
+        asked once in a drawn order, at small caps."""
+        rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        directed = data.draw(st.booleans())
+        hosts = [
+            random_host(rng.randrange(4, 10), directed, rng, rng.randrange(2, 5), 2)
+            for _ in range(data.draw(st.integers(min_value=1, max_value=3)))
+        ]
+        pattern = cut_pattern(hosts[0], rng, data.draw(st.integers(2, 3)))
+        n = pattern.n_nodes
+        perm = data.draw(st.permutations(range(n)))
+        types = [0] * n
+        for v in range(n):
+            types[perm[v]] = pattern.graph.node_type(v)
+        relabelled = Graph(types, directed=directed)
+        for u, v, t in pattern.graph.edges():
+            relabelled.add_edge(perm[u], perm[v], t)
+        patterns = [pattern, Pattern(relabelled)]
+        calls = [
+            (op, p, h, cap)
+            for op in ("coverage", "coverage_many", "contains")
+            for p in patterns
+            for h in hosts
+            for cap in (1, 2, 3, MATCH_CAP)
+        ]
+
+        def expected(p, h, cap):
+            cov = reference.match_coverage(p, h, match_cap=cap)
+            return {v for _, v in cov.nodes}, {e for _, e in cov.edges}
+
+        cache = MatchPlanCache()
+        for op, p, h, cap in data.draw(st.permutations(calls)):
+            if op == "coverage":
+                assert cache.coverage(p, h, cap) == expected(p, h, cap)
+            elif op == "coverage_many":
+                assert cache.coverage_many(p, hosts, cap) == [
+                    expected(p, g, cap) for g in hosts
+                ]
+            else:
+                found = any(True for _ in reference.find_isomorphisms(p, h, 1))
+                assert cache.contains(p, h) == found
 
     @settings(max_examples=15, deadline=None)
     @given(

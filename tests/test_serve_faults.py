@@ -246,6 +246,28 @@ class TestMalformedRequests:
         assert status == 400
         assert "tenant must be a string" in body["error"]
 
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            {"node_types": [10**30]},  # past int64: was a 500
+            {"node_types": [1.5]},  # was silently type 1
+            {"node_types": [True]},  # was silently type 1
+            {"node_types": [-1]},
+            {"node_types": "12"},
+            {"node_types": [1, 2], "edges": [[0, 1]]},
+            {"node_types": [1, 2], "edges": [[0, 1, 0.5]]},
+            {"node_types": [1, 2], "edges": [[0, True, 0]]},
+            {"node_types": [1], "directed": "yes"},  # was directed
+        ],
+    )
+    def test_malformed_wire_pattern_is_400(self, live, pattern):
+        base, _ = live
+        status, body = _post(base, "/query", {"pattern": pattern})
+        assert status == 400
+        assert body["error"].startswith("ValidationError")
+        status, health = _get(base, "/health")
+        assert status == 200 and health["status"] == "ok"
+
     def test_failure_storm_then_counters_still_exact(self, live):
         """Mixed malformed + failing + good traffic: arithmetic holds."""
         base, _ = live

@@ -41,6 +41,7 @@ from repro.api.server import DEFAULT_HOST, DEFAULT_PORT
 from repro.config import GvexConfig
 from repro.datasets.registry import DATASETS
 from repro.datasets.statistics import statistics_table
+from repro.exceptions import ReproError
 from repro.graphs.pattern import Pattern
 from repro.metrics.capability import capability_table
 
@@ -432,8 +433,17 @@ def _run_lint(args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command; a library error prints one ``error:`` line and
+    exits 2."""
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except ReproError as exc:
+        print("error: " + " ".join(str(exc).split()), file=sys.stderr)
+        return 2
 
+
+def _run(args) -> int:
     if args.command == "lint":
         return _run_lint(args)
 

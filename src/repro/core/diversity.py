@@ -7,16 +7,14 @@ influenced by ``V_s`` — again monotone submodular.
 
 The distance is the normalized Euclidean distance: embeddings are
 L2-normalized first, so ``d`` ranges in [0, 2] and the radius threshold
-``r`` is scale-free across models and datasets.
+``r`` is scale-free across models and datasets. The balls ``R`` are
+built with the influence relation by
+:func:`repro.core.explainability.oracle_relations`.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.config import GvexConfig
-from repro.gnn.model import GnnClassifier
-from repro.graphs.graph import Graph
 
 
 def embedding_distances(embeddings: np.ndarray) -> np.ndarray:
@@ -29,16 +27,6 @@ def embedding_distances(embeddings: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(d2, 0.0))
 
 
-def diversity_balls(
-    model: GnnClassifier, graph: Graph, config: GvexConfig
-) -> np.ndarray:
-    """Boolean ``(n, n)`` ball matrix ``R[v, v']`` iff ``d(X^k_v, X^k_v') <= r``."""
-    if graph.n_nodes == 0:
-        return np.zeros((0, 0), dtype=bool)
-    emb = model.node_embeddings(graph)
-    return embedding_distances(emb) <= config.radius
-
-
 def diversity_score(R: np.ndarray, influenced_mask: np.ndarray) -> int:
     """``D(V_s)`` — union size of balls around influenced nodes."""
     if not influenced_mask.any():
@@ -46,4 +34,4 @@ def diversity_score(R: np.ndarray, influenced_mask: np.ndarray) -> int:
     return int(R[influenced_mask].any(axis=0).sum())
 
 
-__all__ = ["embedding_distances", "diversity_balls", "diversity_score"]
+__all__ = ["embedding_distances", "diversity_score"]

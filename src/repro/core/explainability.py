@@ -27,14 +27,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import or_
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.config import GvexConfig
-from repro.core.diversity import diversity_balls
-from repro.core.influence import influence_relation
+from repro.config import JACOBIAN_EXPECTED, GvexConfig
+from repro.core.diversity import embedding_distances
+from repro.gnn.batch import aggregation_matrices, symmetrized_adjacency
+from repro.gnn.jacobian import influence_matrix, normalized_influence, sparse_influence
 from repro.gnn.model import GnnClassifier
+from repro.gnn.propagation import propagation_power
 from repro.graphs.graph import Graph
 from repro.exceptions import ValidationError
 
@@ -58,6 +60,43 @@ class SelectionState:
             influenced=self.influenced,
             diversity=self.diversity,
         )
+
+
+def oracle_relations(
+    model: GnnClassifier,
+    graph: Graph,
+    config: GvexConfig,
+    ids: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The relations ``B`` (Eqs. 3-5) and ``R`` (Eq. 6) of a non-empty graph.
+
+    With ``ids`` (sorted node ids), the relations of ``graph``'s
+    subgraph induced by them, index ``i`` being node ``ids[i]``, read
+    off the host: ``Q`` normalizes the host's memoized symmetrized
+    adjacency sliced by ``ids``, and the forward reads the host's
+    feature rows. A principal submatrix of the symmetrized adjacency is
+    the induced subgraph's, so the arrays equal those of the induced
+    subgraph bit for bit. One ``Q`` feeds both the expected influence
+    ``Q^k`` and the forward whose final layer gives the diversity balls.
+    Only exact Jacobians and the sparse big-graph program read a graph
+    for ``I1``; with ``ids`` that one is the induced subgraph.
+    """
+    A = symmetrized_adjacency(graph)
+    X = model.features_for(graph)
+    if ids is not None:
+        A = A[np.ix_(ids, ids)]
+        X = X[ids]
+    Q = aggregation_matrices(model.conv, model.gin_eps, A)
+    if config.jacobian == JACOBIAN_EXPECTED and not sparse_influence(model, len(Q)):
+        I1 = propagation_power(Q, model.n_layers)
+    else:
+        sub = graph if ids is None else graph.induced_subgraph(ids.tolist())[0]
+        I1 = influence_matrix(model, sub, config.jacobian)
+    embeddings = model.forward(X, Q).hiddens[-1]
+    return (
+        normalized_influence(I1) >= config.theta,
+        embedding_distances(embeddings) <= config.radius,
+    )
 
 
 def _bit_rows(matrix: np.ndarray) -> List[int]:
@@ -87,8 +126,7 @@ class ExplainabilityOracle:
         self.config = config
         self.n = graph.n_nodes
         if self.n:
-            self.B = influence_relation(model, graph, config)
-            self.R = diversity_balls(model, graph, config)
+            self.B, self.R = oracle_relations(model, graph, config)
         else:
             self.B = np.zeros((0, 0), dtype=bool)
             self.R = np.zeros((0, 0), dtype=bool)
@@ -103,12 +141,11 @@ class ExplainabilityOracle:
     ) -> "ExplainabilityOracle":
         """Oracle over precomputed boolean relations ``B`` and ``R``.
 
-        StreamGVEX's incremental ``IncEVerify`` maintains the influence
-        relation and diversity balls as persistent accumulators across
-        stream chunks; this constructor wraps them in the standard
-        value/gain interface without re-deriving anything. The graph's
-        size ``n`` is read from the relations, which must both be
-        ``(n, n)``.
+        StreamGVEX's ``IncEVerify`` builds each chunk's relations off
+        the host with :func:`oracle_relations`; this constructor wraps
+        them in the standard value/gain interface without re-deriving
+        anything. The graph's size ``n`` is read from the relations,
+        which must both be ``(n, n)``.
         """
         n = len(influence)
         if influence.shape != (n, n) or diversity.shape != (n, n):
@@ -236,4 +273,4 @@ class ExplainabilityOracle:
         return best_v
 
 
-__all__ = ["ExplainabilityOracle", "SelectionState"]
+__all__ = ["ExplainabilityOracle", "SelectionState", "oracle_relations"]

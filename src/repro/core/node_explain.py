@@ -27,6 +27,7 @@ from repro.config import GvexConfig, JACOBIAN_EXPECTED
 from repro.core.approx import explain_graph
 from repro.exceptions import ExplanationError, ModelError
 from repro.gnn.loss import softmax
+from repro.gnn.model import ForwardCache
 from repro.gnn.node_model import NodeGnnClassifier
 from repro.graphs.graph import Graph
 
@@ -38,9 +39,14 @@ class CenterGraphClassifier:
     classification returns the marked node's prediction (uniform/None
     when the marker is absent — e.g. after the center was removed).
     Exposes the surface GVEX's oracle and verifiers need
-    (``predict``, ``predict_proba``, ``node_embeddings``,
-    ``aggregation_matrix``, ``n_layers``).
+    (``predict``, ``predict_proba``, ``features_for``, ``forward``,
+    ``conv``, ``aggregation_matrix``, ``n_layers``).
     """
+
+    #: the node model aggregates as a GCN (its ``aggregation_matrix`` is
+    #: ``normalized_adjacency``); the oracle normalizes by these
+    conv = "gcn"
+    gin_eps = 0.0
 
     def __init__(self, node_model: NodeGnnClassifier) -> None:
         self.node_model = node_model
@@ -90,10 +96,13 @@ class CenterGraphClassifier:
         logits, _, _ = self.node_model.forward(X, Q)
         return int(np.argmax(logits[center]))
 
-    def node_embeddings(self, graph: Graph) -> np.ndarray:
-        X, _ = self._split(graph)
-        Q = self.aggregation_matrix(graph)
-        return self.node_model.forward(X, Q)[1][-1]
+    def forward(self, X: np.ndarray, Q: np.ndarray) -> ForwardCache:
+        """The node model's layers on ``X`` without its marker column;
+        ``hiddens[-1]`` are the node embeddings the oracle reads."""
+        _, hiddens, pre_activations = self.node_model.forward(X[:, :-1], Q)
+        return ForwardCache(
+            X=X, Q=Q, pre_activations=pre_activations, hiddens=hiddens
+        )
 
     def predict_proba_batch(
         self,

@@ -25,20 +25,16 @@ schedule survives as the parity reference
 
 ``IncEVerify`` — the per-chunk refresh of the influence/diversity
 oracle on the seen prefix — is :class:`~repro.core.inc_everify.
-IncrementalEVerify`: it carries the propagation-power sequence, the
-per-layer hidden states, and the embedding-distance matrix across
-chunks as persistent accumulators, extending them with rank-bounded
-updates when nodes arrive — the paper's genuinely incremental reading
-of §5 (see docs/streaming.md). The prefix is read from the host by
-its sorted ids, as is ΔP's ball; neither builds it as a graph.
-Re-deriving the oracle on the seen prefix every chunk selects
-identical views; that schedule survives as the parity reference
+IncrementalEVerify`: it builds each chunk's oracle from scratch off
+the host's slices (see docs/streaming.md). The prefix is read from the
+host by its sorted ids, as is ΔP's ball; neither builds it as a graph.
+Building the induced prefix as a graph gives the same oracle bit for
+bit; that schedule survives as the parity reference
 :class:`repro.reference.RebuildEVerify`.
 
 Every batch boundary records an :class:`AnytimeSnapshot`, giving the
 "anytime" view quality/runtime curves of Figures 9(f) and 12;
-:class:`StreamResult.oracle_stats` accounts the maintenance work so
-the schedules can be compared (``bench_fig12_node_order.py``).
+:class:`StreamResult.oracle_stats` counts the oracle builds.
 """
 
 from __future__ import annotations
@@ -80,12 +76,10 @@ class AnytimeSnapshot:
 class StreamResult:
     """Per-graph streaming outcome.
 
-    ``oracle_stats`` accounts the ``IncEVerify`` maintenance work: the
-    incremental engine pays one full refresh per stream plus cheap
-    extensions, the rebuild reference one full refresh per chunk — the
-    per-chunk launch contrast the parity suite and
-    ``bench_fig12_node_order.py`` assert. ``inference_calls`` counts
-    the stream's EVerify forward launches.
+    ``oracle_stats`` accounts the ``IncEVerify`` builds: one full
+    refresh per chunk, as the rebuild reference counts
+    (``bench_fig12_node_order.py`` compares them).
+    ``inference_calls`` counts the stream's EVerify forward launches.
     """
 
     subgraph: Optional[ExplanationSubgraph]
@@ -181,9 +175,8 @@ class StreamGvex:
         for batch_start in range(0, len(stream), batch):
             chunk = stream[batch_start : batch_start + batch]
             seen.extend(chunk)
-            # IncEVerify: extend the persistent influence/diversity
-            # accumulators to the seen prefix, oracle id i being node
-            # seen_ids[i]
+            # IncEVerify: the oracle on the seen prefix, oracle id i
+            # being node seen_ids[i]
             seen_ids = sorted(seen)
             to_local = {g: l for l, g in enumerate(seen_ids)}
             oracle = engine.refresh(graph, seen_ids)

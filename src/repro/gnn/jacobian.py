@@ -24,11 +24,7 @@ import numpy as np
 from repro.config import JACOBIAN_EXACT, JACOBIAN_EXPECTED
 from repro.exceptions import ModelError
 from repro.gnn.model import GnnClassifier
-from repro.gnn.propagation import (
-    extend_power_sequence,
-    power_sequence,
-    propagation_power,
-)
+from repro.gnn.propagation import propagation_power
 from repro.graphs.graph import Graph
 
 #: refuse to allocate an exact-Jacobian tensor above this many floats
@@ -60,13 +56,20 @@ def expected_influence(model: GnnClassifier, graph: Graph) -> np.ndarray:
     matmuls (§6.2's big-graph optimization); other aggregation kinds
     (GIN/SAGE) use their model-specific dense matrix.
     """
-    if getattr(model, "conv", "gcn") == "gcn":
-        from repro.gnn.sparse import SPARSE_THRESHOLD, sparse_expected_influence
+    if sparse_influence(model, graph.n_nodes):
+        from repro.gnn.sparse import sparse_expected_influence
 
-        if graph.n_nodes > SPARSE_THRESHOLD:
-            return sparse_expected_influence(graph, model.n_layers)
+        return sparse_expected_influence(graph, model.n_layers)
     Q = model.aggregation_matrix(graph)
     return propagation_power(Q, model.n_layers)
+
+
+def sparse_influence(model: GnnClassifier, n_nodes: int) -> bool:
+    """Whether :func:`expected_influence` takes the sparse big-graph path
+    on an ``n_nodes`` graph: GCN aggregation past ``SPARSE_THRESHOLD``."""
+    from repro.gnn.sparse import SPARSE_THRESHOLD
+
+    return getattr(model, "conv", "gcn") == "gcn" and n_nodes > SPARSE_THRESHOLD
 
 
 def exact_influence(model: GnnClassifier, graph: Graph) -> np.ndarray:
@@ -100,38 +103,6 @@ def exact_influence(model: GnnClassifier, graph: Graph) -> np.ndarray:
     return np.abs(T).sum(axis=(1, 3))
 
 
-def extend_expected_influence(
-    model: GnnClassifier,
-    Q: np.ndarray,
-    prev_powers: "list[np.ndarray]",
-    prev_positions: np.ndarray,
-) -> "tuple[np.ndarray, list[np.ndarray]]":
-    """Expected-mode ``I1`` for a *grown* graph, rank-updating cached powers.
-
-    The incremental ``IncEVerify`` path of StreamGVEX (§5): instead of
-    re-deriving ``Q^k`` on the seen prefix after every arriving chunk,
-    the cached power sequence of the previous prefix is extended with a
-    factored low-rank correction
-    (:func:`repro.gnn.propagation.extend_power_sequence`). ``Q`` is the
-    grown graph's aggregation matrix; ``prev_positions[i]`` is the new
-    index of previous node ``i`` (ignored, and may be empty, when
-    ``prev_powers`` is).
-
-    Returns ``(I1, powers)`` where ``powers`` is the sequence to cache
-    for the next chunk. With an empty ``prev_powers`` (first chunk) the
-    sequence is built from scratch. Only ``"expected"`` Jacobian mode
-    has this incremental structure — exact mode re-derives per chunk
-    (see docs/streaming.md).
-    """
-    if prev_powers:
-        powers = extend_power_sequence(prev_powers, Q, prev_positions)
-    else:
-        powers = power_sequence(Q, model.n_layers)
-    if not powers:  # zero-layer degenerate: I1 = Q^0 = I
-        return np.eye(Q.shape[0]), powers
-    return powers[-1], powers
-
-
 def normalized_influence(I1: np.ndarray) -> np.ndarray:
     """Eq. 4: ``I2[u, v] = I1(v, u) / Σ_w I1(v, w)``.
 
@@ -148,7 +119,7 @@ __all__ = [
     "influence_matrix",
     "expected_influence",
     "exact_influence",
-    "extend_expected_influence",
+    "sparse_influence",
     "normalized_influence",
     "EXACT_BUDGET_FLOATS",
 ]

@@ -57,142 +57,8 @@ def propagation_power(P: np.ndarray, k: int) -> np.ndarray:
     return np.linalg.matrix_power(P, k)
 
 
-def power_sequence(P: np.ndarray, k: int) -> "list[np.ndarray]":
-    """``[P^1, …, P^k]`` via the forward recursion ``M_j = M_{j-1} · P``.
-
-    The full sequence (not just ``P^k``) is what StreamGVEX's
-    incremental ``IncEVerify`` caches: each power is the zero-padded
-    anchor the next chunk's rank update extends
-    (:func:`extend_power_sequence`). Right-multiplication matches the
-    association order of ``np.linalg.matrix_power`` for ``k ≤ 3`` (the
-    paper's depths), so ``powers[-1]`` is bit-identical to
-    :func:`propagation_power` there.
-    """
-    if k < 0:
-        raise ValidationError(f"k must be >= 0, got {k}")
-    if k == 0:
-        return []
-    powers = [P]
-    for _ in range(k - 1):
-        powers.append(powers[-1] @ P)
-    return powers
-
-
-def extend_power_sequence(
-    prev_powers: "list[np.ndarray]",
-    P_new: np.ndarray,
-    prev_positions: np.ndarray,
-) -> "list[np.ndarray]":
-    """Powers of a grown propagation matrix via a factored rank update.
-
-    StreamGVEX's incremental ``IncEVerify`` (§5) needs ``P^1 … P^k`` of
-    the *seen-prefix* graph after a chunk of nodes arrives. Rebuilding
-    costs ``O(k·m³)``; this routine instead treats the new matrix as a
-    low-rank perturbation of the old one and pays ``O(k²·a·m²)`` where
-    ``a`` is the number of *affected* rows/columns (arriving nodes plus
-    their boundary, whose degrees renormalize).
-
-    Write ``E_j`` for the old power ``P_old^j`` zero-padded into the new
-    index space (``prev_positions[i]`` is old node ``i``'s new index —
-    arrivals may interleave, so the old block is scattered, not a
-    prefix) and ``Δ = P_new − E_1``. Since unchanged entries of the
-    propagation matrix are bit-equal under its elementwise construction,
-    ``Δ``'s support is confined to affected rows/columns and factors as
-    ``U·V`` with rank ``≤ 2a``. The correction ``C_j = P_new^j − E_j``
-    then satisfies::
-
-        C_j = E_1·C_{j-1} + Δ·C_{j-1} + Δ·E_{j-1},   C_0 = I_new − pad(I_old)
-
-    which is maintained in factored ``L·R`` form (rank grows by ``2a``
-    per step) and materialized once per power. When the growing
-    factored rank approaches ``m`` mid-sequence, the routine
-    *re-anchors*: it materializes the current power once (the dense
-    matrix it was about to produce anyway), resets the correction, and
-    computes the remaining powers by the dense recursion ``P^{j+1} =
-    P^j · P_new`` from that anchor — so the early low-rank steps keep
-    their savings instead of the whole call falling back to
-    :func:`power_sequence`. Only when even the *first* step is not
-    low-rank (``b + rank >= m``) does the dense rebuild take over from
-    the start.
-
-    The output is mathematically equal to ``power_sequence(P_new, k)``;
-    floating-point results may differ in the last ulps (see
-    docs/streaming.md for why that is acceptable for GVEX's thresholded
-    influence relation, and when ``"rebuild"`` mode is required).
-    """
-    k = len(prev_powers)
-    if k == 0:
-        return []
-    m = P_new.shape[0]
-    pos = np.asarray(prev_positions, dtype=np.intp)
-    if pos.size != prev_powers[0].shape[0]:
-        raise ValidationError(
-            f"prev_positions has {pos.size} entries for "
-            f"{prev_powers[0].shape[0]} previous nodes"
-        )
-
-    # zero-padded anchors E_j = pad(P_old^j)
-    anchors = []
-    scatter = np.ix_(pos, pos)
-    for P_old in prev_powers:
-        E = np.zeros((m, m))
-        E[scatter] = P_old
-        anchors.append(E)
-
-    delta = P_new - anchors[0]
-    row_mask = np.any(delta != 0.0, axis=1)
-    rows = np.nonzero(row_mask)[0]
-    rest = delta.copy()
-    rest[rows] = 0.0
-    cols = np.nonzero(np.any(rest != 0.0, axis=0))[0]
-    rank = rows.size + cols.size
-
-    new_mask = np.ones(m, dtype=bool)
-    new_mask[pos] = False
-    new_idx = np.nonzero(new_mask)[0]
-    b = new_idx.size
-    if b + rank >= m:  # not low-rank from step one: dense is cheaper
-        return power_sequence(P_new, k)
-
-    # Δ = U·V: changed rows, plus remaining changed columns
-    U = np.zeros((m, rank))
-    V = np.zeros((rank, m))
-    U[rows, np.arange(rows.size)] = 1.0
-    V[: rows.size] = delta[rows]
-    U[:, rows.size :] = rest[:, cols]
-    V[rows.size + np.arange(cols.size), cols] = 1.0
-
-    # C_0 = I_new − pad(I_old): unit columns/rows at the new indices
-    L = np.zeros((m, b))
-    L[new_idx, np.arange(b)] = 1.0
-    R = np.zeros((b, m))
-    R[np.arange(b), new_idx] = 1.0
-
-    powers: "list[np.ndarray]" = []
-    for j in range(1, k + 1):
-        if powers and L.shape[1] + rank >= m:
-            # the correction's factored rank is about to reach full
-            # rank: re-anchor at the last materialized power and run
-            # the remaining steps as the dense recursion (identical to
-            # power_sequence's association order)
-            for _ in range(j, k + 1):
-                powers.append(powers[-1] @ P_new)
-            break
-        if j == 1:  # V · E_0 = V · pad(I_old): zero the new columns
-            VE = np.zeros_like(V)
-            VE[:, pos] = V[:, pos]
-        else:
-            VE = V @ anchors[j - 2]
-        L = np.hstack([anchors[0] @ L + U @ (V @ L), U])
-        R = np.vstack([R, VE])
-        powers.append(anchors[j - 1] + L @ R)
-    return powers
-
-
 __all__ = [
     "normalized_adjacency",
     "normalize_dense",
     "propagation_power",
-    "power_sequence",
-    "extend_power_sequence",
 ]

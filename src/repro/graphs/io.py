@@ -56,15 +56,8 @@ def graph_from_dict(d: Dict[str, Any]) -> Graph:
     features = None
     if "features" in d:
         features = np.asarray(d["features"], dtype=np.float64)
-    directed = d.get("directed", False)
-    if not isinstance(directed, bool):
-        raise ValidationError(f"'directed' must be a boolean, got {directed!r}")
-    node_types = _wire_list(d["node_types"])
-    for t in node_types:
-        if not _is_wire_int(t):
-            raise ValidationError(
-                f"node type {t!r} is not a non-negative integer that fits int64"
-            )
+    directed = _wire_bool(d.get("directed", False), "directed")
+    node_types = [_wire_int(t, "node type") for t in _wire_list(d["node_types"])]
     g = Graph(node_types, features=features, directed=directed)
     for edge in _wire_list(d.get("edges", [])):
         if not (
@@ -83,9 +76,33 @@ def graph_from_dict(d: Dict[str, Any]) -> Graph:
 def _wire_list(value: Any) -> Union[list, tuple]:
     if not isinstance(value, (list, tuple)):
         raise ValidationError(
-            f"node types and edges must be lists, got {type(value).__name__}"
+            f"node types, edges and nodes must be lists, got "
+            f"{type(value).__name__}"
         )
     return value
+
+
+def _wire_int(value: Any, field: str) -> int:
+    if not _is_wire_int(value):
+        raise ValidationError(
+            f"{field} {value!r} is not a non-negative integer that fits int64"
+        )
+    return int(value)
+
+
+def _wire_bool(value: Any, field: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationError(f"{field!r} must be a boolean, got {value!r}")
+    return value
+
+
+def _wire_real(value: Any, field: str) -> float:
+    """A real number: an int or a float, and not a bool."""
+    if isinstance(value, bool) or not isinstance(
+        value, (int, float, np.integer, np.floating)
+    ):
+        raise ValidationError(f"{field!r} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _is_wire_int(value: Any) -> bool:
@@ -120,13 +137,17 @@ def subgraph_to_dict(s: ExplanationSubgraph) -> Dict[str, Any]:
 
 
 def subgraph_from_dict(d: Dict[str, Any]) -> ExplanationSubgraph:
+    """Parse a subgraph's wire form under :func:`graph_from_dict`'s rule:
+    ``graph_index`` and each node are wire integers, the two flags
+    booleans and ``score`` a real number; anything else raises
+    :class:`ValidationError`."""
     return ExplanationSubgraph(
-        graph_index=int(d["graph_index"]),
-        nodes=tuple(int(v) for v in d["nodes"]),
+        graph_index=_wire_int(d["graph_index"], "graph_index"),
+        nodes=tuple(_wire_int(v, "node") for v in _wire_list(d["nodes"])),
         subgraph=graph_from_dict(d["subgraph"]),
-        consistent=bool(d["consistent"]),
-        counterfactual=bool(d["counterfactual"]),
-        score=float(d["score"]),
+        consistent=_wire_bool(d["consistent"], "consistent"),
+        counterfactual=_wire_bool(d["counterfactual"], "counterfactual"),
+        score=_wire_real(d["score"], "score"),
     )
 
 
@@ -141,11 +162,16 @@ def view_to_dict(view: ExplanationView) -> Dict[str, Any]:
 
 
 def view_from_dict(d: Dict[str, Any]) -> ExplanationView:
+    """Parse a view's wire form: ``label`` is a wire integer (or a
+    string, which a Python caller may use as a label and which loads
+    as itself), ``score`` and ``edge_loss`` real numbers (see
+    :func:`subgraph_from_dict`)."""
+    label = d["label"]
     return ExplanationView(
-        label=d["label"],
-        score=float(d["score"]),
+        label=label if isinstance(label, str) else _wire_int(label, "label"),
+        score=_wire_real(d["score"], "score"),
         # v1 files predate edge_loss serialization
-        edge_loss=float(d.get("edge_loss", 0.0)),
+        edge_loss=_wire_real(d.get("edge_loss", 0.0), "edge_loss"),
         subgraphs=[subgraph_from_dict(s) for s in d["subgraphs"]],
         patterns=[pattern_from_dict(p) for p in d["patterns"]],
     )

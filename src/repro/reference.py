@@ -11,8 +11,9 @@ benches compare them against:
   per-pair set probes, no precomputation and no caching;
 * :func:`match_coverage` — one pattern's coverage of one host over that
   matcher, with the production ``match_cap`` and stop-early rules;
-* :class:`RebuildEVerify` — StreamGVEX's ``IncEVerify`` by rebuilding
-  the explainability oracle on the seen prefix every chunk;
+* :class:`RebuildEVerify` — StreamGVEX's ``IncEVerify`` on the seen
+  prefix built as a graph every chunk, where production slices the
+  host's arrays;
 * :func:`remined_delta` and :func:`remine_inc_update_p` — StreamGVEX's
   pattern side by re-mining: ``IncPGen``'s ΔP as a full list, one
   ``Pattern`` built and canonized per enumerated subset of the ball's
@@ -213,16 +214,17 @@ class _UncachedMatches:
 
 
 # ----------------------------------------------------------------------
-# IncEVerify: rebuild the oracle every chunk
+# IncEVerify: the oracle on the induced prefix, every chunk
 # ----------------------------------------------------------------------
 class RebuildEVerify:
-    """``IncEVerify`` by rebuilding: a from-scratch oracle per chunk.
+    """``IncEVerify`` on the induced prefix: an oracle per chunk.
 
     Drop-in for :class:`~repro.core.inc_everify.IncrementalEVerify`
     (same constructor, :meth:`refresh` and ``stats``). Every chunk
-    re-derives the explainability oracle on the seen prefix and counts
-    one full refresh, so it selects what the incremental engine selects
-    at one full forward and power build per chunk.
+    builds the seen prefix's induced subgraph and the explainability
+    oracle on it, and counts one full refresh. Production reads the
+    same arrays off the host's slices, so both give the same ``B`` and
+    ``R`` bit for bit and the same refresh count.
     """
 
     def __init__(self, model: GnnClassifier, config: GvexConfig) -> None:

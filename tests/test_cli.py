@@ -280,6 +280,50 @@ class TestPipeline:
                 ]
             )
 
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            '{"node_types": [1.5]}',  # ValidationError
+            '{"node_types": [0], "edges": [[0, 5, 0]]}',  # GraphError
+        ],
+    )
+    def test_bad_pattern_is_one_error_line(self, artifacts, capsys, pattern):
+        _, views_path = artifacts
+        capsys.readouterr()
+        code = main(
+            [
+                "query",
+                "--dataset", "pcqm4m",
+                "--scale", "test",
+                "--views", str(views_path),
+                "--pattern", pattern,
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_bad_views_file_is_one_error_line(self, artifacts, tmp_path, capsys):
+        _, views_path = artifacts
+        data = json.loads(Path(views_path).read_text())
+        data["views"][0]["score"] = "0.5"
+        bad = tmp_path / "bad_views.json"
+        bad.write_text(json.dumps(data))
+        capsys.readouterr()
+        code = main(
+            [
+                "query",
+                "--dataset", "pcqm4m",
+                "--scale", "test",
+                "--views", str(bad),
+                "--pattern", '{"node_types": [0]}',
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: 'score' must be a real number, got '0.5'\n"
+
     def test_query_pattern_file_and_graph_scope(self, artifacts, tmp_path, capsys):
         _, views_path = artifacts
         pattern_file = tmp_path / "pattern.json"

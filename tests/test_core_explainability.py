@@ -49,6 +49,23 @@ class TestInfluence:
         assert influenced_set(B, [0]).tolist() == [True, False]
 
 
+@pytest.mark.parametrize("jacobian", ["expected", "exact"])
+@pytest.mark.parametrize("conv", ["gcn", "gin", "sage"])
+def test_oracle_relations_equal_the_per_relation_programs(jacobian, conv):
+    """One ``Q`` and one forward give the arrays the influence program
+    and a separate embedding forward give, bit for bit."""
+    from repro.core.explainability import oracle_relations
+
+    model = GnnClassifier(2, 2, hidden_dims=(8, 8), conv=conv, seed=1)
+    graph = erdos_renyi(12, 0.3, seed=4, directed=True)
+    graph.node_types[:] = np.random.default_rng(0).integers(0, 2, 12)
+    config = GvexConfig(theta=0.05, radius=0.4, jacobian=jacobian)
+    B, R = oracle_relations(model, graph, config)
+    assert (B == influence_relation(model, graph, config)).all()
+    emb = model.node_embeddings(graph)
+    assert (R == (embedding_distances(emb) <= config.radius)).all()
+
+
 class TestDiversity:
     def test_distance_matrix_properties(self):
         emb = np.random.default_rng(1).normal(size=(6, 4))

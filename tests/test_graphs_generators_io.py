@@ -184,6 +184,69 @@ class TestViewsSchema:
         with pytest.raises(GraphError):
             io.viewset_from_dict({"schema": 99, "views": []})
 
+    def test_non_empty_views_round_trip_byte_for_byte(self, tmp_path):
+        sub = graph_from_edges([0, 1, 2], [(0, 1), (1, 2)])
+        vs = ViewSet()
+        vs.add(
+            ExplanationView(
+                label=1,
+                score=0.75,
+                edge_loss=0.125,
+                subgraphs=[
+                    ExplanationSubgraph(
+                        3, (2, 5, 9), sub, consistent=True, score=0.375
+                    )
+                ],
+                patterns=[Pattern.from_parts([0, 1], [(0, 1)])],
+            )
+        )
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        io.save_views(vs, first)
+        io.save_views(io.load_views(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [
+            ("subgraph", "graph_index", 1.5),
+            ("subgraph", "graph_index", True),
+            ("subgraph", "graph_index", -1),
+            ("subgraph", "graph_index", 2**63),
+            ("subgraph", "nodes", [0.7, 1.2]),
+            ("subgraph", "nodes", [False, 1]),
+            ("subgraph", "nodes", "01"),
+            ("subgraph", "consistent", "false"),
+            ("subgraph", "counterfactual", "no"),
+            ("subgraph", "counterfactual", 0),
+            ("subgraph", "score", "0.5"),
+            ("subgraph", "score", True),
+            ("view", "label", 1.5),
+            ("view", "label", True),
+            ("view", "label", None),
+            ("view", "score", "2.0"),
+            ("view", "edge_loss", False),
+        ],
+    )
+    def test_refuses_what_it_would_coerce(self, where, key, value):
+        """Views files follow graph_from_dict's rule: a value of the
+        wrong kind raises ValidationError instead of loading coerced."""
+        from repro.exceptions import ValidationError
+
+        sub = graph_from_edges([0, 1], [(0, 1)])
+        vs = ViewSet()
+        vs.add(
+            ExplanationView(
+                label=1,
+                score=2.0,
+                subgraphs=[ExplanationSubgraph(0, (0, 1), sub, consistent=True)],
+            )
+        )
+        d = io.viewset_to_dict(vs)
+        view = d["views"][0]
+        (view if where == "view" else view["subgraphs"][0])[key] = value
+        with pytest.raises(ValidationError):
+            io.viewset_from_dict(d)
+
     def test_schema2_preserves_edge_loss(self):
         vs = ViewSet()
         vs.add(ExplanationView(label=0, edge_loss=0.25))

@@ -90,10 +90,6 @@ class ExplainerSpec:
     defaults: Mapping[str, Any] = field(default_factory=dict)
     description: str = ""
 
-    def capability_row(self):
-        """The spec's Table 1 capability metadata."""
-        return self.cls.capabilities
-
 
 _REGISTRY: Dict[str, ExplainerSpec] = {}
 _ALIASES: Dict[str, str] = {}

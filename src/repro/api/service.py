@@ -26,7 +26,12 @@ from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
 from repro.api.registry import get_spec
 from repro.config import GvexConfig
-from repro.exceptions import ConfigurationError, ExplanationError
+from repro.exceptions import (
+    ConfigurationError,
+    ExplanationError,
+    MissingKeyError,
+    ValidationError,
+)
 from repro.gnn.model import GnnClassifier
 from repro.gnn.training import train_classifier
 from repro.graphs.database import GraphDatabase
@@ -43,8 +48,16 @@ def pattern_from_spec(spec: Mapping[str, Any]) -> Pattern:
 
     ``{"node_types": [...], "edges": [[u, v, type], ...], "directed":
     bool}`` — the same shape the CLI ``--pattern`` flag and the HTTP
-    ``/query`` route accept.
+    ``/query`` route accept. A spec that is not an object raises
+    :class:`ValidationError`, and one without ``node_types``
+    :class:`MissingKeyError`.
     """
+    if not isinstance(spec, Mapping):
+        raise ValidationError(
+            f"a pattern spec must be a JSON object, got {type(spec).__name__}"
+        )
+    if "node_types" not in spec:
+        raise MissingKeyError("a pattern spec has no 'node_types' key")
     graph = graph_from_dict(
         {
             "node_types": spec["node_types"],

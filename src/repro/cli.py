@@ -433,14 +433,17 @@ def _run_lint(args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one command; a library error prints one ``error:`` line and
-    exits 2."""
+    """Run one command; a library error, or a file or flag that is not
+    valid JSON, prints one ``error:`` line and exits 2."""
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
     except ReproError as exc:
-        print("error: " + " ".join(str(exc).split()), file=sys.stderr)
-        return 2
+        message = str(exc)
+    except json.JSONDecodeError as exc:
+        message = f"invalid JSON: {exc}"
+    print("error: " + " ".join(message.split()), file=sys.stderr)
+    return 2
 
 
 def _run(args) -> int:

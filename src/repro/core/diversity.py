@@ -27,11 +27,4 @@ def embedding_distances(embeddings: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(d2, 0.0))
 
 
-def diversity_score(R: np.ndarray, influenced_mask: np.ndarray) -> int:
-    """``D(V_s)`` — union size of balls around influenced nodes."""
-    if not influenced_mask.any():
-        return 0
-    return int(R[influenced_mask].any(axis=0).sum())
-
-
-__all__ = ["embedding_distances", "diversity_score"]
+__all__ = ["embedding_distances"]

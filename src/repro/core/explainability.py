@@ -31,12 +31,12 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.config import JACOBIAN_EXPECTED, GvexConfig
+from repro.config import JACOBIAN_EXACT, GvexConfig
 from repro.core.diversity import embedding_distances
+from repro.gnn import propagation
 from repro.gnn.batch import aggregation_matrices, symmetrized_adjacency
-from repro.gnn.jacobian import influence_matrix, normalized_influence, sparse_influence
+from repro.gnn.jacobian import exact_influence, normalized_influence
 from repro.gnn.model import GnnClassifier
-from repro.gnn.propagation import propagation_power
 from repro.graphs.graph import Graph
 from repro.exceptions import ValidationError
 
@@ -76,10 +76,15 @@ def oracle_relations(
     adjacency sliced by ``ids``, and the forward reads the host's
     feature rows. A principal submatrix of the symmetrized adjacency is
     the induced subgraph's, so the arrays equal those of the induced
-    subgraph bit for bit. One ``Q`` feeds both the expected influence
-    ``Q^k`` and the forward whose final layer gives the diversity balls.
-    Only exact Jacobians and the sparse big-graph program read a graph
-    for ``I1``; with ``ids`` that one is the induced subgraph.
+    subgraph bit for bit, and no graph is built.
+
+    One ``Q`` and one ``model.forward(X, Q)`` feed every program. The
+    forward's final layer gives the diversity balls, and this function
+    alone picks Eq. 3's ``I1``: exact Jacobians through that forward
+    (:func:`~repro.gnn.jacobian.exact_influence`), or the expected
+    influence ``Q^k``, by sparse products for GCN graphs past
+    :data:`~repro.gnn.propagation.SPARSE_THRESHOLD` nodes (§6.2) and
+    dense otherwise.
     """
     A = symmetrized_adjacency(graph)
     X = model.features_for(graph)
@@ -87,15 +92,16 @@ def oracle_relations(
         A = A[np.ix_(ids, ids)]
         X = X[ids]
     Q = aggregation_matrices(model.conv, model.gin_eps, A)
-    if config.jacobian == JACOBIAN_EXPECTED and not sparse_influence(model, len(Q)):
-        I1 = propagation_power(Q, model.n_layers)
+    cache = model.forward(X, Q)
+    if config.jacobian == JACOBIAN_EXACT:
+        I1 = exact_influence(model, cache)
+    elif model.conv == "gcn" and len(Q) > propagation.SPARSE_THRESHOLD:
+        I1 = propagation.sparse_propagation_power(Q, model.n_layers)
     else:
-        sub = graph if ids is None else graph.induced_subgraph(ids.tolist())[0]
-        I1 = influence_matrix(model, sub, config.jacobian)
-    embeddings = model.forward(X, Q).hiddens[-1]
+        I1 = propagation.propagation_power(Q, model.n_layers)
     return (
         normalized_influence(I1) >= config.theta,
-        embedding_distances(embeddings) <= config.radius,
+        embedding_distances(cache.hiddens[-1]) <= config.radius,
     )
 
 

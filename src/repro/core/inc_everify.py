@@ -6,10 +6,9 @@ the host through :func:`~repro.core.explainability.oracle_relations`,
 the relation builder ApproxGVEX's per-graph oracle uses too: ``Q`` is
 the host's memoized symmetrized adjacency sliced by the sorted seen
 ids and normalized by :func:`~repro.gnn.batch.aggregation_matrices`,
-``B`` thresholds ``Q^k``, and ``R`` the distances of one forward over
-the host's feature rows. The prefix is built as a graph only for
-exact Jacobians and for GCN prefixes past ``SPARSE_THRESHOLD``, whose
-influence programs read one.
+``B`` thresholds the influence read off that ``Q`` (or, for exact
+Jacobians, off the forward), and ``R`` the distances of one forward
+over the host's feature rows. No prefix is built as a graph.
 
 A principal submatrix of the symmetrized adjacency is the induced
 subgraph's, and every later step runs the same operations on the same

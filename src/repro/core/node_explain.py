@@ -43,8 +43,8 @@ class CenterGraphClassifier:
     ``conv``, ``aggregation_matrix``, ``n_layers``).
     """
 
-    #: the node model aggregates as a GCN (its ``aggregation_matrix`` is
-    #: ``normalized_adjacency``); the oracle normalizes by these
+    #: the node model aggregates as a GCN; the oracle and the stacked
+    #: forwards normalize by these, as its ``aggregation_matrix`` does
     conv = "gcn"
     gin_eps = 0.0
 
@@ -139,10 +139,7 @@ class CenterGraphClassifier:
             markers = X_b[:, :, -1] > 0.5
             has_center = markers.any(axis=1)
             centers = markers.argmax(axis=1)  # first marked node per row
-            # NodeGnnClassifier is GCN-only (its aggregation_matrix is
-            # normalized_adjacency unconditionally); revisit if it ever
-            # grows the conv options of its graph-level sibling
-            Q_b = aggregation_matrices("gcn", 0.0, A_b)
+            Q_b = aggregation_matrices(self.conv, self.gin_eps, A_b)
             H = stacked_layers(
                 X_b[:, :, :-1],
                 Q_b,

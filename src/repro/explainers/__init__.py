@@ -8,16 +8,6 @@ from repro.explainers.gvex import ApproxGvexExplainer, StreamGvexExplainer
 from repro.explainers.random_baseline import RandomExplainer
 from repro.explainers.subgraphx import SubgraphX
 
-#: Table 1 row order
-ALL_EXPLAINER_CLASSES = (
-    SubgraphX,
-    GnnExplainer,
-    GStarX,
-    GcfExplainer,
-    ApproxGvexExplainer,
-    StreamGvexExplainer,
-)
-
 __all__ = [
     "Explainer",
     "ExplainerCapabilities",
@@ -28,5 +18,4 @@ __all__ = [
     "GStarX",
     "GcfExplainer",
     "RandomExplainer",
-    "ALL_EXPLAINER_CLASSES",
 ]

@@ -38,7 +38,7 @@ from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import ModelError
+from repro.exceptions import ModelError, ValidationError
 from repro.graphs.graph import Graph
 
 
@@ -105,12 +105,14 @@ def aggregation_matrices(conv: str, gin_eps: float, A: np.ndarray) -> np.ndarray
     """The aggregation matrix ``Q`` of each symmetrized 0/1 adjacency.
 
     ``A`` is one ``(n, n)`` adjacency or a stacked ``(B, n, n)`` batch.
-    The one normalization of every forward:
-    :meth:`GnnClassifier.aggregation_matrix`, the stacked forwards and
-    ``IncEVerify``'s slices of the host's adjacency all call it, so a
-    slice of a batch is bit-identical to the serial matrix of the
-    induced subgraph.
+    The one adjacency normalization in the package: both models'
+    ``aggregation_matrix``, the stacked forwards and the oracle's
+    ``Q`` (:func:`repro.core.explainability.oracle_relations`) all
+    call it, so a slice of a batch is bit-identical to the serial
+    matrix of the induced subgraph.
     """
+    if A.ndim < 2 or A.shape[-2] != A.shape[-1]:
+        raise ValidationError(f"adjacency must be square, got {A.shape}")
     eye = np.eye(A.shape[-1])
     if conv == "gcn":
         A_hat = A + eye

@@ -14,10 +14,10 @@ import numpy as np
 
 from repro.exceptions import ModelError
 from repro.gnn.activations import get_activation
+from repro.gnn.batch import aggregation_matrices, symmetrized_adjacency
 from repro.gnn.loss import softmax
 from repro.gnn.model import _glorot
 from repro.gnn.optim import Adam, Optimizer
-from repro.gnn.propagation import normalized_adjacency
 from repro.graphs.graph import Graph
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -69,7 +69,8 @@ class NodeGnnClassifier:
         return params
 
     def aggregation_matrix(self, graph: Graph) -> np.ndarray:
-        return normalized_adjacency(graph)
+        """The GCN ``Q`` of the graph's symmetrized adjacency."""
+        return aggregation_matrices("gcn", 0.0, symmetrized_adjacency(graph))
 
     def features_for(self, graph: Graph) -> np.ndarray:
         X = graph.feature_matrix(n_types=self.in_dim)
@@ -103,15 +104,6 @@ class NodeGnnClassifier:
         if graph.n_nodes == 0:
             return np.zeros(0, dtype=np.int64)
         return self.logits(graph).argmax(axis=1)
-
-    def predict_proba_nodes(self, graph: Graph) -> np.ndarray:
-        return softmax(self.logits(graph))
-
-    def node_embeddings(self, graph: Graph) -> np.ndarray:
-        """Last-layer node representations."""
-        X = self.features_for(graph)
-        Q = self.aggregation_matrix(graph)
-        return self.forward(X, Q)[1][-1]
 
     # ------------------------------------------------------------------
     def loss_and_grads(

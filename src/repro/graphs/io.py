@@ -13,7 +13,7 @@ from typing import Any, Dict, Union
 
 import numpy as np
 
-from repro.exceptions import GraphError, ValidationError
+from repro.exceptions import GraphError, MissingKeyError, ValidationError
 from repro.graphs.database import GraphDatabase
 from repro.graphs.graph import Graph
 from repro.graphs.pattern import Pattern
@@ -51,13 +51,15 @@ def graph_from_dict(d: Dict[str, Any]) -> Graph:
     Node types, and each edge's ``[u, v, type]``, must be non-negative
     integers that fit int64 (bools and floats are refused, not
     truncated), and ``directed`` a boolean; anything else raises
-    :class:`ValidationError`.
+    :class:`ValidationError`, and a missing ``node_types``
+    :class:`MissingKeyError`.
     """
+    raw_types = _field(d, "node_types", "a graph")
     features = None
     if "features" in d:
         features = np.asarray(d["features"], dtype=np.float64)
     directed = _wire_bool(d.get("directed", False), "directed")
-    node_types = [_wire_int(t, "node type") for t in _wire_list(d["node_types"])]
+    node_types = [_wire_int(t, "node type") for t in _wire_list(raw_types)]
     g = Graph(node_types, features=features, directed=directed)
     for edge in _wire_list(d.get("edges", [])):
         if not (
@@ -71,6 +73,19 @@ def graph_from_dict(d: Dict[str, Any]) -> Graph:
             )
         g.add_edge(int(edge[0]), int(edge[1]), int(edge[2]))
     return g
+
+
+def _field(d: Any, key: str, what: str) -> Any:
+    """``d[key]`` of a wire object: a non-object raises
+    :class:`ValidationError` and a missing key :class:`MissingKeyError`
+    (a ``KeyError``)."""
+    if not isinstance(d, dict):
+        raise ValidationError(
+            f"{what} must be a JSON object, got {type(d).__name__}"
+        )
+    if key not in d:
+        raise MissingKeyError(f"{what} has no {key!r} key")
+    return d[key]
 
 
 def _wire_list(value: Any) -> Union[list, tuple]:
@@ -122,7 +137,7 @@ def pattern_to_dict(pattern: Pattern) -> Dict[str, Any]:
 
 
 def pattern_from_dict(d: Dict[str, Any]) -> Pattern:
-    return Pattern(graph_from_dict(d["graph"]))
+    return Pattern(graph_from_dict(_field(d, "graph", "a pattern")))
 
 
 def subgraph_to_dict(s: ExplanationSubgraph) -> Dict[str, Any]:
@@ -140,14 +155,18 @@ def subgraph_from_dict(d: Dict[str, Any]) -> ExplanationSubgraph:
     """Parse a subgraph's wire form under :func:`graph_from_dict`'s rule:
     ``graph_index`` and each node are wire integers, the two flags
     booleans and ``score`` a real number; anything else raises
-    :class:`ValidationError`."""
+    :class:`ValidationError`, and a missing key :class:`MissingKeyError`."""
+
+    def field(key: str) -> Any:
+        return _field(d, key, "a subgraph")
+
     return ExplanationSubgraph(
-        graph_index=_wire_int(d["graph_index"], "graph_index"),
-        nodes=tuple(_wire_int(v, "node") for v in _wire_list(d["nodes"])),
-        subgraph=graph_from_dict(d["subgraph"]),
-        consistent=_wire_bool(d["consistent"], "consistent"),
-        counterfactual=_wire_bool(d["counterfactual"], "counterfactual"),
-        score=_wire_real(d["score"], "score"),
+        graph_index=_wire_int(field("graph_index"), "graph_index"),
+        nodes=tuple(_wire_int(v, "node") for v in _wire_list(field("nodes"))),
+        subgraph=graph_from_dict(field("subgraph")),
+        consistent=_wire_bool(field("consistent"), "consistent"),
+        counterfactual=_wire_bool(field("counterfactual"), "counterfactual"),
+        score=_wire_real(field("score"), "score"),
     )
 
 
@@ -166,14 +185,18 @@ def view_from_dict(d: Dict[str, Any]) -> ExplanationView:
     string, which a Python caller may use as a label and which loads
     as itself), ``score`` and ``edge_loss`` real numbers (see
     :func:`subgraph_from_dict`)."""
-    label = d["label"]
+
+    def field(key: str) -> Any:
+        return _field(d, key, "a view")
+
+    label = field("label")
     return ExplanationView(
         label=label if isinstance(label, str) else _wire_int(label, "label"),
-        score=_wire_real(d["score"], "score"),
+        score=_wire_real(field("score"), "score"),
         # v1 files predate edge_loss serialization
         edge_loss=_wire_real(d.get("edge_loss", 0.0), "edge_loss"),
-        subgraphs=[subgraph_from_dict(s) for s in d["subgraphs"]],
-        patterns=[pattern_from_dict(p) for p in d["patterns"]],
+        subgraphs=[subgraph_from_dict(s) for s in field("subgraphs")],
+        patterns=[pattern_from_dict(p) for p in field("patterns")],
     )
 
 
@@ -185,6 +208,7 @@ def viewset_to_dict(views: ViewSet) -> Dict[str, Any]:
 
 
 def viewset_from_dict(d: Dict[str, Any]) -> ViewSet:
+    items = _field(d, "views", "a views file")
     schema = d.get("schema", 1)  # v1 files carry no version marker
     if schema not in _READABLE_SCHEMAS:
         raise GraphError(
@@ -192,7 +216,7 @@ def viewset_from_dict(d: Dict[str, Any]) -> ViewSet:
             f"versions {_READABLE_SCHEMAS}"
         )
     vs = ViewSet()
-    for item in d["views"]:
+    for item in items:
         vs.add(view_from_dict(item))
     return vs
 
@@ -222,7 +246,7 @@ def save_database(db: GraphDatabase, path: PathLike) -> None:
 def load_database(path: PathLike) -> GraphDatabase:
     d = load_json(path)
     return GraphDatabase(
-        [graph_from_dict(g) for g in d["graphs"]],
+        [graph_from_dict(g) for g in _field(d, "graphs", "a database file")],
         labels=d.get("labels"),
         name=d.get("name", "database"),
     )

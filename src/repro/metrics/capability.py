@@ -2,26 +2,23 @@
 
 Rows default to the explainer registry's Table 1 members
 (:func:`repro.api.registry.explainer_specs`), so a newly registered
-explainer is constructed, swept, *and* capability-tabled identically;
-``ALL_EXPLAINER_CLASSES`` stays as the registry-free fallback.
+explainer is constructed, swept, *and* capability-tabled identically.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Type
 
-from repro.explainers import ALL_EXPLAINER_CLASSES
 from repro.explainers.base import Explainer, ExplainerCapabilities
 
 
 def default_capability_classes() -> Sequence[Type[Explainer]]:
-    """Table 1 row classes, sourced from the registry when available."""
-    try:  # lazy: metrics must stay importable without repro.api
-        from repro.api.registry import explainer_specs
-    except ImportError:  # pragma: no cover - bootstrap order only
-        return ALL_EXPLAINER_CLASSES
-    classes = [spec.cls for spec in explainer_specs() if spec.in_table1]
-    return classes or ALL_EXPLAINER_CLASSES
+    """Table 1 row classes: the registry's ``in_table1`` specs, in
+    registration order."""
+    # lazy: repro.api's service imports this module at import time
+    from repro.api.registry import explainer_specs
+
+    return [spec.cls for spec in explainer_specs() if spec.in_table1]
 
 COLUMNS = (
     "Method",

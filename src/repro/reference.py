@@ -11,6 +11,10 @@ benches compare them against:
   per-pair set probes, no precomputation and no caching;
 * :func:`match_coverage` — one pattern's coverage of one host over that
   matcher, with the production ``match_cap`` and stop-early rules;
+* :func:`influenced_set`, :func:`influence_score` and
+  :func:`diversity_score` — Eq. 2's set functions ``Inf(V_s)``,
+  ``I(V_s)`` and ``D(V_s)`` as dense row unions of ``B`` and ``R``,
+  the definitions the bitset oracle's property tests check against;
 * :class:`RebuildEVerify` — StreamGVEX's ``IncEVerify`` on the seen
   prefix built as a graph every chunk, where production slices the
   host's arrays;
@@ -43,6 +47,8 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 from unittest import mock
+
+import numpy as np
 
 from repro.config import GvexConfig
 from repro.core.explainability import ExplainabilityOracle
@@ -211,6 +217,31 @@ class _UncachedMatches:
 
     def contains_many(self, pattern: Pattern, hosts, **_: object) -> List[bool]:
         return [self.contains(pattern, h) for h in hosts]
+
+
+# ----------------------------------------------------------------------
+# Eq. 2's set functions, by definition
+# ----------------------------------------------------------------------
+def influenced_set(B: np.ndarray, nodes: Iterable[int]) -> np.ndarray:
+    """Boolean mask of ``Inf(V_s)``: the nodes some node of ``V_s``
+    influences (``B[u, v]``)."""
+    idx = list(nodes)
+    if not idx:
+        return np.zeros(B.shape[1], dtype=bool)
+    return B[idx].any(axis=0)
+
+
+def influence_score(B: np.ndarray, nodes: Iterable[int]) -> int:
+    """``I(V_s)`` of Eq. 5: how many nodes ``V_s`` influences."""
+    return int(influenced_set(B, nodes).sum())
+
+
+def diversity_score(R: np.ndarray, influenced_mask: np.ndarray) -> int:
+    """``D(V_s)`` of Eq. 6: the size of the union of the balls ``R``
+    around the influenced nodes."""
+    if not influenced_mask.any():
+        return 0
+    return int(R[influenced_mask].any(axis=0).sum())
 
 
 # ----------------------------------------------------------------------

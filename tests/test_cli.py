@@ -285,6 +285,9 @@ class TestPipeline:
         [
             '{"node_types": [1.5]}',  # ValidationError
             '{"node_types": [0], "edges": [[0, 5, 0]]}',  # GraphError
+            '{bad',  # json.JSONDecodeError
+            '{"edges": [[0, 1, 0]]}',  # MissingKeyError
+            '[0, 1]',  # ValidationError: not an object
         ],
     )
     def test_bad_pattern_is_one_error_line(self, artifacts, capsys, pattern):
@@ -323,6 +326,36 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert code == 2
         assert err == "error: 'score' must be a real number, got '0.5'\n"
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ('{"views": [{"label": 1}]}', "a view has no 'score' key"),
+            ('{"views": [', "invalid JSON: Expecting value: line 1 column 12"),
+            ('{"views": [1]}', "a view must be a JSON object, got int"),
+            ("[]", "a views file must be a JSON object, got list"),
+        ],
+        ids=["missing-key", "truncated", "view-not-an-object", "not-an-object"],
+    )
+    def test_unreadable_views_file_is_one_error_line(
+        self, tmp_path, capsys, payload, message
+    ):
+        bad = tmp_path / "bad_views.json"
+        bad.write_text(payload)
+        capsys.readouterr()
+        code = main(
+            [
+                "query",
+                "--dataset", "pcqm4m",
+                "--scale", "test",
+                "--views", str(bad),
+                "--pattern", '{"node_types": [0]}',
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("error: " + message) and err.count("\n") == 1
 
     def test_query_pattern_file_and_graph_scope(self, artifacts, tmp_path, capsys):
         _, views_path = artifacts

@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import GvexConfig
-from repro.core.diversity import diversity_score, embedding_distances
-from repro.core.explainability import ExplainabilityOracle
-from repro.core.influence import influence_relation, influence_score, influenced_set
+from repro.config import JACOBIAN_EXACT, GvexConfig
+from repro.core.diversity import embedding_distances
+from repro.core.explainability import ExplainabilityOracle, oracle_relations
+from repro.gnn.jacobian import exact_influence, normalized_influence
 from repro.gnn.model import GnnClassifier
+from repro.gnn.propagation import propagation_power
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.graph import graph_from_edges
+from repro.reference import diversity_score, influence_score, influenced_set
 
 
 @pytest.fixture(scope="module")
@@ -27,13 +29,13 @@ def oracle_setup():
 class TestInfluence:
     def test_relation_shape(self, oracle_setup):
         model, graph, config = oracle_setup
-        B = influence_relation(model, graph, config)
+        B, _ = oracle_relations(model, graph, config)
         assert B.shape == (12, 12)
         assert B.dtype == bool
 
     def test_score_of_empty_is_zero(self, oracle_setup):
         model, graph, config = oracle_setup
-        B = influence_relation(model, graph, config)
+        B, _ = oracle_relations(model, graph, config)
         assert influence_score(B, []) == 0
 
     def test_score_counts_union(self):
@@ -52,16 +54,19 @@ class TestInfluence:
 @pytest.mark.parametrize("jacobian", ["expected", "exact"])
 @pytest.mark.parametrize("conv", ["gcn", "gin", "sage"])
 def test_oracle_relations_equal_the_per_relation_programs(jacobian, conv):
-    """One ``Q`` and one forward give the arrays the influence program
-    and a separate embedding forward give, bit for bit."""
-    from repro.core.explainability import oracle_relations
-
+    """One ``Q`` and one forward give the arrays Eq. 3's programs and a
+    separate embedding forward give on the model's own graph path, bit
+    for bit."""
     model = GnnClassifier(2, 2, hidden_dims=(8, 8), conv=conv, seed=1)
     graph = erdos_renyi(12, 0.3, seed=4, directed=True)
     graph.node_types[:] = np.random.default_rng(0).integers(0, 2, 12)
     config = GvexConfig(theta=0.05, radius=0.4, jacobian=jacobian)
     B, R = oracle_relations(model, graph, config)
-    assert (B == influence_relation(model, graph, config)).all()
+    if jacobian == JACOBIAN_EXACT:
+        I1 = exact_influence(model, model.forward_graph(graph))
+    else:
+        I1 = propagation_power(model.aggregation_matrix(graph), model.n_layers)
+    assert (B == (normalized_influence(I1) >= config.theta)).all()
     emb = model.node_embeddings(graph)
     assert (R == (embedding_distances(emb) <= config.radius)).all()
 

@@ -194,6 +194,10 @@ def test_examples_resolve_their_repro_imports():
             ("streaming_anytime.py", "final streaming explanation"),
             ("view_queries.py", "Q3: patterns that distinguish"),
             ("serving_http.py", "POST /query (N-O bond in mutagens)"),
+            (
+                "node_classification.py",
+                "of explanation context comes from the node's own community",
+            ),
         ]
     ],
 )
@@ -204,7 +208,9 @@ def test_streaming_example_runs(script, marker):
     rebuild ``IncEVerify`` streams select the same nodes;
     ``view_queries.py`` drives ``ViewIndex`` through the plan cache and
     asserts the DSL agrees with the legacy queries; ``serving_http.py``
-    serves ``/explain`` and ``/query`` on port 0.
+    serves ``/explain`` and ``/query`` on port 0;
+    ``node_classification.py`` trains a ``NodeGnnClassifier`` and
+    explains its nodes through ``CenterGraphClassifier``.
     """
     paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(

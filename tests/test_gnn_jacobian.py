@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import ModelError
-from repro.gnn.jacobian import (
-    exact_influence,
-    expected_influence,
-    influence_matrix,
-    normalized_influence,
-)
+from repro.config import GvexConfig
+from repro.core.explainability import ExplainabilityOracle
+from repro.exceptions import ConfigurationError, ModelError
+from repro.gnn.jacobian import exact_influence, normalized_influence
 from repro.gnn.model import GnnClassifier
+from repro.gnn.propagation import propagation_power
 from repro.graphs.graph import graph_from_edges
 
 
@@ -23,24 +21,34 @@ def _path(n=6, feat_dim=3, seed=0):
     )
 
 
+def _expected(m, g):
+    """Expected-mode ``I1``: ``Q^k`` of the model's aggregation matrix."""
+    return propagation_power(m.aggregation_matrix(g), m.n_layers)
+
+
+def _exact(m, g):
+    return exact_influence(m, m.forward_graph(g))
+
+
 class TestExpectedInfluence:
     def test_shape_and_nonnegative(self):
         m = GnnClassifier(3, 2, hidden_dims=(4, 4), seed=0)
-        I1 = expected_influence(m, _path())
+        I1 = _expected(m, _path())
         assert I1.shape == (6, 6)
         assert np.all(I1 >= 0)
 
     def test_beyond_k_hops_zero(self):
         # a 2-layer GCN cannot propagate influence farther than 2 hops
         m = GnnClassifier(3, 2, hidden_dims=(4, 4), seed=0)
-        I1 = expected_influence(m, _path(8))
+        I1 = _expected(m, _path(8))
         assert I1[0, 3] == 0.0
         assert I1[0, 7] == 0.0
         assert I1[0, 2] > 0.0
 
     def test_empty_graph(self):
         m = GnnClassifier(3, 2)
-        assert influence_matrix(m, graph_from_edges([], [])).shape == (0, 0)
+        oracle = ExplainabilityOracle(m, graph_from_edges([], []), GvexConfig())
+        assert oracle.B.shape == (0, 0)
 
 
 class TestExactInfluence:
@@ -51,7 +59,7 @@ class TestExactInfluence:
             [(0, 1), (2, 3)],
             features=np.random.default_rng(0).normal(size=(4, 3)),
         )
-        I1 = exact_influence(m, g)
+        I1 = _exact(m, g)
         assert I1[0, 2] == 0.0 and I1[0, 3] == 0.0
         assert I1[1, 0] > 0.0
 
@@ -59,8 +67,8 @@ class TestExactInfluence:
         # non-zero structure of exact influence is a subset of P^k support
         m = GnnClassifier(3, 2, hidden_dims=(6, 6), seed=2)
         g = _path(7)
-        exact = exact_influence(m, g)
-        expected = expected_influence(m, g)
+        exact = _exact(m, g)
+        expected = _expected(m, g)
         assert np.all(exact[expected == 0] == 0)
 
     def test_identity_activation_matches_linear_theory(self):
@@ -68,7 +76,7 @@ class TestExactInfluence:
         m = GnnClassifier(2, 2, hidden_dims=(3,), activation="identity", seed=3)
         g = _path(4, feat_dim=2)
         Q = m.aggregation_matrix(g)
-        exact = exact_influence(m, g)
+        exact = _exact(m, g)
         w_l1 = np.abs(m.weights[0]).sum()
         assert np.allclose(exact, np.abs(Q) * w_l1)
 
@@ -76,19 +84,18 @@ class TestExactInfluence:
         m = GnnClassifier(64, 2, hidden_dims=(256, 256), seed=0)
         big = graph_from_edges([0] * 2000, [(i, i + 1) for i in range(1999)])
         with pytest.raises(ModelError):
-            exact_influence(m, big)
+            _exact(m, big)
 
     def test_unknown_mode_rejected(self):
-        m = GnnClassifier(3, 2)
-        with pytest.raises(ModelError):
-            influence_matrix(m, _path(), mode="bogus")
+        with pytest.raises(ConfigurationError):
+            GvexConfig(jacobian="bogus")
 
 
 class TestNormalizedInfluence:
     def test_columns_sum_to_one(self):
         # I2[u, v] sums to 1 over u for every v with incoming influence
         m = GnnClassifier(3, 2, hidden_dims=(4, 4), seed=0)
-        I1 = expected_influence(m, _path())
+        I1 = _expected(m, _path())
         I2 = normalized_influence(I1)
         assert np.allclose(I2.sum(axis=0), 1.0)
 

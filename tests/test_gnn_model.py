@@ -7,10 +7,11 @@ import pytest
 
 from repro.datasets.registry import DATASETS, dataset_info, load_dataset
 from repro.exceptions import ModelError
-from repro.gnn.batch import symmetrized_adjacency
+from repro.gnn.batch import aggregation_matrices, symmetrized_adjacency
 from repro.gnn.loss import softmax, softmax_cross_entropy
 from repro.gnn.model import GnnClassifier
-from repro.gnn.propagation import normalize_dense, normalized_adjacency, propagation_power
+from repro.gnn.node_model import NodeGnnClassifier
+from repro.gnn.propagation import propagation_power
 from repro.gnn.training import LabelEncoder, Trainer
 from repro.graphs.database import GraphDatabase
 from repro.graphs.graph import Graph, graph_from_edges
@@ -45,32 +46,37 @@ def _numeric_param_grads(model, graph, label, eps=1e-5):
     return grads
 
 
+def _gcn_q(graph):
+    """The GCN aggregation matrix ``D^{-1/2} (A + I) D^{-1/2}``."""
+    return aggregation_matrices("gcn", 0.0, symmetrized_adjacency(graph))
+
+
 class TestPropagation:
     def test_normalized_adjacency_symmetric(self):
         g = _toy_graph()
-        P = normalized_adjacency(g)
+        P = _gcn_q(g)
         assert np.allclose(P, P.T)
         assert np.all(P >= 0)
 
     def test_spectral_radius_bounded(self):
         g = _toy_graph(8)
-        P = normalized_adjacency(g)
+        P = _gcn_q(g)
         eigs = np.linalg.eigvalsh(P)
         assert eigs.max() <= 1.0 + 1e-9
 
     def test_isolated_node_self_loop(self):
         g = graph_from_edges([0, 0], [])
-        P = normalized_adjacency(g)
+        P = _gcn_q(g)
         assert np.allclose(P, np.eye(2))
 
     def test_directed_symmetrized(self):
         g = graph_from_edges([0, 0], [(0, 1)], directed=True)
-        P = normalized_adjacency(g)
+        P = _gcn_q(g)
         assert P[0, 1] > 0 and P[1, 0] > 0
 
     def test_propagation_power(self):
         g = _toy_graph()
-        P = normalized_adjacency(g)
+        P = _gcn_q(g)
         assert np.allclose(propagation_power(P, 0), np.eye(g.n_nodes))
         assert np.allclose(propagation_power(P, 2), P @ P)
 
@@ -79,14 +85,17 @@ class TestPropagation:
             propagation_power(np.eye(2), -1)
 
     def test_normalize_dense_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            normalize_dense(np.zeros((2, 3)))
+        for shape in [(2, 3), (3, 2), (3,), (2, 2, 3)]:
+            with pytest.raises(ValueError):
+                aggregation_matrices("gcn", 0.0, np.zeros(shape))
 
     def test_normalize_dense_matches_graph(self):
+        """Node- and graph-level GCNs normalize a graph's adjacency
+        with the one ``aggregation_matrices``, bit for bit."""
         g = _toy_graph()
-        assert np.allclose(
-            normalize_dense(g.adjacency_matrix()), normalized_adjacency(g)
-        )
+        Q = aggregation_matrices("gcn", 0.0, g.adjacency_matrix())
+        assert np.array_equal(NodeGnnClassifier(3, 2).aggregation_matrix(g), Q)
+        assert np.array_equal(GnnClassifier(3, 2).aggregation_matrix(g), Q)
 
 
 class TestLoss:

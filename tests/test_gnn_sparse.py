@@ -1,116 +1,158 @@
-"""Tests for the large-graph influence backends (sparse + Monte Carlo)."""
+"""Tests for §6.2's big-graph influence program: ``Q^k`` by sparse products.
+
+``repro.core.explainability.oracle_relations`` takes
+``sparse_propagation_power`` over its own ``Q`` for GCN graphs past
+``SPARSE_THRESHOLD`` nodes, and only that branch imports scipy.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.gnn.jacobian import expected_influence
+from repro.config import GvexConfig
+from repro.core.explainability import oracle_relations
+from repro.gnn import propagation
+from repro.gnn.batch import aggregation_matrices, symmetrized_adjacency
 from repro.gnn.model import GnnClassifier
-from repro.gnn.propagation import normalized_adjacency, propagation_power
-from repro.gnn.sparse import (
-    auto_expected_influence,
-    montecarlo_expected_influence,
-    sparse_expected_influence,
-    sparse_normalized_adjacency,
-)
-from repro.graphs.generators import barabasi_albert, erdos_renyi
+from repro.gnn.propagation import propagation_power, sparse_propagation_power
+from repro.graphs.generators import barabasi_albert
 from repro.graphs.graph import Graph, graph_from_edges
 
+REPO = Path(__file__).resolve().parents[1]
 
-class TestSparseNormalizedAdjacency:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_dense(self, seed):
-        g = erdos_renyi(20, 0.2, seed=seed)
-        dense = normalized_adjacency(g)
-        sparse = sparse_normalized_adjacency(g).todense()
-        assert np.allclose(dense, sparse)
 
-    def test_directed_symmetrized(self):
-        g = graph_from_edges([0, 0, 0], [(0, 1), (1, 2)], directed=True)
-        dense = normalized_adjacency(g)
-        sparse = sparse_normalized_adjacency(g).todense()
-        assert np.allclose(dense, sparse)
+def _gcn_q(g):
+    return aggregation_matrices("gcn", 0.0, symmetrized_adjacency(g))
 
-    def test_typed_reciprocal_edges_collapse(self):
-        """Edge pairs come from the typed edge map: a directed pair
-        ``u -> v``, ``v -> u`` of different types is one undirected
-        neighbor pair, like in the dense operator."""
-        g = Graph([0, 1, 2, 0], directed=True)
-        for (u, v), t in zip([(0, 1), (1, 0), (1, 2), (3, 1)], [0, 1, 2, 1]):
-            g.add_edge(u, v, t)
-        dense = normalized_adjacency(g)
-        sparse = sparse_normalized_adjacency(g).todense()
-        assert np.array_equal(sparse != 0, dense != 0)
-        assert np.allclose(dense, sparse)
 
-    def test_isolated_nodes(self):
-        g = graph_from_edges([0, 0, 0], [])
-        assert np.allclose(
-            sparse_normalized_adjacency(g).todense(), np.eye(3)
-        )
+def _typed_reciprocal():
+    """A directed pair ``u -> v``, ``v -> u`` of different types is one
+    undirected neighbor pair."""
+    g = Graph([0, 1, 2, 0], directed=True)
+    for (u, v), t in zip([(0, 1), (1, 0), (1, 2), (3, 1)], [0, 1, 2, 1]):
+        g.add_edge(u, v, t)
+    return g
 
 
 class TestSparseExpectedInfluence:
     @pytest.mark.parametrize("k", [0, 1, 3])
     def test_matches_dense_power(self, k):
-        g = barabasi_albert(30, 2, seed=1)
-        dense = propagation_power(normalized_adjacency(g), k)
-        sparse = sparse_expected_influence(g, k)
-        assert np.allclose(dense, sparse, atol=1e-10)
+        Q = _gcn_q(barabasi_albert(30, 2, seed=1))
+        assert np.allclose(
+            sparse_propagation_power(Q, k), propagation_power(Q, k), atol=1e-10
+        )
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            graph_from_edges([0, 0, 0], [(0, 1), (1, 2)], directed=True),
+            _typed_reciprocal(),
+            graph_from_edges([0, 0, 0], []),
+        ],
+        ids=["directed", "typed-reciprocal", "isolated"],
+    )
+    def test_low_powers_are_exact(self, graph):
+        """The CSR copy holds ``Q`` itself: ``Q^0`` is ``I`` and ``Q^1``
+        is ``Q``, bit for bit."""
+        Q = _gcn_q(graph)
+        assert np.array_equal(sparse_propagation_power(Q, 0), np.eye(len(Q)))
+        assert np.array_equal(sparse_propagation_power(Q, 1), Q)
 
     def test_empty_graph(self):
-        assert sparse_expected_influence(graph_from_edges([], []), 3).shape == (0, 0)
+        assert sparse_propagation_power(np.zeros((0, 0)), 3).shape == (0, 0)
 
-    def test_auto_dispatch_equivalence(self):
-        g = barabasi_albert(40, 2, seed=2)
-        dense = auto_expected_influence(g, 2, threshold=1000)
-        sparse = auto_expected_influence(g, 2, threshold=10)
-        assert np.allclose(dense, sparse)
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError):
+            sparse_propagation_power(np.eye(2), -1)
 
-    def test_model_level_dispatch(self):
-        """expected_influence picks the sparse path for big GCN graphs
-        and produces identical numbers."""
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+        real = propagation.sparse_propagation_power
+
+        def spy(Q, k):
+            calls.append((Q, k))
+            return real(Q, k)
+
+        monkeypatch.setattr(propagation, "sparse_propagation_power", spy)
+        return calls
+
+    def test_model_level_dispatch(self, monkeypatch):
+        """Past the threshold a GCN oracle takes ``Q^k`` by sparse
+        products over its own ``Q``, which agree with the dense power."""
         g = barabasi_albert(60, 1, seed=3)
         model = GnnClassifier(1, 2, hidden_dims=(4, 4), seed=0)
-        from repro.gnn import sparse as sparse_mod
+        config = GvexConfig()
+        calls = self._spy(monkeypatch)
+        _, dense_R = oracle_relations(model, g, config)
+        assert not calls
+        monkeypatch.setattr(propagation, "SPARSE_THRESHOLD", 10)
+        _, sparse_R = oracle_relations(model, g, config)
+        [(Q, k)] = calls
+        assert k == model.n_layers
+        assert np.array_equal(Q, _gcn_q(g))
+        assert np.allclose(sparse_propagation_power(Q, k), propagation_power(Q, k))
+        assert np.array_equal(sparse_R, dense_R)
 
-        dense_result = expected_influence(model, g)
-        old = sparse_mod.SPARSE_THRESHOLD
-        try:
-            sparse_mod.SPARSE_THRESHOLD = 10
-            # re-import path uses module attr at call time
-            import repro.gnn.jacobian as jac
-
-            sparse_result = jac.expected_influence(model, g)
-        finally:
-            sparse_mod.SPARSE_THRESHOLD = old
-        assert np.allclose(dense_result, sparse_result)
+    @pytest.mark.parametrize("conv", ["gin", "sage"])
+    def test_other_convs_stay_dense(self, monkeypatch, conv):
+        calls = self._spy(monkeypatch)
+        monkeypatch.setattr(propagation, "SPARSE_THRESHOLD", 10)
+        model = GnnClassifier(1, 2, hidden_dims=(4, 4), conv=conv, seed=0)
+        oracle_relations(model, barabasi_albert(60, 1, seed=3), GvexConfig())
+        assert not calls
 
 
-class TestMonteCarloInfluence:
-    def test_rows_are_distributions(self):
-        g = barabasi_albert(15, 2, seed=0)
-        est = montecarlo_expected_influence(g, k=2, walks_per_node=32, seed=0)
-        assert np.allclose(est.sum(axis=1), 1.0)
-        assert np.all(est >= 0)
+_STARTUP = r"""
+import sys
 
-    def test_converges_to_walk_distribution(self):
-        """With many walks, the estimate approaches ``(rownorm Q)^k``."""
-        g = barabasi_albert(12, 1, seed=1)
-        Q = normalized_adjacency(g)
-        P = Q / Q.sum(axis=1, keepdims=True)
-        exact = np.linalg.matrix_power(P, 2)
-        est = montecarlo_expected_influence(g, k=2, walks_per_node=3000, seed=0)
-        assert np.abs(est - exact).max() < 0.06
-        # same support as the influence matrix it approximates
-        assert np.all(est[exact == 0] == 0)
+import repro.api, repro.cli
+from repro.config import GvexConfig
+from repro.core import ApproxGvex, ExplainabilityOracle, StreamGvex
+from repro.datasets.registry import dataset_info, load_dataset
+from repro.gnn import propagation
+from repro.gnn.model import GnnClassifier
 
-    def test_zero_steps_identity(self):
-        g = barabasi_albert(8, 1, seed=2)
-        est = montecarlo_expected_influence(g, k=0, walks_per_node=8, seed=0)
-        assert np.allclose(est, np.eye(8))
 
-    def test_deterministic_given_seed(self):
-        g = barabasi_albert(10, 1, seed=3)
-        a = montecarlo_expected_influence(g, k=2, walks_per_node=16, seed=7)
-        b = montecarlo_expected_influence(g, k=2, walks_per_node=16, seed=7)
-        assert np.array_equal(a, b)
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+
+db = load_dataset("mutagenicity", scale="test", seed=0)
+model = GnnClassifier(
+    dataset_info("mutagenicity").n_features, 2, hidden_dims=(8, 8), seed=0
+)
+config = GvexConfig().with_bounds(0, 4)
+assert len(ApproxGvex(model, config).explain(db)) > 0
+assert len(StreamGvex(model, config).explain(db)) > 0
+assert not scipy_modules(), scipy_modules()
+
+calls = []
+real = propagation.sparse_propagation_power
+propagation.sparse_propagation_power = lambda Q, k: calls.append(len(Q)) or real(Q, k)
+graph = max(db.graphs, key=lambda g: g.n_nodes)
+propagation.SPARSE_THRESHOLD = graph.n_nodes - 1
+ExplainabilityOracle(model, graph, config)
+assert calls == [graph.n_nodes], calls
+assert "scipy.sparse" in scipy_modules()
+print("sparse branch ok")
+"""
+
+
+def test_startup_stays_scipy_free():
+    """The CLI, the API and both algorithms load no scipy module; the
+    sparse branch, once the threshold is below the graph, does."""
+    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "sparse branch ok" in proc.stdout

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.explainers import ALL_EXPLAINER_CLASSES
+from repro.api.registry import explainer_specs
 from repro.graphs.database import GraphDatabase
 from repro.graphs.graph import graph_from_edges
 from repro.graphs.pattern import Pattern
@@ -108,7 +108,8 @@ class TestConciseness:
 class TestCapability:
     def test_rows_match_class_count(self):
         rows = capability_rows()
-        assert len(rows) == len(ALL_EXPLAINER_CLASSES)
+        table1 = [spec for spec in explainer_specs() if spec.in_table1]
+        assert [r[0] for r in rows] == [s.cls.capabilities.name for s in table1]
         assert all(len(r) == len(COLUMNS) for r in rows)
 
     def test_gvex_rows_fully_featured(self):

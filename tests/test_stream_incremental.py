@@ -160,8 +160,9 @@ def test_shuffled_stream_orders_agree(trained_model, mutagen_db):
 
 
 def test_exact_jacobian_falls_back_to_rebuild(trained_model, mutagen_db):
-    """Exact-mode Jacobians read the induced prefix as a graph, as the
-    reference does: every chunk's oracle and the view agree."""
+    """Exact-mode Jacobians run through the forward of the host's slices,
+    the rebuild reference's through the induced prefix's: every chunk's
+    oracle and the view agree."""
     config = replace(
         GvexConfig(theta=0.08, radius=0.3, jacobian=JACOBIAN_EXACT).with_bounds(
             0, 5
@@ -183,18 +184,18 @@ def test_exact_jacobian_falls_back_to_rebuild(trained_model, mutagen_db):
 def test_large_prefix_uses_sparse_influence(
     trained_model, mutagen_db, monkeypatch
 ):
-    """Past SPARSE_THRESHOLD both schedules run the sparse big-graph
-    influence program on the induced prefix: every chunk's oracle and
-    the view agree."""
-    import repro.gnn.sparse as sparse_mod
+    """Past SPARSE_THRESHOLD both schedules take ``Q^k`` by sparse
+    products over the prefix's ``Q``: every chunk's oracle and the view
+    agree."""
+    from repro.gnn import propagation
 
-    monkeypatch.setattr(sparse_mod, "SPARSE_THRESHOLD", 4)
+    monkeypatch.setattr(propagation, "SPARSE_THRESHOLD", 4)
     sparse_calls = []
-    sparse_influence = sparse_mod.sparse_expected_influence
+    sparse_power = propagation.sparse_propagation_power
     monkeypatch.setattr(
-        sparse_mod,
-        "sparse_expected_influence",
-        lambda g, k: sparse_calls.append(g.n_nodes) or sparse_influence(g, k),
+        propagation,
+        "sparse_propagation_power",
+        lambda Q, k: sparse_calls.append(len(Q)) or sparse_power(Q, k),
     )
     config = replace(
         GvexConfig(theta=0.08, radius=0.3).with_bounds(0, 5),
